@@ -4,6 +4,14 @@ With all pairwise distances distinct, every point has a unique furthest
 neighbor; following that map, distances strictly increase until a 2-cycle
 (a *spine*) is reached.  Each spine determines a component, split into two
 clusters by the parity of the path length to the spine endpoints.
+
+:func:`build_fng` needs no n x n table.  One streamed pass walks the strict
+upper triangle of the distance matrix in row blocks, evaluating each of the
+n(n-1)/2 distances once; it keeps running row and column maxima (the
+furthest-neighbor map) and copies the values into one flat vector of about
+8 n^2 / 2 bytes, whose sorted gaps certify that all distances are distinct.
+This pass is the seam where a furthest-site Voronoi structure could replace
+the quadratic scan.
 """
 
 from __future__ import annotations
@@ -20,10 +28,14 @@ from .errors import (
     StructureViolation,
     TiesPresent,
 )
-from .geometry import HullIndex
+from .geometry import HullIndex, check_distinct
 from .norms import NormSpec, norm_many
 
 DEFAULT_TOL = 1e-9
+
+# distances evaluated per row block of the streamed pass, and values per
+# chunk of its gap scan; bounds the pass's temporaries independently of n
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,12 +50,7 @@ class PointSet:
             raise DegenerateInput(f"expected an (n, 2) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise DegenerateInput("point set contains non-finite coordinates")
-        seen: dict[tuple[float, float], int] = {}
-        for i, (x, y) in enumerate(pts):
-            key = (float(x), float(y))
-            if key in seen:
-                raise DuplicatePoints(f"points {seen[key]} and {i} coincide")
-            seen[key] = i
+        check_distinct(pts)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -66,7 +73,8 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
     """All unordered pairs of index pairs whose distances agree within tol.
 
     An empty result certifies the all-distances-distinct precondition the
-    structure theory (and :func:`mxst.mxst_mpsy`) relies on.
+    structure theory (and :func:`mxst.mxst_mpsy`) relies on.  The list is
+    sorted, each entry ordered as (smaller pair, larger pair).
     """
     t = np.asarray(table, dtype=float)
     n = t.shape[0]
@@ -74,19 +82,47 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
         return []
     iu, ju = np.triu_indices(n, k=1)
     vals = t[iu, ju]
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     sv = vals[order]
-    ties = []
-    m = len(sv)
-    for a in range(m):
-        b = a + 1
-        while b < m and sv[b] - sv[a] <= tol:
-            pa = (int(iu[order[a]]), int(ju[order[a]]))
-            pb = (int(iu[order[b]]), int(ju[order[b]]))
-            ties.append((min(pa, pb), max(pa, pb)))
-            b += 1
-    ties.sort()
-    return ties
+    runs = list(_tie_offsets(sv, tol))
+    if not runs:
+        return []
+    a = np.concatenate([hits for _, hits in runs])
+    b = np.concatenate([hits + d for d, hits in runs])
+    # the flat upper-triangle index orders pairs as (i, j) tuples do
+    lo = np.minimum(order[a], order[b])
+    hi = np.maximum(order[a], order[b])
+    keep = np.lexsort((hi, lo))
+    lo, hi = lo[keep], hi[keep]
+    return list(zip(
+        zip(iu[lo].tolist(), ju[lo].tolist()),
+        zip(iu[hi].tolist(), ju[hi].tolist()),
+    ))
+
+
+def _tie_offsets(sv: np.ndarray, tol: float):
+    """Yield (d, a) for d = 1, 2, ...: the positions a with sv[a + d] - sv[a] <= tol.
+
+    ``sv`` is sorted, so for each a the gap grows with d: the hits at
+    offset d are among those at d - 1, and the walk ends at the first
+    offset without any.  Together the offsets list every tied pair once.
+    """
+    a = np.flatnonzero(sv[1:] - sv[:-1] <= tol)
+    d = 1
+    while a.size:
+        yield d, a
+        d += 1
+        a = a[a + d < len(sv)]
+        a = a[sv[a + d] - sv[a] <= tol]
+
+
+def _has_tie(sv: np.ndarray, tol: float) -> bool:
+    """Whether two consecutive sorted values lie within tol, scanned in chunks."""
+    for s in range(0, len(sv) - 1, _BLOCK):
+        e = min(s + _BLOCK, len(sv) - 1)
+        if np.any(sv[s + 1 : e + 1] - sv[s:e] <= tol):
+            return True
+    return False
 
 
 def furthest_neighbor(spec: NormSpec, S: PointSet, i: int, tol: float = DEFAULT_TOL) -> int:
@@ -145,12 +181,81 @@ class FNGraph:
 
 
 def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
-    """Construct the furthest-neighbor graph; distances must be tie-free."""
-    table = pairwise_distances(spec, S)
-    ties = detect_ties(table, tol)
-    if ties:
-        raise TiesPresent(f"{len(ties)} tied distance pairs at tol={tol:g}")
-    return fng_from_table(table)
+    """Construct the furthest-neighbor graph; distances must be tie-free.
+
+    Raises DuplicatePoints on a zero distance, then TiesPresent when two
+    distances agree within tol (as ``detect_ties`` would report), without
+    building the n x n table.
+    """
+    if S.n < 2:
+        raise DegenerateInput("need at least two points")
+    fn, vals = _triangle_pass(spec, S.points)
+    vals.sort()
+    if vals[0] <= 0.0:
+        raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    if _has_tie(vals, tol):
+        count = sum(hits.size for _, hits in _tie_offsets(vals, tol))
+        raise TiesPresent(f"{count} tied distance pairs at tol={tol:g}")
+    return _decompose(fn)
+
+
+def _triangle_pass(spec: NormSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Furthest-neighbor map and the strict upper triangle of distances.
+
+    Returns ``(fn, vals)``: ``vals`` equals ``table[np.triu_indices(n, 1)]``
+    of :func:`pairwise_distances` bit for bit, each distance evaluated once
+    as ``||p_i - p_j||`` with i < j, and ``fn`` equals that table's row
+    argmax with the diagonal masked (first index on equal values) whenever
+    ``||-v|| == ||v||`` exactly, as for every exactly symmetric norm.
+    Rows are taken in blocks of about ``_BLOCK`` distances, held in a
+    (rows x later columns) trapezoid whose lower-left corner is -inf.  Row
+    i's entries left of the diagonal are the earlier rows' column entries,
+    so its maximum is the running column maximum, then the block row's.
+    """
+    n = len(pts)
+    vals = np.empty(n * (n - 1) // 2)
+    best = np.full(n, -np.inf)  # max of d(i, j) over the rows i < j seen so far
+    fn = np.zeros(n, dtype=np.intp)
+    step = min(max(1, _BLOCK // n), n - 1)
+    upper = np.triu(np.ones((step, n - 1), dtype=bool))  # column j > row i
+    tri_i, tri_j = np.triu_indices(step, k=1)
+    k = 0
+    for r0 in range(0, n - 1, step):
+        r1 = min(r0 + step, n - 1)
+        b = r1 - r0
+        block = np.full((b, n - 1 - r0), -np.inf)  # columns r0 + 1 .. n - 1
+        iu, ju = (tri_i, tri_j) if b == step else np.triu_indices(b, k=1)
+        block[iu, ju - 1] = norm_many(spec, _differences(pts, r0 + iu, r0 + ju))
+        block[:, b - 1 :] = norm_many(
+            spec, _differences(pts, np.arange(r0, r1)[:, None], np.arange(r1, n))
+        )
+
+        col_best = block.max(axis=0)
+        raised = col_best > best[r0 + 1 :]
+        best[r0 + 1 :][raised] = col_best[raised]
+        fn[r0 + 1 :][raised] = block.argmax(axis=0)[raised] + r0
+
+        row_best = block.max(axis=1)
+        raised = row_best > best[r0:r1]
+        fn[r0:r1][raised] = block.argmax(axis=1)[raised] + r0 + 1
+
+        row_major = block[upper[:b, : block.shape[1]]]
+        vals[k : k + row_major.size] = row_major
+        k += row_major.size
+    return fn, vals
+
+
+def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:
+    """``p_r - p_c`` over broadcast index arrays, shape (..., 2).
+
+    Each coordinate plane is stored contiguously, so the norm reads its
+    components without a stride.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.empty((2, *np.broadcast_shapes(rows.shape, cols.shape)))
+    for c in (0, 1):
+        np.subtract(pts[rows, c], pts[cols, c], out=out[c])
+    return np.moveaxis(out, 0, -1)
 
 
 def fng_from_table(table: np.ndarray) -> FNGraph:
@@ -160,14 +265,14 @@ def fng_from_table(table: np.ndarray) -> FNGraph:
         raise DegenerateInput("need at least two points")
     masked = table.copy()
     np.fill_diagonal(masked, -math.inf)
-    fn = masked.argmax(axis=1).astype(int)
+    return _decompose(masked.argmax(axis=1))
 
-    spines = []
-    for i in range(n):
-        j = fn[i]
-        if fn[j] == i and i < j:
-            spines.append((i, int(j)))
-    spines.sort()
+
+def _decompose(fn) -> FNGraph:
+    """Spines, clusters and components of a furthest-neighbor map."""
+    fn = [int(f) for f in fn]
+    n = len(fn)
+    spines = [(i, j) for i, j in enumerate(fn) if fn[j] == i and i < j]
 
     partner = {}
     for x, xp in spines:
@@ -185,10 +290,10 @@ def fng_from_table(table: np.ndarray) -> FNGraph:
                 cluster_of[cur] = cur
                 break
             chain.append(cur)
-            cur = int(fn[cur])
+            cur = fn[cur]
         # walking back one edge flips the cluster to the partner endpoint
         for u in reversed(chain):
-            cluster_of[u] = partner[cluster_of[int(fn[u])]]
+            cluster_of[u] = partner[cluster_of[fn[u]]]
 
     comp_of_rep = {}
     for si, (x, xp) in enumerate(spines):
@@ -197,11 +302,20 @@ def fng_from_table(table: np.ndarray) -> FNGraph:
     component_of = tuple(comp_of_rep[rep] for rep in cluster_of)
 
     return FNGraph(
-        fn=tuple(int(f) for f in fn),
+        fn=tuple(fn),
         spines=tuple(spines),
         component_of=component_of,
         cluster_of=tuple(cluster_of),
     )
+
+
+def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
+    """``||p_r - p_c||`` over broadcast index arrays ``rows`` and ``cols``.
+
+    Evaluated as :func:`pairwise_distances` does, so ``rows < cols`` gives
+    its upper-triangle values bit for bit.
+    """
+    return norm_many(spec, _differences(S.points, rows, cols))
 
 
 def order_components(g: FNGraph, hull: HullIndex) -> tuple[int, ...]:

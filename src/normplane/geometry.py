@@ -58,18 +58,27 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     n = len(pts)
     if n == 0:
         raise DuplicatePoints("empty point set")
-    _check_distinct(pts)
+    check_distinct(pts)
     if n == 1:
         return HullIndex(vertices=(0,), boundary=frozenset({0}), position={0: 0})
 
-    order = sorted(range(n), key=lambda i: (pts[i, 0], pts[i, 1]))
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    order = sorted(range(n), key=lambda i: (xs[i], ys[i]))
 
     def build(seq):
+        # pops while orientation(chain[-2], chain[-1], i, tol) != CCW, with
+        # orientation's expression evaluated on plain floats
         chain: list[int] = []
         for i in seq:
-            while len(chain) >= 2 and orientation(
-                pts[chain[-2]], pts[chain[-1]], pts[i], tol
-            ) != CCW:
+            cx, cy = xs[i], ys[i]
+            while len(chain) >= 2:
+                ax, ay = xs[chain[-2]], ys[chain[-2]]
+                bx, by = xs[chain[-1]], ys[chain[-1]]
+                cross = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+                if cross > 0.0 and not abs(cross) <= tol * (
+                    math.hypot(bx - ax, by - ay) * math.hypot(cx - ax, cy - ay)
+                ):
+                    break
                 chain.pop()
             chain.append(i)
         return chain
@@ -91,18 +100,38 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     )
 
 
-def _check_distinct(pts: np.ndarray) -> None:
-    seen = {}
-    for i, (x, y) in enumerate(pts):
-        key = (float(x), float(y))
-        if key in seen:
-            raise DuplicatePoints(f"points {seen[key]} and {i} coincide")
-        seen[key] = i
+def check_distinct(pts: np.ndarray) -> None:
+    """Raise DuplicatePoints naming the first repeated point and its original.
+
+    Each row is read as one complex number, so rows match exactly when
+    their coordinates compare equal (NaN matches nothing); adding 0.0 makes
+    the contiguous copy that view needs and turns -0.0 into 0.0.
+    """
+    keys = (np.asarray(pts, dtype=float) + 0.0).view(np.complex128).reshape(-1)
+    _, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True, equal_nan=False
+    )
+    original = first[inverse]
+    repeats = np.flatnonzero(original != np.arange(len(keys)))
+    if repeats.size:
+        i = int(repeats[0])
+        raise DuplicatePoints(f"points {int(original[i])} and {i} coincide")
+
+
+# np.hypot may differ from orientation()'s math.hypot in the last bit, so a
+# |cross| within this relative distance of a nonzero band is decided by
+# orientation() itself
+_BAND_MARGIN = 1e-14
 
 
 def _boundary_traversal(pts: np.ndarray, verts: list[int], tol: float) -> list[int]:
-    """CCW tour of all boundary points; each appears once (first occurrence)."""
+    """CCW tour of all boundary points; each appears once (first occurrence).
+
+    Each hull edge tests every point at once, with orientation()'s cross
+    product and collinearity band and the edge parameter t in [-tol, 1 + tol].
+    """
     k = len(verts)
+    px, py = pts[:, 0], pts[:, 1]
     seen: set[int] = set()
     tour: list[int] = []
     for e in range(k):
@@ -112,15 +141,18 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], tol: float) -> list[i
             continue
         abx, aby = b[0] - a[0], b[1] - a[1]
         ab2 = abx * abx + aby * aby
-        on_edge = []
-        for i in range(len(pts)):
-            if orientation(a, b, pts[i], tol) != COLLINEAR:
-                continue
-            t = ((pts[i, 0] - a[0]) * abx + (pts[i, 1] - a[1]) * aby) / ab2
-            if -tol <= t <= 1.0 + tol:
-                on_edge.append((t, i))
-        on_edge.sort()
-        for t, i in on_edge:
+        dx, dy = px - a[0], py - a[1]
+        t = (dx * abx + dy * aby) / ab2
+        near = np.flatnonzero((-tol <= t) & (t <= 1.0 + tol))
+        dx, dy = dx[near], dy[near]
+        cross = abx * dy - dx * aby
+        band = tol * (math.hypot(abx, aby) * np.hypot(dx, dy))
+        collinear = np.abs(cross) <= band
+        unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > _BAND_MARGIN * band)
+        for s in np.flatnonzero(unsure).tolist():
+            collinear[s] = orientation(a, b, pts[near[s]], tol) == COLLINEAR
+        on_edge = near[collinear]
+        for i in on_edge[np.lexsort((on_edge, t[on_edge]))].tolist():
             if i != b_idx and i not in seen:
                 seen.add(i)
                 tour.append(i)

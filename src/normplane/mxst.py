@@ -4,7 +4,12 @@
 furthest-neighbor edges, order the FNG components cyclically around the
 hull, compute one candidate connecting edge per adjacent component pair
 (restricting one endpoint to the hull boundary), and drop the shortest
-candidate.  `mxst_bruteforce` is the independent descending-greedy oracle.
+candidate.  The furthest neighbors and the all-distances-distinct
+certificate come from one streamed pass over the distance triangle
+(:func:`fng.build_fng`): n(n-1)/2 norm evaluations, a flat vector of about
+8 n^2 / 2 bytes and no n x n table.  The connecting edges then evaluate only
+the cluster x boundary-cluster blocks they compare.  `mxst_bruteforce` is
+the independent descending-greedy oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureViolation, TiesPresent
+from .errors import StructureViolation
 from .fng import (
     DEFAULT_TOL,
     PointSet,
-    detect_ties,
-    fng_from_table,
+    build_fng,
+    distances_between,
     order_components,
     pairwise_distances,
 )
@@ -75,16 +80,7 @@ def mxst_mpsy(
     n = S.n
     if n <= 1:
         return SpanningTree(edges=(), total_weight=0.0), _empty_report()
-    table = pairwise_distances(spec, S)
-    if n == 2:
-        w = float(table[0, 1])
-        return SpanningTree(edges=((0, 1, w),), total_weight=w), _empty_report()
-
-    ties = detect_ties(table, tol)
-    if ties:
-        raise TiesPresent(f"{len(ties)} tied distance pairs at tol={tol:g}")
-
-    g = fng_from_table(table)
+    g = build_fng(spec, S, tol)
     hull = convex_hull(S.points, tol)
     cycle = order_components(g, hull)
     k = g.k
@@ -105,8 +101,8 @@ def mxst_mpsy(
             # max over the pairing with either endpoint taking the
             # boundary-restricted role; the connecting edge has at least
             # one endpoint on the hull, so nothing is missed
-            lhs = _max_pair(table, members[ca], boundary_members[cb])
-            rhs = _max_pair(table, members[cb], boundary_members[ca])
+            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])
+            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])
             return lhs if lhs.weight >= rhs.weight else rhs
 
         # One candidate edge per cyclically adjacent component pair, scanning
@@ -136,21 +132,22 @@ def mxst_mpsy(
             if idx != discarded:
                 edge_set.add((entry.selected.i, entry.selected.j))
 
-    edges = tuple(
-        (i, j, float(table[i, j])) for i, j in sorted(edge_set)
-    )
+    pairs = sorted(edge_set)
+    weights = distances_between(spec, S, [i for i, _ in pairs], [j for _, j in pairs])
+    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
     tree = SpanningTree(edges=edges, total_weight=float(sum(w for _, _, w in edges)))
     if not validate_tree(tree, n):
         raise StructureViolation("connecting edges did not produce a spanning tree")
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
-def _max_pair(table: np.ndarray, rows: list[int], cols: list[int]) -> CandidateEdge:
-    sub = table[np.ix_(rows, cols)]
+def _max_pair(spec: NormSpec, S: PointSet, rows: list[int], cols: list[int]) -> CandidateEdge:
+    """The first maximum of the rows x cols distance block."""
+    sub = distances_between(spec, S, np.asarray(rows)[:, None], np.asarray(cols)[None, :])
     flat = int(np.argmax(sub))
     u = rows[flat // len(cols)]
     v = cols[flat % len(cols)]
-    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(table[u, v]))
+    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub.flat[flat]))
 
 
 def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:

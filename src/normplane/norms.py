@@ -152,12 +152,15 @@ def norm_many(spec: NormSpec, arr) -> np.ndarray:
     if spec.kind == "lp":
         return _lp_many(spec.p, a)
     if spec.kind == "polygonal":
-        funcs = _poly_functionals(spec)
-        flat = a.reshape(-1, 2)
-        out = flat @ funcs[0]
-        for f in funcs[1:]:
-            np.maximum(out, flat @ f, out=out)
-        return out.reshape(a.shape[:-1])
+        # elementwise, not a matrix product: BLAS may round a row differently
+        # depending on where it sits in the batch, and a vector's norm must
+        # not depend on the batch it is evaluated in
+        x, y = a[..., 0], a[..., 1]
+        out = None
+        for fx, fy in _poly_functionals(spec):
+            v = x * fx + y * fy
+            out = v if out is None else np.maximum(out, v)
+        return out
     raise InvalidNorm(f"unknown norm kind {spec.kind!r}")
 
 

@@ -93,6 +93,14 @@ def test_criterion_1_oracle_equivalence(bank):
     )
 
 
+def test_tree_weights_match_oracle_exactly(bank):
+    # (i, j, w) triples, weights bit for bit
+    for inst in bank:
+        _solve(inst)
+        assert inst["tree"].edges == inst["oracle"].edges
+        assert inst["tree"].total_weight == inst["oracle"].total_weight
+
+
 def test_criterion_2_structural_lemmas(bank):
     for inst in bank:
         _solve(inst)

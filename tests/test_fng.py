@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import all_norms, tie_free_points
+from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
     DuplicatePoints,
     FurthestTie,
@@ -19,6 +19,7 @@ from normplane import (
     perturb_distinct,
     segments_properly_intersect,
 )
+from normplane.fng import _triangle_pass, fng_from_table
 
 # a square with corners nudged so the two diagonals stay longest but no two
 # distances agree
@@ -255,3 +256,59 @@ def test_noncontiguous_maximum_with_three_components(rng):
         if found >= 20:
             break
     assert found >= 5
+
+
+def _reference_ties(table, tol=1e-9):
+    """The per-value scan detect_ties replaces."""
+    n = table.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    vals = table[iu, ju]
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
+    ties = []
+    for a in range(len(sv)):
+        b = a + 1
+        while b < len(sv) and sv[b] - sv[a] <= tol:
+            pa = (int(iu[order[a]]), int(ju[order[a]]))
+            pb = (int(iu[order[b]]), int(ju[order[b]]))
+            ties.append((min(pa, pb), max(pa, pb)))
+            b += 1
+    ties.sort()
+    return ties
+
+
+def test_detect_ties_matches_scalar_scan(rng):
+    for trial in range(30):
+        n = int(rng.integers(2, 30))
+        spec = all_norms()[trial % 7]
+        S = grid_points(rng, n) if trial % 2 else PointSet(rng.uniform(-3, 3, size=(n, 2)))
+        table = pairwise_distances(spec, S)
+        for tol in (0.0, 1e-9, 0.05, 0.5):
+            assert detect_ties(table, tol) == _reference_ties(table, tol)
+
+
+def test_triangle_pass_bit_identical_to_table(rng):
+    # n = 300 spans several row blocks of the streamed pass; a random gauge's
+    # functionals are inexact in binary, so an evaluation whose rounding
+    # depends on the batch would show here
+    for spec in all_norms() + [random_symmetric_polygon(rng)]:
+        for n in (2, 3, 17, 300):
+            pts = rng.uniform(-10, 10, size=(n, 2))
+            table = pairwise_distances(spec, PointSet(pts))
+            fn, vals = _triangle_pass(spec, pts)
+            assert np.array_equal(vals, table[np.triu_indices(n, k=1)]), spec.label()
+            assert tuple(fn.tolist()) == fng_from_table(table).fn
+
+
+def test_build_fng_tie_count_matches_detect_ties(rng):
+    for trial in range(24):
+        spec = all_norms()[trial % 7]
+        S = grid_points(rng, int(rng.integers(3, 30)))
+        for tol in (0.0, 1e-9, 0.3):
+            ties = detect_ties(pairwise_distances(spec, S), tol)
+            if not ties:
+                build_fng(spec, S, tol)
+                continue
+            with pytest.raises(TiesPresent) as info:
+                build_fng(spec, S, tol)
+            assert str(info.value) == f"{len(ties)} tied distance pairs at tol={tol:g}"

@@ -9,6 +9,7 @@ from normplane import (
     DegenerateSegment,
     DegenerateTriangle,
     DuplicatePoints,
+    PointSet,
     convex_hull,
     distance,
     is_convex_quadrilateral,
@@ -163,3 +164,106 @@ def test_furthest_point_lies_on_hull(rng):
             best = dists.max()
             winners = {i for i in range(len(pts)) if dists[i] >= best - 1e-12}
             assert winners & set(hull.vertices)
+
+
+def _reference_hull(points, tol=1e-9):
+    """The scalar hull: one orientation() call per chain step and per
+    (edge, point) pair; (vertices, boundary, position) of convex_hull."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    seen = {}
+    for i, (x, y) in enumerate(pts):
+        key = (float(x), float(y))
+        if key in seen:
+            raise DuplicatePoints(f"points {seen[key]} and {i} coincide")
+        seen[key] = i
+    if n == 1:
+        return (0,), frozenset({0}), {0: 0}
+    order = sorted(range(n), key=lambda i: (pts[i, 0], pts[i, 1]))
+
+    def build(seq):
+        chain = []
+        for i in seq:
+            while len(chain) >= 2 and orientation(
+                pts[chain[-2]], pts[chain[-1]], pts[i], tol
+            ) != CCW:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    verts = build(order)[:-1] + build(list(reversed(order)))[:-1]
+    if len(verts) < 2 or (len(verts) == 2 and verts[0] == verts[1]):
+        verts = [order[0], order[-1]]
+    k = len(verts)
+    done, tour = set(), []
+    for e in range(k):
+        a_idx, b_idx = verts[e], verts[(e + 1) % k]
+        a, b = pts[a_idx], pts[b_idx]
+        if a_idx == b_idx:
+            continue
+        abx, aby = b[0] - a[0], b[1] - a[1]
+        ab2 = abx * abx + aby * aby
+        on_edge = []
+        for i in range(n):
+            if orientation(a, b, pts[i], tol) != COLLINEAR:
+                continue
+            t = ((pts[i, 0] - a[0]) * abx + (pts[i, 1] - a[1]) * aby) / ab2
+            if -tol <= t <= 1.0 + tol:
+                on_edge.append((t, i))
+        on_edge.sort()
+        for t, i in on_edge:
+            if i != b_idx and i not in done:
+                done.add(i)
+                tour.append(i)
+    return tuple(verts), frozenset(tour), {idx: r for r, idx in enumerate(tour)}
+
+
+def _hull_cases(rng):
+    for n in (3, 17, 120):
+        yield rng.uniform(-10, 10, size=(n, 2))  # uniform
+        angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+        yield np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)  # convex position
+    for side in (3, 5, 8):
+        # integer grids: collinear points along every hull edge
+        cells = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+        yield cells
+        yield cells[rng.choice(len(cells), size=len(cells) // 2 + 2, replace=False)]
+    t = rng.permutation(np.arange(12, dtype=float))
+    yield np.stack([t, 3.0 * t - 2.0], axis=1)  # all collinear
+    yield np.stack([t, np.zeros_like(t)], axis=1)
+    yield np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, -3.0]])  # collinear through -0.0
+    for scale in (1e-8, 1e8):
+        yield scale * rng.uniform(-1, 1, size=(60, 2))
+        yield scale * np.array([(i, j) for i in range(6) for j in range(6)], dtype=float)
+
+
+def test_convex_hull_matches_scalar_reference(rng):
+    for pts in _hull_cases(rng):
+        for tol in (1e-9, 0.0, 1e-3):
+            hull = convex_hull(pts, tol)
+            assert (hull.vertices, hull.boundary, hull.position) == _reference_hull(pts, tol)
+
+
+def test_distinct_check_matches_dict_loop():
+    cases = [
+        [[0.0, 0.0], [1.0, 2.0], [-0.0, 0.0]],
+        [[0.0, -0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]],
+        [[3.0, 4.0], [1.0, 1.0], [5.0, 6.0], [1.0, 1.0], [3.0, 4.0]],
+        [[1.0, 2.0], [2.0, 1.0], [1.0, 2.0 + 1e-15]],
+    ]
+    for rows in cases:
+        pts = np.array(rows)
+        seen, want = {}, None
+        for i, (x, y) in enumerate(pts):
+            key = (float(x), float(y))
+            if key in seen:
+                want = f"points {seen[key]} and {i} coincide"
+                break
+            seen[key] = i
+        for build in (PointSet, convex_hull):
+            if want is None:
+                build(pts)
+                continue
+            with pytest.raises(DuplicatePoints) as info:
+                build(pts)
+            assert str(info.value) == want

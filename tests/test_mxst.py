@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,18 @@ def test_oracle_equivalence_and_structure_random(rng):
             for i, j in extra:
                 d = (pos[g.component_of[i]] - pos[g.component_of[j]]) % k
                 assert d in (1, k - 1)
+
+
+def test_mxst_memory_stays_below_one_table():
+    # the streamed pass keeps no n x n table: its peak stays below the
+    # 8 n^2 bytes of one float64 table
+    n = 1000
+    S = PointSet(np.random.default_rng(1000).uniform(0.0, 1.0, size=(n, 2)))
+    tracemalloc.start()
+    try:
+        tree, _ = mxst_mpsy(lp(2), S, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.edges) == n - 1
+    assert peak < 8 * n * n, f"peak {peak} bytes"
