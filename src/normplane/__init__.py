@@ -17,7 +17,6 @@ from .errors import (
     DegenerateSegment,
     DegenerateTriangle,
     DuplicatePoints,
-    FurthestTie,
     InvalidNorm,
     IoError,
     NormPlaneError,
@@ -33,7 +32,6 @@ from .fng import (
     PointSet,
     build_fng,
     detect_ties,
-    furthest_neighbor,
     order_components,
     pairwise_distances,
 )
@@ -82,13 +80,13 @@ __all__ = [
     "BisectorSample", "Bipartition", "BudgetExceeded", "CCW", "COLLINEAR",
     "CW", "CheckResult", "ConnectingEdgeReport", "DegenerateInput",
     "DegenerateSegment", "DegenerateTriangle", "DuplicatePoints", "FNGraph",
-    "FurthestTie", "HullIndex", "InvalidNorm", "IoError", "Line",
-    "NormPlaneError", "NormSpec", "NotStrictlyConvex", "ParseError",
-    "PerturbReport", "PointSet", "SpanningTree", "StructureViolation",
-    "TiesPresent", "TooLarge", "ZeroVector", "birkhoff_orthogonal",
-    "bisector_point", "build_fng", "convex_hull", "detect_ties", "diameter",
-    "distance", "emit_svg", "euclidean", "evaluate_norm", "furthest_neighbor",
-    "is_convex_quadrilateral", "is_strictly_convex", "l1", "linf",
+    "HullIndex", "InvalidNorm", "IoError", "Line", "NormPlaneError",
+    "NormSpec", "NotStrictlyConvex", "ParseError", "PerturbReport",
+    "PointSet", "SpanningTree", "StructureViolation", "TiesPresent",
+    "TooLarge", "ZeroVector", "birkhoff_orthogonal", "bisector_point",
+    "build_fng", "convex_hull", "detect_ties", "diameter", "distance",
+    "emit_svg", "euclidean", "evaluate_norm", "is_convex_quadrilateral",
+    "is_strictly_convex", "l1", "linf",
     "line_through", "lp", "min_distance_gap", "mxst_bruteforce", "mxst_mpsy",
     "norm_many", "orientation", "order_components", "pairwise_distances",
     "parse_norm", "perturb_distinct", "point_in_triangle", "polygonal",

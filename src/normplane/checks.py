@@ -4,6 +4,13 @@ Runs every structural property of the furthest-neighbor graph and the
 maximum spanning tree as an executable check and reports pass/fail per
 invariant; used by the command-line ``check`` command and by the
 acceptance tests.
+
+Each call builds its structures once, in three stages: ``fng`` (the graph
+from :func:`fng.build_fng`'s streamed pass, plus the hull), ``cycle`` (the
+cyclic component order on that graph) and ``tree`` (the tree connected
+from that graph and hull, beside the :func:`mxst.mxst_bruteforce` oracle,
+which builds the call's only n x n table).  A stage that cannot be built
+answers for every check that needs it.
 """
 
 from __future__ import annotations
@@ -12,18 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormPlaneError
-from .fng import (
-    DEFAULT_TOL,
-    FNGraph,
-    PointSet,
-    detect_ties,
-    fng_from_table,
-    order_components,
-    pairwise_distances,
-)
-from .geometry import HullIndex, convex_hull, segments_properly_intersect
-from .mxst import SpanningTree, mxst_bruteforce, mxst_mpsy
+from .errors import NormPlaneError, TiesPresent
+from .fng import DEFAULT_TOL, PointSet, build_fng, distances_between, order_components
+from .geometry import convex_hull, segments_properly_intersect
+from .mxst import _max_pair, connect_components, mxst_bruteforce
 from .norms import NormSpec
 
 
@@ -34,169 +33,111 @@ class CheckResult:
     detail: str = ""
 
 
+class _Stages:
+    """The structures of one call, each stage built once.
+
+    ``missing[stage]`` is what every check needing that stage answers when
+    it could not be built; a built stage has no entry.
+    """
+
+    def __init__(self, spec: NormSpec, S: PointSet, tol: float):
+        self.spec, self.S, self.tol = spec, S, tol
+        self.missing: dict[str, str] = {}
+        self.ties = self.cycle_error = ""
+        try:
+            self.g = build_fng(spec, S, tol)
+        except TiesPresent as exc:
+            self.ties = str(exc)
+            self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
+            return
+        self.hull = convex_hull(S.points, tol)
+        try:
+            order_components(self.g, self.hull)
+        except NormPlaneError as exc:
+            self.cycle_error = str(exc)
+            self.missing["cycle"] = "skipped: no component cycle"
+        try:
+            self.tree, _ = connect_components(spec, S, self.g, self.hull)
+        except NormPlaneError as exc:
+            self.missing["tree"] = f"tree construction failed: {exc}"
+        else:
+            self.oracle = mxst_bruteforce(spec, S)
+
+
 def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Run the full invariant suite; one result per invariant."""
-    results: list[CheckResult] = []
-    table = pairwise_distances(spec, S)
-
-    ties = detect_ties(table, tol)
-    results.append(
-        CheckResult(
-            "distances-distinct",
-            not ties,
-            "" if not ties else f"{len(ties)} tied distance pairs",
-        )
-    )
-    if ties or S.n < 3:
-        skip = "skipped: ties present" if ties else "skipped: fewer than 3 points"
-        names = [
-            "fng-increasing-chains",
-            "fng-nonleaves-on-boundary",
-            "fng-spines-on-boundary",
-            "fng-spines-properly-intersect",
-            "fng-cluster-contiguity",
-            "fng-cyclic-component-pattern",
-            "fng-noncontiguous-maximum",
-            "mxst-matches-bruteforce",
-            "mxst-contains-fng",
-            "mxst-edges-touch-boundary",
-            "mxst-extra-edges-adjacent",
-            "mxst-edge-counts",
+    """Run the full invariant suite; one result per invariant, in registry order."""
+    if S.n < 3:
+        return [
+            CheckResult(name, True, "trivial for n < 3" if stage else "")
+            for name, stage, _ in _CHECKS
         ]
-        ok = S.n < 3 and not ties
-        for name in names:
-            results.append(CheckResult(name, ok, skip if not ok else "trivial for n < 3"))
-        return results
-
-    g = fng_from_table(table)
-    hull = convex_hull(S.points, tol)
-
-    results.append(_check_increasing_chains(g, table))
-    results.append(_check_nonleaves_on_boundary(g, hull))
-    results.append(_check_spines_on_boundary(g, hull))
-    results.append(_check_spines_intersect(g, S, tol))
-    results.append(_check_cluster_contiguity(g, hull))
-
-    cycle_ok = True
-    try:
-        order_components(g, hull)
-        results.append(CheckResult("fng-cyclic-component-pattern", True))
-    except NormPlaneError as exc:
-        cycle_ok = False
-        results.append(CheckResult("fng-cyclic-component-pattern", False, str(exc)))
-
-    if cycle_ok:
-        results.append(_check_noncontiguous_maximum(g, table))
-    else:
-        results.append(
-            CheckResult("fng-noncontiguous-maximum", False, "skipped: no component cycle")
-        )
-
-    try:
-        tree, _ = mxst_mpsy(spec, S, tol)
-    except NormPlaneError as exc:
-        for name in (
-            "mxst-matches-bruteforce",
-            "mxst-contains-fng",
-            "mxst-edges-touch-boundary",
-            "mxst-extra-edges-adjacent",
-            "mxst-edge-counts",
-        ):
-            results.append(CheckResult(name, False, f"tree construction failed: {exc}"))
-        return results
-
-    oracle = mxst_bruteforce(spec, S)
-    results.append(
-        CheckResult(
-            "mxst-matches-bruteforce",
-            tree.edge_set() == oracle.edge_set(),
-            "" if tree.edge_set() == oracle.edge_set() else "edge sets differ",
-        )
-    )
-    results.append(_check_contains_fng(g, tree))
-    results.append(_check_edges_touch_boundary(tree, hull))
-    results.append(_check_extra_edges_adjacent(g, tree))
-    results.append(_check_edge_counts(g, tree, S.n))
+    st = _Stages(spec, S, tol)
+    results = []
+    for name, stage, check in _CHECKS:
+        passed, detail = (False, st.missing[stage]) if stage in st.missing else check(st)
+        results.append(CheckResult(name, passed, detail))
     return results
 
 
-def _check_increasing_chains(g: FNGraph, table: np.ndarray) -> CheckResult:
-    n = len(g.fn)
-    for start in range(n):
-        cur, nxt = start, g.fn[start]
-        for _ in range(n + 1):
-            after = g.fn[nxt]
-            if after == cur:  # entered the 2-cycle
-                break
-            if not table[cur, nxt] < table[nxt, after]:
-                return CheckResult(
-                    "fng-increasing-chains",
-                    False,
-                    f"chain from {start} not strictly increasing at {cur}->{nxt}->{after}",
-                )
-            cur, nxt = nxt, after
-        else:
-            return CheckResult(
-                "fng-increasing-chains", False, f"chain from {start} found no spine"
-            )
-    return CheckResult("fng-increasing-chains", True)
+def _distances_distinct(st: _Stages) -> tuple[bool, str]:
+    return "fng" not in st.missing, st.ties
 
 
-def _check_nonleaves_on_boundary(g: FNGraph, hull: HullIndex) -> CheckResult:
-    internal = sorted(set(g.fn) - hull.boundary)
-    return CheckResult(
-        "fng-nonleaves-on-boundary",
-        not internal,
-        "" if not internal else f"non-leaf vertices {internal} are interior",
-    )
+def _increasing_chains(st: _Stages) -> tuple[bool, str]:
+    # every edge i -> fn[i] off a spine is strictly shorter than the next
+    # edge fn[i] -> fn[fn[i]]; a cycle longer than a spine cannot satisfy it
+    fn = np.asarray(st.g.fn)
+    w = distances_between(st.spec, st.S, np.arange(len(fn)), fn)
+    bad = np.flatnonzero((fn[fn] != np.arange(len(fn))) & ~(w < w[fn]))
+    if not bad.size:
+        return True, ""
+    i = int(bad[0])
+    return False, f"chain from {i} not strictly increasing at {i}->{fn[i]}->{fn[fn[i]]}"
 
 
-def _check_spines_on_boundary(g: FNGraph, hull: HullIndex) -> CheckResult:
-    missing = [x for s in g.spines for x in s if x not in hull.boundary]
-    return CheckResult(
-        "fng-spines-on-boundary",
-        not missing,
-        "" if not missing else f"spine endpoints {missing} are interior",
-    )
+def _nonleaves_on_boundary(st: _Stages) -> tuple[bool, str]:
+    internal = sorted(set(st.g.fn) - st.hull.boundary)
+    return not internal, "" if not internal else f"non-leaf vertices {internal} are interior"
 
 
-def _check_spines_intersect(g: FNGraph, S: PointSet, tol: float) -> CheckResult:
-    spines = g.spines
+def _spines_on_boundary(st: _Stages) -> tuple[bool, str]:
+    missing = [x for s in st.g.spines for x in s if x not in st.hull.boundary]
+    return not missing, "" if not missing else f"spine endpoints {missing} are interior"
+
+
+def _spines_intersect(st: _Stages) -> tuple[bool, str]:
+    spines, pts = st.g.spines, st.S.points
     for a in range(len(spines)):
         for b in range(a + 1, len(spines)):
-            s1 = (S.points[spines[a][0]], S.points[spines[a][1]])
-            s2 = (S.points[spines[b][0]], S.points[spines[b][1]])
-            if not segments_properly_intersect(s1, s2, tol):
-                return CheckResult(
-                    "fng-spines-properly-intersect",
-                    False,
-                    f"spines {spines[a]} and {spines[b]} do not cross",
-                )
-    return CheckResult("fng-spines-properly-intersect", True)
+            s1 = (pts[spines[a][0]], pts[spines[a][1]])
+            s2 = (pts[spines[b][0]], pts[spines[b][1]])
+            if not segments_properly_intersect(s1, s2, st.tol):
+                return False, f"spines {spines[a]} and {spines[b]} do not cross"
+    return True, ""
 
 
-def _check_cluster_contiguity(g: FNGraph, hull: HullIndex) -> CheckResult:
-    tour = hull.traversal()
-    labels = [g.cluster_of[i] for i in tour]
+def _cluster_contiguity(st: _Stages) -> tuple[bool, str]:
+    labels = [st.g.cluster_of[i] for i in st.hull.traversal()]
     distinct = len(set(labels))
     runs = sum(1 for t in range(len(labels)) if labels[t] != labels[t - 1])
-    if distinct == 1:
-        return CheckResult("fng-cluster-contiguity", True)
-    return CheckResult(
-        "fng-cluster-contiguity",
-        runs == distinct,
-        "" if runs == distinct else f"{runs} runs for {distinct} clusters on the hull",
-    )
+    if distinct == 1 or runs == distinct:
+        return True, ""
+    return False, f"{runs} runs for {distinct} clusters on the hull"
 
 
-def _check_noncontiguous_maximum(g: FNGraph, table: np.ndarray) -> CheckResult:
+def _cyclic_component_pattern(st: _Stages) -> tuple[bool, str]:
+    return "cycle" not in st.missing, st.cycle_error
+
+
+def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
     """Max distance from one component to two others is attained between
     non-contiguous clusters: cyclic distance exactly two in the triple's
     six-cluster cycle (partner clusters sit three apart).  Vacuous for k < 3.
     """
+    g = st.g
     k = g.k
     if k < 3:
-        return CheckResult("fng-noncontiguous-maximum", True, "vacuous: k < 3")
+        return True, "vacuous: k < 3"
     cycle = g.component_cycle
     x = cycle[:k]
     xp = cycle[k:]
@@ -216,68 +157,73 @@ def _check_noncontiguous_maximum(g: FNGraph, table: np.ndarray) -> CheckResult:
                 six = [rep for rep in cycle if comp_of_rep[rep] in triple]
                 six_pos = {rep: t for t, rep in enumerate(six)}
                 rows = comp_members[a]
-                cols = comp_members[b] + comp_members[c]
-                sub = table[np.ix_(rows, cols)]
-                flat = int(np.argmax(sub))
-                u = rows[flat // len(cols)]
-                v = cols[flat % len(cols)]
+                best = _max_pair(st.spec, st.S, rows, comp_members[b] + comp_members[c])
+                u, v = (best.i, best.j) if best.i in rows else (best.j, best.i)
                 du = six_pos[g.cluster_of[u]]
                 dv = six_pos[g.cluster_of[v]]
                 if min((du - dv) % 6, (dv - du) % 6) != 2:
-                    return CheckResult(
-                        "fng-noncontiguous-maximum",
+                    return (
                         False,
                         f"max pair {(u, v)} for components {(a, b, c)} joins contiguous clusters",
                     )
-    return CheckResult("fng-noncontiguous-maximum", True)
+    return True, ""
 
 
-def _check_contains_fng(g: FNGraph, tree: SpanningTree) -> CheckResult:
-    missing = g.undirected_edges() - tree.edge_set()
-    return CheckResult(
-        "mxst-contains-fng",
-        not missing,
-        "" if not missing else f"FNG edges {sorted(missing)} missing from the tree",
-    )
+def _matches_bruteforce(st: _Stages) -> tuple[bool, str]:
+    same = st.tree.edge_set() == st.oracle.edge_set()
+    return same, "" if same else "edge sets differ"
 
 
-def _check_edges_touch_boundary(tree: SpanningTree, hull: HullIndex) -> CheckResult:
-    bad = [(i, j) for i, j, _ in tree.edges if i not in hull.boundary and j not in hull.boundary]
-    return CheckResult(
-        "mxst-edges-touch-boundary",
-        not bad,
-        "" if not bad else f"edges {bad} have both endpoints interior",
-    )
+def _contains_fng(st: _Stages) -> tuple[bool, str]:
+    missing = st.g.undirected_edges() - st.tree.edge_set()
+    return not missing, "" if not missing else f"FNG edges {sorted(missing)} missing from the tree"
 
 
-def _check_extra_edges_adjacent(g: FNGraph, tree: SpanningTree) -> CheckResult:
+def _edges_touch_boundary(st: _Stages) -> tuple[bool, str]:
+    boundary = st.hull.boundary
+    bad = [(i, j) for i, j, _ in st.tree.edges if i not in boundary and j not in boundary]
+    return not bad, "" if not bad else f"edges {bad} have both endpoints interior"
+
+
+def _extra_edges_adjacent(st: _Stages) -> tuple[bool, str]:
+    g = st.g
     k = g.k
     if k == 1:
-        return CheckResult("mxst-extra-edges-adjacent", True, "vacuous: single component")
-    cycle = g.component_cycle
-    comp_order = [g.component_of[rep] for rep in cycle[:k]]
+        return True, "vacuous: single component"
+    comp_order = [g.component_of[rep] for rep in g.component_cycle[:k]]
     comp_pos = {comp: t for t, comp in enumerate(comp_order)}
     fng_edges = g.undirected_edges()
-    for i, j, _ in tree.edges:
+    for i, j, _ in st.tree.edges:
         if (i, j) in fng_edges:
             continue
         d = (comp_pos[g.component_of[i]] - comp_pos[g.component_of[j]]) % k
         if d not in (1, k - 1):
-            return CheckResult(
-                "mxst-extra-edges-adjacent",
-                False,
-                f"edge {(i, j)} joins non-adjacent components (cyclic offset {d})",
-            )
-    return CheckResult("mxst-extra-edges-adjacent", True)
+            return False, f"edge {(i, j)} joins non-adjacent components (cyclic offset {d})"
+    return True, ""
 
 
-def _check_edge_counts(g: FNGraph, tree: SpanningTree, n: int) -> CheckResult:
-    k = g.k
-    fng_edges = g.undirected_edges()
-    extra = tree.edge_set() - fng_edges
-    ok = len(fng_edges) == n - k and len(extra) == k - 1
-    return CheckResult(
-        "mxst-edge-counts",
-        ok,
-        "" if ok else f"|FNG| = {len(fng_edges)} (want {n - k}), |extra| = {len(extra)} (want {k - 1})",
-    )
+def _edge_counts(st: _Stages) -> tuple[bool, str]:
+    k, n = st.g.k, st.S.n
+    fng_edges = st.g.undirected_edges()
+    extra = st.tree.edge_set() - fng_edges
+    if len(fng_edges) == n - k and len(extra) == k - 1:
+        return True, ""
+    return False, f"|FNG| = {len(fng_edges)} (want {n - k}), |extra| = {len(extra)} (want {k - 1})"
+
+
+# (name, stage it needs, check): the suite's invariants in report order
+_CHECKS = (
+    ("distances-distinct", None, _distances_distinct),
+    ("fng-increasing-chains", "fng", _increasing_chains),
+    ("fng-nonleaves-on-boundary", "fng", _nonleaves_on_boundary),
+    ("fng-spines-on-boundary", "fng", _spines_on_boundary),
+    ("fng-spines-properly-intersect", "fng", _spines_intersect),
+    ("fng-cluster-contiguity", "fng", _cluster_contiguity),
+    ("fng-cyclic-component-pattern", "fng", _cyclic_component_pattern),
+    ("fng-noncontiguous-maximum", "cycle", _noncontiguous_maximum),
+    ("mxst-matches-bruteforce", "tree", _matches_bruteforce),
+    ("mxst-contains-fng", "tree", _contains_fng),
+    ("mxst-edges-touch-boundary", "tree", _edges_touch_boundary),
+    ("mxst-extra-edges-adjacent", "tree", _extra_edges_adjacent),
+    ("mxst-edge-counts", "tree", _edge_counts),
+)

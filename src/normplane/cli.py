@@ -29,7 +29,7 @@ from .clustering import two_clustering
 from .errors import IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, build_fng, order_components
 from .geometry import convex_hull
-from .mxst import mxst_bruteforce, mxst_mpsy
+from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
 from .norms import is_strictly_convex, parse_norm, sample_bisector
 from .perturb import perturb_distinct
 
@@ -43,7 +43,6 @@ class RunConfig:
     svg: str | None = None
     eps: float = 1e-3
     tol: float = 1e-9
-    seed: int = 0
     fallback_ties: bool = False
 
 
@@ -275,7 +274,7 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     try:
         g = build_fng(spec, S, tol)
         if tree is None:
-            tree, _ = mxst_mpsy(spec, S, tol)
+            tree, _ = connect_components(spec, S, g, hull)
     except NormPlaneError:
         g = None
     svg.emit_svg(S, hull, g, tree, bipartition, path)
@@ -335,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="perturbation budget (default 1e-3)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="numeric tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed echoed to data-generation helpers")
         p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",
                        help="on ties, fall back to the brute-force tree")
     return parser
@@ -352,7 +349,6 @@ def main(argv=None) -> int:
         svg=args.svg,
         eps=args.eps,
         tol=args.tol,
-        seed=args.seed,
         fallback_ties=args.fallback_ties,
     )
     return run(cfg)

@@ -11,7 +11,9 @@ possible value, the largest even-path pair distance.
 A binary search over the sorted tree edge lengths also locates the minimal
 length whose longer-edge family admits a stabbing line (feasibility is
 monotone since the family shrinks); that transversal is returned as the
-witness line of the split.
+witness line of the split.  Each side's diameter is taken over that side's
+points alone (:func:`diameter`), so only the exhaustive oracle builds an
+n x n table.
 """
 
 from __future__ import annotations
@@ -140,10 +142,7 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     n = S.n
     if n < 2:
         raise DegenerateInput("2-clustering needs at least two points")
-    table = pairwise_distances(spec, S)
     tree, _ = mxst_mpsy(spec, S, tol)
-
-    split = _tree_two_coloring(tree, n)
 
     by_length = sorted(tree.edges, key=lambda e: e[2])
     lengths = [e[2] for e in by_length]
@@ -167,8 +166,7 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
             hi = mid
         else:
             lo = mid + 1
-    witness = witness_for(lo)
-    return _finish(table, split, witness)
+    return _bipartition(spec, S, *_tree_two_coloring(tree, n), witness_for(lo))
 
 
 def _tree_two_coloring(tree, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -191,10 +189,9 @@ def _tree_two_coloring(tree, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return side_a, side_b
 
 
-def _finish(table: np.ndarray, split, witness) -> Bipartition:
-    side_a, side_b = split
-    diam_a = _subset_diameter(table, side_a)
-    diam_b = _subset_diameter(table, side_b)
+def _bipartition(spec: NormSpec, S: PointSet, side_a, side_b, witness) -> Bipartition:
+    diam_a = diameter(spec, S, side_a)
+    diam_b = diameter(spec, S, side_b)
     return Bipartition(
         side_a=side_a,
         side_b=side_b,
@@ -203,13 +200,6 @@ def _finish(table: np.ndarray, split, witness) -> Bipartition:
         value=max(diam_a, diam_b),
         witness_line=witness,
     )
-
-
-def _subset_diameter(table: np.ndarray, idx) -> float:
-    if len(idx) <= 1:
-        return 0.0
-    sub = table[np.ix_(idx, idx)]
-    return float(sub.max())
 
 
 def two_clustering_bruteforce(spec: NormSpec, S: PointSet) -> Bipartition:
@@ -248,11 +238,4 @@ def two_clustering_bruteforce(spec: NormSpec, S: PointSet) -> Bipartition:
             best_key = key
     side_a = tuple(t for t in range(n) if not (best_mask >> t) & 1)
     side_b = tuple(t for t in range(n) if (best_mask >> t) & 1)
-    return Bipartition(
-        side_a=side_a,
-        side_b=side_b,
-        diam_a=_subset_diameter(table, side_a),
-        diam_b=_subset_diameter(table, side_b),
-        value=max(_subset_diameter(table, side_a), _subset_diameter(table, side_b)),
-        witness_line=None,
-    )
+    return _bipartition(spec, S, side_a, side_b, None)

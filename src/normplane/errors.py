@@ -29,10 +29,6 @@ class DegenerateTriangle(NormPlaneError):
     """Three collinear points where a proper triangle is required."""
 
 
-class FurthestTie(NormPlaneError):
-    """Two points are tied (within tolerance) for furthest neighbor."""
-
-
 class TiesPresent(NormPlaneError):
     """Pairwise distances are not all distinct within tolerance."""
 

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     DuplicatePoints,
-    FurthestTie,
     StructureViolation,
     TiesPresent,
 )
@@ -123,23 +122,6 @@ def _has_tie(sv: np.ndarray, tol: float) -> bool:
         if np.any(sv[s + 1 : e + 1] - sv[s:e] <= tol):
             return True
     return False
-
-
-def furthest_neighbor(spec: NormSpec, S: PointSet, i: int, tol: float = DEFAULT_TOL) -> int:
-    """Index of the unique furthest point from point i (O(n) scan).
-
-    This scan is the seam where a furthest-site Voronoi query structure
-    could be substituted for sub-quadratic builds.
-    """
-    if S.n < 2:
-        raise DegenerateInput("need at least two points")
-    row = norm_many(spec, S.points - S.points[i])
-    row[i] = -math.inf
-    j = int(np.argmax(row))
-    second = np.partition(row, -2)[-2]
-    if row[j] - second <= tol:
-        raise FurthestTie(f"furthest neighbor of point {i} is tied within {tol}")
-    return j
 
 
 @dataclass

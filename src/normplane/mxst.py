@@ -7,9 +7,11 @@ hull, compute one candidate connecting edge per adjacent component pair
 candidate.  The furthest neighbors and the all-distances-distinct
 certificate come from one streamed pass over the distance triangle
 (:func:`fng.build_fng`): n(n-1)/2 norm evaluations, a flat vector of about
-8 n^2 / 2 bytes and no n x n table.  The connecting edges then evaluate only
-the cluster x boundary-cluster blocks they compare.  `mxst_bruteforce` is
-the independent descending-greedy oracle.
+8 n^2 / 2 bytes and no n x n table.  `connect_components` does the rest
+from that graph and the hull, evaluating only the cluster x
+boundary-cluster blocks it compares; callers that already hold both (the
+invariant suite, the CLI's drawing) call it directly.  `mxst_bruteforce`
+is the independent descending-greedy oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import numpy as np
 from .errors import StructureViolation
 from .fng import (
     DEFAULT_TOL,
+    FNGraph,
     PointSet,
     build_fng,
     distances_between,
     order_components,
     pairwise_distances,
 )
-from .geometry import convex_hull
+from .geometry import HullIndex, convex_hull
 from .norms import NormSpec
 
 
@@ -77,11 +80,24 @@ def mxst_mpsy(
     otherwise).  Returns the tree and the per-component-pair report of
     connecting-edge candidates.
     """
-    n = S.n
-    if n <= 1:
+    if S.n <= 1:
         return SpanningTree(edges=(), total_weight=0.0), _empty_report()
     g = build_fng(spec, S, tol)
     hull = convex_hull(S.points, tol)
+    return connect_components(spec, S, g, hull)
+
+
+def connect_components(
+    spec: NormSpec, S: PointSet, g: FNGraph, hull: HullIndex
+) -> tuple[SpanningTree, ConnectingEdgeReport]:
+    """The tree from a tie-free furthest-neighbor graph ``g`` of S and its hull.
+
+    Orders the components around the hull, adds one connecting edge per
+    cyclically adjacent component pair but the shortest, and validates the
+    result (StructureViolation when the components do not alternate or the
+    edges do not span).
+    """
+    n = S.n
     cycle = order_components(g, hull)
     k = g.k
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, detect_ties
+from .fng import DEFAULT_TOL, PointSet, detect_ties, pairwise_distances
 from .geometry import convex_hull
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -81,7 +81,7 @@ def perturb_distinct(
         )
     if not eps > 0.0:
         raise DegenerateInput("eps must be positive")
-    worker = _Perturber(spec, S.points, eps, tol)
+    worker = _Perturber(spec, S, eps, tol)
     worker.run()
     disp = norm_many(spec, worker.pts - S.points)
     report = PerturbReport(
@@ -93,23 +93,19 @@ def perturb_distinct(
 
 
 class _Perturber:
-    def __init__(self, spec: NormSpec, points: np.ndarray, eps: float, tol: float):
+    def __init__(self, spec: NormSpec, S: PointSet, eps: float, tol: float):
         self.spec = spec
         self.eps = eps
         self.tol = tol
-        self.pts = np.array(points, dtype=float)
+        self.pts = np.array(S.points, dtype=float)
         self.n = len(self.pts)
         self.moved = np.zeros(self.n)
         self.steps: list[tuple[int, tuple[int, int], float]] = []
         self.max_steps = self.n * (self.n - 1)
-        self.table = self._full_table()
+        self.table = pairwise_distances(spec, S)
         self._set_ties(frozenset(detect_ties(self.table, self.tol)))
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _full_table(self) -> np.ndarray:
-        diff = self.pts[:, None, :] - self.pts[None, :, :]
-        return norm_many(self.spec, diff)
 
     def _set_ties(self, ties: frozenset) -> None:
         self.ties = ties

@@ -4,14 +4,12 @@ import pytest
 from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
     DuplicatePoints,
-    FurthestTie,
     PointSet,
     StructureViolation,
     TiesPresent,
     build_fng,
     convex_hull,
     detect_ties,
-    furthest_neighbor,
     l1,
     lp,
     order_components,
@@ -72,25 +70,6 @@ def test_detect_ties_empty_after_perturbation():
     S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     S2, _ = perturb_distinct(lp(2), S, eps=0.05)
     assert detect_ties(pairwise_distances(lp(2), S2)) == []
-
-
-def test_furthest_neighbor_basic_and_rescan(rng):
-    S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
-    assert furthest_neighbor(lp(2), S, 0) == 2
-    assert furthest_neighbor(lp(2), S, 2) == 0
-    for _ in range(20):
-        S = tie_free_points(rng, 15, lp(3))
-        table = pairwise_distances(lp(3), S)
-        for i in range(S.n):
-            row = table[i].copy()
-            row[i] = -1.0
-            assert furthest_neighbor(lp(3), S, i) == int(np.argmax(row))
-
-
-def test_furthest_neighbor_tie_raises():
-    S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]))
-    with pytest.raises(FurthestTie):
-        furthest_neighbor(lp(2), S, 0)
 
 
 def test_build_fng_three_points():
