@@ -9,8 +9,8 @@ Each call builds its structures once, in three stages: ``fng`` (the graph
 from :func:`fng.build_fng`'s streamed pass, plus the hull), ``cycle`` (the
 cyclic component order on that graph) and ``tree`` (the tree connected
 from that graph and hull, beside the :func:`mxst.mxst_bruteforce` oracle,
-which builds the call's only n x n table).  A stage that cannot be built
-answers for every check that needs it.
+which reads the distance triangle; no n x n table).  A stage that cannot be
+built answers for every check that needs it.
 """
 
 from __future__ import annotations

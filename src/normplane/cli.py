@@ -30,7 +30,7 @@ from .errors import IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, build_fng, order_components
 from .geometry import convex_hull
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
-from .norms import is_strictly_convex, parse_norm, sample_bisector
+from .norms import NormSpec, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import perturb_distinct
 
 
@@ -116,9 +116,7 @@ def _report_json(report) -> dict | None:
     }
 
 
-def _cmd_mxst(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_mxst(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     perturb_info = None
     mode = "exact"
     try:
@@ -159,9 +157,7 @@ def _cmd_mxst(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_fng(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_fng(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     g = build_fng(spec, S, cfg.tol)
     hull = convex_hull(S.points, cfg.tol)
     cycle = order_components(g, hull)
@@ -180,9 +176,7 @@ def _cmd_fng(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_cluster2(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_cluster2(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     part = two_clustering(spec, S, cfg.tol)
     line = part.witness_line
     payload = {
@@ -201,9 +195,7 @@ def _cmd_cluster2(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_perturb(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_perturb(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     S2, report = perturb_distinct(spec, S, cfg.eps, cfg.tol)
     payload = {
         "norm": spec.label(),
@@ -222,9 +214,7 @@ def _cmd_perturb(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bisector(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_bisector(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     if S.n != 2:
         raise ParseError("bisector needs an input of exactly two points")
     p, q = S.points
@@ -244,9 +234,7 @@ def _cmd_bisector(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    spec = parse_norm(cfg.norm)
-    S = load_points(cfg.points)
+def _cmd_check(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
     results = checks.run_checks(spec, S, cfg.tol)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -293,7 +281,10 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
-        return _COMMANDS[config.command](config)
+        if not (math.isfinite(config.tol) and config.tol >= 0.0):
+            raise ParseError(f"--tol must be finite and non-negative, got {config.tol!r}")
+        spec = parse_norm(config.norm)
+        return _COMMANDS[config.command](config, spec, load_points(config.points))
     except IoError as exc:
         _error_json(exc)
         return 2

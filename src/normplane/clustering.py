@@ -12,8 +12,8 @@ A binary search over the sorted tree edge lengths also locates the minimal
 length whose longer-edge family admits a stabbing line (feasibility is
 monotone since the family shrinks); that transversal is returned as the
 witness line of the split.  Each side's diameter is taken over that side's
-points alone (:func:`diameter`), so only the exhaustive oracle builds an
-n x n table.
+points alone (:func:`diameter`), each pair evaluated once; no n x n table is
+built.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import DEFAULT_TOL, PointSet, pairwise_distances
+from .fng import DEFAULT_TOL, PointSet, _triangle, distances_between
 from .mxst import mxst_mpsy
-from .norms import NormSpec, norm_many
+from .norms import NormSpec
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,11 @@ class Bipartition:
 
 def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     """Max pairwise distance within the subset (0 for at most one point)."""
-    idx = sorted(subset)
+    idx = np.array(sorted(subset), dtype=np.intp)
     if len(idx) <= 1:
         return 0.0
-    pts = S.points[idx]
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(norm_many(spec, diff).max())
+    iu, ju = np.triu_indices(len(idx), k=1)
+    return float(distances_between(spec, S, idx[iu], idx[ju]).max())
 
 
 def _segment_arrays(segments):
@@ -213,9 +212,7 @@ def two_clustering_bruteforce(spec: NormSpec, S: PointSet) -> Bipartition:
         raise DegenerateInput("2-clustering needs at least two points")
     if n > 16:
         raise TooLarge(f"exhaustive 2-clustering is limited to n <= 16, got {n}")
-    table = pairwise_distances(spec, S)
-    iu, ju = np.triu_indices(n, k=1)
-    w = table[iu, ju]
+    iu, ju, w = _triangle(spec, S)
     desc = np.argsort(-w, kind="stable")
     pairs = [(int(iu[t]), int(ju[t]), float(w[t])) for t in desc]
 

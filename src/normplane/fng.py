@@ -12,6 +12,10 @@ furthest-neighbor map) and copies the values into one flat vector of about
 8 n^2 / 2 bytes, whose sorted gaps certify that all distances are distinct.
 This pass is the seam where a furthest-site Voronoi structure could replace
 the quadratic scan.
+
+Ties are read from that flat triangle (``np.triu_indices`` order) alone, by
+one tied-pair scan (:func:`_tie_offsets`) and one chunked gap scan
+(:func:`_gaps`); :func:`pairwise_distances` is the triangle mirrored.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ from .errors import (
     StructureViolation,
     TiesPresent,
 )
-from .geometry import HullIndex, check_distinct
+from .geometry import DEFAULT_TOL, HullIndex, check_distinct
 from .norms import NormSpec, norm_many
-
-DEFAULT_TOL = 1e-9
 
 # distances evaluated per row block of the streamed pass, and values per
 # chunk of its gap scan; bounds the pass's temporaries independently of n
@@ -58,14 +60,20 @@ class PointSet:
 
 
 def pairwise_distances(spec: NormSpec, S: PointSet) -> np.ndarray:
-    """Full symmetric distance table (n x n, zero diagonal)."""
-    pts = S.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = norm_many(spec, diff)
-    off = ~np.eye(len(pts), dtype=bool)
-    if np.any(d[off] <= 0.0):
-        raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    """Full symmetric distance table (n x n, zero diagonal): the mirrored triangle."""
+    iu, ju, vals = _triangle(spec, S)
+    d = np.zeros((S.n, S.n))
+    d[iu, ju] = d[ju, iu] = vals
     return d
+
+
+def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(iu, ju, vals)`` over pairs i < j in ``np.triu_indices`` order; DuplicatePoints on 0."""
+    iu, ju = np.triu_indices(S.n, k=1)
+    vals = distances_between(spec, S, iu, ju)
+    if np.any(vals <= 0.0):
+        raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    return iu, ju, vals
 
 
 def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -76,27 +84,26 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
     sorted, each entry ordered as (smaller pair, larger pair).
     """
     t = np.asarray(table, dtype=float)
-    n = t.shape[0]
-    if n < 2:
-        return []
-    iu, ju = np.triu_indices(n, k=1)
-    vals = t[iu, ju]
-    order = np.argsort(vals)
-    sv = vals[order]
-    runs = list(_tie_offsets(sv, tol))
-    if not runs:
-        return []
-    a = np.concatenate([hits for _, hits in runs])
-    b = np.concatenate([hits + d for d, hits in runs])
-    # the flat upper-triangle index orders pairs as (i, j) tuples do
-    lo = np.minimum(order[a], order[b])
-    hi = np.maximum(order[a], order[b])
-    keep = np.lexsort((hi, lo))
-    lo, hi = lo[keep], hi[keep]
+    iu, ju = np.triu_indices(t.shape[0], k=1)
+    lo, hi = _tied_pairs(t[iu, ju], tol)
     return list(zip(
         zip(iu[lo].tolist(), ju[lo].tolist()),
         zip(iu[hi].tolist(), ju[hi].tolist()),
     ))
+
+
+def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(lo, hi)``, lo < hi, of every two values within tol, lexsorted.
+
+    Flat upper-triangle positions order pairs as (i, j) tuples do.
+    """
+    order = np.argsort(vals)
+    runs = [(0, np.empty(0, dtype=np.intp)), *_tie_offsets(vals[order], tol)]
+    a = order[np.concatenate([hits for _, hits in runs])]
+    b = order[np.concatenate([hits + d for d, hits in runs])]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = np.lexsort((hi, lo))
+    return lo[keep], hi[keep]
 
 
 def _tie_offsets(sv: np.ndarray, tol: float):
@@ -115,13 +122,11 @@ def _tie_offsets(sv: np.ndarray, tol: float):
         a = a[sv[a + d] - sv[a] <= tol]
 
 
-def _has_tie(sv: np.ndarray, tol: float) -> bool:
-    """Whether two consecutive sorted values lie within tol, scanned in chunks."""
+def _gaps(sv: np.ndarray):
+    """The gaps ``sv[a + 1] - sv[a]`` of sorted values, in chunks of ``_BLOCK``."""
     for s in range(0, len(sv) - 1, _BLOCK):
         e = min(s + _BLOCK, len(sv) - 1)
-        if np.any(sv[s + 1 : e + 1] - sv[s:e] <= tol):
-            return True
-    return False
+        yield sv[s + 1 : e + 1] - sv[s:e]
 
 
 @dataclass
@@ -142,14 +147,6 @@ class FNGraph:
     @property
     def k(self) -> int:
         return len(self.spines)
-
-    def partner(self, rep: int) -> int:
-        for x, xp in self.spines:
-            if rep == x:
-                return xp
-            if rep == xp:
-                return x
-        raise KeyError(f"{rep} is not a spine endpoint")
 
     def cluster_members(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -175,7 +172,7 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     vals.sort()
     if vals[0] <= 0.0:
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
-    if _has_tie(vals, tol):
+    if any(np.any(g <= tol) for g in _gaps(vals)):
         count = sum(hits.size for _, hits in _tie_offsets(vals, tol))
         raise TiesPresent(f"{count} tied distance pairs at tol={tol:g}")
     return _decompose(fn)
@@ -186,9 +183,9 @@ def _triangle_pass(spec: NormSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Returns ``(fn, vals)``: ``vals`` equals ``table[np.triu_indices(n, 1)]``
     of :func:`pairwise_distances` bit for bit, each distance evaluated once
-    as ``||p_i - p_j||`` with i < j, and ``fn`` equals that table's row
-    argmax with the diagonal masked (first index on equal values) whenever
-    ``||-v|| == ||v||`` exactly, as for every exactly symmetric norm.
+    as ``||p_i - p_j||`` with i < j, and ``fn`` equals that (mirrored)
+    table's row argmax with the diagonal masked (first index on equal
+    values).
     Rows are taken in blocks of about ``_BLOCK`` distances, held in a
     (rows x later columns) trapezoid whose lower-left corner is -inf.  Row
     i's entries left of the diagonal are the earlier rows' column entries,
@@ -256,11 +253,6 @@ def _decompose(fn) -> FNGraph:
     n = len(fn)
     spines = [(i, j) for i, j in enumerate(fn) if fn[j] == i and i < j]
 
-    partner = {}
-    for x, xp in spines:
-        partner[x] = xp
-        partner[xp] = x
-
     cluster_of = [-1] * n
     for start in range(n):
         if cluster_of[start] != -1:
@@ -273,9 +265,10 @@ def _decompose(fn) -> FNGraph:
                 break
             chain.append(cur)
             cur = fn[cur]
-        # walking back one edge flips the cluster to the partner endpoint
+        # walking back one edge flips the cluster to the partner endpoint,
+        # which is the endpoint's own furthest neighbor
         for u in reversed(chain):
-            cluster_of[u] = partner[cluster_of[fn[u]]]
+            cluster_of[u] = fn[cluster_of[fn[u]]]
 
     comp_of_rep = {}
     for si, (x, xp) in enumerate(spines):
@@ -294,8 +287,7 @@ def _decompose(fn) -> FNGraph:
 def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
     """``||p_r - p_c||`` over broadcast index arrays ``rows`` and ``cols``.
 
-    Evaluated as :func:`pairwise_distances` does, so ``rows < cols`` gives
-    its upper-triangle values bit for bit.
+    :func:`pairwise_distances` is built from these values with rows < cols.
     """
     return norm_many(spec, _differences(S.points, rows, cols))
 

@@ -25,10 +25,10 @@ from .fng import (
     DEFAULT_TOL,
     FNGraph,
     PointSet,
+    _triangle,
     build_fng,
     distances_between,
     order_components,
-    pairwise_distances,
 )
 from .geometry import HullIndex, convex_hull
 from .norms import NormSpec
@@ -67,10 +67,6 @@ class ConnectingEdgeReport:
     discarded: int | None  # index into entries of the dropped (smallest) edge
 
 
-def _empty_report() -> ConnectingEdgeReport:
-    return ConnectingEdgeReport(entries=(), discarded=None)
-
-
 def mxst_mpsy(
     spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
@@ -81,7 +77,7 @@ def mxst_mpsy(
     connecting-edge candidates.
     """
     if S.n <= 1:
-        return SpanningTree(edges=(), total_weight=0.0), _empty_report()
+        return SpanningTree(edges=(), total_weight=0.0), ConnectingEdgeReport((), None)
     g = build_fng(spec, S, tol)
     hull = convex_hull(S.points, tol)
     return connect_components(spec, S, g, hull)
@@ -175,25 +171,13 @@ def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
     n = S.n
     if n <= 1:
         return SpanningTree(edges=(), total_weight=0.0)
-    table = pairwise_distances(spec, S)
-    iu, ju = np.triu_indices(n, k=1)
-    w = table[iu, ju]
-    order = np.lexsort((ju, iu, -w))
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    iu, ju, w = _triangle(spec, S)
+    join = _union_find(n)
     edges = []
-    for idx in order:
+    for idx in np.lexsort((ju, iu, -w)):
         i, j = int(iu[idx]), int(ju[idx])
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j, float(table[i, j])))
+        if join(i, j):
+            edges.append((i, j, float(w[idx])))
             if len(edges) == n - 1:
                 break
     edges.sort()
@@ -208,6 +192,17 @@ def validate_tree(t: SpanningTree, n: int) -> bool:
         return len(t.edges) == 0
     if len(t.edges) != n - 1:
         return False
+    join = _union_find(n)
+    for i, j, _ in t.edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            return False
+        if not join(i, j):  # duplicate edge or cycle
+            return False
+    return True
+
+
+def _union_find(n: int):
+    """``join(a, b)``: merge the components of a and b; False if already one."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -216,11 +211,9 @@ def validate_tree(t: SpanningTree, n: int) -> bool:
             a = parent[a]
         return a
 
-    for i, j, _ in t.edges:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            return False
-        ri, rj = find(i), find(j)
-        if ri == rj:  # duplicate edge or cycle
-            return False
-        parent[ri] = rj
-    return True
+    def join(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return ra != rb
+
+    return join

@@ -9,6 +9,14 @@ still touch the current hull are broken by moves directly away from the tie
 partner, then the hull layer is retired and the interior is processed, with
 the minimum distance gap always measured against the whole set.
 
+The bookkeeping holds no n x n table: the flat distance triangle
+(``np.triu_indices`` order, each pair evaluated once), its sort order, and
+the ties as sorted keys ``lo * P + hi`` of two flat positions (P = n(n-1)/2).
+A move changes only the mover's n - 1 pairs, so a step is accepted when the
+ties touching the mover strictly shrink.  Each rung tests only the candidate
+row: against the other pairs' sorted values (``np.searchsorted`` in a +-2 tol
+window, then the exact ``|a - b| <= tol``) and against itself.
+
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
 break such ties.
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, detect_ties, pairwise_distances
+from .fng import DEFAULT_TOL, PointSet, _gaps, _tied_pairs, _triangle
 from .geometry import convex_hull
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -57,13 +65,13 @@ def min_distance_gap(table, tol: float = DEFAULT_TOL) -> float:
     at most one distinct value exists.
     """
     t = np.asarray(table, dtype=float)
-    n = t.shape[0]
-    if n < 2:
-        return math.inf
-    vals = np.sort(t[np.triu_indices(n, k=1)])
-    diffs = np.diff(vals)
-    inter = diffs[diffs > tol]
-    return float(inter.min()) if inter.size else math.inf
+    return _least_gap(np.sort(t[np.triu_indices(t.shape[0], k=1)]), tol)
+
+
+def _least_gap(sv: np.ndarray, tol: float) -> float:
+    """The smallest gap above tol between consecutive sorted values, or +inf."""
+    wide = (g[g > tol] for g in _gaps(sv))
+    return min((float(w.min()) for w in wide if w.size), default=math.inf)
 
 
 def perturb_distinct(
@@ -87,7 +95,7 @@ def perturb_distinct(
     report = PerturbReport(
         displacement=tuple(float(x) for x in disp),
         steps=tuple(worker.steps),
-        residual_min_gap=min_distance_gap(worker.table, 0.0),
+        residual_min_gap=_least_gap(worker.vals[worker.order], 0.0),
     )
     return PointSet(worker.pts), report
 
@@ -102,32 +110,34 @@ class _Perturber:
         self.moved = np.zeros(self.n)
         self.steps: list[tuple[int, tuple[int, int], float]] = []
         self.max_steps = self.n * (self.n - 1)
-        self.table = pairwise_distances(spec, S)
-        self._set_ties(frozenset(detect_ties(self.table, self.tol)))
+        self.iu, self.ju, self.vals = _triangle(spec, S)
+        self.order = np.argsort(self.vals)
+        lo, hi = _tied_pairs(self.vals, tol)
+        self._set_ties(lo * self.vals.size + hi)
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _set_ties(self, ties: frozenset) -> None:
-        self.ties = ties
-        self.tied_pairs = {p for tie in ties for p in tie}
-        self.tied_points = {i for pair in self.tied_pairs for i in pair}
+    def _set_ties(self, keys: np.ndarray) -> None:
+        self.ties = keys
+        lo, hi = np.divmod(keys, self.vals.size)
+        # (i, j, k, l) per tie: pairs (i, j) < (k, l), in key order
+        self.ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
+        pairs = np.unique(np.concatenate([lo, hi]))
+        self.tied_pairs = set(zip(self.iu[pairs].tolist(), self.ju[pairs].tolist()))
+        self.tied_points = set(np.unique(self.ends).tolist())
 
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
         active = list(range(self.n))
-        while self.ties and active:
-            tour = self._hull_tour(active)
+        while self.ties.size and active:
+            tour = [active[i] for i in convex_hull(self.pts[active], self.tol).traversal()]
             self._directional_sweeps(tour)
             self._residual_breakers(tour)
             retired = set(tour)
             active = [i for i in active if i not in retired]
-        if self.ties:
+        if self.ties.size:
             raise BudgetExceeded("ties remain after every hull layer was processed")
-
-    def _hull_tour(self, active: list[int]) -> list[int]:
-        hull = convex_hull(self.pts[active], self.tol)
-        return [active[i] for i in hull.traversal()]
 
     def _directional_sweeps(self, tour: list[int]) -> None:
         """Step j moves tied hull vertices away from their j-th predecessor."""
@@ -153,27 +163,16 @@ class _Perturber:
         """Break every remaining tie that touches the current hull layer."""
         tour_set = set(tour)
         while True:
-            pending = [
-                tie for tie in sorted(self.ties)
-                if tour_set.intersection(tie[0]) or tour_set.intersection(tie[1])
-            ]
+            pending = self.ends[np.isin(self.ends, tour).any(axis=1)].tolist()
             if not pending:
                 return
-            progressed = False
-            for tie in pending:
-                for side in tie:
-                    for mover in side:
-                        if mover not in tour_set:
-                            continue
-                        anchor = side[1] if mover == side[0] else side[0]
-                        if self._attempt_move(mover, anchor):
-                            progressed = True
-                            break
-                    if progressed:
-                        break
-                if progressed:
-                    break
-            if not progressed:
+            # in tie order, each side's endpoints on the layer move away
+            # from the side's other endpoint; the first move made restarts
+            tries = (
+                (m, a) for i, j, k, l in pending
+                for m, a in ((i, j), (j, i), (k, l), (l, k)) if m in tour_set
+            )
+            if not any(self._attempt_move(mover, anchor) for mover, anchor in tries):
                 raise BudgetExceeded(
                     "no admissible move breaks the remaining ties "
                     "(step budget or tolerance floor reached)"
@@ -199,21 +198,20 @@ class _Perturber:
         if dn <= 0.0:
             return False
         unit = direction / dn
-        others = np.arange(self.n) != mover
+        others = np.flatnonzero(np.arange(self.n) != mover)
+        lo, hi = np.minimum(others, mover), np.maximum(others, mover)
+        mine = lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1  # flat positions
+        ties_after = self._row_test(mover, mine)
         for frac in _LADDER:
             delta = cap * frac
             if delta <= 2.0 * self.tol:
                 break
             cand_pt = self.pts[mover] + delta * unit
-            row = norm_many(self.spec, cand_pt[None, :] - self.pts)
-            row[mover] = 0.0
-            if np.any(row[others] <= 0.0):
+            row = norm_many(self.spec, cand_pt[None, :] - self.pts)[others]
+            if np.any(row <= 0.0):
                 continue
-            cand_table = self.table.copy()
-            cand_table[mover, :] = row
-            cand_table[:, mover] = row
-            new_ties = frozenset(detect_ties(cand_table, self.tol))
-            if new_ties < self.ties:
+            new_ties = ties_after(row)
+            if new_ties is not None:
                 if len(self.steps) >= self.max_steps:
                     raise BudgetExceeded(
                         f"move log would exceed n*(n-1) = {self.max_steps} steps"
@@ -223,9 +221,38 @@ class _Perturber:
                         f"point {mover} would move beyond eps = {self.eps}"
                     )
                 self.pts[mover] = cand_pt
-                self.table = cand_table
+                self.vals[mine] = row
+                self.order = np.argsort(self.vals)
                 self.moved[mover] += delta
                 self.steps.append((mover, (mover, anchor), float(delta)))
                 self._set_ties(new_ties)
                 return True
         return False
+
+    def _row_test(self, mover: int, mine: np.ndarray):
+        """``ties_after(row)``: the tie keys once the mover's pairs (flat
+        positions ``mine``) take the values ``row``, if a strict subset of
+        today's ties, else None; only ties touching the mover can change."""
+        size, tol = self.vals.size, self.tol
+        rest = self.order[~np.isin(self.order, mine, kind="table")]  # the others, by value
+        rest_sv = self.vals[rest]
+        touching = (self.ends == mover).any(axis=1)
+        kept, touched = self.ties[~touching], set(self.ties[touching].tolist())
+
+        def ties_after(row: np.ndarray) -> np.ndarray | None:
+            # a window wide enough for any rounding of row -+ tol, then the
+            # exact predicate of detect_ties (|a - b| is symmetric in sign)
+            lo = np.searchsorted(rest_sv, row - 2.0 * tol, side="left")
+            width = np.searchsorted(rest_sv, row + 2.0 * tol, side="right") - lo
+            a = np.repeat(np.arange(row.size), width)
+            b = np.arange(a.size) + np.repeat(lo - np.cumsum(width) + width, width)
+            hit = np.abs(row[a] - rest_sv[b]) <= tol
+            p, q = _tied_pairs(row, tol)  # among the mover's own pairs
+            x = np.concatenate([mine[a[hit]], mine[p]])
+            y = np.concatenate([rest[b[hit]], mine[q]])
+            new = np.minimum(x, y) * size + np.maximum(x, y)
+            if new.size < len(touched) and touched.issuperset(new.tolist()):
+                return np.sort(np.concatenate([kept, new]))
+            return None
+
+        return ties_after

@@ -156,6 +156,20 @@ def test_cli_missing_file_is_io_error(tmp_path, capsys):
     assert err["error"] == "IoError"
 
 
+def test_cli_rejects_negative_or_non_finite_tol(tmp_path, capsys):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    for command in ("mxst", "check"):
+        for tol in ("-1", "nan", "inf"):
+            assert main([command, "--points", pts, "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            error = json.loads(captured.err)
+            assert error["error"] == "ParseError"
+            assert "--tol" in error["message"]
+        assert main([command, "--points", pts, "--tol", "0"]) == 0
+        capsys.readouterr()
+
+
 def test_cli_bisector_two_points(tmp_path, capsys):
     pts = _write(tmp_path, "pair.json", "[[-1,0],[1,0]]")
     assert main(["bisector", "--norm", "lp:2", "--points", pts]) == 0

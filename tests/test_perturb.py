@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_points
+from normplane import perturb
 from normplane import (
     BudgetExceeded,
     NotStrictlyConvex,
@@ -148,3 +149,45 @@ def test_polygonal_ball_translation_keeps_ties():
     assert d12 == pytest.approx(1.0, abs=1e-12)
     assert d13 == pytest.approx(1.0, abs=1e-12)
     assert detect_ties(pairwise_distances(ball, S_moved)) != []
+
+
+def _full_rescan(self, mover, mine):
+    """The move test as a full ``detect_ties`` rescan of the candidate table."""
+    position = {(int(i), int(j)): p for p, (i, j) in enumerate(zip(self.iu, self.ju))}
+    today = set(self.ties.tolist())
+
+    def ties_after(row):
+        vals = self.vals.copy()
+        vals[mine] = row
+        table = np.zeros((self.n, self.n))
+        table[self.iu, self.ju] = vals
+        table[self.ju, self.iu] = vals
+        new = {position[a] * vals.size + position[b] for a, b in detect_ties(table, self.tol)}
+        return np.array(sorted(new), dtype=np.intp) if new < today else None
+
+    return ties_after
+
+
+def _perturb_outcome(spec, S, eps, tol):
+    try:
+        S2, report = perturb_distinct(spec, S, eps=eps, tol=tol)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return S2.points.tobytes(), report
+
+
+@pytest.mark.parametrize("tol, eps, n_max", [(0.0, 1e-3, 20), (1e-9, 1e-3, 20), (1e-3, 0.5, 12)])
+def test_row_move_test_matches_full_rescan(monkeypatch, tol, eps, n_max):
+    # perturb_distinct re-checks only the moved row; a full rescan of the
+    # candidate table must accept exactly the same moves
+    rng = np.random.default_rng(31337)
+    cases = [
+        (spec, grid_points(rng, int(rng.integers(4, n_max + 1))))
+        for _ in range(4)
+        for spec in (lp(1.5), lp(2.0), lp(4.0))
+    ]
+    shipped = [_perturb_outcome(spec, S, eps, tol) for spec, S in cases]
+    monkeypatch.setattr(perturb._Perturber, "_row_test", _full_rescan)
+    rescanned = [_perturb_outcome(spec, S, eps, tol) for spec, S in cases]
+    assert rescanned == shipped
+    assert sum(isinstance(out, tuple) and len(out[1].steps) > 0 for out in shipped) >= 6
