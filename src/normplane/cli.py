@@ -269,12 +269,12 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
 
 
 _COMMANDS = {
-    "mxst": _cmd_mxst,
-    "fng": _cmd_fng,
-    "cluster2": _cmd_cluster2,
-    "perturb": _cmd_perturb,
-    "bisector": _cmd_bisector,
-    "check": _cmd_check,
+    "mxst": (_cmd_mxst, "maximum spanning tree"),
+    "fng": (_cmd_fng, "furthest-neighbor graph"),
+    "cluster2": (_cmd_cluster2, "min-max-diameter 2-clustering"),
+    "perturb": (_cmd_perturb, "perturb points to make distances distinct"),
+    "bisector": (_cmd_bisector, "sample the bisector of a two-point input"),
+    "check": (_cmd_check, "run the invariant suite on the input"),
 }
 
 
@@ -284,7 +284,8 @@ def run(config: RunConfig) -> int:
         if not (math.isfinite(config.tol) and config.tol >= 0.0):
             raise ParseError(f"--tol must be finite and non-negative, got {config.tol!r}")
         spec = parse_norm(config.norm)
-        return _COMMANDS[config.command](config, spec, load_points(config.points))
+        handler, _ = _COMMANDS[config.command]
+        return handler(config, spec, load_points(config.points))
     except IoError as exc:
         _error_json(exc)
         return 2
@@ -307,42 +308,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "of planar point sets under arbitrary norms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("mxst", "maximum spanning tree"),
-        ("fng", "furthest-neighbor graph"),
-        ("cluster2", "min-max-diameter 2-clustering"),
-        ("perturb", "perturb points to make distances distinct"),
-        ("bisector", "sample the bisector of a two-point input"),
-        ("check", "run the invariant suite on the input"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--norm", default="euclidean",
+        p.add_argument("--norm", default=RunConfig.norm,
                        help="euclidean | l1 | linf | lp:<p> | polygon:<path>")
         p.add_argument("--points", required=True, help="JSON or CSV point file")
         p.add_argument("--out", default=None, help="write the JSON result here")
         p.add_argument("--svg", default=None, help="write an SVG rendering here")
-        p.add_argument("--eps", type=float, default=1e-3,
-                       help="perturbation budget (default 1e-3)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="numeric tolerance (default 1e-9)")
+        p.add_argument("--eps", type=float, default=RunConfig.eps,
+                       help="perturbation budget (default %(default)s)")
+        p.add_argument("--tol", type=float, default=RunConfig.tol,
+                       help="numeric tolerance (default %(default)s)")
         p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",
                        help="on ties, fall back to the brute-force tree")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        norm=args.norm,
-        points=args.points,
-        out=args.out,
-        svg=args.svg,
-        eps=args.eps,
-        tol=args.tol,
-        fallback_ties=args.fallback_ties,
-    )
-    return run(cfg)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

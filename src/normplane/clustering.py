@@ -10,10 +10,12 @@ possible value, the largest even-path pair distance.
 
 A binary search over the sorted tree edge lengths also locates the minimal
 length whose longer-edge family admits a stabbing line (feasibility is
-monotone since the family shrinks); that transversal is returned as the
-witness line of the split.  Each side's diameter is taken over that side's
-points alone (:func:`diameter`), each pair evaluated once; no n x n table is
-built.
+monotone since the family shrinks); that transversal, the line of the
+search's last feasible probe, is returned as the witness line of the split.
+:func:`stabbing_line` scans the lines through pairs of segment endpoints on
+plain floats, at most m^3 endpoint tests for m segments.  Each side's
+diameter is taken over that side's points alone (:func:`diameter`), each
+pair evaluated once; no n x n table is built.
 """
 
 from __future__ import annotations
@@ -78,54 +80,39 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     return float(distances_between(spec, S, idx[iu], idx[ju]).max())
 
 
-def _segment_arrays(segments):
-    segs = []
-    for p, q in segments:
-        pv = np.asarray(p, dtype=float)
-        qv = np.asarray(q, dtype=float)
-        if np.array_equal(pv, qv):
-            raise DegenerateSegment("segment endpoints coincide")
-        segs.append((pv, qv))
-    return segs
-
-
-def _line_stabs_all(line: Line, segs, tol: float) -> bool:
-    for p, q in segs:
-        sp = float(line.eval(p))
-        sq = float(line.eval(q))
-        if min(sp, sq) > tol or max(sp, sq) < -tol:
-            return False
-    return True
-
-
-def _candidate_lines(segs):
-    """Lines through every pair of distinct segment endpoints.
+def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
+    """A line meeting every segment (within tol), or None if none exists.
 
     If a family of segments has any transversal, it has one through two
-    endpoints, so this candidate set is complete; a single segment's own
-    supporting line is the pair of its two endpoints.
+    segment endpoints, so the lines through every pair of distinct endpoints
+    (in first-seen order) are a complete candidate set; a single segment's
+    own supporting line is the pair of its two endpoints.  Each candidate is
+    tested on plain floats and abandoned at the first segment it misses.
     """
-    endpoints = []
-    seen = set()
-    for p, q in segs:
-        for v in (p, q):
-            key = (float(v[0]), float(v[1]))
-            if key not in seen:
-                seen.add(key)
-                endpoints.append(v)
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            yield line_through(endpoints[i], endpoints[j])
-
-
-def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
-    """A line meeting every segment (within tol), or None if none exists."""
-    segs = _segment_arrays(segments)
-    if not segs:
-        return None
-    for line in _candidate_lines(segs):
-        if _line_stabs_all(line, segs, tol):
-            return line
+    segs = []
+    for p, q in segments:
+        pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        if pv.shape != (2,) or qv.shape != (2,):
+            raise DegenerateInput(
+                f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
+            )
+        px, py, qx, qy = *pv.tolist(), *qv.tolist()
+        if px == qx and py == qy:
+            raise DegenerateSegment("segment endpoints coincide")
+        segs.append((px, py, qx, qy))
+    # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
+    ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
+    for i, p in enumerate(ends):
+        for q in ends[i + 1 :]:
+            line = line_through(p, q)
+            a, b, c = line.a, line.b, line.c
+            for px, py, qx, qy in segs:
+                sp = a * px + b * py - c
+                sq = a * qx + b * qy - c
+                if min(sp, sq) > tol or max(sp, sq) < -tol:
+                    break
+            else:
+                return line
     return None
 
 
@@ -159,13 +146,17 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     # line; feasibility is monotone because the family shrinks with the
     # threshold, and the empty family at the top is always feasible
     lo, hi = 0, len(lengths) - 1
+    witness = None  # the line of the last feasible probe, which ends at lo
     while lo < hi:
         mid = (lo + hi) // 2
-        if witness_for(mid) is not None:
-            hi = mid
+        line = witness_for(mid)
+        if line is not None:
+            hi, witness = mid, line
         else:
             lo = mid + 1
-    return _bipartition(spec, S, *_tree_two_coloring(tree, n), witness_for(lo))
+    if witness is None:
+        witness = witness_for(lo)  # no probe was feasible: lo is the top
+    return _bipartition(spec, S, *_tree_two_coloring(tree, n), witness)
 
 
 def _tree_two_coloring(tree, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

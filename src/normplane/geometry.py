@@ -85,11 +85,9 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
 
     lower = build(order)
     upper = build(reversed(order))
+    # the lower chain runs from order[0] to order[-1] and the upper one back,
+    # so for n >= 2 distinct points verts holds at least those two
     verts = lower[:-1] + upper[:-1]
-    if len(verts) < 2:  # all points coincide is excluded; this is n==1 handled above
-        verts = [order[0], order[-1]]
-    if len(verts) == 2 and verts[0] == verts[1]:
-        verts = [order[0], order[-1]]
 
     traversal = _boundary_traversal(pts, verts, tol)
     position = {idx: rank for rank, idx in enumerate(traversal)}

@@ -21,8 +21,7 @@ from .errors import (
     StructureViolation,
     ZeroVector,
 )
-
-DEFAULT_TOL = 1e-9
+from .geometry import DEFAULT_TOL
 
 INF = math.inf
 
@@ -114,16 +113,16 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
     if np.abs(anti).max() > tol * max(scale, 1.0):
         raise InvalidNorm("polygon is not centrally symmetric")
     # origin strictly interior <=> every edge line has positive offset
-    if np.any(_edge_functional_offsets(arr) <= tol * scale):
+    if np.any(_edge_lines(arr)[1] <= tol * scale):
         raise InvalidNorm("origin is not strictly interior to the polygon")
     return NormSpec(kind="polygonal", vertices=tuple(map(tuple, arr)))
 
 
-def _edge_functional_offsets(arr: np.ndarray) -> np.ndarray:
-    nxt = np.roll(arr, -1, axis=0)
-    edge = nxt - arr
-    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for CCW
-    return np.einsum("ij,ij->i", normals, arr)
+def _edge_lines(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per CCW edge i -> i+1: its outward normal and the line's offset <normal, v_i>."""
+    edge = np.roll(arr, -1, axis=0) - arr
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    return normals, np.einsum("ij,ij->i", normals, arr)
 
 
 def _poly_functionals(spec: NormSpec) -> np.ndarray:
@@ -134,11 +133,7 @@ def _poly_functionals(spec: NormSpec) -> np.ndarray:
     through v crosses, so this is the ray/edge length ratio evaluated per
     edge without the vertex-crossing special cases of an explicit walk.
     """
-    arr = np.asarray(spec.vertices, dtype=float)
-    nxt = np.roll(arr, -1, axis=0)
-    edge = nxt - arr
-    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-    offsets = np.einsum("ij,ij->i", normals, arr)
+    normals, offsets = _edge_lines(np.asarray(spec.vertices, dtype=float))
     return normals / offsets[:, None]
 
 

@@ -41,6 +41,10 @@ _LADDER = (
     1 / 2, 7 / 16, 3 / 8, 5 / 16, 1 / 4, 3 / 16, 1 / 8, 1 / 16, 1 / 32, 1 / 64,
 )
 
+_NO_MOVE = (
+    "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
+)
+
 
 @dataclass(frozen=True)
 class PerturbReport:
@@ -112,6 +116,12 @@ class _Perturber:
         self.max_steps = self.n * (self.n - 1)
         self.iu, self.ju, self.vals = _triangle(spec, S)
         self.order = np.argsort(self.vals)
+        # every rung's cap is at most eps / (2n), so past this floor no move
+        # is ever admissible: fail before listing the (possibly many) ties
+        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and any(
+            (g <= tol).any() for g in _gaps(self.vals[self.order])
+        ):
+            raise BudgetExceeded(_NO_MOVE)
         lo, hi = _tied_pairs(self.vals, tol)
         self._set_ties(lo * self.vals.size + hi)
 
@@ -173,10 +183,7 @@ class _Perturber:
                 for m, a in ((i, j), (j, i), (k, l), (l, k)) if m in tour_set
             )
             if not any(self._attempt_move(mover, anchor) for mover, anchor in tries):
-                raise BudgetExceeded(
-                    "no admissible move breaks the remaining ties "
-                    "(step budget or tolerance floor reached)"
-                )
+                raise BudgetExceeded(_NO_MOVE)
 
     # -- a single verified move ------------------------------------------
 

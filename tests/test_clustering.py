@@ -3,11 +3,15 @@ import pytest
 
 from conftest import tie_free_points
 from normplane import (
+    DegenerateInput,
     DegenerateSegment,
+    Line,
+    NormPlaneError,
     PointSet,
     TooLarge,
     diameter,
     euclidean,
+    line_through,
     lp,
     mxst_mpsy,
     pairwise_distances,
@@ -54,6 +58,116 @@ def test_stabbing_line_absent_for_scattered_tiny_segments():
 def test_stabbing_line_degenerate_segment():
     with pytest.raises(DegenerateSegment):
         stabbing_line([([1, 1], [1, 1])])
+    # endpoints that are not 2-vectors are rejected, not read through (x, y)
+    for p, q in (([0, 0, 1], [1, 1, 0]), ([0, 0], [1, 1, 5]), (3.0, [1, 1]), ([[0, 0]], [1, 1])):
+        with pytest.raises(DegenerateInput):
+            stabbing_line([([5, 5], [6, 7]), (p, q)])
+
+
+# the endpoint-pair scan as it was written with numpy 2-vectors: the
+# reference the plain-float scan must reproduce bit for bit
+def _segment_arrays(segments):
+    segs = []
+    for p, q in segments:
+        pv = np.asarray(p, dtype=float)
+        qv = np.asarray(q, dtype=float)
+        if np.array_equal(pv, qv):
+            raise DegenerateSegment("segment endpoints coincide")
+        segs.append((pv, qv))
+    return segs
+
+
+def _line_stabs_all(line: Line, segs, tol: float) -> bool:
+    for p, q in segs:
+        sp = float(line.eval(p))
+        sq = float(line.eval(q))
+        if min(sp, sq) > tol or max(sp, sq) < -tol:
+            return False
+    return True
+
+
+def _candidate_lines(segs):
+    """Lines through every pair of distinct segment endpoints.
+
+    If a family of segments has any transversal, it has one through two
+    endpoints, so this candidate set is complete; a single segment's own
+    supporting line is the pair of its two endpoints.
+    """
+    endpoints = []
+    seen = set()
+    for p, q in segs:
+        for v in (p, q):
+            key = (float(v[0]), float(v[1]))
+            if key not in seen:
+                seen.add(key)
+                endpoints.append(v)
+    for i in range(len(endpoints)):
+        for j in range(i + 1, len(endpoints)):
+            yield line_through(endpoints[i], endpoints[j])
+
+
+def _reference_stabbing_line(segments, tol):
+    segs = _segment_arrays(segments)
+    if not segs:
+        return None
+    for line in _candidate_lines(segs):
+        if _line_stabs_all(line, segs, tol):
+            return line
+    return None
+
+
+def _stab_outcome(stab, segs, tol):
+    try:
+        line = stab(segs, tol)
+    except NormPlaneError as exc:
+        return type(exc).__name__, str(exc)
+    return None if line is None else (line.a.hex(), line.b.hex(), line.c.hex())
+
+
+def _segment_family(rng, kind, m):
+    if kind in ("random", "nan"):
+        pts = rng.uniform(-5, 5, size=(m, 2, 2))
+        if kind == "nan":  # the miss test must keep its answer on NaN
+            pts[tuple(rng.integers(0, (m, 2, 2)))] = np.nan
+        return [(p, q) for p, q in pts]
+    if kind == "grid":
+        # shared, collinear and coincident endpoints on a small integer grid,
+        # with zeros of either sign
+        pts = rng.integers(-2, 3, size=(m, 2, 2)).astype(float)
+        pts[(pts == 0) & (rng.uniform(size=pts.shape) < 0.5)] = -0.0
+        return [(p, q) for p, q in pts]
+    if kind == "straddling":
+        theta = rng.uniform(0, np.pi)
+        d, nrm = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+        c = rng.uniform(-1, 1)
+        segs = []
+        for _ in range(m):
+            base = rng.uniform(-5, 5) * d + c * nrm
+            lo, hi = rng.uniform(0.0, 1.0, 2) * [-1, 1]
+            segs.append((base + lo * nrm, base + hi * nrm))
+        return segs
+    if kind == "collinear":
+        a, b = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
+        ts = np.sort(rng.uniform(-1, 2, 2 * m)).reshape(m, 2)
+        return [(a + s * (b - a), a + t * (b - a)) for s, t in ts]
+    # chain: consecutive segments share an endpoint, as tree paths do
+    pts = np.cumsum(rng.uniform(-2, 2, size=(m + 1, 2)), axis=0)
+    return [(pts[k], pts[k + 1]) for k in range(m)]
+
+
+def test_stabbing_line_matches_endpoint_pair_scan():
+    rng = np.random.default_rng(5)
+    kinds = ("random", "nan", "grid", "straddling", "collinear", "chain")
+    tols = (0.0, 1e-9, 1e-3, 0.1)
+    found = missed = 0
+    for trial in range(2400):
+        segs = _segment_family(rng, kinds[trial % 6], int(rng.integers(1, 8)))
+        tol = tols[(trial // 6) % 4]
+        mine = _stab_outcome(stabbing_line, segs, tol)
+        assert mine == _stab_outcome(_reference_stabbing_line, segs, tol)
+        found += mine is not None and len(mine) == 3
+        missed += mine is None
+    assert found >= 500 and missed >= 200
 
 
 def _sweep_oracle(segments, angles=720):

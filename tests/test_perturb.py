@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,30 @@ def test_perturb_rejects_non_strictly_convex():
 def test_perturb_budget_exceeded_when_steps_cannot_clear_tolerance():
     # eps so small that every admissible step stays below the tie tolerance
     with pytest.raises(BudgetExceeded):
+        perturb_distinct(lp(2), UNIT_SQUARE, eps=1e-12, tol=1e-9)
+
+
+def test_perturb_fails_fast_when_no_move_is_admissible(monkeypatch):
+    # eps / (2n) <= 4 tol caps every step at the tolerance floor: tie-free
+    # input is returned unmoved, and tied input fails before its tied pairs
+    # (millions here) are listed
+    S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    S2, report = perturb_distinct(lp(2), S, eps=1e-12, tol=1e-9)
+    assert S2.points.tobytes() == S.points.tobytes() and report.steps == ()
+
+    def listed(vals, tol):
+        raise AssertionError("tied pairs listed although no move is admissible")
+
+    monkeypatch.setattr(perturb, "_tied_pairs", listed)
+    message = re.escape(
+        "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        S = PointSet(rng.uniform(0.0, 0.01, size=(100, 2)))
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            perturb_distinct(lp(2), S, eps=1e-3, tol=1e-3)
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
         perturb_distinct(lp(2), UNIT_SQUARE, eps=1e-12, tol=1e-9)
 
 
