@@ -52,7 +52,7 @@ class _Stages:
             return
         self.hull = convex_hull(S.points, tol)
         try:
-            order_components(self.g, self.hull)
+            self.cycle = order_components(self.g, self.hull)
         except NormPlaneError as exc:
             self.cycle_error = str(exc)
             self.missing["cycle"] = "skipped: no component cycle"
@@ -133,29 +133,22 @@ def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
     """Max distance from one component to two others is attained between
     non-contiguous clusters: cyclic distance exactly two in the triple's
     six-cluster cycle (partner clusters sit three apart).  Vacuous for k < 3.
+
+    Component a's clusters sit at cycle positions a and a + k.
     """
-    g = st.g
+    g, cycle = st.g, st.cycle
     k = g.k
     if k < 3:
         return True, "vacuous: k < 3"
-    cycle = g.component_cycle
-    x = cycle[:k]
-    xp = cycle[k:]
     members = g.cluster_members()
-    comp_members = {ci: members[x[ci]] + members[xp[ci]] for ci in range(k)}
-    comp_of_rep = {rep: g.component_of[rep] for rep in cycle}
+    comp_members = [members[cycle[a]] + members[cycle[a + k]] for a in range(k)]
     for a in range(k):
         for off_b in range(1, k - 1):
             for off_c in range(off_b + 1, k):
                 b = (a + off_b) % k
                 c = (a + off_c) % k
-                triple = {
-                    g.component_of[x[a]],
-                    g.component_of[x[b]],
-                    g.component_of[x[c]],
-                }
-                six = [rep for rep in cycle if comp_of_rep[rep] in triple]
-                six_pos = {rep: t for t, rep in enumerate(six)}
+                six = sorted((a, b, c, a + k, b + k, c + k))
+                six_pos = {cycle[t]: r for r, t in enumerate(six)}
                 rows = comp_members[a]
                 best = _max_pair(st.spec, st.S, rows, comp_members[b] + comp_members[c])
                 u, v = (best.i, best.j) if best.i in rows else (best.j, best.i)
@@ -190,8 +183,7 @@ def _extra_edges_adjacent(st: _Stages) -> tuple[bool, str]:
     k = g.k
     if k == 1:
         return True, "vacuous: single component"
-    comp_order = [g.component_of[rep] for rep in g.component_cycle[:k]]
-    comp_pos = {comp: t for t, comp in enumerate(comp_order)}
+    comp_pos = {g.component_of[rep]: t for t, rep in enumerate(st.cycle[:k])}
     fng_edges = g.undirected_edges()
     for i, j, _ in st.tree.edges:
         if (i, j) in fng_edges:

@@ -1,16 +1,18 @@
 """Command-line front end: point-set ingestion, norm selection, JSON output.
 
-Commands
---------
-mxst      maximum spanning tree (with tie fallbacks)
-fng       furthest-neighbor graph decomposition
-cluster2  min-max-diameter 2-clustering
-perturb   make all pairwise distances distinct (strictly convex norms)
+Commands, and the flags each reads besides --norm, --points, --out, --tol
+-------------------------------------------------------------------------
+mxst      maximum spanning tree (with tie fallbacks): --svg --eps --fallback-ties
+fng       furthest-neighbor graph decomposition: --svg
+cluster2  min-max-diameter 2-clustering: --svg
+perturb   make all pairwise distances distinct (strictly convex norms): --svg --eps
 bisector  sample the bisector of a two-point input
-check     run the full invariant suite on the input
+check     run the full invariant suite on the input: --svg
 
-Exit codes: 0 success, 1 domain error, 2 I/O error.  Domain errors are
-reported as JSON objects on standard error.
+A flag a command does not read is a usage error, as is any unknown flag.
+
+Exit codes: 0 success, 1 domain error, 2 I/O or usage error.  Domain
+errors are reported as JSON objects on standard error.
 """
 
 from __future__ import annotations
@@ -268,13 +270,14 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     svg.emit_svg(S, hull, g, tree, bipartition, path)
 
 
+# name: (handler, help, the flags it reads besides --norm, --points, --out and --tol)
 _COMMANDS = {
-    "mxst": (_cmd_mxst, "maximum spanning tree"),
-    "fng": (_cmd_fng, "furthest-neighbor graph"),
-    "cluster2": (_cmd_cluster2, "min-max-diameter 2-clustering"),
-    "perturb": (_cmd_perturb, "perturb points to make distances distinct"),
-    "bisector": (_cmd_bisector, "sample the bisector of a two-point input"),
-    "check": (_cmd_check, "run the invariant suite on the input"),
+    "mxst": (_cmd_mxst, "maximum spanning tree", ("--svg", "--eps", "--fallback-ties")),
+    "fng": (_cmd_fng, "furthest-neighbor graph", ("--svg",)),
+    "cluster2": (_cmd_cluster2, "min-max-diameter 2-clustering", ("--svg",)),
+    "perturb": (_cmd_perturb, "perturb points to make distances distinct", ("--svg", "--eps")),
+    "bisector": (_cmd_bisector, "sample the bisector of a two-point input", ()),
+    "check": (_cmd_check, "run the invariant suite on the input", ("--svg",)),
 }
 
 
@@ -284,7 +287,7 @@ def run(config: RunConfig) -> int:
         if not (math.isfinite(config.tol) and config.tol >= 0.0):
             raise ParseError(f"--tol must be finite and non-negative, got {config.tol!r}")
         spec = parse_norm(config.norm)
-        handler, _ = _COMMANDS[config.command]
+        handler, _, _ = _COMMANDS[config.command]
         return handler(config, spec, load_points(config.points))
     except IoError as exc:
         _error_json(exc)
@@ -308,19 +311,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "of planar point sets under arbitrary norms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--norm", default=RunConfig.norm,
                        help="euclidean | l1 | linf | lp:<p> | polygon:<path>")
         p.add_argument("--points", required=True, help="JSON or CSV point file")
         p.add_argument("--out", default=None, help="write the JSON result here")
-        p.add_argument("--svg", default=None, help="write an SVG rendering here")
-        p.add_argument("--eps", type=float, default=RunConfig.eps,
-                       help="perturbation budget (default %(default)s)")
+        if "--svg" in flags:
+            p.add_argument("--svg", default=None, help="write an SVG rendering here")
+        if "--eps" in flags:
+            p.add_argument("--eps", type=float, default=RunConfig.eps,
+                           help="perturbation budget (default %(default)s)")
         p.add_argument("--tol", type=float, default=RunConfig.tol,
                        help="numeric tolerance (default %(default)s)")
-        p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",
-                       help="on ties, fall back to the brute-force tree")
+        if "--fallback-ties" in flags:
+            p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",
+                           help="on ties, fall back to the brute-force tree")
     return parser
 
 

@@ -20,8 +20,7 @@ one tied-pair scan (:func:`_tie_offsets`) and one chunked gap scan
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,15 +133,13 @@ class FNGraph:
     """Furthest-neighbor out-map plus its component/cluster decomposition.
 
     ``cluster_of[i]`` is the spine endpoint whose cluster contains i (the
-    endpoint reachable from i by a directed path of even length);
-    ``component_cycle`` is filled by :func:`order_components`.
+    endpoint reachable from i by a directed path of even length).
     """
 
     fn: tuple[int, ...]
     spines: tuple[tuple[int, int], ...]
     component_of: tuple[int, ...]
     cluster_of: tuple[int, ...]
-    component_cycle: tuple[int, ...] | None = field(default=None)
 
     @property
     def k(self) -> int:
@@ -237,16 +234,6 @@ def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def fng_from_table(table: np.ndarray) -> FNGraph:
-    """FNG decomposition from a (tie-free) distance table."""
-    n = table.shape[0]
-    if n < 2:
-        raise DegenerateInput("need at least two points")
-    masked = table.copy()
-    np.fill_diagonal(masked, -math.inf)
-    return _decompose(masked.argmax(axis=1))
-
-
 def _decompose(fn) -> FNGraph:
     """Spines, clusters and components of a furthest-neighbor map."""
     fn = [int(f) for f in fn]
@@ -297,8 +284,8 @@ def order_components(g: FNGraph, hull: HullIndex) -> tuple[int, ...]:
 
     The 2k spine endpoints, sorted by hull rank, must read as
     x_1, ..., x_k, x'_1, ..., x'_k with each (x_i, x'_i) a spine; any other
-    pattern signals numerical trouble or an undetected tie.  The resulting
-    cycle is cached on ``g.component_cycle``.
+    pattern signals numerical trouble or an undetected tie.  ``g`` is left
+    unchanged.
     """
     reps = [x for s in g.spines for x in s]
     missing = [r for r in reps if r not in hull.boundary]
@@ -312,6 +299,4 @@ def order_components(g: FNGraph, hull: HullIndex) -> tuple[int, ...]:
             raise StructureViolation(
                 "spine endpoints do not alternate as x_1..x_k x'_1..x'_k around the hull"
             )
-    cycle = tuple(seq)
-    g.component_cycle = cycle
-    return cycle
+    return tuple(seq)

@@ -135,8 +135,6 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], tol: float) -> list[i
     for e in range(k):
         a_idx, b_idx = verts[e], verts[(e + 1) % k]
         a, b = pts[a_idx], pts[b_idx]
-        if a_idx == b_idx:
-            continue
         abx, aby = b[0] - a[0], b[1] - a[1]
         ab2 = abx * abx + aby * aby
         dx, dy = px - a[0], py - a[1]

@@ -158,8 +158,6 @@ class _Perturber:
             for h in range(K - 1, -1, -1):
                 mover = tour[h]
                 anchor = tour[(h - j) % K]
-                if mover == anchor:
-                    continue
                 if j == 1:
                     trigger = mover in self.tied_points
                 else:
@@ -202,8 +200,6 @@ class _Perturber:
             return False
         direction = self.pts[mover] - self.pts[anchor]
         dn = float(norm_many(self.spec, direction))
-        if dn <= 0.0:
-            return False
         unit = direction / dn
         others = np.flatnonzero(np.arange(self.n) != mover)
         lo, hi = np.minimum(others, mover), np.maximum(others, mover)

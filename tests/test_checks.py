@@ -1,5 +1,7 @@
 """The invariant suite: its check names, their order, and how each stage answers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,16 @@ from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_
 from normplane import (
     PointSet,
     StructureViolation,
+    SpanningTree,
     build_fng,
+    convex_hull,
     detect_ties,
     lp,
+    order_components,
     pairwise_distances,
     run_checks,
 )
+from normplane.fng import _decompose
 
 NAMES = (
     "distances-distinct",
@@ -116,3 +122,102 @@ def test_every_check_passes_on_tie_free_instances(rng):
             for r in results:
                 if r.name in FNG_NAMES + ("distances-distinct", "fng-cyclic-component-pattern"):
                     assert r.detail == ""
+
+
+# four mutually crossing spines on a jittered octagon: k = 4 under lp(2), so
+# a connecting edge can join components two apart in the cyclic order
+FOUR_SPINES = np.array([
+    [10.099, 0.101], [7.175, 6.894], [-0.302, 10.065], [-7.071, 7.071],
+    [-9.92, 0.099], [-6.956, -7.24], [-0.301, -10.015], [7.155, -6.943],
+])
+
+
+def _answer_with_graph(monkeypatch, points, fn, name):
+    """The (passed, detail) of check ``name`` when build_fng returns the
+    decomposition of the doctored furthest-neighbor map ``fn``."""
+    graph = _decompose(fn)
+    monkeypatch.setattr(checks_module, "build_fng", lambda spec, S, tol: graph)
+    results = run_checks(lp(2), PointSet(points))
+    return next((r.passed, r.detail) for r in results if r.name == name)
+
+
+def _answer_with_tree(monkeypatch, points, doctor, name):
+    """The (passed, detail) of check ``name`` when connect_components'
+    tree edges are replaced by ``doctor(edges)``."""
+    def connect(spec, S, g, hull):
+        tree, report = mxst_module.connect_components(spec, S, g, hull)
+        edges = doctor(list(tree.edges))
+        return SpanningTree(tuple(edges), sum(w for _, _, w in edges)), report
+
+    monkeypatch.setattr(checks_module, "connect_components", connect)
+    results = run_checks(lp(2), PointSet(points))
+    return next((r.passed, r.detail) for r in results if r.name == name)
+
+
+def test_increasing_chains_names_the_failing_step(monkeypatch):
+    # 1 points at 2 instead of its partner 0, and d(0, 1) > d(1, 2)
+    fn = (1, 2, 3, 2, 5, 4, 3, 3)
+    assert _answer_with_graph(monkeypatch, THREE_SPINES, fn, "fng-increasing-chains") == (
+        False, "chain from 0 not strictly increasing at 0->1->2"
+    )
+
+
+def test_spines_intersect_names_the_disjoint_pair(monkeypatch):
+    # the square's two bottom and top sides as spines: parallel, never crossing
+    fn = (1, 0, 3, 2)
+    assert _answer_with_graph(monkeypatch, JITTERED_SQUARE, fn, "fng-spines-properly-intersect") == (
+        False, "spines (0, 1) and (2, 3) do not cross"
+    )
+
+
+def test_cluster_contiguity_counts_runs_and_clusters(monkeypatch):
+    # 0 points at 5, so 0 and 1 join the clusters of 4 and 5: hull order
+    # 1, 3, 5, 0, 2, 4 reads clusters 5, 3, 5, 4, 2, 4
+    fn = (5, 0, 3, 2, 5, 4, 3, 3)
+    assert _answer_with_graph(monkeypatch, THREE_SPINES, fn, "fng-cluster-contiguity") == (
+        False, "6 runs for 4 clusters on the hull"
+    )
+
+
+def test_noncontiguous_maximum_names_the_max_pair(monkeypatch):
+    # 7 sits beside hull vertex 0; pointing it at 2 puts it in 3's cluster,
+    # next to 0's in the cyclic order, and 7 is 1's furthest point there
+    points = THREE_SPINES.copy()
+    points[7] = [9.0, 0.5]
+    assert _answers(run_checks(lp(2), PointSet(points))) == [(name, True, "") for name in NAMES]
+    fn = (1, 0, 3, 2, 5, 4, 3, 2)
+    assert _answer_with_graph(monkeypatch, points, fn, "fng-noncontiguous-maximum") == (
+        False, "max pair (1, 7) for components (0, 1, 2) joins contiguous clusters"
+    )
+
+
+def test_extra_edges_adjacent_names_the_edge_and_offset(monkeypatch):
+    # components sit in cycle order (0, 4), (1, 5), (2, 6), (3, 7); swapping
+    # the connecting edge (2, 7) for (3, 5) joins the second and the fourth
+    assert _answers(run_checks(lp(2), PointSet(FOUR_SPINES))) == [(name, True, "") for name in NAMES]
+
+    def swap(edges):
+        kept = [e for e in edges if e[:2] != (2, 7)]
+        assert len(kept) == len(edges) - 1
+        return sorted(kept + [(3, 5, 1.0)])
+
+    assert _answer_with_tree(monkeypatch, FOUR_SPINES, swap, "mxst-extra-edges-adjacent") == (
+        False, "edge (3, 5) joins non-adjacent components (cyclic offset 2)"
+    )
+
+
+def test_edge_counts_names_both_counts(monkeypatch):
+    def drop_last_extra(edges):
+        return [e for e in edges if e[:2] != (2, 7)]
+
+    assert _answer_with_tree(monkeypatch, FOUR_SPINES, drop_last_extra, "mxst-edge-counts") == (
+        False, "|FNG| = 4 (want 4), |extra| = 2 (want 3)"
+    )
+
+
+def test_order_components_leaves_the_graph_unchanged():
+    S = PointSet(THREE_SPINES)
+    g = build_fng(lp(2), S)
+    before = dataclasses.astuple(g)
+    order_components(g, convex_hull(S.points))
+    assert dataclasses.astuple(g) == before

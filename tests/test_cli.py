@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +233,111 @@ def test_cli_cluster2_svg_contains_stab_line(tmp_path, capsys):
     text = svg_path.read_text()
     assert text.count('class="stab-line"') == 1
     assert text.count('class="tree-edge"') == 3
+
+
+# the flags each command reads besides --norm, --points, --out and --tol
+EXTRA_FLAGS = {
+    "mxst": ("--svg", "--eps", "--fallback-ties"),
+    "fng": ("--svg",),
+    "cluster2": ("--svg",),
+    "perturb": ("--svg", "--eps"),
+    "bisector": (),
+    "check": ("--svg",),
+}
+FLAG_ARGS = {"--svg": ["x.svg"], "--eps": ["5"], "--fallback-ties": []}
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA_FLAGS))
+def test_cli_help_lists_exactly_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(
+        ("--norm", "--points", "--out", "--tol") + EXTRA_FLAGS[command]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in sorted(EXTRA_FLAGS) for f in FLAG_ARGS if f not in EXTRA_FLAGS[c]],
+)
+def test_cli_flag_a_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    monkeypatch.chdir(tmp_path)
+    pts = _write(tmp_path, "pair.json", "[[-1,0],[1,0]]")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--points", pts, flag, *FLAG_ARGS[flag]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["fng", "perturb", "check"])
+def test_cli_svg_on_fng_perturb_and_check(tmp_path, capsys, command):
+    pts = _write(tmp_path, "jit.json", json.dumps([[x, y] for x, y in JITTERED_SQUARE]))
+    svg_path = tmp_path / "out.svg"
+    assert main([command, "--points", pts, "--svg", str(svg_path)]) == 0
+    capsys.readouterr()
+    text = svg_path.read_text()
+    assert text.count('class="hull"') == 1
+    assert text.count('class="point"') == 4
+    assert text.count('class="spine"') == 2
+    # fng draws the graph alone; the other two draw its tree as well
+    assert text.count('class="tree-edge"') == (0 if command == "fng" else 3)
+
+
+def test_cli_svg_of_oracle_fallback_draws_hull_and_tree_only(tmp_path, capsys):
+    sq = _write(tmp_path, "sq.json", "[[0,0],[1,0],[1,1],[0,1]]")
+    svg_path = tmp_path / "tie.svg"
+    argv = ["mxst", "--norm", "l1", "--fallback-ties", "--points", sq, "--svg", str(svg_path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["mode"] == "oracle-fallback"
+    text = svg_path.read_text()
+    assert text.count('class="hull"') == 1
+    assert text.count('class="tree-edge"') == 3
+    assert 'class="fng-arrow"' not in text and 'class="spine"' not in text
+
+
+def test_cli_bisector_rejects_three_points(tmp_path, capsys):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    assert main(["bisector", "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": "bisector needs an input of exactly two points",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("one.csv", "0,0\n1\n", "line 2: need two columns"),
+        ("late.csv", "x,y\n0,0\n1,oops\n", "line 3: non-numeric value"),
+        ("flat.json", "[1, 2, 3]", "expected [x, y] pairs, got shape (3,)"),
+        ("triples.json", "[[0, 0, 0], [1, 1, 1]]", "expected [x, y] pairs, got shape (2, 3)"),
+        ("nan.json", "[[0, 0], [NaN, 1]]", "non-finite coordinates"),
+        ("inf.json", "[[0, 0], [1e999, 1]]", "non-finite coordinates"),
+    ],
+)
+def test_load_points_parse_errors_name_the_fault(tmp_path, name, text, message):
+    path = _write(tmp_path, name, text)
+    with pytest.raises(ParseError) as info:
+        load_points(path)
+    assert str(info.value).endswith(message)
+    assert str(info.value).startswith(repr(path))
+
+
+def test_cli_out_into_missing_directory_is_io_error(tmp_path, capsys):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    out = tmp_path / "missing" / "tree.json"
+    assert main(["mxst", "--points", pts, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "IoError"
+    assert error["message"].startswith(f"cannot write {str(out)!r}")

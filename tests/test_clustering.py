@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import normplane.clustering as clustering_module
 from conftest import tie_free_points
 from normplane import (
     DegenerateInput,
@@ -367,3 +368,29 @@ def test_two_clustering_optimality_certificate_large_n(rng):
             assert sub.max() <= part.value
         # optimal: nothing below the reported value is 2-colorable
         assert not _beats_value_certificate(table, part.value)
+
+
+def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
+    # on this draw the binary search meets a threshold whose longer-edge
+    # family has no stabbing line, so it raises its lower end past it
+    spec, S, tol = euclidean(), PointSet(np.random.default_rng(9).uniform(0, 1, (60, 2))), 0.0
+    probes = []
+
+    def recording(segments, tol):
+        line = stabbing_line(segments, tol)
+        probes.append(line)
+        return line
+
+    monkeypatch.setattr(clustering_module, "stabbing_line", recording)
+    witness = two_clustering(spec, S, tol).witness_line
+    assert None in probes
+
+    tree, _ = mxst_mpsy(spec, S, tol)
+    by_length = sorted(tree.edges, key=lambda e: e[2])
+    for _, _, d in by_length:
+        fam = [(S.points[i], S.points[j]) for i, j, w in by_length if w > d]
+        assert fam, "the empty family is feasible only at the top"
+        line = stabbing_line(fam, tol)
+        if line is not None:
+            break
+    assert (witness.a, witness.b, witness.c) == (line.a, line.b, line.c)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
+    DegenerateInput,
     DuplicatePoints,
+    FNGraph,
     PointSet,
     StructureViolation,
     TiesPresent,
@@ -17,7 +21,7 @@ from normplane import (
     perturb_distinct,
     segments_properly_intersect,
 )
-from normplane.fng import _triangle_pass, fng_from_table
+from normplane.fng import _decompose, _triangle_pass
 
 # a square with corners nudged so the two diagonals stay longest but no two
 # distances agree
@@ -264,6 +268,16 @@ def test_detect_ties_matches_scalar_scan(rng):
         table = pairwise_distances(spec, S)
         for tol in (0.0, 1e-9, 0.05, 0.5):
             assert detect_ties(table, tol) == _reference_ties(table, tol)
+
+
+def fng_from_table(table: np.ndarray) -> FNGraph:
+    """FNG decomposition from a (tie-free) distance table."""
+    n = table.shape[0]
+    if n < 2:
+        raise DegenerateInput("need at least two points")
+    masked = table.copy()
+    np.fill_diagonal(masked, -math.inf)
+    return _decompose(masked.argmax(axis=1))
 
 
 def test_triangle_pass_bit_identical_to_table(rng):
