@@ -72,7 +72,8 @@ def load_points(path: str) -> PointSet:
             try:
                 rows.append([float(row[0]), float(row[1])])
             except ValueError:
-                if lineno == 0:  # optional header
+                # an optional header: line 1 with no numeric cell among two
+                if lineno == 0 and not any(map(_is_float, row[:2])):
                     continue
                 raise ParseError(f"{path!r} line {lineno + 1}: non-numeric value")
     try:
@@ -81,9 +82,20 @@ def load_points(path: str) -> PointSet:
         raise ParseError(f"{path!r}: rows are not numeric [x, y] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParseError(f"{path!r}: expected [x, y] pairs, got shape {arr.shape}")
+    # numpy also reads JSON booleans and numeric strings as floats
+    if any(type(v) not in (int, float) for row in rows for v in row):
+        raise ParseError(f"{path!r}: rows are not numeric [x, y] pairs")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path!r}: non-finite coordinates")
     return PointSet(arr)  # raises DuplicatePoints on repeats
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _emit(payload: dict, out: str | None) -> None:

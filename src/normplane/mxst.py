@@ -9,9 +9,10 @@ certificate come from one streamed pass over the distance triangle
 (:func:`fng.build_fng`): n(n-1)/2 norm evaluations, a flat vector of about
 8 n^2 / 2 bytes and no n x n table.  `connect_components` does the rest
 from that graph and the hull, evaluating only the cluster x
-boundary-cluster blocks it compares; callers that already hold both (the
-invariant suite, the CLI's drawing) call it directly.  `mxst_bruteforce`
-is the independent descending-greedy oracle.
+boundary-cluster blocks it compares, each once per call (at k = 2 both
+adjacent component pairs read the same eight blocks); callers that
+already hold both (the invariant suite, the CLI's drawing) call it
+directly.  `mxst_bruteforce` is the independent descending-greedy oracle.
 """
 
 from __future__ import annotations
@@ -109,12 +110,21 @@ def connect_components(
         x = cycle[:k]
         xp = cycle[k:]
 
+        blocks: dict[tuple[int, int], CandidateEdge] = {}
+
+        def block_max(ca: int, cb: int) -> CandidateEdge:
+            # at k = 2 the two cyclically adjacent pairs are one pair, so
+            # each ordered block is evaluated once and shared
+            if (ca, cb) not in blocks:
+                blocks[ca, cb] = _max_pair(spec, S, members[ca], boundary_members[cb])
+            return blocks[ca, cb]
+
         def pairing_max(ca: int, cb: int) -> CandidateEdge:
             # max over the pairing with either endpoint taking the
             # boundary-restricted role; the connecting edge has at least
             # one endpoint on the hull, so nothing is missed
-            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])
-            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])
+            lhs = block_max(ca, cb)
+            rhs = block_max(cb, ca)
             return lhs if lhs.weight >= rhs.weight else rhs
 
         # One candidate edge per cyclically adjacent component pair, scanning

@@ -322,6 +322,10 @@ def test_cli_bisector_rejects_three_points(tmp_path, capsys):
         ("triples.json", "[[0, 0, 0], [1, 1, 1]]", "expected [x, y] pairs, got shape (2, 3)"),
         ("nan.json", "[[0, 0], [NaN, 1]]", "non-finite coordinates"),
         ("inf.json", "[[0, 0], [1e999, 1]]", "non-finite coordinates"),
+        ("bools.json", "[[true, false], [0, 1], [2, 5]]", "rows are not numeric [x, y] pairs"),
+        ("strings.json", '[["1", "2"], [0, 1]]', "rows are not numeric [x, y] pairs"),
+        ("first.csv", "0,oops\n1,0\n2,3\n", "line 1: non-numeric value"),
+        ("half.csv", "x,1\n1,0\n2,3\n", "line 1: non-numeric value"),
     ],
 )
 def test_load_points_parse_errors_name_the_fault(tmp_path, name, text, message):
@@ -330,6 +334,24 @@ def test_load_points_parse_errors_name_the_fault(tmp_path, name, text, message):
         load_points(path)
     assert str(info.value).endswith(message)
     assert str(info.value).startswith(repr(path))
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bools.json", "[[true, false], [0, 1], [2, 5]]"),
+        ("strings.json", '[["1", "2"], [0, 1], [2, 5]]'),
+        ("first.csv", "0,oops\n1,0\n2,3\n"),
+    ],
+)
+def test_cli_non_numeric_coordinates_exit_1_naming_the_file(tmp_path, capsys, name, text):
+    path = _write(tmp_path, name, text)
+    assert main(["mxst", "--points", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(repr(path))
 
 
 def test_cli_out_into_missing_directory_is_io_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import all_norms
+from normplane import geometry
 from normplane import (
     CCW,
     COLLINEAR,
@@ -242,6 +243,44 @@ def test_convex_hull_matches_scalar_reference(rng):
         for tol in (1e-9, 0.0, 1e-3):
             hull = convex_hull(pts, tol)
             assert (hull.vertices, hull.boundary, hull.position) == _reference_hull(pts, tol)
+
+
+def _band_polygon(m, tol):
+    """A regular m-gon plus, inside each edge, points whose |cross| sits on
+    the collinearity band tol * |ab| * |ap| up to the rounding of their
+    coordinates."""
+    angles = 2 * np.pi * np.arange(m) / m
+    verts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = [verts]
+    for e in range(m):
+        a, b = verts[e], verts[(e + 1) % m]
+        ab = b - a
+        length = np.hypot(ab[0], ab[1])
+        inward = np.array([-ab[1], ab[0]]) / length
+        for x in np.linspace(0.05, 0.95, 19):
+            h = tol * x * length / np.sqrt(1 - tol * tol)
+            pts.append(a + x * ab + h * inward)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30])
+def test_traversal_chunking_leaves_the_hull_unchanged(rng, monkeypatch, chunk):
+    # one edge per broadcast and every edge in one broadcast give the
+    # scalar reference's hull; the grid has collinear runs on every edge,
+    # and the band polygons send entries of many edges to orientation()
+    monkeypatch.setattr(geometry, "_TRAVERSAL_CHUNK", chunk)
+    unsure = []
+    monkeypatch.setattr(
+        geometry, "orientation", lambda *args: unsure.append(args) or orientation(*args)
+    )
+    cases = [(pts, tol) for pts in _hull_cases(rng) for tol in (1e-9, 0.0, 1e-3)]
+    cells = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
+    cases.append((cells, 1e-3))
+    cases += [(_band_polygon(m, 1e-3), 1e-3) for m in (3, 8, 40)]
+    for pts, tol in cases:
+        hull = convex_hull(pts, tol)
+        assert (hull.vertices, hull.boundary, hull.position) == _reference_hull(pts, tol)
+    assert len(unsure) >= 10
 
 
 def test_distinct_check_matches_dict_loop():

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import all_norms, random_symmetric_polygon, tie_free_points
+import normplane.mxst as mxst_module
+from conftest import HEX_BALL, all_norms, random_symmetric_polygon, tie_free_points
 from normplane import (
     PointSet,
     SpanningTree,
+    StructureViolation,
     TiesPresent,
     build_fng,
     convex_hull,
@@ -16,8 +18,12 @@ from normplane import (
     order_components,
     pairwise_distances,
     perturb_distinct,
+    polygonal,
     validate_tree,
 )
+from normplane.fng import distances_between
+from normplane.mxst import ConnectingEdgeReport, StepFourEntry, _max_pair, connect_components
+from test_checks import THREE_SPINES
 
 
 def test_mxst_three_points_drops_shortest_side():
@@ -158,3 +164,92 @@ def test_mxst_memory_stays_below_one_table():
         tracemalloc.stop()
     assert len(tree.edges) == n - 1
     assert peak < 8 * n * n, f"peak {peak} bytes"
+
+
+def _reference_connect(spec, S, g, hull):
+    """connect_components with no shared blocks, the reference: two
+    _max_pair calls per pairing, 8 k in all, 16 at k = 2."""
+    n = S.n
+    cycle = order_components(g, hull)
+    k = g.k
+    edge_set = g.undirected_edges()
+    entries = []
+    discarded = None
+    if k > 1:
+        members = g.cluster_members()
+        boundary_members = {
+            rep: [i for i in pts if i in hull.boundary] for rep, pts in members.items()
+        }
+        x = cycle[:k]
+        xp = cycle[k:]
+
+        def pairing_max(ca, cb):
+            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])
+            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])
+            return lhs if lhs.weight >= rhs.weight else rhs
+
+        for i in range(k):
+            prev = (i - 1) % k
+            cands = (
+                pairing_max(x[i], xp[prev]),
+                pairing_max(x[prev], xp[i]),
+                pairing_max(x[i], x[prev]),
+                pairing_max(xp[i], xp[prev]),
+            )
+            selected = max(cands, key=lambda c: c.weight)
+            entries.append(
+                StepFourEntry(
+                    components=(g.component_of[x[prev]], g.component_of[x[i]]),
+                    candidates=cands,
+                    selected=selected,
+                )
+            )
+        discarded = int(np.argmin([e.selected.weight for e in entries]))
+        for idx, entry in enumerate(entries):
+            if idx != discarded:
+                edge_set.add((entry.selected.i, entry.selected.j))
+    pairs = sorted(edge_set)
+    weights = distances_between(spec, S, [i for i, _ in pairs], [j for _, j in pairs])
+    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
+    tree = SpanningTree(edges=edges, total_weight=float(sum(w for _, _, w in edges)))
+    if not validate_tree(tree, n):
+        raise StructureViolation("connecting edges did not produce a spanning tree")
+    return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
+
+
+def _connect_instances(rng):
+    """THREE_SPINES and seeded instances with k >= 2, under four gauges."""
+    for spec in (lp(1.5), lp(2.0), polygonal(HEX_BALL), random_symmetric_polygon(rng)):
+        yield spec, PointSet(THREE_SPINES)
+        found = attempt = 0
+        while found < 12:
+            n = int(rng.integers(4, 41))
+            attempt += 1
+            if attempt % 2:
+                angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+                S = PointSet(np.stack([2 * np.cos(angles), np.sin(angles)], axis=1))
+            else:
+                S = tie_free_points(rng, n, spec)
+            if build_fng(spec, S, 0.0).k >= 2:
+                found += 1
+                yield spec, S
+
+
+def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _max_pair(*args)
+
+    monkeypatch.setattr(mxst_module, "_max_pair", counting)
+    seen_k = set()
+    for spec, S in _connect_instances(rng):
+        g = build_fng(spec, S, 0.0)
+        hull = convex_hull(S.points, 0.0)
+        calls.clear()
+        got = connect_components(spec, S, g, hull)
+        assert len(calls) == {1: 0, 2: 8}.get(g.k, 8 * g.k)
+        assert repr(got) == repr(_reference_connect(spec, S, g, hull))
+        seen_k.add(min(g.k, 3))
+    assert seen_k >= {2, 3}
