@@ -30,7 +30,7 @@ from .errors import (
     StructureViolation,
     TiesPresent,
 )
-from .geometry import DEFAULT_TOL, HullIndex, check_distinct
+from .geometry import DEFAULT_TOL, HullIndex, check_points
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the streamed pass, and values per
@@ -46,11 +46,7 @@ class PointSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DegenerateInput(f"expected an (n, 2) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DegenerateInput("point set contains non-finite coordinates")
-        check_distinct(pts)
+        check_points(pts)
         object.__setattr__(self, "points", pts)
 
     @property

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment, DegenerateTriangle, DuplicatePoints
+from .errors import DegenerateInput, DegenerateSegment, DegenerateTriangle, DuplicatePoints
 
 CCW = 1
 CW = -1
@@ -55,15 +55,16 @@ class HullIndex:
 def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     """Monotone-chain hull over point indices, tracking collinear boundary."""
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n == 0:
+    if pts.size == 0:
         raise DuplicatePoints("empty point set")
-    check_distinct(pts)
-    if n == 1:
+    check_points(pts)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DegenerateInput(f"tol must be finite and non-negative, got {tol!r}")
+    if len(pts) == 1:
         return HullIndex(vertices=(0,), boundary=frozenset({0}), position={0: 0})
 
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    order = sorted(range(n), key=lambda i: (xs[i], ys[i]))
+    order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
 
     def build(seq):
         # pops while orientation(chain[-2], chain[-1], i, tol) != CCW, with
@@ -83,32 +84,29 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
             chain.append(i)
         return chain
 
-    lower = build(order)
-    upper = build(reversed(order))
+    lower = build(order.tolist())
+    upper = build(order[::-1].tolist())
     # the lower chain runs from order[0] to order[-1] and the upper one back,
     # so for n >= 2 distinct points verts holds at least those two
     verts = lower[:-1] + upper[:-1]
 
-    traversal = _boundary_traversal(pts, verts, tol)
+    traversal = _boundary_traversal(pts, verts, order, tol)
     position = {idx: rank for rank, idx in enumerate(traversal)}
-    return HullIndex(
-        vertices=tuple(verts),
-        boundary=frozenset(traversal),
-        position=position,
-    )
+    return HullIndex(vertices=tuple(verts), boundary=frozenset(traversal), position=position)
 
 
-def check_distinct(pts: np.ndarray) -> None:
-    """Raise DuplicatePoints naming the first repeated point and its original.
-
-    Each row is read as one complex number, so rows match exactly when
-    their coordinates compare equal (NaN matches nothing); adding 0.0 makes
-    the contiguous copy that view needs and turns -0.0 into 0.0.
+def check_points(pts: np.ndarray) -> None:
+    """Raise DegenerateInput unless pts is an (n, 2) array of finite floats,
+    and DuplicatePoints naming the first repeated point and its original.
+    Each row is read as one complex number; adding 0.0 makes the contiguous
+    copy that view needs and turns -0.0 into 0.0.
     """
-    keys = (np.asarray(pts, dtype=float) + 0.0).view(np.complex128).reshape(-1)
-    _, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True, equal_nan=False
-    )
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DegenerateInput(f"expected an (n, 2) array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateInput("point set contains non-finite coordinates")
+    keys = (pts + 0.0).view(np.complex128).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     original = first[inverse]
     repeats = np.flatnonzero(original != np.arange(len(keys)))
     if repeats.size:
@@ -121,52 +119,51 @@ def check_distinct(pts: np.ndarray) -> None:
 # orientation() itself
 _BAND_MARGIN = 1e-14
 
-# (edge, point) pairs per broadcast: many edges share each numpy call, and
-# the traversal's temporaries (a tracemalloc peak of 0.2 MB at n = h = 170)
-# stay below those of the furthest-neighbour pass
-_TRAVERSAL_CHUNK = 1 << 12
 
-
-def _boundary_traversal(pts: np.ndarray, verts: list[int], tol: float) -> list[int]:
+def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
+                        tol: float) -> list[int]:
     """CCW tour of all boundary points; each appears once (first occurrence).
 
-    Each hull edge tests every point at once, with orientation()'s cross
-    product and collinearity band and the edge parameter t in [-tol, 1 + tol];
-    a chunk of edges is tested in one broadcast.  The tour is the on-edge
-    points ordered by (edge, t, index), without each edge's end vertex.
+    p is on edge ab when its parameter t is in [-tol, 1 + tol] and orientation()
+    finds a, b, p collinear (|ab x ap| <= tol |ab| |ap|); the tour is the
+    on-edge points ordered by (edge, t, index), without each edge's end vertex.
+    An edge tests only the points (``order`` sorts them by x) whose x is within
+    reach = 2 tol (|ab_x| + extent) + 1e-12 (scale + extent) of its x-span,
+    extent being the bounding box's diagonal and scale the largest |coordinate|.
+    Exactly, p_x - a_x = t ab_x - (ab x ap) ab_y / |ab|^2, so an on-edge p is
+    within tol (|ab_x| + |ap|) <= tol (|ab_x| + extent) of the span.  Rounding
+    moves the computed t ab_x and (ab x ap) / |ab| by a few ulps of |ab_x| + |ap|,
+    far less than the rest of reach, and 1e-12 scale covers the window's own
+    ends: the window holds every point the computed tests accept.
     """
-    n = len(pts)
     px, py = pts[:, 0], pts[:, 1]
     a_idx = np.asarray(verts)
     b_idx = np.roll(a_idx, -1)
-    ax, ay = px[a_idx], py[a_idx]
-    abx, aby = px[b_idx] - ax, py[b_idx] - ay
+    ax, ay, bx = px[a_idx], py[a_idx], px[b_idx]
+    abx, aby = bx - ax, py[b_idx] - ay
     ab2 = abx * abx + aby * aby
     ab_len = np.hypot(abx, aby)
-    step = max(1, _TRAVERSAL_CHUNK // n)
-    found_e, found_t, found_i = [], [], []
-    for lo in range(0, len(verts), step):
-        rows = slice(lo, lo + step)
-        dx = px - ax[rows, None]
-        dy = py - ay[rows, None]
-        t = (dx * abx[rows, None] + dy * aby[rows, None]) / ab2[rows, None]
-        near = np.flatnonzero((-tol <= t) & (t <= 1.0 + tol))
-        t, dx, dy = t.ravel()[near], dx.ravel()[near], dy.ravel()[near]
-        e, i = np.divmod(near, n)
-        e += lo
-        cross = abx[e] * dy - dx * aby[e]
-        band = tol * (ab_len[e] * np.hypot(dx, dy))
-        collinear = np.abs(cross) <= band
-        unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > _BAND_MARGIN * band)
-        for s in np.flatnonzero(unsure).tolist():
-            a, b = pts[a_idx[e[s]]], pts[b_idx[e[s]]]
-            collinear[s] = orientation(a, b, pts[i[s]], tol) == COLLINEAR
-        found_e.append(e[collinear])
-        found_t.append(t[collinear])
-        found_i.append(i[collinear])
-    e, t, i = (np.concatenate(parts) for parts in (found_e, found_t, found_i))
-    order = np.lexsort((i, t, e))
-    e, i = e[order], i[order]
+    sx = px[order]
+    extent = math.hypot(sx[-1] - sx[0], py.max() - py.min())
+    reach = 2.0 * tol * (np.abs(abx) + extent) + 1e-12 * (np.abs(pts).max() + extent)
+    lo = np.searchsorted(sx, np.minimum(ax, bx) - reach, side="left")
+    width = np.searchsorted(sx, np.maximum(ax, bx) + reach, side="right") - lo
+    e = np.repeat(np.arange(a_idx.size), width)
+    i = order[np.arange(e.size) + np.repeat(lo - np.cumsum(width) + width, width)]
+    dx, dy = px[i] - ax[e], py[i] - ay[e]
+    t = (dx * abx[e] + dy * aby[e]) / ab2[e]
+    near = (-tol <= t) & (t <= 1.0 + tol)
+    e, i, t, dx, dy = e[near], i[near], t[near], dx[near], dy[near]
+    cross = abx[e] * dy - dx * aby[e]
+    band = tol * (ab_len[e] * np.hypot(dx, dy))
+    collinear = np.abs(cross) <= band
+    unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > _BAND_MARGIN * band)
+    for s in np.flatnonzero(unsure).tolist():
+        a, b = pts[a_idx[e[s]]], pts[b_idx[e[s]]]
+        collinear[s] = orientation(a, b, pts[i[s]], tol) == COLLINEAR
+    e, t, i = e[collinear], t[collinear], i[collinear]
+    by = np.lexsort((i, t, e))
+    e, i = e[by], i[by]
     i = i[i != b_idx[e]]
     # a two-vertex (degenerate) hull walks the segment forward then back;
     # first occurrences reduce that to the forward pass

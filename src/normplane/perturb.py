@@ -91,8 +91,8 @@ def perturb_distinct(
         raise NotStrictlyConvex(
             f"{spec.label()} is not strictly convex; perturbation cannot break its ties"
         )
-    if not eps > 0.0:
-        raise DegenerateInput("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DegenerateInput(f"eps must be positive and finite, got {eps!r}")
     worker = _Perturber(spec, S, eps, tol)
     worker.run()
     disp = norm_many(spec, worker.pts - S.points)

@@ -209,6 +209,15 @@ def test_run_config_dispatch(tmp_path, capsys):
     assert svg_path.exists()
 
 
+@pytest.mark.parametrize("command", ["perturb", "mxst"])
+def test_cli_eps_inf_exits_1_with_degenerate_input(tmp_path, capsys, command):
+    sq = _write(tmp_path, "sq.json", "[[0,0],[1,0],[1,1],[0,1]]")
+    assert main([command, "--norm", "lp:2", "--points", sq, "--eps", "inf"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateInput"
+    assert err["message"] == "eps must be positive and finite, got inf"
+
+
 def test_cli_perturb_reports_moved_points(tmp_path, capsys):
     sq = _write(tmp_path, "sq.json", "[[0,0],[1,0],[1,1],[0,1]]")
     out = tmp_path / "p.json"

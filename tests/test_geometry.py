@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from normplane import (
     CCW,
     COLLINEAR,
     CW,
+    DegenerateInput,
     DegenerateSegment,
     DegenerateTriangle,
     DuplicatePoints,
     PointSet,
     convex_hull,
     distance,
+    euclidean,
     is_convex_quadrilateral,
+    mxst_mpsy,
     norm_many,
     orientation,
     point_in_triangle,
@@ -70,6 +75,41 @@ def test_convex_hull_boundary_point_on_edge():
 def test_convex_hull_rejects_duplicates():
     with pytest.raises(DuplicatePoints):
         convex_hull(np.array([[0, 0], [1, 1], [0, 0]], dtype=float))
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (np.zeros((3, 3)), "expected an (n, 2) array, got shape (3, 3)"),
+        (np.zeros(4), "expected an (n, 2) array, got shape (4,)"),
+        # this set used to come back as vertices (0, 2), without hull vertex 3
+        ([[0, 0], [1, np.nan], [2, 0], [1, 1]], "point set contains non-finite coordinates"),
+        ([[0, 0], [1, np.inf], [2, 0], [1, 1]], "point set contains non-finite coordinates"),
+    ],
+)
+def test_convex_hull_rejects_malformed_points(points, message):
+    with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+        convex_hull(points)
+
+
+def test_convex_hull_rejects_the_empty_set():
+    for points in ([], np.zeros((0, 2))):
+        with pytest.raises(DuplicatePoints, match="^empty point set$"):
+            convex_hull(points)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_convex_hull_rejects_a_negative_or_non_finite_tol(tol):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        convex_hull(square, tol)
+
+
+def test_mxst_with_a_negative_tol_fails_at_the_hull():
+    # it used to end in "spine endpoints [1, 2] not on hull boundary"
+    S = PointSet(np.array([[0.0, 0.0], [3.0, 0.1], [1.0, 2.2], [2.5, 3.0]]))
+    with pytest.raises(DegenerateInput, match=r"^tol must be finite and non-negative, got -1\.0$"):
+        mxst_mpsy(euclidean(), S, tol=-1.0)
 
 
 def test_convex_hull_halfplane_oracle(rng):
@@ -263,12 +303,38 @@ def _band_polygon(m, tol):
     return np.vstack(pts)
 
 
-@pytest.mark.parametrize("chunk", [1, 1 << 30])
-def test_traversal_chunking_leaves_the_hull_unchanged(rng, monkeypatch, chunk):
-    # one edge per broadcast and every edge in one broadcast give the
-    # scalar reference's hull; the grid has collinear runs on every edge,
-    # and the band polygons send entries of many edges to orientation()
-    monkeypatch.setattr(geometry, "_TRAVERSAL_CHUNK", chunk)
+def _window_cases(rng):
+    """Sets that probe the edges' x-windows: a tiny edge beside a long one,
+    points just past an edge's ends and on its collinearity band, vertical
+    and collinear sets, and scales from 1e-6 to 1e6 with offsets."""
+    for length in (1.0, 1e3):
+        tiny = 1e-7 * length
+        yield np.array([[0.0, 0.0], [length, 0.0], [length, tiny], [0.5 * length, length],
+                        [0.3 * length, 0.0], [length, 0.5 * tiny], [0.7 * length, 1e-9 * tiny]])
+    a, b = np.array([-1.0, 0.5]), np.array([2.0, 1.5])
+    for tol in (1e-9, 1e-3, 0.3):
+        # on the line ab with t just outside [0, 1], within tol and beyond it
+        t = np.array([0.0, 1.0, 0.4, -0.5 * tol, -1.5 * tol, 1 + 0.5 * tol, 1 + 1.5 * tol])
+        yield np.vstack([a + t[:, None] * (b - a), [[0.0, 4.0]]])
+        yield _band_polygon(5, tol)
+    column = np.stack([np.full(9, 2.5), rng.permutation(np.arange(9.0))], axis=1)
+    yield column  # vertical
+    yield np.vstack([column, [[3.0, 4.0]]])
+    t = rng.permutation(np.arange(15.0))
+    yield np.stack([t, 1.0 - 0.5 * t], axis=1)
+    cells = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+    angles = np.sort(rng.uniform(0, 2 * np.pi, size=20))
+    ellipse = np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)
+    for scale in (1e-6, 1e6):
+        for offset in (0.0, 1e3 * scale):
+            for base in (rng.uniform(-1, 1, size=(25, 2)), ellipse, cells):
+                yield scale * base + offset
+
+
+def test_traversal_windows_leave_the_hull_unchanged(rng, monkeypatch):
+    # the x-windows give the scalar reference's hull; the grid has collinear
+    # runs on every edge, and the band polygons send entries of many edges
+    # to orientation()
     unsure = []
     monkeypatch.setattr(
         geometry, "orientation", lambda *args: unsure.append(args) or orientation(*args)
@@ -277,10 +343,28 @@ def test_traversal_chunking_leaves_the_hull_unchanged(rng, monkeypatch, chunk):
     cells = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
     cases.append((cells, 1e-3))
     cases += [(_band_polygon(m, 1e-3), 1e-3) for m in (3, 8, 40)]
+    cases += [(pts, tol) for pts in _window_cases(rng) for tol in (0.0, 1e-9, 1e-3, 0.3, 2.0)]
     for pts, tol in cases:
         hull = convex_hull(pts, tol)
         assert (hull.vertices, hull.boundary, hull.position) == _reference_hull(pts, tol)
     assert len(unsure) >= 10
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_convex_hull_of_a_large_ellipse_is_every_point(tol):
+    # h = n = 2 * 10**4 in shuffled index order; the CCW tour is the angular
+    # order from the leftmost point (angle index 10000, nearest pi)
+    n = 20_000
+    angles = 2 * np.pi * (np.arange(n) + 0.3) / n
+    by_angle = np.random.default_rng(3).permutation(n)
+    pts = np.empty((n, 2))
+    pts[by_angle] = np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)
+    hull = convex_hull(pts, tol)
+    assert len(hull.vertices) == n and hull.boundary == frozenset(range(n))
+    start = int(np.argmin(pts[:, 0]))
+    assert start == by_angle[10000]
+    ccw = by_angle.tolist()
+    assert hull.traversal() == ccw[10000:] + ccw[:10000]
 
 
 def test_distinct_check_matches_dict_loop():

@@ -8,6 +8,7 @@ from conftest import grid_points
 from normplane import perturb
 from normplane import (
     BudgetExceeded,
+    DegenerateInput,
     NotStrictlyConvex,
     PointSet,
     detect_ties,
@@ -77,6 +78,14 @@ def test_perturb_rejects_non_strictly_convex():
     for spec in (linf(), lp(1), polygonal([[1, 1], [-1, 1], [-1, -1], [1, -1]])):
         with pytest.raises(NotStrictlyConvex):
             perturb_distinct(spec, UNIT_SQUARE, eps=0.05)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_perturb_rejects_non_finite_or_non_positive_eps(eps):
+    # eps = inf used to step the tied square to NaN coordinates and end in
+    # BudgetExceeded "would move beyond eps = inf"
+    with pytest.raises(DegenerateInput, match="^eps must be positive and finite"):
+        perturb_distinct(lp(2), UNIT_SQUARE, eps=eps)
 
 
 def test_perturb_budget_exceeded_when_steps_cannot_clear_tolerance():
