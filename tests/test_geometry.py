@@ -350,6 +350,60 @@ def test_traversal_windows_leave_the_hull_unchanged(rng, monkeypatch):
     assert len(unsure) >= 10
 
 
+def _chunked_traversal(pts, verts, tol, chunk):
+    """The traversal without x-windows: each edge tests every point, with
+    max(1, chunk // n) edges in one broadcast; per-entry tests as in the
+    library, so the windowed tour must match it exactly."""
+    n = len(pts)
+    px, py = pts[:, 0], pts[:, 1]
+    a_idx = np.asarray(verts)
+    b_idx = np.roll(a_idx, -1)
+    ax, ay = px[a_idx], py[a_idx]
+    abx, aby = px[b_idx] - ax, py[b_idx] - ay
+    ab2 = abx * abx + aby * aby
+    ab_len = np.hypot(abx, aby)
+    step = max(1, chunk // n)
+    found = []
+    for lo in range(0, len(verts), step):
+        rows = slice(lo, lo + step)
+        dx = px - ax[rows, None]
+        dy = py - ay[rows, None]
+        t = (dx * abx[rows, None] + dy * aby[rows, None]) / ab2[rows, None]
+        near = np.flatnonzero((-tol <= t) & (t <= 1.0 + tol))
+        t, dx, dy = t.ravel()[near], dx.ravel()[near], dy.ravel()[near]
+        e, i = np.divmod(near, n)
+        e += lo
+        cross = abx[e] * dy - dx * aby[e]
+        band = tol * (ab_len[e] * np.hypot(dx, dy))
+        collinear = np.abs(cross) <= band
+        margin = geometry._BAND_MARGIN * band
+        unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > margin)
+        for s in np.flatnonzero(unsure).tolist():
+            a, b = pts[a_idx[e[s]]], pts[b_idx[e[s]]]
+            collinear[s] = orientation(a, b, pts[i[s]], tol) == COLLINEAR
+        found.append((e[collinear], t[collinear], i[collinear]))
+    e, t, i = (np.concatenate(parts) for parts in zip(*found))
+    by = np.lexsort((i, t, e))
+    e, i = e[by], i[by]
+    i = i[i != b_idx[e]]
+    _, first = np.unique(i, return_index=True)
+    return i[np.sort(first)].tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30])
+def test_traversal_chunking_leaves_the_hull_unchanged(rng, chunk):
+    # the x-windowed tour equals the unwindowed broadcast, one edge per
+    # broadcast and every edge in one, on the hull cases and the window bank
+    cases = [(pts, tol) for pts in _hull_cases(rng) for tol in (1e-9, 0.0, 1e-3)]
+    cells = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
+    cases.append((cells, 1e-3))
+    cases += [(_band_polygon(m, 1e-3), 1e-3) for m in (3, 8, 40)]
+    cases += [(pts, tol) for pts in _window_cases(rng) for tol in (0.0, 1e-9, 1e-3, 0.3, 2.0)]
+    for pts, tol in cases:
+        hull = convex_hull(pts, tol)
+        assert hull.traversal() == _chunked_traversal(pts, list(hull.vertices), tol, chunk)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_convex_hull_of_a_large_ellipse_is_every_point(tol):
     # h = n = 2 * 10**4 in shuffled index order; the CCW tour is the angular
