@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
 from .fng import DEFAULT_TOL, PointSet, _triangle, distances_between
+from .geometry import check_tol
 from .mxst import mxst_mpsy
 from .norms import NormSpec
 
@@ -72,8 +73,13 @@ class Bipartition:
 
 
 def diameter(spec: NormSpec, S: PointSet, subset) -> float:
-    """Max pairwise distance within the subset (0 for at most one point)."""
+    """Max pairwise distance within the subset (0 for at most one point).
+
+    DegenerateInput when an index lies outside [0, n).
+    """
     idx = np.array(sorted(subset), dtype=np.intp)
+    if len(idx) and (idx[0] < 0 or idx[-1] >= S.n):
+        raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
     if len(idx) <= 1:
         return 0.0
     iu, ju = np.triu_indices(len(idx), k=1)
@@ -89,6 +95,7 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     own supporting line is the pair of its two endpoints.  Each candidate is
     tested on plain floats and abandoned at the first segment it misses.
     """
+    check_tol(tol)
     segs = []
     for p, q in segments:
         pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)

@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    DuplicatePoints,
-    StructureViolation,
-    TiesPresent,
-)
-from .geometry import DEFAULT_TOL, HullIndex, check_points
+from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPresent
+from .geometry import DEFAULT_TOL, HullIndex, check_points, check_tol
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the streamed pass, and values per
@@ -78,13 +73,22 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
     structure theory (and :func:`mxst.mxst_mpsy`) relies on.  The list is
     sorted, each entry ordered as (smaller pair, larger pair).
     """
-    t = np.asarray(table, dtype=float)
-    iu, ju = np.triu_indices(t.shape[0], k=1)
-    lo, hi = _tied_pairs(t[iu, ju], tol)
+    check_tol(tol)
+    iu, ju, vals = _table_triangle(table)
+    lo, hi = _tied_pairs(vals, tol)
     return list(zip(
         zip(iu[lo].tolist(), ju[lo].tolist()),
         zip(iu[hi].tolist(), ju[hi].tolist()),
     ))
+
+
+def _table_triangle(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(iu, ju, vals)`` of a square table's strict upper triangle; DegenerateInput otherwise."""
+    t = np.asarray(table, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise DegenerateInput(f"expected a square distance table, got shape {t.shape}")
+    iu, ju = np.triu_indices(len(t), k=1)
+    return iu, ju, t[iu, ju]
 
 
 def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +132,9 @@ def _gaps(sv: np.ndarray):
 class FNGraph:
     """Furthest-neighbor out-map plus its component/cluster decomposition.
 
-    ``cluster_of[i]`` is the spine endpoint whose cluster contains i (the
-    endpoint reachable from i by a directed path of even length).
+    ``cluster_of[i]`` is the spine endpoint whose cluster contains i, reached
+    from i by an even-length path: the fixpoint of fn o fn that i leads to,
+    found in at most ``n.bit_length()`` rounds of pointer doubling.
     """
 
     fn: tuple[int, ...]
@@ -159,6 +164,7 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     distances agree within tol (as ``detect_ties`` would report), without
     building the n x n table.
     """
+    check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
     fn, vals = _triangle_pass(spec, S.points)
@@ -231,39 +237,32 @@ def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _decompose(fn) -> FNGraph:
-    """Spines, clusters and components of a furthest-neighbor map."""
-    fn = [int(f) for f in fn]
-    n = len(fn)
-    spines = [(i, j) for i, j in enumerate(fn) if fn[j] == i and i < j]
+    """Spines, clusters and components of a furthest-neighbor map.
 
-    cluster_of = [-1] * n
-    for start in range(n):
-        if cluster_of[start] != -1:
-            continue
-        chain = []
-        cur = start
-        while cluster_of[cur] == -1:
-            if fn[fn[cur]] == cur:  # landed on a spine endpoint
-                cluster_of[cur] = cur
-                break
-            chain.append(cur)
-            cur = fn[cur]
-        # walking back one edge flips the cluster to the partner endpoint,
-        # which is the endpoint's own furthest neighbor
-        for u in reversed(chain):
-            cluster_of[u] = fn[cluster_of[fn[u]]]
-
-    comp_of_rep = {}
-    for si, (x, xp) in enumerate(spines):
-        comp_of_rep[x] = si
-        comp_of_rep[xp] = si
-    component_of = tuple(comp_of_rep[rep] for rep in cluster_of)
-
+    Spines are the 2-cycles i < fn[i], in index order.  g = fn o fn fixes their
+    endpoints, and a point d < n edges from one reaches it in ceil(d / 2) steps
+    of g, so squaring ``rep = g`` until it stops changing (``n.bit_length()``
+    rounds at most) gives each cluster representative; StructureViolation if
+    one is no spine endpoint (fn has a fixpoint or a longer cycle).
+    """
+    fn = np.asarray(fn, dtype=np.intp)
+    rep = fn[fn]
+    x = np.flatnonzero((np.arange(fn.size) < fn) & (rep == np.arange(fn.size)))
+    for _ in range(fn.size.bit_length() + 1):
+        jumped = rep[rep]
+        if np.array_equal(jumped, rep):
+            break
+        rep = jumped
+    spine_of = np.full_like(fn, -1)
+    spine_of[x] = spine_of[fn[x]] = np.arange(x.size)
+    component_of = spine_of[rep]
+    if np.any(component_of < 0):
+        raise StructureViolation("a point reaches no 2-cycle of the furthest-neighbor map")
     return FNGraph(
-        fn=tuple(fn),
-        spines=tuple(spines),
-        component_of=component_of,
-        cluster_of=tuple(cluster_of),
+        fn=tuple(fn.tolist()),
+        spines=tuple(zip(x.tolist(), fn[x].tolist())),
+        component_of=tuple(component_of.tolist()),
+        cluster_of=tuple(rep.tolist()),
     )
 
 

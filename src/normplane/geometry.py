@@ -58,8 +58,7 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     if pts.size == 0:
         raise DuplicatePoints("empty point set")
     check_points(pts)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DegenerateInput(f"tol must be finite and non-negative, got {tol!r}")
+    check_tol(tol)
     if len(pts) == 1:
         return HullIndex(vertices=(0,), boundary=frozenset({0}), position={0: 0})
 
@@ -114,6 +113,12 @@ def check_points(pts: np.ndarray) -> None:
         raise DuplicatePoints(f"points {int(original[i])} and {i} coincide")
 
 
+def check_tol(tol: float) -> None:
+    """Raise DegenerateInput unless the tolerance tol is finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DegenerateInput(f"tol must be finite and non-negative, got {tol!r}")
+
+
 # np.hypot may differ from orientation()'s math.hypot in the last bit, so a
 # |cross| within this relative distance of a nonzero band is decided by
 # orientation() itself
@@ -128,13 +133,17 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     finds a, b, p collinear (|ab x ap| <= tol |ab| |ap|); the tour is the
     on-edge points ordered by (edge, t, index), without each edge's end vertex.
     An edge tests only the points (``order`` sorts them by x) whose x is within
-    reach = 2 tol (|ab_x| + extent) + 1e-12 (scale + extent) of its x-span,
-    extent being the bounding box's diagonal and scale the largest |coordinate|.
-    Exactly, p_x - a_x = t ab_x - (ab x ap) ab_y / |ab|^2, so an on-edge p is
-    within tol (|ab_x| + |ap|) <= tol (|ab_x| + extent) of the span.  Rounding
-    moves the computed t ab_x and (ab x ap) / |ab| by a few ulps of |ab_x| + |ap|,
-    far less than the rest of reach, and 1e-12 scale covers the window's own
-    ends: the window holds every point the computed tests accept.
+    reach = 2 tol (|ab_x| + r) + 1e-12 (scale + r) of its x-span, scale being
+    the largest |coordinate| and r a bound on |ap| for an on-edge p: the
+    bounding box's diagonal extent, and for tol < 1/2 the smaller of extent and
+    (1 + tol) |ab| / (1 - tol), so that a short edge keeps a short window.
+    Exactly, |ap| <= |t| |ab| + |ab x ap| / |ab| <= (1 + tol) |ab| + tol |ap|,
+    which gives that bound, and p_x - a_x = t ab_x - (ab x ap) ab_y / |ab|^2, so
+    an on-edge p is within tol (|ab_x| + |ap|) <= tol (|ab_x| + r) of the span.
+    Rounding moves the computed t ab_x and (ab x ap) / |ab| by a few ulps of
+    |ab_x| + |ap|, and the bound on |ap| by a few ulps over 1 - tol > 1/2, far
+    less than the rest of reach, and 1e-12 scale covers the window's own ends:
+    the window holds every point the computed tests accept.
     """
     px, py = pts[:, 0], pts[:, 1]
     a_idx = np.asarray(verts)
@@ -144,8 +153,10 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     ab2 = abx * abx + aby * aby
     ab_len = np.hypot(abx, aby)
     sx = px[order]
-    extent = math.hypot(sx[-1] - sx[0], py.max() - py.min())
-    reach = 2.0 * tol * (np.abs(abx) + extent) + 1e-12 * (np.abs(pts).max() + extent)
+    r = math.hypot(sx[-1] - sx[0], py.max() - py.min())
+    if tol < 0.5:
+        r = np.minimum(r, (1.0 + tol) / (1.0 - tol) * ab_len)
+    reach = 2.0 * tol * (np.abs(abx) + r) + 1e-12 * (np.abs(pts).max() + r)
     lo = np.searchsorted(sx, np.minimum(ax, bx) - reach, side="left")
     width = np.searchsorted(sx, np.maximum(ax, bx) + reach, side="right") - lo
     e = np.repeat(np.arange(a_idx.size), width)

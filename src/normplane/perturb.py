@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _gaps, _tied_pairs, _triangle
-from .geometry import convex_hull
+from .fng import DEFAULT_TOL, PointSet, _gaps, _table_triangle, _tied_pairs, _triangle
+from .geometry import check_tol, convex_hull
 from .norms import NormSpec, is_strictly_convex, norm_many
 
 # fractions of the per-move cap tried for each move, largest first; a move
@@ -68,8 +68,9 @@ def min_distance_gap(table, tol: float = DEFAULT_TOL) -> float:
     gap is measured between consecutive value clusters.  Returns +inf when
     at most one distinct value exists.
     """
-    t = np.asarray(table, dtype=float)
-    return _least_gap(np.sort(t[np.triu_indices(t.shape[0], k=1)]), tol)
+    check_tol(tol)
+    _, _, vals = _table_triangle(table)
+    return _least_gap(np.sort(vals), tol)
 
 
 def _least_gap(sv: np.ndarray, tol: float) -> float:
@@ -87,6 +88,7 @@ def perturb_distinct(
     and BudgetExceeded if a point would have to move further than eps or
     the move log would exceed n*(n-1) steps.
     """
+    check_tol(tol)
     if not is_strictly_convex(spec):
         raise NotStrictlyConvex(
             f"{spec.label()} is not strictly convex; perturbation cannot break its ties"

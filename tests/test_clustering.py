@@ -35,6 +35,15 @@ def test_diameter_basic(rng):
     assert diameter(lp(2), S, subset) == pytest.approx(best)
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_diameter_rejects_an_index_outside_the_set(index):
+    # index -1 used to wrap silently to the last point
+    S = PointSet(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
+    for subset in ([index], [0, index]):
+        with pytest.raises(DegenerateInput, match=r"^subset indices must lie in \[0, 3\)"):
+            diameter(lp(2), S, subset)
+
+
 def test_stabbing_line_single_segment():
     line = stabbing_line([([0, 0], [2, 2])])
     assert line is not None
@@ -54,6 +63,15 @@ def test_stabbing_line_absent_for_scattered_tiny_segments():
     segs = [([0, 0], [0.1, 0]), ([10, 0], [10.1, 0]), ([5, 10], [5.1, 10])]
     assert stabbing_line(segs) is None
     assert _sweep_oracle(segs) is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_stabbing_line_rejects_a_negative_or_non_finite_tol(tol):
+    # at tol nan these three segments used to get the line y = 0
+    segs = [([0, 0], [1, 0]), ([5, 5], [6, 5]), ([0, 9], [0, 10])]
+    assert stabbing_line(segs) is None
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        stabbing_line(segs, tol)
 
 
 def test_stabbing_line_degenerate_segment():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,3 +306,142 @@ def test_build_fng_tie_count_matches_detect_ties(rng):
             with pytest.raises(TiesPresent) as info:
                 build_fng(spec, S, tol)
             assert str(info.value) == f"{len(ties)} tied distance pairs at tol={tol:g}"
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_build_fng_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        build_fng(lp(2), PointSet(JITTERED_SQUARE), tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_detect_ties_rejects_a_negative_or_non_finite_tol(tol):
+    table = pairwise_distances(lp(2), PointSet(JITTERED_SQUARE))
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        detect_ties(table, tol)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+def test_detect_ties_rejects_a_table_that_is_not_square(shape):
+    # a (3, 4) table used to list 3 ties read from the wrong triangle
+    message = f"expected a square distance table, got shape {shape}"
+    with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+        detect_ties(np.zeros(shape))
+
+
+def _decompose_by_walk(fn) -> FNGraph:
+    """The per-point chain walk that _decompose replaces: the reference."""
+    fn = [int(f) for f in fn]
+    n = len(fn)
+    spines = [(i, j) for i, j in enumerate(fn) if fn[j] == i and i < j]
+
+    cluster_of = [-1] * n
+    for start in range(n):
+        if cluster_of[start] != -1:
+            continue
+        chain = []
+        cur = start
+        while cluster_of[cur] == -1:
+            if fn[fn[cur]] == cur:  # landed on a spine endpoint
+                cluster_of[cur] = cur
+                break
+            chain.append(cur)
+            cur = fn[cur]
+        # walking back one edge flips the cluster to the partner endpoint,
+        # which is the endpoint's own furthest neighbor
+        for u in reversed(chain):
+            cluster_of[u] = fn[cluster_of[fn[u]]]
+
+    comp_of_rep = {}
+    for si, (x, xp) in enumerate(spines):
+        comp_of_rep[x] = si
+        comp_of_rep[xp] = si
+    component_of = tuple(comp_of_rep[rep] for rep in cluster_of)
+
+    return FNGraph(
+        fn=tuple(fn),
+        spines=tuple(spines),
+        component_of=component_of,
+        cluster_of=tuple(cluster_of),
+    )
+
+
+def _assert_decomposes_as_the_walk(fn):
+    g = _decompose(fn)
+    assert g == _decompose_by_walk(fn)
+    flat = g.fn + g.component_of + g.cluster_of + tuple(x for s in g.spines for x in s)
+    assert all(type(v) is int for v in flat)
+    return g
+
+
+def _map_bank(rng):
+    """Furthest-neighbor maps of uniform points, ellipses, anisotropic
+    Gaussians and jittered regular 2k-gons (k = 1..4) with interior points,
+    under five norms, for n from 2 to 400."""
+    for spec in all_norms()[:5]:
+        for n in (2, 3, 4, 9, 40, 400):
+            angles = rng.uniform(0, 2 * np.pi, size=n)
+            yield spec, rng.uniform(-10, 10, size=(n, 2))
+            yield spec, np.stack([3 * np.cos(angles), np.sin(angles)], axis=1)
+            yield spec, rng.normal(size=(n, 2)) @ np.array([[4.0, 1.0], [0.0, 0.3]])
+        for k in (1, 2, 3, 4):
+            corners = np.pi * np.arange(2 * k) / k
+            polygon = 10 * np.stack([np.cos(corners), np.sin(corners)], axis=1)
+            yield spec, np.vstack([polygon + rng.uniform(-0.05, 0.05, size=(2 * k, 2)),
+                                   rng.uniform(-1, 1, size=(5, 2))])
+
+
+def test_decompose_matches_the_walk_on_furthest_neighbor_maps(rng):
+    ks = set()
+    for spec, pts in _map_bank(rng):
+        fn, _ = _triangle_pass(spec, pts)
+        ks.add(_assert_decomposes_as_the_walk(fn).k)
+        _assert_decomposes_as_the_walk(tuple(fn.tolist()))
+    assert ks >= {1, 2, 3, 4}
+
+
+def _relabel(fn, perm):
+    """The map fn with point i renamed perm[i]."""
+    out = np.empty_like(fn)
+    out[perm] = perm[fn]
+    return out
+
+
+def test_decompose_matches_the_walk_on_synthetic_maps(rng):
+    depth = 200_000
+    chain = np.arange(1, depth + 3)  # 0 -> 1 -> ... -> depth, into the spine
+    chain[-1] = depth
+    g = _assert_decomposes_as_the_walk(chain)
+    assert g.spines == ((depth, depth + 1),)
+    assert g.cluster_of[:2] == (depth, depth + 1)
+    for m, n in ((1, 2), (5, 40), (60, 1000), (500, 1000)):
+        # m spines (2i, 2i + 1); every later point joins an earlier one
+        fn = np.arange(n) ^ 1
+        fn[2 * m:] = [int(rng.integers(0, j)) for j in range(2 * m, n)]
+        _assert_decomposes_as_the_walk(fn)
+        _assert_decomposes_as_the_walk(_relabel(fn, rng.permutation(n)))
+    for n in (3, 50, 3000):
+        star = np.zeros(n, dtype=np.intp)  # every point at spine endpoint 0
+        star[0] = 1
+        _assert_decomposes_as_the_walk(star)
+        star[3:] = 2  # and behind a middle point 2, one edge further out
+        _assert_decomposes_as_the_walk(_relabel(star, rng.permutation(n)))
+
+
+@pytest.mark.parametrize("fn", [
+    # the doctored maps of tests/test_checks.py
+    (1, 2, 3, 2, 5, 4, 3, 3),
+    (1, 0, 3, 2),
+    (5, 0, 3, 2, 5, 4, 3, 3),
+    (1, 0, 3, 2, 5, 4, 3, 2),
+])
+def test_decompose_matches_the_walk_on_doctored_maps(fn):
+    _assert_decomposes_as_the_walk(fn)
+
+
+@pytest.mark.parametrize("fn", [(1, 2, 0, 0), (1, 2, 3, 0), (0, 0)])
+def test_decompose_rejects_a_map_without_a_reachable_2_cycle(fn):
+    # a 3-cycle never settles; a 4-cycle and a fixpoint settle on points of
+    # no spine
+    with pytest.raises(StructureViolation, match="^a point reaches no 2-cycle"):
+        _decompose(fn)

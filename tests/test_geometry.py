@@ -106,7 +106,8 @@ def test_convex_hull_rejects_a_negative_or_non_finite_tol(tol):
 
 
 def test_mxst_with_a_negative_tol_fails_at_the_hull():
-    # it used to end in "spine endpoints [1, 2] not on hull boundary"
+    # it used to end in "spine endpoints [1, 2] not on hull boundary"; the
+    # hull's tolerance check now also runs first in build_fng
     S = PointSet(np.array([[0.0, 0.0], [3.0, 0.1], [1.0, 2.2], [2.5, 3.0]]))
     with pytest.raises(DegenerateInput, match=r"^tol must be finite and non-negative, got -1\.0$"):
         mxst_mpsy(euclidean(), S, tol=-1.0)

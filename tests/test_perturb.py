@@ -53,6 +53,20 @@ def test_min_distance_gap_matches_bruteforce(rng):
         assert min_distance_gap(t, tol) == pytest.approx(best)
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_min_distance_gap_rejects_a_negative_or_non_finite_tol(tol):
+    t = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        min_distance_gap(t, tol)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+def test_min_distance_gap_rejects_a_table_that_is_not_square(shape):
+    message = f"expected a square distance table, got shape {shape}"
+    with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+        min_distance_gap(np.zeros(shape))
+
+
 def test_perturb_equilateral_triangle():
     S = PointSet(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)]]))
     S2, report = perturb_distinct(lp(2), S, eps=0.1)
@@ -86,6 +100,13 @@ def test_perturb_rejects_non_finite_or_non_positive_eps(eps):
     # BudgetExceeded "would move beyond eps = inf"
     with pytest.raises(DegenerateInput, match="^eps must be positive and finite"):
         perturb_distinct(lp(2), UNIT_SQUARE, eps=eps)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_perturb_rejects_a_negative_or_non_finite_tol(tol):
+    # at tol -1 or nan the square used to come back unmoved, its 7 ties left
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        perturb_distinct(lp(2), UNIT_SQUARE, 1e-3, tol=tol)
 
 
 def test_perturb_budget_exceeded_when_steps_cannot_clear_tolerance():
