@@ -69,6 +69,9 @@ def load_points(path: str) -> PointSet:
                 continue
             if len(row) < 2:
                 raise ParseError(f"{path!r} line {lineno + 1}: need two columns")
+            # trailing empty cells ("1,2,") are harmless; a third value is not
+            if any(cell.strip() for cell in row[2:]):
+                raise ParseError(f"{path!r} line {lineno + 1}: more than two columns")
             try:
                 rows.append([float(row[0]), float(row[1])])
             except ValueError:

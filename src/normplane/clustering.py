@@ -75,11 +75,15 @@ class Bipartition:
 def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     """Max pairwise distance within the subset (0 for at most one point).
 
-    DegenerateInput when an index lies outside [0, n).
+    DegenerateInput when an index is not an integer (booleans included) or
+    lies outside [0, n).
     """
-    idx = np.array(sorted(subset), dtype=np.intp)
+    idx = np.array(sorted(subset))
+    if len(idx) and idx.dtype.kind not in "iu":
+        raise DegenerateInput(f"subset indices must be integers, got dtype {idx.dtype}")
     if len(idx) and (idx[0] < 0 or idx[-1] >= S.n):
         raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
+    idx = idx.astype(np.intp)
     if len(idx) <= 1:
         return 0.0
     iu, ju = np.triu_indices(len(idx), k=1)
@@ -88,6 +92,9 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
 
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     """A line meeting every segment (within tol), or None if none exists.
+
+    DegenerateInput on an empty family, which every line meets: there is
+    no transversal to single out.
 
     If a family of segments has any transversal, it has one through two
     segment endpoints, so the lines through every pair of distinct endpoints
@@ -107,6 +114,8 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
         if px == qx and py == qy:
             raise DegenerateSegment("segment endpoints coincide")
         segs.append((px, py, qx, qy))
+    if not segs:
+        raise DegenerateInput("an empty segment family has every line as a transversal")
     # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
     ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
     for i, p in enumerate(ends):

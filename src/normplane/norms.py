@@ -3,7 +3,8 @@
 Three families are supported: the Euclidean norm, Lp norms for 1 <= p <= inf,
 and polygonal gauges of centrally symmetric convex polygons (Minkowski
 functionals).  All evaluation routines accept single vectors or arrays of
-vectors (vectorized over leading axes).
+vectors (vectorized over leading axes).  Every distance goes through one
+kernel, :func:`norm_many`, elementwise on the x and y coordinate planes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +68,19 @@ class NormSpec:
                 return "l1"
             return f"lp:{self.p:g}"
         return f"polygon[{len(self.vertices)}]"
+
+    @cached_property
+    def _functionals(self) -> np.ndarray:
+        """Functionals f_i with gauge(v) = max_i <f_i, v>, derived once per spec.
+
+        f_i is edge i's outward normal scaled to put the edge line at level 1;
+        the max picks the edge the ray through v crosses, without a walk's
+        vertex special cases.  Not a field, so ==, hash and repr ignore it.
+        """
+        normals, offsets = _edge_lines(np.asarray(self.vertices, dtype=float))
+        f = normals / offsets[:, None]
+        f.flags.writeable = False
+        return f
 
 
 def euclidean() -> NormSpec:
@@ -125,53 +140,36 @@ def _edge_lines(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, np.einsum("ij,ij->i", normals, arr)
 
 
-def _poly_functionals(spec: NormSpec) -> np.ndarray:
-    """Linear functionals f_i with gauge(v) = max_i <f_i, v>.
-
-    Each f_i is the outward edge normal scaled so the edge line sits at
-    level 1; the maximizing edge is exactly the one the ray from the origin
-    through v crosses, so this is the ray/edge length ratio evaluated per
-    edge without the vertex-crossing special cases of an explicit walk.
-    """
-    normals, offsets = _edge_lines(np.asarray(spec.vertices, dtype=float))
-    return normals / offsets[:, None]
-
-
 def norm_many(spec: NormSpec, arr) -> np.ndarray:
     """Evaluate the norm over an array of vectors (..., 2) -> (...)."""
     a = np.asarray(arr, dtype=float)
     if a.shape[-1] != 2:
         raise DegenerateInput(f"expected trailing axis of size 2, got shape {a.shape}")
-    if spec.kind == "euclidean":
-        return np.hypot(a[..., 0], a[..., 1])
-    if spec.kind == "lp":
-        return _lp_many(spec.p, a)
+    x, y = a[..., 0], a[..., 1]
     if spec.kind == "polygonal":
         # elementwise, not a matrix product: BLAS may round a row differently
         # depending on where it sits in the batch, and a vector's norm must
         # not depend on the batch it is evaluated in
-        x, y = a[..., 0], a[..., 1]
         out = None
-        for fx, fy in _poly_functionals(spec):
+        for fx, fy in spec._functionals:
             v = x * fx + y * fy
             out = v if out is None else np.maximum(out, v)
         return out
-    raise InvalidNorm(f"unknown norm kind {spec.kind!r}")
-
-
-def _lp_many(p: float, a: np.ndarray) -> np.ndarray:
-    ax = np.abs(a)
-    if p == INF:
-        return ax.max(axis=-1)
+    if spec.kind not in ("euclidean", "lp"):
+        raise InvalidNorm(f"unknown norm kind {spec.kind!r}")
+    if spec.kind == "euclidean" or spec.p == 2.0:
+        return np.hypot(x, y)
+    p, ax, ay = spec.p, np.abs(x), np.abs(y)
     if p == 1.0:
-        return ax.sum(axis=-1)
-    if p == 2.0:
-        return np.hypot(ax[..., 0], ax[..., 1])
-    # scale by the max coordinate so large p cannot overflow
-    m = ax.max(axis=-1)
+        return ax + ay
+    m = np.maximum(ax, ay)
+    if p == INF:
+        return m
+    # scale by the max coordinate so large p cannot overflow; on one vector
+    # ** is numpy's scalar pow, which can round the last bit unlike np.power,
+    # so this mix of the two keeps every result bit-identical
     safe = np.where(m > 0.0, m, 1.0)
-    scaled = ax / safe[..., None]
-    val = safe * (scaled[..., 0] ** p + scaled[..., 1] ** p) ** (1.0 / p)
+    val = safe * (np.power(ax / safe, p) + np.power(ay / safe, p)) ** (1.0 / p)
     return np.where(m > 0.0, val, 0.0)
 
 

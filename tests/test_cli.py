@@ -335,6 +335,9 @@ def test_cli_bisector_rejects_three_points(tmp_path, capsys):
         ("strings.json", '[["1", "2"], [0, 1]]', "rows are not numeric [x, y] pairs"),
         ("first.csv", "0,oops\n1,0\n2,3\n", "line 1: non-numeric value"),
         ("half.csv", "x,1\n1,0\n2,3\n", "line 1: non-numeric value"),
+        # ids in a first column would otherwise become x coordinates
+        ("ids.csv", "id,x,y\n0,0.5,0.7\n1,0.2,0.9\n", "line 1: more than two columns"),
+        ("wide.csv", "0,0\n1,0\n2,3,,4\n", "line 3: more than two columns"),
     ],
 )
 def test_load_points_parse_errors_name_the_fault(tmp_path, name, text, message):
@@ -372,3 +375,18 @@ def test_cli_out_into_missing_directory_is_io_error(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["error"] == "IoError"
     assert error["message"].startswith(f"cannot write {str(out)!r}")
+
+
+def test_cli_third_csv_value_exits_1_and_trailing_empty_cells_load(tmp_path, capsys):
+    wide = _write(tmp_path, "wide.csv", "id,x,y\n0,0.5,0.7\n1,0.2,0.9\n")
+    assert main(["mxst", "--points", wide]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": f"{wide!r} line 1: more than two columns",
+    }
+    trailing = _write(tmp_path, "trailing.csv", "x,y,\n0,0,\n3,0, \n3,4,,\n")
+    assert np.array_equal(load_points(trailing).points, TRI_345)
+    assert main(["mxst", "--norm", "lp:2", "--points", trailing]) == 0
+    assert json.loads(capsys.readouterr().out)["total_weight"] == pytest.approx(9.0)

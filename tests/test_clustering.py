@@ -24,8 +24,11 @@ from normplane import (
 
 def test_diameter_basic(rng):
     S = PointSet(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
+    assert diameter(lp(2), S, []) == diameter(lp(2), S, np.array([])) == 0.0
     assert diameter(lp(2), S, [0]) == 0.0
     assert diameter(lp(2), S, [0, 1]) == pytest.approx(5.0)
+    for subset in ({1, 0}, (np.int32(0), np.uint8(1)), np.array([1, 0], dtype=np.uint64)):
+        assert diameter(lp(2), S, subset) == diameter(lp(2), S, [0, 1])
     pts = rng.uniform(-5, 5, size=(12, 2))
     S = PointSet(pts)
     subset = [1, 3, 5, 8]
@@ -42,6 +45,22 @@ def test_diameter_rejects_an_index_outside_the_set(index):
     for subset in ([index], [0, index]):
         with pytest.raises(DegenerateInput, match=r"^subset indices must lie in \[0, 3\)"):
             diameter(lp(2), S, subset)
+
+
+@pytest.mark.parametrize("subset", [[0.7, 1.2], [-0.5, 1], [True, False], np.array([0.0, 1.0])])
+def test_diameter_rejects_indices_that_are_not_integers(subset):
+    # these used to be truncated to {0, 1} and return 5.0
+    S = PointSet(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
+    with pytest.raises(DegenerateInput, match=r"^subset indices must be integers, got dtype "):
+        diameter(lp(2), S, subset)
+
+
+def test_stabbing_line_rejects_an_empty_family():
+    # every line meets an empty family, so None ("no transversal") would be wrong
+    with pytest.raises(DegenerateInput, match="^an empty segment family has every line"):
+        stabbing_line([])
+    with pytest.raises(DegenerateInput):
+        stabbing_line(iter(()), 0.0)
 
 
 def test_stabbing_line_single_segment():

@@ -1,9 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import DIAMOND_BALL, UNIT_SQUARE_BALL, all_norms, strictly_convex_norms
+import normplane.norms as norms_module
+from conftest import (
+    DIAMOND_BALL,
+    HEX_BALL,
+    UNIT_SQUARE_BALL,
+    all_norms,
+    random_symmetric_polygon,
+    strictly_convex_norms,
+)
 from normplane import (
     InvalidNorm,
     ZeroVector,
@@ -21,6 +30,7 @@ from normplane import (
     polygonal,
     sample_bisector,
 )
+from normplane.fng import _differences
 
 
 def test_evaluate_norm_reference_values():
@@ -202,3 +212,112 @@ def test_parse_norm_grammar(tmp_path):
     spec = parse_norm(f"polygon:{poly}")
     assert spec.kind == "polygonal"
     assert evaluate_norm(spec, [2, 1]) == pytest.approx(2.0)
+
+
+# the kernel as it was written with two layouts: Lp families reduced over the
+# length-2 axis, polygonal functionals rebuilt on every call; the reference
+# the one elementwise kernel must reproduce bit for bit
+def _reference_poly_functionals(spec):
+    normals, offsets = norms_module._edge_lines(np.asarray(spec.vertices, dtype=float))
+    return normals / offsets[:, None]
+
+
+def _reference_lp_many(p, a):
+    ax = np.abs(a)
+    if p == math.inf:
+        return ax.max(axis=-1)
+    if p == 1.0:
+        return ax.sum(axis=-1)
+    if p == 2.0:
+        return np.hypot(ax[..., 0], ax[..., 1])
+    m = ax.max(axis=-1)
+    safe = np.where(m > 0.0, m, 1.0)
+    scaled = ax / safe[..., None]
+    val = safe * (scaled[..., 0] ** p + scaled[..., 1] ** p) ** (1.0 / p)
+    return np.where(m > 0.0, val, 0.0)
+
+
+def _reference_norm_many(spec, arr):
+    a = np.asarray(arr, dtype=float)
+    if spec.kind == "euclidean":
+        return np.hypot(a[..., 0], a[..., 1])
+    if spec.kind == "lp":
+        return _reference_lp_many(spec.p, a)
+    x, y = a[..., 0], a[..., 1]
+    out = None
+    for fx, fy in _reference_poly_functionals(spec):
+        v = x * fx + y * fy
+        out = v if out is None else np.maximum(out, v)
+    return out
+
+
+def _kernel_norms(rng):
+    return [
+        euclidean(), l1(), lp(1.5), lp(2), lp(3), lp(7.5), lp(40), linf(),
+        polygonal(HEX_BALL), polygonal(UNIT_SQUARE_BALL),
+    ] + [random_symmetric_polygon(rng) for _ in range(4)]
+
+
+def _bits(value):
+    a = np.asarray(value)
+    return type(value), a.dtype, a.shape, a.tobytes()
+
+
+def test_norm_many_matches_the_two_layout_reference_bit_for_bit(rng):
+    for spec in _kernel_norms(rng):
+        for scale in 10.0 ** np.arange(-300, 301, 25):
+            pts = rng.standard_normal((9, 2)) * scale
+            iu, ju = np.triu_indices(9, k=1)
+            v = rng.standard_normal((3, 4, 2)) * scale
+            for a in (
+                v[0, 0],  # (2,)
+                v[0],  # (m, 2)
+                v,  # (a, b, 2)
+                v.transpose(1, 0, 2),  # a strided view
+                _differences(pts, iu, ju),  # contiguous planes
+                _differences(pts, np.arange(9)[:, None], np.arange(9)[None, :]),
+                *v.reshape(-1, 2),  # single vectors, where numpy may use scalar math
+            ):
+                assert _bits(norm_many(spec, a)) == _bits(_reference_norm_many(spec, a))
+
+
+def test_norm_many_matches_the_reference_on_zero_signed_zero_and_subnormal_components(rng):
+    special = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+        1e-300, 1.0, -3.0, 4.0, -1e300, 1e300,
+    ])
+    x, y = np.meshgrid(special, special)
+    grid = np.stack([x, y], axis=-1)
+    for spec in _kernel_norms(rng):
+        got = norm_many(spec, grid)
+        assert _bits(got) == _bits(_reference_norm_many(spec, grid))
+        for a in grid.reshape(-1, 2):
+            assert _bits(norm_many(spec, a)) == _bits(_reference_norm_many(spec, a))
+        assert np.all(got[np.abs(grid).max(axis=-1) == 0.0] == 0.0)
+
+
+def test_polygonal_functionals_are_derived_once_per_norm(monkeypatch):
+    calls = []
+    edge_lines = norms_module._edge_lines
+    monkeypatch.setattr(
+        norms_module, "_edge_lines", lambda arr: calls.append(1) or edge_lines(arr)
+    )
+    specs = [polygonal(HEX_BALL), polygonal(UNIT_SQUARE_BALL)]
+    twins = [polygonal(HEX_BALL), polygonal(UNIT_SQUARE_BALL)]
+    before = [(repr(s), hash(s)) for s in specs]
+    calls.clear()  # the factory's validation reads the edge lines too
+    v = np.random.default_rng(3).uniform(-1, 1, size=(50, 2))
+    for spec in specs:
+        for _ in range(5):
+            norm_many(spec, v)
+            evaluate_norm(spec, v[0])
+            distance(spec, v[1], v[2])
+    assert len(calls) == len(specs)
+    # derived state, not a field: equality, hash and repr are unchanged
+    assert [(repr(s), hash(s)) for s in specs] == before
+    assert specs == twins
+    for spec in specs:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec._functionals = None
+        with pytest.raises(ValueError):
+            spec._functionals[0, 0] = 0.0
