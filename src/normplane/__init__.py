@@ -69,7 +69,6 @@ from .norms import (
     parse_norm,
     polygonal,
     sample_bisector,
-    vec,
 )
 from .perturb import PerturbReport, min_distance_gap, perturb_distinct
 from .svg import emit_svg
@@ -92,5 +91,5 @@ __all__ = [
     "parse_norm", "perturb_distinct", "point_in_triangle", "polygonal",
     "run_checks", "sample_bisector", "segments_properly_intersect",
     "stabbing_line", "two_clustering", "two_clustering_bruteforce",
-    "validate_tree", "vec",
+    "validate_tree",
 ]

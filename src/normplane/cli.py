@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +33,6 @@ from .geometry import convex_hull
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
 from .norms import NormSpec, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import perturb_distinct
-
-
-@dataclass
-class RunConfig:
-    command: str
-    norm: str = "euclidean"
-    points: str = ""
-    out: str | None = None
-    svg: str | None = None
-    eps: float = 1e-3
-    tol: float = 1e-9
-    fallback_ties: bool = False
 
 
 def load_points(path: str) -> PointSet:
@@ -133,18 +120,18 @@ def _report_json(report) -> dict | None:
     }
 
 
-def _cmd_mxst(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
+def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     perturb_info = None
     mode = "exact"
     try:
-        tree, report = mxst_mpsy(spec, S, cfg.tol)
+        tree, report = mxst_mpsy(spec, S, args.tol)
     except TiesPresent:
-        if cfg.fallback_ties:
+        if args.fallback_ties:
             tree, report = mxst_bruteforce(spec, S), None
             mode = "oracle-fallback"
         elif is_strictly_convex(spec):
-            S, preport = perturb_distinct(spec, S, cfg.eps, cfg.tol)
-            tree, report = mxst_mpsy(spec, S, cfg.tol)
+            S, preport = perturb_distinct(spec, S, args.eps, args.tol)
+            tree, report = mxst_mpsy(spec, S, args.tol)
             mode = "perturbed"
             perturb_info = {
                 "max_displacement": max(preport.displacement),
@@ -168,15 +155,15 @@ def _cmd_mxst(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
             "perturbation": perturb_info,
         },
     }
-    _emit(payload, cfg.out)
-    if cfg.svg:
-        _draw(spec, S, cfg.tol, cfg.svg, tree=tree)
+    _emit(payload, args.out)
+    if args.svg:
+        _draw(spec, S, args.tol, args.svg, tree=tree)
     return 0
 
 
-def _cmd_fng(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
-    g = build_fng(spec, S, cfg.tol)
-    hull = convex_hull(S.points, cfg.tol)
+def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
+    g = build_fng(spec, S, args.tol)
+    hull = convex_hull(S.points, args.tol)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -187,14 +174,14 @@ def _cmd_fng(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
         "clusters": {str(rep): sorted(members) for rep, members in g.cluster_members().items()},
         "cycle": list(cycle),
     }
-    _emit(payload, cfg.out)
-    if cfg.svg:
-        svg.emit_svg(S, hull, g, None, None, cfg.svg)
+    _emit(payload, args.out)
+    if args.svg:
+        svg.emit_svg(S, hull, g, None, None, args.svg)
     return 0
 
 
-def _cmd_cluster2(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
-    part = two_clustering(spec, S, cfg.tol)
+def _cmd_cluster2(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
+    part = two_clustering(spec, S, args.tol)
     line = part.witness_line
     payload = {
         "norm": spec.label(),
@@ -206,18 +193,18 @@ def _cmd_cluster2(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
         "value": part.value,
         "witness": [line.a, line.b, line.c] if line is not None else None,
     }
-    _emit(payload, cfg.out)
-    if cfg.svg:
-        _draw(spec, S, cfg.tol, cfg.svg, bipartition=part)
+    _emit(payload, args.out)
+    if args.svg:
+        _draw(spec, S, args.tol, args.svg, bipartition=part)
     return 0
 
 
-def _cmd_perturb(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
-    S2, report = perturb_distinct(spec, S, cfg.eps, cfg.tol)
+def _cmd_perturb(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
+    S2, report = perturb_distinct(spec, S, args.eps, args.tol)
     payload = {
         "norm": spec.label(),
         "n": S2.n,
-        "eps": cfg.eps,
+        "eps": args.eps,
         "points": [[x, y] for x, y in S2.points],
         "report": {
             "displacement": list(report.displacement),
@@ -225,18 +212,18 @@ def _cmd_perturb(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
             "residual_min_gap": report.residual_min_gap,
         },
     }
-    _emit(payload, cfg.out)
-    if cfg.svg:
-        _draw(spec, S2, cfg.tol, cfg.svg)
+    _emit(payload, args.out)
+    if args.svg:
+        _draw(spec, S2, args.tol, args.svg)
     return 0
 
 
-def _cmd_bisector(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
+def _cmd_bisector(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     if S.n != 2:
         raise ParseError("bisector needs an input of exactly two points")
     p, q = S.points
     extent = 2.0 * float(math.hypot(*(q - p)))
-    sample = sample_bisector(spec, p, q, count=33, extent=extent, tol=cfg.tol)
+    sample = sample_bisector(spec, p, q, count=33, extent=extent, tol=args.tol)
     payload = {
         "norm": spec.label(),
         "p": [p[0], p[1]],
@@ -247,12 +234,12 @@ def _cmd_bisector(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
         "residuals": list(map(float, sample.residuals)),
         "max_residual": float(sample.residuals.max()),
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0
 
 
-def _cmd_check(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
-    results = checks.run_checks(spec, S, cfg.tol)
+def _cmd_check(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
+    results = checks.run_checks(spec, S, args.tol)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         suffix = f": {r.detail}" if r.detail else ""
@@ -265,10 +252,10 @@ def _cmd_check(cfg: RunConfig, spec: NormSpec, S: PointSet) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    if cfg.out:
-        _emit(payload, cfg.out)
-    if cfg.svg:
-        _draw(spec, S, cfg.tol, cfg.svg)
+    if args.out:
+        _emit(payload, args.out)
+    if args.svg:
+        _draw(spec, S, args.tol, args.svg)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -296,22 +283,6 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        if not (math.isfinite(config.tol) and config.tol >= 0.0):
-            raise ParseError(f"--tol must be finite and non-negative, got {config.tol!r}")
-        spec = parse_norm(config.norm)
-        handler, _, _ = _COMMANDS[config.command]
-        return handler(config, spec, load_points(config.points))
-    except IoError as exc:
-        _error_json(exc)
-        return 2
-    except NormPlaneError as exc:
-        _error_json(exc)
-        return 1
-
-
 def _error_json(exc: Exception) -> None:
     print(
         json.dumps({"error": type(exc).__name__, "message": str(exc)}),
@@ -328,16 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--norm", default=RunConfig.norm,
+        p.add_argument("--norm", default="euclidean",
                        help="euclidean | l1 | linf | lp:<p> | polygon:<path>")
         p.add_argument("--points", required=True, help="JSON or CSV point file")
         p.add_argument("--out", default=None, help="write the JSON result here")
         if "--svg" in flags:
             p.add_argument("--svg", default=None, help="write an SVG rendering here")
         if "--eps" in flags:
-            p.add_argument("--eps", type=float, default=RunConfig.eps,
+            p.add_argument("--eps", type=float, default=1e-3,
                            help="perturbation budget (default %(default)s)")
-        p.add_argument("--tol", type=float, default=RunConfig.tol,
+        p.add_argument("--tol", type=float, default=1e-9,
                        help="numeric tolerance (default %(default)s)")
         if "--fallback-ties" in flags:
             p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",
@@ -346,7 +317,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
+    """Execute one command; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
+    try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ParseError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        spec = parse_norm(args.norm)
+        handler, _, _ = _COMMANDS[args.command]
+        return handler(args, spec, load_points(args.points))
+    except IoError as exc:
+        _error_json(exc)
+        return 2
+    except NormPlaneError as exc:
+        _error_json(exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ def orientation(a, b, c, tol: float = DEFAULT_TOL) -> int:
     The collinearity band is tol times the product of the two segment
     lengths, so behavior is stable across coordinate magnitudes.
     """
+    check_tol(tol)
     cross = _cross(a, b, c)
     scale = math.hypot(b[0] - a[0], b[1] - a[1]) * math.hypot(c[0] - a[0], c[1] - a[1])
     if abs(cross) <= tol * scale:
@@ -188,6 +189,7 @@ def segments_properly_intersect(s1, s2, tol: float = DEFAULT_TOL) -> bool:
     Collinear overlaps report False: a proper crossing needs a single point
     interior to both segments.
     """
+    check_tol(tol)
     (a, b), (c, d) = s1, s2
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     if np.array_equal(a, b) or np.array_equal(c, d):
@@ -201,6 +203,7 @@ def segments_properly_intersect(s1, s2, tol: float = DEFAULT_TOL) -> bool:
 
 def is_convex_quadrilateral(a, b, c, d, tol: float = DEFAULT_TOL) -> bool:
     """True iff a, b, c, d are cyclically ordered corners of a convex quad."""
+    check_tol(tol)
     quad = [np.asarray(v, dtype=float) for v in (a, b, c, d)]
     signs = [
         orientation(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4], tol)
@@ -211,6 +214,7 @@ def is_convex_quadrilateral(a, b, c, d, tol: float = DEFAULT_TOL) -> bool:
 
 def point_in_triangle(p, a, b, c, tol: float = DEFAULT_TOL) -> bool:
     """Barycentric membership test, boundary included within tol."""
+    check_tol(tol)
     pv, av, bv, cv = (np.asarray(v, dtype=float) for v in (p, a, b, c))
     den = _cross(av, bv, cv)
     scale = (

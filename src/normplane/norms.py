@@ -4,7 +4,17 @@ Three families are supported: the Euclidean norm, Lp norms for 1 <= p <= inf,
 and polygonal gauges of centrally symmetric convex polygons (Minkowski
 functionals).  All evaluation routines accept single vectors or arrays of
 vectors (vectorized over leading axes).  Every distance goes through one
-kernel, :func:`norm_many`, elementwise on the x and y coordinate planes.
+kernel, :func:`norm_many`, elementwise on the x and y coordinate planes,
+one closed form per family:
+
+- Lp, 1 < p < inf, p != 2: m (1 + (min(|x|, |y|) / m)^p)^(1/p) with
+  m = max(|x|, |y|);
+- polygonal: max_i |<f_i, v>| over the functionals of the first m/2
+  edges; :func:`polygonal` stores the second half of the vertices as the
+  exact negation of the first, so the gauge is exactly symmetric.
+
+A vector alone gets the bits it gets inside a batch, as an ``np.float64``,
+and the zero vector gets +0.0.
 """
 
 from __future__ import annotations
@@ -23,17 +33,9 @@ from .errors import (
     StructureViolation,
     ZeroVector,
 )
-from .geometry import DEFAULT_TOL
+from .geometry import DEFAULT_TOL, check_tol
 
 INF = math.inf
-
-
-def vec(x: float, y: float) -> np.ndarray:
-    """Build a validated 2-vector (finite coordinates)."""
-    v = np.array([x, y], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise DegenerateInput(f"non-finite coordinates: ({x}, {y})")
-    return v
 
 
 def _as_vec(v) -> np.ndarray:
@@ -71,14 +73,17 @@ class NormSpec:
 
     @cached_property
     def _functionals(self) -> np.ndarray:
-        """Functionals f_i with gauge(v) = max_i <f_i, v>, derived once per spec.
+        """Functionals f_i with gauge(v) = max_i |<f_i, v>|, derived once per spec.
 
         f_i is edge i's outward normal scaled to put the edge line at level 1;
         the max picks the edge the ray through v crosses, without a walk's
-        vertex special cases.  Not a field, so ==, hash and repr ignore it.
+        vertex special cases.  The stored polygon is exactly symmetric, so
+        edge i + m/2's functional is exactly -f_i and only the first m/2 are
+        kept.  Not a field, so ==, hash and repr ignore it.
         """
         normals, offsets = _edge_lines(np.asarray(self.vertices, dtype=float))
-        f = normals / offsets[:, None]
+        h = len(normals) // 2
+        f = normals[:h] / offsets[:h, None]
         f.flags.writeable = False
         return f
 
@@ -107,7 +112,10 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
 
     The origin must be strictly interior; for every vertex v the point -v
     must also be a vertex (up to ``tol`` relative to the polygon scale).
+    The stored polygon is the first m/2 vertices followed by their exact
+    negations, so the gauge is exactly symmetric: N(-v) == N(v).
     """
+    check_tol(tol)
     arr = np.asarray(vertices, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
         raise InvalidNorm("polygonal norm needs at least 4 vertices as an (m, 2) array")
@@ -117,16 +125,18 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
         raise InvalidNorm("centrally symmetric polygon must have an even vertex count")
     scale = float(np.abs(arr).max())
     m = arr.shape[0]
+    # central symmetry: antipode of vertex i must be vertex i + m/2
+    anti = arr + np.roll(arr, m // 2, axis=0)
+    if np.abs(anti).max() > tol * max(scale, 1.0):
+        raise InvalidNorm("polygon is not centrally symmetric")
+    # 0.0 - a is exactly -a, with +0.0 for a zero coordinate
+    arr = np.concatenate([arr[: m // 2], 0.0 - arr[: m // 2]])
     # strict CCW convexity, including the wrap-around corners
     for i in range(m):
         a, b, c = arr[i], arr[(i + 1) % m], arr[(i + 2) % m]
         cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
         if cross <= tol * scale * scale:
             raise InvalidNorm("polygon vertices must be strictly convex in CCW order")
-    # central symmetry: antipode of vertex i must be vertex i + m/2
-    anti = arr + np.roll(arr, m // 2, axis=0)
-    if np.abs(anti).max() > tol * max(scale, 1.0):
-        raise InvalidNorm("polygon is not centrally symmetric")
     # origin strictly interior <=> every edge line has positive offset
     if np.any(_edge_lines(arr)[1] <= tol * scale):
         raise InvalidNorm("origin is not strictly interior to the polygon")
@@ -152,7 +162,7 @@ def norm_many(spec: NormSpec, arr) -> np.ndarray:
         # not depend on the batch it is evaluated in
         out = None
         for fx, fy in spec._functionals:
-            v = x * fx + y * fy
+            v = np.abs(x * fx + y * fy)
             out = v if out is None else np.maximum(out, v)
         return out
     if spec.kind not in ("euclidean", "lp"):
@@ -165,12 +175,10 @@ def norm_many(spec: NormSpec, arr) -> np.ndarray:
     m = np.maximum(ax, ay)
     if p == INF:
         return m
-    # scale by the max coordinate so large p cannot overflow; on one vector
-    # ** is numpy's scalar pow, which can round the last bit unlike np.power,
-    # so this mix of the two keeps every result bit-identical
-    safe = np.where(m > 0.0, m, 1.0)
-    val = safe * (np.power(ax / safe, p) + np.power(ay / safe, p)) ** (1.0 / p)
-    return np.where(m > 0.0, val, 0.0)
+    # m (1 + (min/m)^p)^(1/p): scaled by the larger coordinate, whose own
+    # term is exactly 1, so large p cannot overflow; m = 0 gives +0.0
+    t = np.minimum(ax, ay) / np.where(m > 0.0, m, 1.0)
+    return m * np.power(1.0 + np.power(t, p), 1.0 / p)
 
 
 def evaluate_norm(spec: NormSpec, v) -> float:
@@ -203,6 +211,7 @@ def birkhoff_orthogonal(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> bool:
     bracketing interval |t| <= 4*||x||/||y|| (outside it the value already
     exceeds ||x||) is found by ternary search.
     """
+    check_tol(tol)
     xv, yv = _as_vec(x), _as_vec(y)
     nx = evaluate_norm(spec, xv)
     ny = evaluate_norm(spec, yv)
@@ -251,6 +260,7 @@ def bisector_point(
     which covers fat bisectors of non-strictly-convex norms), then bisects.
     Returns None when no crossing is found on the searched interval.
     """
+    check_tol(tol)
     pv, qv = _as_vec(p), _as_vec(q)
     if np.array_equal(pv, qv):
         raise DegenerateInput("bisector of identical points")
@@ -311,6 +321,7 @@ def sample_bisector(
     f(t) = ||r(t)-p|| - ||r(t)-q|| on the line with direction q - p, where f
     runs from negative (far p-side) to positive (far q-side).
     """
+    check_tol(tol)
     pv, qv = _as_vec(p), _as_vec(q)
     if np.array_equal(pv, qv):
         raise DegenerateInput("bisector of identical points")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from normplane import PointSet, build_fng, convex_hull, emit_svg, lp, mxst_mpsy, two_clustering
-from normplane.cli import RunConfig, load_points, main, run
+from normplane.cli import load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from test_fng import JITTERED_SQUARE
 
@@ -201,11 +201,9 @@ def test_emit_svg_structure(tmp_path):
 
 def test_run_config_dispatch(tmp_path, capsys):
     pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
-    cfg = RunConfig(command="mxst", norm="euclidean", points=pts)
-    assert run(cfg) == 0
+    assert main(["mxst", "--norm", "euclidean", "--points", pts]) == 0
     svg_path = tmp_path / "tri.svg"
-    cfg = RunConfig(command="mxst", norm="euclidean", points=pts, svg=str(svg_path))
-    assert run(cfg) == 0
+    assert main(["mxst", "--norm", "euclidean", "--points", pts, "--svg", str(svg_path)]) == 0
     assert svg_path.exists()
 
 

@@ -166,6 +166,35 @@ def test_point_in_triangle():
         point_in_triangle([0, 0], [0, 0], [1, 0], [2, 0])
 
 
+BAD_TOLS = [-1.0, np.nan, np.inf]
+TOL_MESSAGE = "^tol must be finite and non-negative, got "
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_orientation_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = nan used to call this collinear triple CW
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        orientation([0, 0], [1, 0], [2, 0], tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_segments_properly_intersect_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        segments_properly_intersect(([0, 0], [2, 0]), ([1, 0], [3, 0]), tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_is_convex_quadrilateral_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        is_convex_quadrilateral([0, 0], [1, 0], [2, 0], [0, 1], tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_point_in_triangle_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        point_in_triangle([1.5, 0], [0, 0], [3, 0], [0, 3], tol)
+
+
 def test_segment_max_inequality_all_norms(rng):
     # distance from any point to a segment point never beats both endpoints
     for spec in all_norms():

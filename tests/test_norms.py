@@ -14,7 +14,9 @@ from conftest import (
     strictly_convex_norms,
 )
 from normplane import (
+    DegenerateInput,
     InvalidNorm,
+    PointSet,
     ZeroVector,
     birkhoff_orthogonal,
     bisector_point,
@@ -26,6 +28,7 @@ from normplane import (
     linf,
     lp,
     norm_many,
+    pairwise_distances,
     parse_norm,
     polygonal,
     sample_bisector,
@@ -68,8 +71,15 @@ def test_strict_convexity_classification():
     assert not is_strictly_convex(polygonal(UNIT_SQUARE_BALL))
 
 
+# HEX_BALL with vertex 3 moved off the antipode of vertex 0 by (3e-10, -2e-10),
+# inside polygonal()'s symmetry tolerance
+NEAR_HEX_BALL = [
+    [1.0, 0.0], [0.5, 1.0], [-0.5, 1.0], [-1.0 + 3e-10, -2e-10], [-0.5, -1.0], [0.5, -1.0],
+]
+
+
 def test_norm_axioms_all_kinds(rng):
-    for spec in all_norms():
+    for spec in all_norms() + [polygonal(NEAR_HEX_BALL)]:
         v = rng.uniform(-10, 10, size=(500, 2))
         w = rng.uniform(-10, 10, size=(500, 2))
         lam = rng.uniform(-5, 5, size=500)
@@ -81,7 +91,7 @@ def test_norm_axioms_all_kinds(rng):
         # triangle inequality
         assert np.all(norm_many(spec, v + w) <= nv + nw + 1e-9)
         # symmetry and definiteness
-        assert np.allclose(norm_many(spec, -v), nv, rtol=1e-12)
+        assert np.array_equal(norm_many(spec, -v), nv)
         assert evaluate_norm(spec, [0.0, 0.0]) == 0.0
         assert np.all(nv[np.any(v != 0, axis=1)] > 0)
 
@@ -202,6 +212,39 @@ def test_strictly_convex_escape_inequality(rng):
                     assert distance(spec, z, q) < distance(spec, z, p) - 1e-9
 
 
+BAD_TOLS = [-1.0, math.nan, math.inf]
+TOL_MESSAGE = "^tol must be finite and non-negative, got "
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_polygonal_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = nan used to accept this asymmetric quadrilateral
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        polygonal([[1, 0], [0, 1], [-1, 0.5], [0, -1]], tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_bisector_point_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = nan used to return None
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        bisector_point(lp(2), [-1, 0], [1, 0], [0, -5], [0, 1], tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_sample_bisector_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = nan or -1 used to end in "no bisector crossing found" after a
+    # full bisection and a retry
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=2.0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_birkhoff_orthogonal_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = inf used to call [1, 0] orthogonal to itself
+    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
+        birkhoff_orthogonal(euclidean(), [1, 0], [1, 0], tol=tol)
+
+
 def test_parse_norm_grammar(tmp_path):
     assert parse_norm("euclidean").kind == "euclidean"
     assert parse_norm("l1").p == 1.0
@@ -263,6 +306,13 @@ def _bits(value):
     return type(value), a.dtype, a.shape, a.tobytes()
 
 
+def _assert_alone_equals_batch(spec, batch):
+    """Each vector alone gives, as an np.float64, the bits it gets in the batch."""
+    rows = np.asarray(batch, dtype=float).reshape(-1, 2)
+    for a, in_batch in zip(rows, norm_many(spec, rows)):
+        assert _bits(norm_many(spec, a)) == _bits(in_batch)
+
+
 def test_norm_many_matches_the_two_layout_reference_bit_for_bit(rng):
     for spec in _kernel_norms(rng):
         for scale in 10.0 ** np.arange(-300, 301, 25):
@@ -270,15 +320,15 @@ def test_norm_many_matches_the_two_layout_reference_bit_for_bit(rng):
             iu, ju = np.triu_indices(9, k=1)
             v = rng.standard_normal((3, 4, 2)) * scale
             for a in (
-                v[0, 0],  # (2,)
                 v[0],  # (m, 2)
                 v,  # (a, b, 2)
                 v.transpose(1, 0, 2),  # a strided view
                 _differences(pts, iu, ju),  # contiguous planes
                 _differences(pts, np.arange(9)[:, None], np.arange(9)[None, :]),
-                *v.reshape(-1, 2),  # single vectors, where numpy may use scalar math
             ):
                 assert _bits(norm_many(spec, a)) == _bits(_reference_norm_many(spec, a))
+            # single vectors, where numpy may use scalar math
+            _assert_alone_equals_batch(spec, v)
 
 
 def test_norm_many_matches_the_reference_on_zero_signed_zero_and_subnormal_components(rng):
@@ -290,10 +340,21 @@ def test_norm_many_matches_the_reference_on_zero_signed_zero_and_subnormal_compo
     grid = np.stack([x, y], axis=-1)
     for spec in _kernel_norms(rng):
         got = norm_many(spec, grid)
-        assert _bits(got) == _bits(_reference_norm_many(spec, grid))
-        for a in grid.reshape(-1, 2):
-            assert _bits(norm_many(spec, a)) == _bits(_reference_norm_many(spec, a))
+        # the reference's polygonal max can keep a -0.0; the kernel gives +0.0
+        assert _bits(got) == _bits(_reference_norm_many(spec, grid) + 0.0)
+        _assert_alone_equals_batch(spec, grid)
         assert np.all(got[np.abs(grid).max(axis=-1) == 0.0] == 0.0)
+
+
+def test_distance_equals_the_pairwise_table_on_every_pair(rng):
+    S = PointSet(rng.uniform(-10, 10, size=(60, 2)))
+    for spec in _kernel_norms(rng):
+        table = pairwise_distances(spec, S)
+        for i in range(S.n):
+            for j in range(S.n):
+                if i != j:
+                    d = distance(spec, S.points[i], S.points[j])
+                    assert d.hex() == table[i, j].hex(), (spec.label(), i, j)
 
 
 def test_polygonal_functionals_are_derived_once_per_norm(monkeypatch):
