@@ -32,22 +32,23 @@ S = PointSet(rng.uniform(-10, 10, size=(18, 2)))
 
 # Step 1-2: each point points at its furthest neighbor.
 g = build_fng(spec, S)
-print(f"furthest-neighbor out-map: {g.fn}")
-print(f"spines (mutual furthest pairs): {g.spines}")
+print(f"furthest-neighbor out-map: {g.fn.tolist()}")
+print(f"spines (mutual furthest pairs): {g.spines.tolist()}")
 print(f"components: {g.k}")
 
 # Step 3: spine endpoints in cyclic order around the hull; the first k
 # entries are one endpoint per spine, then their partners in the same order.
 hull = convex_hull(S.points)
 cycle = order_components(g, hull)
-print(f"hull boundary: {sorted(hull.boundary)}")
-print(f"cluster cycle: {cycle}")
+print(f"hull boundary: {hull.boundary.tolist()}")
+print(f"cluster cycle: {cycle.tolist()}")
 
 # Steps 4-5: connecting edges between adjacent components, one discarded.
 tree, report = mxst_mpsy(spec, S)
+fng_edges = g.undirected_edges()
 print(f"\ntree edges ({len(tree.edges)}):")
 for i, j, w in tree.edges:
-    tag = "fng" if (i, j) in g.undirected_edges() else "connector"
+    tag = "fng" if (i, j) in fng_edges else "connector"
     print(f"  {i:>2} -- {j:<2}  w={w:8.4f}  [{tag}]")
 print(f"total weight: {tree.total_weight:.4f}")
 if report.entries:

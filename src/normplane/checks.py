@@ -86,7 +86,7 @@ def _distances_distinct(st: _Stages) -> tuple[bool, str]:
 def _increasing_chains(st: _Stages) -> tuple[bool, str]:
     # every edge i -> fn[i] off a spine is strictly shorter than the next
     # edge fn[i] -> fn[fn[i]]; a cycle longer than a spine cannot satisfy it
-    fn = np.asarray(st.g.fn)
+    fn = st.g.fn
     w = distances_between(st.spec, st.S, np.arange(len(fn)), fn)
     bad = np.flatnonzero((fn[fn] != np.arange(len(fn))) & ~(w < w[fn]))
     if not bad.size:
@@ -96,12 +96,12 @@ def _increasing_chains(st: _Stages) -> tuple[bool, str]:
 
 
 def _nonleaves_on_boundary(st: _Stages) -> tuple[bool, str]:
-    internal = sorted(set(st.g.fn) - st.hull.boundary)
+    internal = np.unique(st.g.fn[st.hull.position[st.g.fn] < 0]).tolist()
     return not internal, "" if not internal else f"non-leaf vertices {internal} are interior"
 
 
 def _spines_on_boundary(st: _Stages) -> tuple[bool, str]:
-    missing = [x for s in st.g.spines for x in s if x not in st.hull.boundary]
+    missing = [x for x in st.g.spines.ravel().tolist() if st.hull.position[x] < 0]
     return not missing, "" if not missing else f"spine endpoints {missing} are interior"
 
 
@@ -109,17 +109,16 @@ def _spines_intersect(st: _Stages) -> tuple[bool, str]:
     spines, pts = st.g.spines, st.S.points
     for a in range(len(spines)):
         for b in range(a + 1, len(spines)):
-            s1 = (pts[spines[a][0]], pts[spines[a][1]])
-            s2 = (pts[spines[b][0]], pts[spines[b][1]])
-            if not segments_properly_intersect(s1, s2, st.tol):
-                return False, f"spines {spines[a]} and {spines[b]} do not cross"
+            if not segments_properly_intersect(pts[spines[a]], pts[spines[b]], st.tol):
+                s1, s2 = tuple(spines[a].tolist()), tuple(spines[b].tolist())
+                return False, f"spines {s1} and {s2} do not cross"
     return True, ""
 
 
 def _cluster_contiguity(st: _Stages) -> tuple[bool, str]:
-    labels = [st.g.cluster_of[i] for i in st.hull.traversal()]
-    distinct = len(set(labels))
-    runs = sum(1 for t in range(len(labels)) if labels[t] != labels[t - 1])
+    labels = st.g.cluster_of[st.hull.traversal()]
+    distinct = np.unique(labels).size
+    runs = np.count_nonzero(labels != np.roll(labels, 1))
     if distinct == 1 or runs == distinct:
         return True, ""
     return False, f"{runs} runs for {distinct} clusters on the hull"
@@ -141,7 +140,7 @@ def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
     if k < 3:
         return True, "vacuous: k < 3"
     members = g.cluster_members()
-    comp_members = [members[cycle[a]] + members[cycle[a + k]] for a in range(k)]
+    comp_members = [np.concatenate([members[cycle[a]], members[cycle[a + k]]]) for a in range(k)]
     for a in range(k):
         for off_b in range(1, k - 1):
             for off_c in range(off_b + 1, k):
@@ -150,7 +149,8 @@ def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
                 six = sorted((a, b, c, a + k, b + k, c + k))
                 six_pos = {cycle[t]: r for r, t in enumerate(six)}
                 rows = comp_members[a]
-                best = _max_pair(st.spec, st.S, rows, comp_members[b] + comp_members[c])
+                cols = np.concatenate([comp_members[b], comp_members[c]])
+                best = _max_pair(st.spec, st.S, rows, cols)
                 u, v = (best.i, best.j) if best.i in rows else (best.j, best.i)
                 du = six_pos[g.cluster_of[u]]
                 dv = six_pos[g.cluster_of[v]]
@@ -173,8 +173,8 @@ def _contains_fng(st: _Stages) -> tuple[bool, str]:
 
 
 def _edges_touch_boundary(st: _Stages) -> tuple[bool, str]:
-    boundary = st.hull.boundary
-    bad = [(i, j) for i, j, _ in st.tree.edges if i not in boundary and j not in boundary]
+    position = st.hull.position
+    bad = [(i, j) for i, j, _ in st.tree.edges if position[i] < 0 and position[j] < 0]
     return not bad, "" if not bad else f"edges {bad} have both endpoints interior"
 
 
@@ -183,12 +183,12 @@ def _extra_edges_adjacent(st: _Stages) -> tuple[bool, str]:
     k = g.k
     if k == 1:
         return True, "vacuous: single component"
-    comp_pos = {g.component_of[rep]: t for t, rep in enumerate(st.cycle[:k])}
+    comp_pos = np.argsort(g.component_of[st.cycle[:k]])  # component -> cyclic position
     fng_edges = g.undirected_edges()
     for i, j, _ in st.tree.edges:
         if (i, j) in fng_edges:
             continue
-        d = (comp_pos[g.component_of[i]] - comp_pos[g.component_of[j]]) % k
+        d = int(comp_pos[g.component_of[i]] - comp_pos[g.component_of[j]]) % k
         if d not in (1, k - 1):
             return False, f"edge {(i, j)} joins non-adjacent components (cyclic offset {d})"
     return True, ""

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import checks, svg
 from .clustering import two_clustering
-from .errors import IoError, NormPlaneError, ParseError, TiesPresent
+from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, build_fng, order_components
-from .geometry import convex_hull
+from .geometry import check_tol, convex_hull
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
 from .norms import NormSpec, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import perturb_distinct
@@ -100,10 +100,6 @@ def _emit(payload: dict, out: str | None) -> None:
             raise IoError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _edge_list(tree) -> list[list]:
-    return [[i, j, w] for i, j, w in tree.edges]
-
-
 def _report_json(report) -> dict | None:
     if report is None:
         return None
@@ -145,7 +141,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     payload = {
         "norm": spec.label(),
         "n": S.n,
-        "edges": _edge_list(tree),
+        "edges": [list(e) for e in tree.edges],
         "total_weight": tree.total_weight,
         "components": k if mode != "oracle-fallback" else None,
         "report": {
@@ -168,11 +164,11 @@ def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     payload = {
         "norm": spec.label(),
         "n": S.n,
-        "fn": list(g.fn),
-        "spines": [list(s) for s in g.spines],
+        "fn": g.fn.tolist(),
+        "spines": g.spines.tolist(),
         "components": g.k,
-        "clusters": {str(rep): sorted(members) for rep, members in g.cluster_members().items()},
-        "cycle": list(cycle),
+        "clusters": {str(rep): members.tolist() for rep, members in g.cluster_members().items()},
+        "cycle": cycle.tolist(),
     }
     _emit(payload, args.out)
     if args.svg:
@@ -320,8 +316,10 @@ def main(argv=None) -> int:
     """Execute one command; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise ParseError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        try:
+            check_tol(args.tol)
+        except DegenerateInput as exc:
+            raise ParseError(f"--{exc}") from exc
         spec = parse_norm(args.norm)
         handler, _, _ = _COMMANDS[args.command]
         return handler(args, spec, load_points(args.points))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPresent
-from .geometry import DEFAULT_TOL, HullIndex, check_points, check_tol
+from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, check_points, check_tol
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the streamed pass, and values per
@@ -128,33 +128,38 @@ def _gaps(sv: np.ndarray):
         yield sv[s + 1 : e + 1] - sv[s:e]
 
 
-@dataclass
-class FNGraph:
+@dataclass(frozen=True, eq=False)
+class FNGraph(_IndexArrays):
     """Furthest-neighbor out-map plus its component/cluster decomposition.
 
+    Read-only np.intp arrays: ``fn``, ``component_of`` and ``cluster_of`` (n,),
+    ``spines`` (k, 2), row c the 2-cycle x < fn[x] of component c.
     ``cluster_of[i]`` is the spine endpoint whose cluster contains i, reached
     from i by an even-length path: the fixpoint of fn o fn that i leads to,
     found in at most ``n.bit_length()`` rounds of pointer doubling.
     """
 
-    fn: tuple[int, ...]
-    spines: tuple[tuple[int, int], ...]
-    component_of: tuple[int, ...]
-    cluster_of: tuple[int, ...]
+    fn: np.ndarray
+    spines: np.ndarray
+    component_of: np.ndarray
+    cluster_of: np.ndarray
 
     @property
     def k(self) -> int:
         return len(self.spines)
 
-    def cluster_members(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, rep in enumerate(self.cluster_of):
-            out.setdefault(rep, []).append(i)
-        return out
+    def cluster_members(self) -> dict[int, np.ndarray]:
+        """Each cluster's points in index order, keyed by its representative;
+        keys in order of their clusters' smallest points."""
+        by_cluster = np.argsort(self.cluster_of, kind="stable")
+        reps, starts = np.unique(self.cluster_of[by_cluster], return_index=True)
+        groups = np.split(by_cluster, starts[1:])
+        return {int(reps[t]): groups[t] for t in np.argsort(by_cluster[starts]).tolist()}
 
     def undirected_edges(self) -> set[tuple[int, int]]:
         """FNG edges as undirected pairs; each spine collapses to one edge."""
-        return {(min(i, f), max(i, f)) for i, f in enumerate(self.fn)}
+        pairs = np.sort(np.stack([np.arange(self.fn.size), self.fn], axis=1), axis=1)
+        return set(map(tuple, pairs.tolist()))
 
 
 def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
@@ -258,12 +263,8 @@ def _decompose(fn) -> FNGraph:
     component_of = spine_of[rep]
     if np.any(component_of < 0):
         raise StructureViolation("a point reaches no 2-cycle of the furthest-neighbor map")
-    return FNGraph(
-        fn=tuple(fn.tolist()),
-        spines=tuple(zip(x.tolist(), fn[x].tolist())),
-        component_of=tuple(component_of.tolist()),
-        cluster_of=tuple(rep.tolist()),
-    )
+    return FNGraph(fn=fn, spines=np.stack([x, fn[x]], axis=1),
+                   component_of=component_of, cluster_of=rep)
 
 
 def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
@@ -274,24 +275,21 @@ def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
     return norm_many(spec, _differences(S.points, rows, cols))
 
 
-def order_components(g: FNGraph, hull: HullIndex) -> tuple[int, ...]:
+def order_components(g: FNGraph, hull: HullIndex) -> np.ndarray:
     """Cluster representatives in cyclic order around the hull boundary.
 
     The 2k spine endpoints, sorted by hull rank, must read as
-    x_1, ..., x_k, x'_1, ..., x'_k with each (x_i, x'_i) a spine; any other
-    pattern signals numerical trouble or an undetected tie.  ``g`` is left
-    unchanged.
+    x_1, ..., x_k, x'_1, ..., x'_k with each (x_i, x'_i) a spine, that is
+    fn[x_i] = x'_i; any other pattern signals numerical trouble or an
+    undetected tie.  Returns the 2k endpoints as an intp array.
     """
-    reps = [x for s in g.spines for x in s]
-    missing = [r for r in reps if r not in hull.boundary]
-    if missing:
-        raise StructureViolation(f"spine endpoints {missing} not on hull boundary")
-    seq = sorted(reps, key=lambda r: hull.position[r])
-    k = len(g.spines)
-    spine_set = {frozenset(s) for s in g.spines}
-    for t in range(k):
-        if frozenset((seq[t], seq[t + k])) not in spine_set:
-            raise StructureViolation(
-                "spine endpoints do not alternate as x_1..x_k x'_1..x'_k around the hull"
-            )
-    return tuple(seq)
+    reps = g.spines.ravel()
+    missing = reps[hull.position[reps] < 0]
+    if missing.size:
+        raise StructureViolation(f"spine endpoints {missing.tolist()} not on hull boundary")
+    seq = reps[np.argsort(hull.position[reps])]
+    if np.any(g.fn[seq[: g.k]] != seq[g.k :]):
+        raise StructureViolation(
+            "spine endpoints do not alternate as x_1..x_k x'_1..x'_k around the hull"
+        )
+    return seq

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,23 +34,33 @@ def orientation(a, b, c, tol: float = DEFAULT_TOL) -> int:
     return CCW if cross > 0.0 else CW
 
 
-@dataclass(frozen=True)
-class HullIndex:
+class _IndexArrays:
+    """Dataclass base storing each field as a read-only np.intp copy."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            a = np.array(getattr(self, f.name), dtype=np.intp)
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
+
+
+@dataclass(frozen=True, eq=False)
+class HullIndex(_IndexArrays):
     """Convex hull with collinear boundary points kept as first-class data.
 
-    ``vertices`` lists the extreme points in CCW order; ``boundary`` also
-    contains points lying on hull edges; ``position`` ranks every boundary
-    point along the CCW traversal (degenerate all-collinear input yields a
-    two-extreme "hull" whose boundary is every point, ranked by the forward
-    pass along the segment).
+    Read-only np.intp arrays: ``vertices`` (h,), the extreme points in CCW
+    order; ``boundary`` (b,), every point on the hull, sorted; ``position``
+    (n,), each point's rank along the CCW tour, -1 off the boundary
+    (degenerate all-collinear input yields a two-extreme "hull" whose
+    boundary is every point, ranked by the forward pass along the segment).
     """
 
-    vertices: tuple[int, ...]
-    boundary: frozenset[int]
-    position: dict[int, int]
+    vertices: np.ndarray
+    boundary: np.ndarray
+    position: np.ndarray
 
-    def traversal(self) -> list[int]:
-        return sorted(self.position, key=self.position.get)
+    def traversal(self) -> np.ndarray:
+        return self.boundary[np.argsort(self.position[self.boundary])]
 
 
 def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
@@ -61,7 +71,7 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     check_points(pts)
     check_tol(tol)
     if len(pts) == 1:
-        return HullIndex(vertices=(0,), boundary=frozenset({0}), position={0: 0})
+        return HullIndex(vertices=[0], boundary=[0], position=[0])
 
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
@@ -91,8 +101,9 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     verts = lower[:-1] + upper[:-1]
 
     traversal = _boundary_traversal(pts, verts, order, tol)
-    position = {idx: rank for rank, idx in enumerate(traversal)}
-    return HullIndex(vertices=tuple(verts), boundary=frozenset(traversal), position=position)
+    position = np.full(len(pts), -1, dtype=np.intp)
+    position[traversal] = np.arange(traversal.size)
+    return HullIndex(vertices=verts, boundary=np.sort(traversal), position=position)
 
 
 def check_points(pts: np.ndarray) -> None:
@@ -127,7 +138,7 @@ _BAND_MARGIN = 1e-14
 
 
 def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
-                        tol: float) -> list[int]:
+                        tol: float) -> np.ndarray:
     """CCW tour of all boundary points; each appears once (first occurrence).
 
     p is on edge ab when its parameter t is in [-tol, 1 + tol] and orientation()
@@ -180,7 +191,7 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     # a two-vertex (degenerate) hull walks the segment forward then back;
     # first occurrences reduce that to the forward pass
     _, first = np.unique(i, return_index=True)
-    return i[np.sort(first)].tolist()
+    return i[np.sort(first)]
 
 
 def segments_properly_intersect(s1, s2, tol: float = DEFAULT_TOL) -> bool:

@@ -17,6 +17,7 @@ directly.  `mxst_bruteforce` is the independent descending-greedy oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,26 +99,23 @@ def connect_components(
     cycle = order_components(g, hull)
     k = g.k
 
-    edge_set = g.undirected_edges()
+    # the FNG edges sorted(i, fn[i]), each spine once, at its smaller endpoint
+    idx = np.arange(n)
+    pairs = np.sort(np.stack([idx, g.fn], axis=1)[(g.fn[g.fn] != idx) | (idx < g.fn)], axis=1)
     entries: list[StepFourEntry] = []
     discarded: int | None = None
 
     if k > 1:
         members = g.cluster_members()
-        boundary_members = {
-            rep: [i for i in pts if i in hull.boundary] for rep, pts in members.items()
-        }
-        x = cycle[:k]
-        xp = cycle[k:]
+        x = cycle[:k].tolist()
+        xp = cycle[k:].tolist()
 
-        blocks: dict[tuple[int, int], CandidateEdge] = {}
-
+        @functools.cache
         def block_max(ca: int, cb: int) -> CandidateEdge:
             # at k = 2 the two cyclically adjacent pairs are one pair, so
             # each ordered block is evaluated once and shared
-            if (ca, cb) not in blocks:
-                blocks[ca, cb] = _max_pair(spec, S, members[ca], boundary_members[cb])
-            return blocks[ca, cb]
+            cols = members[cb][hull.position[members[cb]] >= 0]
+            return _max_pair(spec, S, members[ca], cols)
 
         def pairing_max(ca: int, cb: int) -> CandidateEdge:
             # max over the pairing with either endpoint taking the
@@ -144,32 +142,31 @@ def connect_components(
             selected = max(cands, key=lambda c: c.weight)
             entries.append(
                 StepFourEntry(
-                    components=(g.component_of[x[prev]], g.component_of[x[i]]),
+                    components=(int(g.component_of[x[prev]]), int(g.component_of[x[i]])),
                     candidates=cands,
                     selected=selected,
                 )
             )
         discarded = int(np.argmin([e.selected.weight for e in entries]))
-        for idx, entry in enumerate(entries):
-            if idx != discarded:
-                edge_set.add((entry.selected.i, entry.selected.j))
+        kept = [(e.selected.i, e.selected.j) for t, e in enumerate(entries) if t != discarded]
+        pairs = np.concatenate([pairs, np.array(kept, dtype=np.intp)])
 
-    pairs = sorted(edge_set)
-    weights = distances_between(spec, S, [i for i, _ in pairs], [j for _, j in pairs])
-    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    weights = distances_between(spec, S, pairs[:, 0], pairs[:, 1])
+    edges = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), weights.tolist()))
     tree = SpanningTree(edges=edges, total_weight=float(sum(w for _, _, w in edges)))
     if not validate_tree(tree, n):
         raise StructureViolation("connecting edges did not produce a spanning tree")
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
-def _max_pair(spec: NormSpec, S: PointSet, rows: list[int], cols: list[int]) -> CandidateEdge:
-    """The first maximum of the rows x cols distance block."""
-    sub = distances_between(spec, S, np.asarray(rows)[:, None], np.asarray(cols)[None, :])
-    flat = int(np.argmax(sub))
-    u = rows[flat // len(cols)]
-    v = cols[flat % len(cols)]
-    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub.flat[flat]))
+def _max_pair(spec: NormSpec, S: PointSet, rows: np.ndarray, cols: np.ndarray) -> CandidateEdge:
+    """The first maximum of the rows x cols distance block (index arrays)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    sub = distances_between(spec, S, rows[:, None], cols[None, :])
+    r, c = divmod(int(np.argmax(sub)), len(cols))
+    u, v = int(rows[r]), int(cols[c])
+    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub[r, c]))
 
 
 def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:

@@ -141,13 +141,13 @@ class _Perturber:
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
-        active = list(range(self.n))
-        while self.ties.size and active:
-            tour = [active[i] for i in convex_hull(self.pts[active], self.tol).traversal()]
+        active = np.arange(self.n)
+        while self.ties.size and active.size:
+            hull = convex_hull(self.pts[active], self.tol)
+            tour = active[hull.traversal()].tolist()
             self._directional_sweeps(tour)
             self._residual_breakers(tour)
-            retired = set(tour)
-            active = [i for i in active if i not in retired]
+            active = active[hull.position < 0]
         if self.ties.size:
             raise BudgetExceeded("ties remain after every hull layer was processed")
 

@@ -66,11 +66,8 @@ def emit_svg(S, hull, fng, tree, bipartition=None, path=None) -> str:
             )
 
     if fng is not None:
-        spine_pairs = {frozenset(s) for s in fng.spines}
-        for i, f in enumerate(fng.fn):
-            if frozenset((i, f)) in spine_pairs:
-                continue
-            (x1, y1), (x2, y2) = cv.xy(pts[i]), cv.xy(pts[f])
+        for i in np.flatnonzero(fng.fn[fng.fn] != np.arange(len(pts))):
+            (x1, y1), (x2, y2) = cv.xy(pts[i]), cv.xy(pts[fng.fn[i]])
             out.append(
                 f'<line class="fng-arrow" x1="{x1:.2f}" y1="{y1:.2f}" '
                 f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#888888" '
@@ -87,12 +84,11 @@ def emit_svg(S, hull, fng, tree, bipartition=None, path=None) -> str:
     if bipartition is not None and bipartition.witness_line is not None:
         out.append(_stab_line_element(bipartition.witness_line, pts, cv))
 
-    cluster_color = {}
-    if fng is not None:
-        for t, rep in enumerate(sorted({c for c in fng.cluster_of})):
-            cluster_color[rep] = _PALETTE[t % len(_PALETTE)]
+    # clusters take palette colours in order of their representatives
+    reps = np.zeros(len(pts), dtype=np.intp) if fng is None else fng.cluster_of
+    slot = np.unique(reps, return_inverse=True)[1] % len(_PALETTE)
     for i, p in enumerate(pts):
-        color = cluster_color.get(fng.cluster_of[i], "#1f77b4") if fng is not None else "#1f77b4"
+        color = _PALETTE[slot[i]]
         x, y = cv.xy(p)
         out.append(
             f'<circle class="point" cx="{x:.2f}" cy="{y:.2f}" r="4" '

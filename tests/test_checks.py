@@ -1,7 +1,5 @@
 """The invariant suite: its check names, their order, and how each stage answers."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,10 +11,8 @@ from normplane import (
     StructureViolation,
     SpanningTree,
     build_fng,
-    convex_hull,
     detect_ties,
     lp,
-    order_components,
     pairwise_distances,
     run_checks,
 )
@@ -213,11 +209,3 @@ def test_edge_counts_names_both_counts(monkeypatch):
     assert _answer_with_tree(monkeypatch, FOUR_SPINES, drop_last_extra, "mxst-edge-counts") == (
         False, "|FNG| = 4 (want 4), |extra| = 2 (want 3)"
     )
-
-
-def test_order_components_leaves_the_graph_unchanged():
-    S = PointSet(THREE_SPINES)
-    g = build_fng(lp(2), S)
-    before = dataclasses.astuple(g)
-    order_components(g, convex_hull(S.points))
-    assert dataclasses.astuple(g) == before

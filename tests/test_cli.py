@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -167,6 +168,8 @@ def test_cli_rejects_negative_or_non_finite_tol(tmp_path, capsys):
             error = json.loads(captured.err)
             assert error["error"] == "ParseError"
             assert "--tol" in error["message"]
+            message = f"--tol must be finite and non-negative, got {float(tol)!r}"
+            assert error["message"] == message
         assert main([command, "--points", pts, "--tol", "0"]) == 0
         capsys.readouterr()
 
@@ -388,3 +391,75 @@ def test_cli_third_csv_value_exits_1_and_trailing_empty_cells_load(tmp_path, cap
     assert np.array_equal(load_points(trailing).points, TRI_345)
     assert main(["mxst", "--norm", "lp:2", "--points", trailing]) == 0
     assert json.loads(capsys.readouterr().out)["total_weight"] == pytest.approx(9.0)
+
+
+def _golden_inputs():
+    """A uniform set with k = 2 components under lp:1.5, and a 60-point
+    ellipse in shuffled index order."""
+    angles = np.random.default_rng(60).uniform(0, 2 * np.pi, size=60)
+    return {
+        "uniform": np.random.default_rng(0).uniform(-10, 10, size=(40, 2)),
+        "ellipse": np.stack([2 * np.cos(angles), np.sin(angles)], axis=1),
+    }
+
+
+# sha256 of each output under lp:1.5 at tol 0, recorded at c3b99f2
+GOLDEN = {
+    ("uniform", "mxst", "stdout"):
+        "2a1701e2a61432cb8430b519b9e33afa9d973ca556bd8f5317ce677f42c0b934",
+    ("uniform", "mxst", "svg"):
+        "a9f858edf384b72c9b601017c4c765ed2d13453449578a4823e8860a114b3693",
+    ("uniform", "fng", "stdout"):
+        "cb754657c822c4d03d8d56ad488abd66d0dc6958a73801056c83cfead4055c85",
+    ("uniform", "fng", "svg"):
+        "5e5c9aefe54ce6669c29a888520f4fccb3530708280cefd3e4075ed97403dd0d",
+    ("uniform", "cluster2", "stdout"):
+        "d1ebfe59bdc8b29a60c7d605db98796456d613fd615a552f4d8133f693af22c1",
+    ("uniform", "cluster2", "svg"):
+        "14705de298c27330dcf5c0a5548c3594d3e1449c1856361ccaad7e6f5dbbdf9d",
+    ("uniform", "check", "stdout"):
+        "11ecf47c0b31946a0d6f7c11c3d69759763804064ecd9cc4dfeb9a39d0038efa",
+    ("uniform", "check", "svg"):
+        "a9f858edf384b72c9b601017c4c765ed2d13453449578a4823e8860a114b3693",
+    ("uniform", "check", "out"):
+        "0feb2f80ca063a0c027c18c6bb6b4163f11dc6bb878ea5dbbefb369b91b7074d",
+    ("ellipse", "mxst", "stdout"):
+        "b922d4511453deb68c834f5a8ae474a2635ceba903211e1a0e12c39e6bbb7945",
+    ("ellipse", "mxst", "svg"):
+        "ef942fbdb6c638d475b1e24ca570d2ef406a4f212c24d3a68c1fcd56b5d0a39d",
+    ("ellipse", "fng", "stdout"):
+        "bdcd26375e0ea328c3c327417b902a785971119f07a74b3a3a4afacbca52aef1",
+    ("ellipse", "fng", "svg"):
+        "af361d850ef457c982db243e67a00db6650034a7451e6d67999a7da801a90acf",
+    ("ellipse", "cluster2", "stdout"):
+        "24c31509bde0484ddf1c85bf10e061d0e4f4c6e399ba711f2a00131e12f1a219",
+    ("ellipse", "cluster2", "svg"):
+        "d4112f20a72c297fd517060c663b4ba9aa4d1981fbc8e7ec1e2dad465f817125",
+    ("ellipse", "check", "stdout"):
+        "11ecf47c0b31946a0d6f7c11c3d69759763804064ecd9cc4dfeb9a39d0038efa",
+    ("ellipse", "check", "svg"):
+        "ef942fbdb6c638d475b1e24ca570d2ef406a4f212c24d3a68c1fcd56b5d0a39d",
+    ("ellipse", "check", "out"):
+        "4986f56c6058fc118b0a168a6bce5bee234779801eb517cfe6d1c470fb5689fc",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, capsys):
+    # byte identity of stdout, the check JSON and every SVG: a numpy scalar
+    # reaching json.dumps raises TypeError, and a changed repr shows here
+    digests = {}
+    for name, pts in _golden_inputs().items():
+        path = _write(tmp_path, f"{name}.json", json.dumps(pts.tolist()))
+        for command in ("mxst", "fng", "cluster2", "check"):
+            svg_path, out = tmp_path / f"{name}-{command}.svg", tmp_path / f"{name}.out"
+            argv = [command, "--norm", "lp:1.5", "--points", path, "--tol", "0",
+                    "--svg", str(svg_path)]
+            if command == "check":
+                argv += ["--out", str(out)]
+            assert main(argv) == 0
+            outputs = {"stdout": capsys.readouterr().out.encode(), "svg": svg_path.read_bytes()}
+            if command == "check":
+                outputs["out"] = out.read_bytes()
+            for kind, data in outputs.items():
+                digests[name, command, kind] = hashlib.sha256(data).hexdigest()
+    assert digests == GOLDEN

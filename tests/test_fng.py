@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -83,7 +84,7 @@ def test_build_fng_three_points():
     a, b, c = [0.0, 0.0], [1.0, 0.0], [-1.5, 0.0]
     S = PointSet(np.array([a, b, c]))
     g = build_fng(lp(2), S)
-    assert g.spines == ((1, 2),)
+    assert g.spines.tolist() == [[1, 2]]
     assert g.cluster_of[0] == 1
     assert g.cluster_of[1] == 1 and g.cluster_of[2] == 2
 
@@ -96,7 +97,7 @@ def test_build_fng_jittered_square():
         assert int(np.argmax(table[i] - np.eye(4)[i])) == (i + 2) % 4
     g = build_fng(lp(2), S)
     assert g.k == 2
-    assert set(g.spines) == {(0, 2), (1, 3)}
+    assert set(map(tuple, g.spines.tolist())) == {(0, 2), (1, 3)}
 
 
 def test_build_fng_rejects_ties():
@@ -109,7 +110,7 @@ def test_build_fng_collinear_single_component():
     S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.3, 0.0], [4.1, 0.0], [7.6, 0.0]]))
     g = build_fng(lp(2), S)
     assert g.k == 1
-    assert g.spines == ((0, 4),)
+    assert g.spines.tolist() == [[0, 4]]
     assert len(set(g.component_of)) == 1
 
 
@@ -136,10 +137,40 @@ def test_order_components_rejects_scrambled_structure():
     S = PointSet(JITTERED_SQUARE)
     g = build_fng(lp(2), S)
     hull = convex_hull(S.points)
-    g2 = build_fng(lp(2), S)
-    g2.spines = ((0, 1), (2, 3))  # not real spines: pattern must fail
+    # not real spines (the square's sides): pattern must fail; the
+    # alternation is read from fn, so the map is doctored with them
+    g2 = dataclasses.replace(g, fn=[1, 0, 3, 2], spines=[[0, 1], [2, 3]])
     with pytest.raises(StructureViolation):
         order_components(g2, hull)
+
+
+def test_fng_and_hull_fields_are_read_only_intp_arrays(rng):
+    S = tie_free_points(rng, 30, lp(2))
+    g = build_fng(lp(2), S)
+    hull = convex_hull(S.points)
+    n, k, b = S.n, g.k, len(hull.boundary)
+    assert 0 < b < n
+    shapes = {
+        "fn": (g.fn, (n,)),
+        "component_of": (g.component_of, (n,)),
+        "cluster_of": (g.cluster_of, (n,)),
+        "spines": (g.spines, (k, 2)),
+        "vertices": (hull.vertices, (len(hull.vertices),)),
+        "boundary": (hull.boundary, (b,)),
+        "position": (hull.position, (n,)),
+    }
+    for name, (a, shape) in shapes.items():
+        assert a.dtype == np.intp and a.shape == shape, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    assert np.all(np.diff(hull.boundary) > 0)
+    assert sorted(hull.position[hull.boundary].tolist()) == list(range(b))
+    assert np.count_nonzero(hull.position < 0) == n - b
+    assert np.array_equal(hull.traversal()[hull.position[hull.boundary]], hull.boundary)
+    # order_components reads the graph whole and leaves it unchanged
+    before = [a.copy() for a, _ in shapes.values()]
+    order_components(g, hull)
+    assert all(np.array_equal(a, old) for (a, _), old in zip(shapes.values(), before))
 
 
 def _increasing_chain_holds(g, table):
@@ -171,7 +202,7 @@ def test_fng_structural_invariants_random(rng):
             assert _increasing_chain_holds(g, table)
 
             # non-leaves (anything with in-degree) lie on the hull boundary
-            assert set(g.fn) <= hull.boundary
+            assert set(g.fn.tolist()) <= set(hull.boundary.tolist())
 
             # spine endpoints on the boundary; spines pairwise cross
             for x, xp in g.spines:
@@ -220,7 +251,7 @@ def test_noncontiguous_maximum_with_three_components(rng):
         k = g.k
         x, xp = cycle[:k], cycle[k:]
         members = g.cluster_members()
-        comp_members = {ci: members[x[ci]] + members[xp[ci]] for ci in range(k)}
+        comp_members = {ci: members[x[ci]].tolist() + members[xp[ci]].tolist() for ci in range(k)}
         # the realizing pair joins non-contiguous clusters: distance exactly
         # two in the triple's six-cluster cycle (partners sit three apart)
         comp_of_rep = {rep: g.component_of[rep] for rep in cycle}
@@ -291,7 +322,7 @@ def test_triangle_pass_bit_identical_to_table(rng):
             table = pairwise_distances(spec, PointSet(pts))
             fn, vals = _triangle_pass(spec, pts)
             assert np.array_equal(vals, table[np.triu_indices(n, k=1)]), spec.label()
-            assert tuple(fn.tolist()) == fng_from_table(table).fn
+            assert np.array_equal(fn, fng_from_table(table).fn)
 
 
 def test_build_fng_tie_count_matches_detect_ties(rng):
@@ -366,11 +397,16 @@ def _decompose_by_walk(fn) -> FNGraph:
     )
 
 
+def _as_lists(g):
+    """The graph's fields as lists, in declaration order."""
+    return [getattr(g, f.name).tolist() for f in dataclasses.fields(g)]
+
+
 def _assert_decomposes_as_the_walk(fn):
     g = _decompose(fn)
-    assert g == _decompose_by_walk(fn)
-    flat = g.fn + g.component_of + g.cluster_of + tuple(x for s in g.spines for x in s)
-    assert all(type(v) is int for v in flat)
+    assert _as_lists(g) == _as_lists(_decompose_by_walk(fn))
+    flat = (g.fn, g.component_of, g.cluster_of, g.spines)
+    assert all(a.dtype == np.intp for a in flat)
     return g
 
 
@@ -412,8 +448,8 @@ def test_decompose_matches_the_walk_on_synthetic_maps(rng):
     chain = np.arange(1, depth + 3)  # 0 -> 1 -> ... -> depth, into the spine
     chain[-1] = depth
     g = _assert_decomposes_as_the_walk(chain)
-    assert g.spines == ((depth, depth + 1),)
-    assert g.cluster_of[:2] == (depth, depth + 1)
+    assert g.spines.tolist() == [[depth, depth + 1]]
+    assert g.cluster_of[:2].tolist() == [depth, depth + 1]
     for m, n in ((1, 2), (5, 40), (60, 1000), (500, 1000)):
         # m spines (2i, 2i + 1); every later point joins an earlier one
         fn = np.arange(n) ^ 1
