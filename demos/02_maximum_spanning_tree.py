@@ -47,7 +47,7 @@ print(f"cluster cycle: {cycle.tolist()}")
 tree, report = mxst_mpsy(spec, S)
 fng_edges = g.undirected_edges()
 print(f"\ntree edges ({len(tree.edges)}):")
-for i, j, w in tree.edges:
+for (i, j), w in zip(tree.edges.tolist(), tree.weights.tolist()):
     tag = "fng" if (i, j) in fng_edges else "connector"
     print(f"  {i:>2} -- {j:<2}  w={w:8.4f}  [{tag}]")
 print(f"total weight: {tree.total_weight:.4f}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NormPlaneError, TiesPresent
 from .fng import DEFAULT_TOL, PointSet, build_fng, distances_between, order_components
-from .geometry import convex_hull, segments_properly_intersect
+from .geometry import check_tol, convex_hull, segments_properly_intersect
 from .mxst import _max_pair, connect_components, mxst_bruteforce
 from .norms import NormSpec
 
@@ -66,6 +66,7 @@ class _Stages:
 
 def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Run the full invariant suite; one result per invariant, in registry order."""
+    check_tol(tol)
     if S.n < 3:
         return [
             CheckResult(name, True, "trivial for n < 3" if stage else "")
@@ -173,8 +174,8 @@ def _contains_fng(st: _Stages) -> tuple[bool, str]:
 
 
 def _edges_touch_boundary(st: _Stages) -> tuple[bool, str]:
-    position = st.hull.position
-    bad = [(i, j) for i, j, _ in st.tree.edges if position[i] < 0 and position[j] < 0]
+    edges = st.tree.edges
+    bad = list(map(tuple, edges[np.all(st.hull.position[edges] < 0, axis=1)].tolist()))
     return not bad, "" if not bad else f"edges {bad} have both endpoints interior"
 
 
@@ -184,14 +185,15 @@ def _extra_edges_adjacent(st: _Stages) -> tuple[bool, str]:
     if k == 1:
         return True, "vacuous: single component"
     comp_pos = np.argsort(g.component_of[st.cycle[:k]])  # component -> cyclic position
-    fng_edges = g.undirected_edges()
-    for i, j, _ in st.tree.edges:
-        if (i, j) in fng_edges:
-            continue
-        d = int(comp_pos[g.component_of[i]] - comp_pos[g.component_of[j]]) % k
-        if d not in (1, k - 1):
-            return False, f"edge {(i, j)} joins non-adjacent components (cyclic offset {d})"
-    return True, ""
+    i, j = st.tree.edges.T
+    fng = (g.fn[i] == j) | (g.fn[j] == i)
+    d = (comp_pos[g.component_of[i]] - comp_pos[g.component_of[j]]) % k
+    bad = np.flatnonzero(~fng & (d != 1) & (d != k - 1))
+    if not bad.size:
+        return True, ""
+    t = bad[0]
+    edge = (int(i[t]), int(j[t]))
+    return False, f"edge {edge} joins non-adjacent components (cyclic offset {d[t]})"
 
 
 def _edge_counts(st: _Stages) -> tuple[bool, str]:

@@ -31,8 +31,8 @@ from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPr
 from .fng import PointSet, build_fng, order_components
 from .geometry import check_tol, convex_hull
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
-from .norms import NormSpec, is_strictly_convex, parse_norm, sample_bisector
-from .perturb import perturb_distinct
+from .norms import NormSpec, _numeric_rows, is_strictly_convex, parse_norm, sample_bisector
+from .perturb import check_eps, perturb_distinct
 
 
 def load_points(path: str) -> PointSet:
@@ -66,15 +66,9 @@ def load_points(path: str) -> PointSet:
                 if lineno == 0 and not any(map(_is_float, row[:2])):
                     continue
                 raise ParseError(f"{path!r} line {lineno + 1}: non-numeric value")
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path!r}: rows are not numeric [x, y] pairs") from exc
+    arr = _numeric_rows(rows, repr(path))
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParseError(f"{path!r}: expected [x, y] pairs, got shape {arr.shape}")
-    # numpy also reads JSON booleans and numeric strings as floats
-    if any(type(v) not in (int, float) for row in rows for v in row):
-        raise ParseError(f"{path!r}: rows are not numeric [x, y] pairs")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path!r}: non-finite coordinates")
     return PointSet(arr)  # raises DuplicatePoints on repeats
@@ -89,7 +83,7 @@ def _is_float(cell: str) -> bool:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out is None:
         print(text)
     else:
@@ -98,6 +92,11 @@ def _emit(payload: dict, out: str | None) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise IoError(f"cannot write {out!r}: {exc}") from exc
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinity: a non-finite value is written as null."""
+    return x if math.isfinite(x) else None
 
 
 def _report_json(report) -> dict | None:
@@ -132,7 +131,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
             perturb_info = {
                 "max_displacement": max(preport.displacement),
                 "moves": len(preport.steps),
-                "residual_min_gap": preport.residual_min_gap,
+                "residual_min_gap": _finite_or_none(preport.residual_min_gap),
                 "points": [[x, y] for x, y in S.points],
             }
         else:
@@ -141,7 +140,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     payload = {
         "norm": spec.label(),
         "n": S.n,
-        "edges": [list(e) for e in tree.edges],
+        "edges": [[i, j, w] for (i, j), w in zip(tree.edges.tolist(), tree.weights.tolist())],
         "total_weight": tree.total_weight,
         "components": k if mode != "oracle-fallback" else None,
         "report": {
@@ -205,7 +204,7 @@ def _cmd_perturb(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
         "report": {
             "displacement": list(report.displacement),
             "steps": [[i, list(pair), d] for i, pair, d in report.steps],
-            "residual_min_gap": report.residual_min_gap,
+            "residual_min_gap": _finite_or_none(report.residual_min_gap),
         },
     }
     _emit(payload, args.out)
@@ -320,6 +319,8 @@ def main(argv=None) -> int:
             check_tol(args.tol)
         except DegenerateInput as exc:
             raise ParseError(f"--{exc}") from exc
+        if "eps" in args:
+            check_eps(args.eps)
         spec = parse_norm(args.norm)
         handler, _, _ = _COMMANDS[args.command]
         return handler(args, spec, load_points(args.points))

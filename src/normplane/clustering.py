@@ -146,17 +146,18 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
         raise DegenerateInput("2-clustering needs at least two points")
     tree, _ = mxst_mpsy(spec, S, tol)
 
-    by_length = sorted(tree.edges, key=lambda e: e[2])
-    lengths = [e[2] for e in by_length]
-    longest = by_length[-1]
+    by_length = np.argsort(tree.weights, kind="stable")
+    lengths = tree.weights[by_length]
+    segments = S.points[tree.edges[by_length]]  # (n - 1, 2, 2), shortest first
 
     def witness_for(idx: int):
-        fam = [(i, j) for i, j, w in by_length if w > lengths[idx]]
-        if not fam:
+        # the edges longer than lengths[idx] are a suffix of the sorted rows
+        fam = segments[np.searchsorted(lengths, lengths[idx], side="right") :]
+        if not len(fam):
             # empty family: any line works; pin the one through the longest
             # tree edge so the witness stays deterministic
-            return line_through(S.points[longest[0]], S.points[longest[1]])
-        return stabbing_line([(S.points[i], S.points[j]) for i, j in fam], tol)
+            return line_through(*segments[-1])
+        return stabbing_line(fam, tol)
 
     # minimal tree edge length whose longer-edge family admits a stabbing
     # line; feasibility is monotone because the family shrinks with the
@@ -178,7 +179,7 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
 def _tree_two_coloring(tree, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-coloring of the spanning tree, side_a holding point 0."""
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j, _ in tree.edges:
+    for i, j in tree.edges.tolist():
         adj[i].append(j)
         adj[j].append(i)
     color = [-1] * n

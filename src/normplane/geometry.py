@@ -35,11 +35,12 @@ def orientation(a, b, c, tol: float = DEFAULT_TOL) -> int:
 
 
 class _IndexArrays:
-    """Dataclass base storing each field as a read-only np.intp copy."""
+    """Dataclass base storing each field as a read-only array copy: np.intp,
+    or the dtype a field names in ``metadata["dtype"]``."""
 
     def __post_init__(self):
         for f in fields(self):
-            a = np.array(getattr(self, f.name), dtype=np.intp)
+            a = np.array(getattr(self, f.name), dtype=f.metadata.get("dtype", np.intp))
             a.setflags(write=False)
             object.__setattr__(self, f.name, a)
 

@@ -18,7 +18,7 @@ directly.  `mxst_bruteforce` is the independent descending-greedy oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,19 +32,25 @@ from .fng import (
     distances_between,
     order_components,
 )
-from .geometry import HullIndex, convex_hull
+from .geometry import HullIndex, _IndexArrays, check_tol, convex_hull
 from .norms import NormSpec
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """n-1 weighted undirected edges (i < j), plus the total weight."""
+@dataclass(frozen=True, eq=False)
+class SpanningTree(_IndexArrays):
+    """Weighted undirected edges as read-only arrays: ``edges`` (m, 2) np.intp,
+    rows i < j in (i, j) order, and their ``weights`` (m,) float."""
 
-    edges: tuple[tuple[int, int, float], ...]
-    total_weight: float
+    edges: np.ndarray
+    weights: np.ndarray = field(metadata={"dtype": float})
+
+    @property
+    def total_weight(self) -> float:
+        """The weights summed left to right; 0.0 without edges."""
+        return float(np.add.accumulate(self.weights)[-1]) if self.weights.size else 0.0
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.edges}
+        return set(map(tuple, self.edges.tolist()))
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,9 @@ def mxst_mpsy(
     otherwise).  Returns the tree and the per-component-pair report of
     connecting-edge candidates.
     """
+    check_tol(tol)
     if S.n <= 1:
-        return SpanningTree(edges=(), total_weight=0.0), ConnectingEdgeReport((), None)
+        return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
     g = build_fng(spec, S, tol)
     hull = convex_hull(S.points, tol)
     return connect_components(spec, S, g, hull)
@@ -152,9 +159,7 @@ def connect_components(
         pairs = np.concatenate([pairs, np.array(kept, dtype=np.intp)])
 
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    weights = distances_between(spec, S, pairs[:, 0], pairs[:, 1])
-    edges = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), weights.tolist()))
-    tree = SpanningTree(edges=edges, total_weight=float(sum(w for _, _, w in edges)))
+    tree = SpanningTree(pairs, distances_between(spec, S, pairs[:, 0], pairs[:, 1]))
     if not validate_tree(tree, n):
         raise StructureViolation("connecting edges did not produce a spanning tree")
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
@@ -177,35 +182,28 @@ def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
     """
     n = S.n
     if n <= 1:
-        return SpanningTree(edges=(), total_weight=0.0)
+        return SpanningTree(np.empty((0, 2)), ())
     iu, ju, w = _triangle(spec, S)
     join = _union_find(n)
-    edges = []
+    picked = []
     for idx in np.lexsort((ju, iu, -w)):
-        i, j = int(iu[idx]), int(ju[idx])
-        if join(i, j):
-            edges.append((i, j, float(w[idx])))
-            if len(edges) == n - 1:
+        if join(int(iu[idx]), int(ju[idx])):
+            picked.append(idx)
+            if len(picked) == n - 1:
                 break
-    edges.sort()
-    return SpanningTree(
-        edges=tuple(edges), total_weight=float(sum(e[2] for e in edges))
-    )
+    picked.sort()  # flat upper-triangle positions order pairs as (i, j) does
+    return SpanningTree(np.stack([iu[picked], ju[picked]], axis=1), w[picked])
 
 
 def validate_tree(t: SpanningTree, n: int) -> bool:
     """Connectivity + acyclicity + edge-count check via component merging."""
     if n <= 1:
         return len(t.edges) == 0
-    if len(t.edges) != n - 1:
+    e = t.edges
+    if e.shape != (n - 1, 2) or np.any((e < 0) | (e >= n)) or np.any(e[:, 0] == e[:, 1]):
         return False
-    join = _union_find(n)
-    for i, j, _ in t.edges:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            return False
-        if not join(i, j):  # duplicate edge or cycle
-            return False
-    return True
+    # False at the first duplicate edge or cycle
+    return all(map(_union_find(n), e[:, 0].tolist(), e[:, 1].tolist()))
 
 
 def _union_find(n: int):

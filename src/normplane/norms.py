@@ -381,5 +381,23 @@ def parse_norm(text: str) -> NormSpec:
             raise ParseError(f"cannot read polygon file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"polygon file {path!r} is not valid JSON") from exc
-        return polygonal(data)
+        return polygonal(_numeric_rows(data, f"polygon file {path!r}"))
     raise ParseError(f"unrecognized norm {text!r}")
+
+
+def _numeric_rows(rows, source: str) -> np.ndarray:
+    """Rows read from a points or polygon file as a float array, whose shape
+    the caller checks.  ParseError naming ``source`` on a value that is no
+    number (a string, a ragged row; in (n, 2) rows also a boolean or a
+    numeric string, which numpy would read as floats) or an integer beyond
+    the float range.
+    """
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"{source}: a value lies beyond the float range") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: rows are not numeric [x, y] pairs") from exc
+    if arr.shape[1:] == (2,) and any(type(v) not in (int, float) for row in rows for v in row):
+        raise ParseError(f"{source}: rows are not numeric [x, y] pairs")
+    return arr

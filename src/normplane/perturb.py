@@ -79,6 +79,12 @@ def _least_gap(sv: np.ndarray, tol: float) -> float:
     return min((float(w.min()) for w in wide if w.size), default=math.inf)
 
 
+def check_eps(eps: float) -> None:
+    """Raise DegenerateInput unless the displacement budget eps is positive and finite."""
+    if not 0.0 < eps < math.inf:
+        raise DegenerateInput(f"eps must be positive and finite, got {eps!r}")
+
+
 def perturb_distinct(
     spec: NormSpec, S: PointSet, eps: float, tol: float = DEFAULT_TOL
 ) -> tuple[PointSet, PerturbReport]:
@@ -93,8 +99,7 @@ def perturb_distinct(
         raise NotStrictlyConvex(
             f"{spec.label()} is not strictly convex; perturbation cannot break its ties"
         )
-    if not 0.0 < eps < math.inf:
-        raise DegenerateInput(f"eps must be positive and finite, got {eps!r}")
+    check_eps(eps)
     worker = _Perturber(spec, S, eps, tol)
     worker.run()
     disp = norm_many(spec, worker.pts - S.points)

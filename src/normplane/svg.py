@@ -58,8 +58,8 @@ def emit_svg(S, hull, fng, tree, bipartition=None, path=None) -> str:
         )
 
     if tree is not None:
-        for i, j, _ in tree.edges:
-            (x1, y1), (x2, y2) = cv.xy(pts[i]), cv.xy(pts[j])
+        for p, q in pts[tree.edges]:
+            (x1, y1), (x2, y2) = cv.xy(p), cv.xy(q)
             out.append(
                 f'<line class="tree-edge" x1="{x1:.2f}" y1="{y1:.2f}" '
                 f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#222222" stroke-width="3"/>\n'

@@ -7,6 +7,7 @@ import normplane.checks as checks_module
 import normplane.mxst as mxst_module
 from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
+    DegenerateInput,
     PointSet,
     StructureViolation,
     SpanningTree,
@@ -88,6 +89,14 @@ def test_fewer_than_three_points_are_trivial(n):
     assert _answers(run_checks(lp(2), S)) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_run_checks_rejects_a_negative_or_non_finite_tol(n, tol):
+    # below three points the trivial answers used to come back for any tol
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        run_checks(lp(2), PointSet(JITTERED_SQUARE[:n]), tol)
+
+
 def test_forced_component_order_failure(monkeypatch):
     def fail(g, hull):
         raise StructureViolation("forced pattern failure")
@@ -142,8 +151,9 @@ def _answer_with_tree(monkeypatch, points, doctor, name):
     tree edges are replaced by ``doctor(edges)``."""
     def connect(spec, S, g, hull):
         tree, report = mxst_module.connect_components(spec, S, g, hull)
-        edges = doctor(list(tree.edges))
-        return SpanningTree(tuple(edges), sum(w for _, _, w in edges)), report
+        triples = zip(tree.edges.tolist(), tree.weights.tolist())
+        edges = doctor([(i, j, w) for (i, j), w in triples])
+        return SpanningTree([e[:2] for e in edges], [e[2] for e in edges]), report
 
     monkeypatch.setattr(checks_module, "connect_components", connect)
     results = run_checks(lp(2), PointSet(points))

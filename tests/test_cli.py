@@ -219,6 +219,35 @@ def test_cli_eps_inf_exits_1_with_degenerate_input(tmp_path, capsys, command):
     assert err["message"] == "eps must be positive and finite, got inf"
 
 
+@pytest.mark.parametrize("command", ["perturb", "mxst"])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "0"])
+def test_cli_rejects_a_bad_eps_before_any_work(tmp_path, capsys, command, eps):
+    # on tie-free input mxst used to exit 0, never reaching the perturbation
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    assert main([command, "--norm", "lp:2", "--points", pts, "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "DegenerateInput",
+        "message": f"eps must be positive and finite, got {float(eps)!r}",
+    }
+    assert main([command, "--norm", "lp:2", "--points", pts, "--eps", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("points", ["[[0, 0]]", "[[0, 0], [1, 2]]"])
+def test_cli_perturb_output_is_strict_json(tmp_path, capsys, points):
+    # one or two points leave no gap between distinct distances, which was
+    # printed as the non-JSON token Infinity
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    pts = _write(tmp_path, "few.json", points)
+    assert main(["perturb", "--norm", "lp:2", "--points", pts]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["report"]["residual_min_gap"] is None
+    assert payload["points"] == json.loads(points)
+
+
 def test_cli_perturb_reports_moved_points(tmp_path, capsys):
     sq = _write(tmp_path, "sq.json", "[[0,0],[1,0],[1,1],[0,1]]")
     out = tmp_path / "p.json"
@@ -339,6 +368,9 @@ def test_cli_bisector_rejects_three_points(tmp_path, capsys):
         # ids in a first column would otherwise become x coordinates
         ("ids.csv", "id,x,y\n0,0.5,0.7\n1,0.2,0.9\n", "line 1: more than two columns"),
         ("wide.csv", "0,0\n1,0\n2,3,,4\n", "line 3: more than two columns"),
+        # an integer beyond the float range used to raise OverflowError
+        pytest.param("huge.json", f"[[0, 0], [{10**400}, 1]]",
+                     "a value lies beyond the float range", id="huge.json"),
     ],
 )
 def test_load_points_parse_errors_name_the_fault(tmp_path, name, text, message):
@@ -365,6 +397,32 @@ def test_cli_non_numeric_coordinates_exit_1_naming_the_file(tmp_path, capsys, na
     error = json.loads(captured.err)
     assert error["error"] == "ParseError"
     assert error["message"].startswith(repr(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each used to end in an uncaught ValueError or OverflowError, or,
+        # for the booleans, in the square read as [[1, 1], [0, 1], ...]
+        ('[[1, 1], [-1, 1], [-1, -1], [1, "x"]]', "rows are not numeric [x, y] pairs"),
+        ("[[1, 1], [-1, 1], [-1, -1], [1]]", "rows are not numeric [x, y] pairs"),
+        ('{"vertices": 4}', "rows are not numeric [x, y] pairs"),
+        (f"[[1, 1], [-1, 1], [-1, -1], [{10**400}, -1]]", "a value lies beyond the float range"),
+        ("[[1, true], [-1, true], [-1, -1], [1, -1]]", "rows are not numeric [x, y] pairs"),
+        ('[["1", "1"], [-1, 1], [-1, -1], [1, -1]]', "rows are not numeric [x, y] pairs"),
+    ],
+    ids=["string", "ragged", "object", "huge-integer", "booleans", "numeric-strings"],
+)
+def test_cli_polygon_file_parse_errors_name_the_fault(tmp_path, capsys, text, message):
+    ball = _write(tmp_path, "ball.json", text)
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    assert main(["mxst", "--norm", f"polygon:{ball}", "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": f"polygon file {ball!r}: {message}",
+    }
 
 
 def test_cli_out_into_missing_directory_is_io_error(tmp_path, capsys):

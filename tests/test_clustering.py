@@ -288,6 +288,11 @@ def test_two_clustering_two_pairs():
     }
 
 
+def _triples(tree):
+    """The tree's edges as (i, j, w) tuples of plain numbers, in row order."""
+    return [(i, j, w) for (i, j), w in zip(tree.edges.tolist(), tree.weights.tolist())]
+
+
 def test_two_clustering_witness_validity(rng):
     for _ in range(20):
         n = int(rng.integers(3, 13))
@@ -295,11 +300,12 @@ def test_two_clustering_witness_validity(rng):
         part = two_clustering(euclidean(), S)
         assert part.witness_line is not None
         tree, _ = mxst_mpsy(euclidean(), S)
-        lengths = sorted(w for _, _, w in tree.edges)
+        edges = _triples(tree)
+        lengths = sorted(w for _, _, w in edges)
         # minimal feasible threshold: the witness stabs that long-edge family
         feasible_len = None
         for d in lengths:
-            fam = [(i, j) for i, j, w in tree.edges if w > d]
+            fam = [(i, j) for i, j, w in edges if w > d]
             if not fam:
                 feasible_len = d
                 break
@@ -307,7 +313,7 @@ def test_two_clustering_witness_validity(rng):
             if stabbing_line(segs) is not None:
                 feasible_len = d
                 break
-        fam = [(i, j) for i, j, w in tree.edges if w > feasible_len]
+        fam = [(i, j) for i, j, w in edges if w > feasible_len]
         for i, j in fam:
             sp = float(part.witness_line.eval(S.points[i]))
             sq = float(part.witness_line.eval(S.points[j]))
@@ -317,10 +323,11 @@ def test_two_clustering_witness_validity(rng):
 def test_feasibility_monotone(rng):
     S = tie_free_points(rng, 12, euclidean())
     tree, _ = mxst_mpsy(euclidean(), S)
-    lengths = sorted(w for _, _, w in tree.edges)
+    edges = _triples(tree)
+    lengths = sorted(w for _, _, w in edges)
     feats = []
     for d in lengths:
-        fam = [(i, j) for i, j, w in tree.edges if w > d]
+        fam = [(i, j) for i, j, w in edges if w > d]
         if not fam:
             feats.append(True)
             continue
@@ -423,7 +430,7 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
     assert None in probes
 
     tree, _ = mxst_mpsy(spec, S, tol)
-    by_length = sorted(tree.edges, key=lambda e: e[2])
+    by_length = sorted(_triples(tree), key=lambda e: e[2])
     for _, _, d in by_length:
         fam = [(S.points[i], S.points[j]) for i, j, w in by_length if w > d]
         assert fam, "the empty family is feasible only at the top"

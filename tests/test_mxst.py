@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import normplane.mxst as mxst_module
 from conftest import HEX_BALL, all_norms, random_symmetric_polygon, tie_free_points
 from normplane import (
+    DegenerateInput,
     PointSet,
     SpanningTree,
     StructureViolation,
@@ -43,11 +46,35 @@ def test_mxst_collinear_reference():
 def test_mxst_small_inputs():
     S = PointSet(np.array([[1.0, 2.0]]))
     tree, report = mxst_mpsy(lp(2), S)
-    assert tree.edges == () and tree.total_weight == 0.0
+    assert tree.edges.shape == (0, 2) and tree.weights.shape == (0,) and tree.total_weight == 0.0
     assert report.entries == () and report.discarded is None
     S = PointSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
     tree, _ = mxst_mpsy(lp(2), S)
-    assert tree.edges == ((0, 1, 5.0),)
+    assert tree.edges.tolist() == [[0, 1]] and tree.weights.tolist() == [5.0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_mxst_mpsy_rejects_a_negative_or_non_finite_tol(n, tol):
+    # one point used to give the empty tree for any tol
+    S = PointSet(np.array([[0.0, 0.0], [3.0, 4.0]])[:n])
+    with pytest.raises(DegenerateInput, match="^tol must be finite and non-negative, got "):
+        mxst_mpsy(lp(2), S, tol)
+
+
+def test_tree_fields_are_read_only_arrays(rng):
+    for n in (1, 2, 3, 12, 30):
+        S = tie_free_points(rng, n, lp(1.5))
+        for tree in (mxst_mpsy(lp(1.5), S)[0], mxst_bruteforce(lp(1.5), S)):
+            assert tree.edges.dtype == np.intp and tree.edges.shape == (max(n - 1, 0), 2)
+            assert tree.weights.dtype == np.float64 and tree.weights.shape == (max(n - 1, 0),)
+            for a in (tree.edges, tree.weights):
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            # the stored total these fields replace: a left-to-right sum
+            # (the builtin sum, before Python 3.12 made it compensated)
+            total = functools.reduce(operator.add, tree.weights.tolist(), 0.0)
+            assert tree.total_weight.hex() == float(total).hex()
 
 
 def test_mxst_rejects_ties():
@@ -104,15 +131,15 @@ def test_bruteforce_total_weight_beats_random_trees(rng):
 
 
 def test_validate_tree():
-    good = SpanningTree(edges=((0, 1, 1.0), (1, 2, 2.0)), total_weight=3.0)
+    good = SpanningTree(edges=[(0, 1), (1, 2)], weights=[1.0, 2.0])
     assert validate_tree(good, 3)
-    dup = SpanningTree(edges=((0, 1, 1.0), (0, 1, 1.0)), total_weight=2.0)
+    dup = SpanningTree(edges=[(0, 1), (0, 1)], weights=[1.0, 1.0])
     assert not validate_tree(dup, 3)
-    cycle = SpanningTree(edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), total_weight=3.0)
+    cycle = SpanningTree(edges=[(0, 1), (1, 2), (0, 2)], weights=[1.0, 1.0, 1.0])
     assert not validate_tree(cycle, 3)  # wrong count too
-    assert validate_tree(SpanningTree(edges=(), total_weight=0.0), 1)
-    assert not validate_tree(SpanningTree(edges=(), total_weight=0.0), 2)
-    disconnected = SpanningTree(edges=((0, 1, 1.0), (2, 3, 1.0), (0, 1, 1.0)), total_weight=3.0)
+    assert validate_tree(SpanningTree(edges=np.empty((0, 2)), weights=[]), 1)
+    assert not validate_tree(SpanningTree(edges=np.empty((0, 2)), weights=[]), 2)
+    disconnected = SpanningTree(edges=[(0, 1), (2, 3), (0, 1)], weights=[1.0, 1.0, 1.0])
     assert not validate_tree(disconnected, 4)
 
 
@@ -136,7 +163,7 @@ def test_oracle_equivalence_and_structure_random(rng):
             # the furthest-neighbor edges all survive into the tree
             assert fng_edges <= tree.edge_set()
             # every tree edge touches the hull boundary
-            for i, j, _ in tree.edges:
+            for i, j in tree.edges:
                 assert i in hull.boundary or j in hull.boundary
             # counting identity: n-k furthest edges plus k-1 connectors
             extra = tree.edge_set() - fng_edges
@@ -210,8 +237,7 @@ def _reference_connect(spec, S, g, hull):
                 edge_set.add((entry.selected.i, entry.selected.j))
     pairs = sorted(edge_set)
     weights = distances_between(spec, S, [i for i, _ in pairs], [j for _, j in pairs])
-    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
-    tree = SpanningTree(edges=edges, total_weight=float(sum(w for _, _, w in edges)))
+    tree = SpanningTree(edges=pairs, weights=weights)
     if not validate_tree(tree, n):
         raise StructureViolation("connecting edges did not produce a spanning tree")
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
@@ -248,8 +274,12 @@ def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
         g = build_fng(spec, S, 0.0)
         hull = convex_hull(S.points, 0.0)
         calls.clear()
-        got = connect_components(spec, S, g, hull)
+        tree, report = connect_components(spec, S, g, hull)
         assert len(calls) == {1: 0, 2: 8}.get(g.k, 8 * g.k)
-        assert repr(got) == repr(_reference_connect(spec, S, g, hull))
+        ref_tree, ref_report = _reference_connect(spec, S, g, hull)
+        # the tree field by field (an array repr rounds), the report by repr
+        assert np.array_equal(tree.edges, ref_tree.edges)
+        assert np.array_equal(tree.weights, ref_tree.weights)
+        assert repr(report) == repr(ref_report)
         seen_k.add(min(g.k, 3))
     assert seen_k >= {2, 3}
