@@ -32,6 +32,8 @@ from .norms import NormSpec, norm_many
 # chunk of its gap scan; bounds the pass's temporaries independently of n
 _BLOCK = 1 << 14
 
+_OVERFLOW = "a pairwise distance lies beyond the float range"
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -58,11 +60,15 @@ def pairwise_distances(spec: NormSpec, S: PointSet) -> np.ndarray:
 
 
 def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(iu, ju, vals)`` over pairs i < j in ``np.triu_indices`` order; DuplicatePoints on 0."""
+    """``(iu, ju, vals)`` over pairs i < j in ``np.triu_indices`` order;
+    DuplicatePoints on 0, DegenerateInput on a distance beyond the float range."""
     iu, ju = np.triu_indices(S.n, k=1)
-    vals = distances_between(spec, S, iu, ju)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = distances_between(spec, S, iu, ju)
     if np.any(vals <= 0.0):
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    if not np.all(np.isfinite(vals)):
+        raise DegenerateInput(_OVERFLOW)
     return iu, ju, vals
 
 
@@ -165,17 +171,21 @@ class FNGraph(_IndexArrays):
 def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     """Construct the furthest-neighbor graph; distances must be tie-free.
 
-    Raises DuplicatePoints on a zero distance, then TiesPresent when two
-    distances agree within tol (as ``detect_ties`` would report), without
-    building the n x n table.
+    Raises DuplicatePoints on a zero distance, DegenerateInput on one
+    beyond the float range, then TiesPresent when two distances agree
+    within tol (as ``detect_ties`` would report), without building the
+    n x n table.
     """
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    fn, vals = _triangle_pass(spec, S.points)
-    vals.sort()
+    with np.errstate(over="ignore", invalid="ignore"):
+        fn, vals = _triangle_pass(spec, S.points)
+    vals.sort()  # a nan sorts last
     if vals[0] <= 0.0:
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    if not np.isfinite(vals[-1]):
+        raise DegenerateInput(_OVERFLOW)
     if any(np.any(g <= tol) for g in _gaps(vals)):
         count = sum(hits.size for _, hits in _tie_offsets(vals, tol))
         raise TiesPresent(f"{count} tied distance pairs at tol={tol:g}")

@@ -20,6 +20,24 @@ def _cross(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
 
 
+def _span(a, b, c) -> float:
+    """|ab| |ac|.  Every turn test here compares |ab x ac| with the band
+    tol * (sqrt(ux*ux + uy*uy) * sqrt(vx*vx + vy*vy)), u = ab, v = ac: +, -, *
+    and sqrt round alike on Python floats and float64 arrays, so the scalar
+    tests and the hull's array test decide bit for bit alike."""
+    ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+    return math.sqrt(ux * ux + uy * uy) * math.sqrt(vx * vx + vy * vy)
+
+
+def _unit_scale(pts) -> np.ndarray:
+    """The points as a float array times the power of two that brings the
+    largest |coordinate| into [1/2, 1).  Exact unless a coordinate becomes
+    subnormal, so no turn decision changes under it; the turn tests' squares
+    and products then stay in range for coordinates far from 1 (1e300, 2^-600)."""
+    pts = np.asarray(pts, dtype=float)
+    return np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
+
+
 def orientation(a, b, c, tol: float = DEFAULT_TOL) -> int:
     """Sign of the turn a -> b -> c: CCW, CW or COLLINEAR.
 
@@ -27,9 +45,9 @@ def orientation(a, b, c, tol: float = DEFAULT_TOL) -> int:
     lengths, so behavior is stable across coordinate magnitudes.
     """
     check_tol(tol)
+    a, b, c = _unit_scale([a, b, c]).tolist()
     cross = _cross(a, b, c)
-    scale = math.hypot(b[0] - a[0], b[1] - a[1]) * math.hypot(c[0] - a[0], c[1] - a[1])
-    if abs(cross) <= tol * scale:
+    if abs(cross) <= tol * _span(a, b, c):
         return COLLINEAR
     return CCW if cross > 0.0 else CW
 
@@ -74,21 +92,23 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     if len(pts) == 1:
         return HullIndex(vertices=[0], boundary=[0], position=[0])
 
+    pts = _unit_scale(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
 
     def build(seq):
         # pops while orientation(chain[-2], chain[-1], i, tol) != CCW, with
-        # orientation's expression evaluated on plain floats
+        # orientation's expressions evaluated inline on plain floats
         chain: list[int] = []
         for i in seq:
             cx, cy = xs[i], ys[i]
             while len(chain) >= 2:
                 ax, ay = xs[chain[-2]], ys[chain[-2]]
-                bx, by = xs[chain[-1]], ys[chain[-1]]
-                cross = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-                if cross > 0.0 and not abs(cross) <= tol * (
-                    math.hypot(bx - ax, by - ay) * math.hypot(cx - ax, cy - ay)
+                ux, uy = xs[chain[-1]] - ax, ys[chain[-1]] - ay
+                vx, vy = cx - ax, cy - ay
+                cross = ux * vy - vx * uy
+                if cross > 0.0 and cross > tol * (
+                    math.sqrt(ux * ux + uy * uy) * math.sqrt(vx * vx + vy * vy)
                 ):
                     break
                 chain.pop()
@@ -132,19 +152,14 @@ def check_tol(tol: float) -> None:
         raise DegenerateInput(f"tol must be finite and non-negative, got {tol!r}")
 
 
-# np.hypot may differ from orientation()'s math.hypot in the last bit, so a
-# |cross| within this relative distance of a nonzero band is decided by
-# orientation() itself
-_BAND_MARGIN = 1e-14
-
-
 def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
                         tol: float) -> np.ndarray:
     """CCW tour of all boundary points; each appears once (first occurrence).
 
-    p is on edge ab when its parameter t is in [-tol, 1 + tol] and orientation()
-    finds a, b, p collinear (|ab x ap| <= tol |ab| |ap|); the tour is the
-    on-edge points ordered by (edge, t, index), without each edge's end vertex.
+    p is on edge ab when its parameter t is in [-tol, 1 + tol] and a, b, p pass
+    orientation()'s collinearity test, |ab x ap| <= tol |ab| |ap| evaluated as
+    in ``_span``; the tour is the on-edge points ordered by (edge, t, index),
+    without each edge's end vertex.
     An edge tests only the points (``order`` sorts them by x) whose x is within
     reach = 2 tol (|ab_x| + r) + 1e-12 (scale + r) of its x-span, scale being
     the largest |coordinate| and r a bound on |ap| for an on-edge p: the
@@ -164,7 +179,7 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     ax, ay, bx = px[a_idx], py[a_idx], px[b_idx]
     abx, aby = bx - ax, py[b_idx] - ay
     ab2 = abx * abx + aby * aby
-    ab_len = np.hypot(abx, aby)
+    ab_len = np.sqrt(ab2)
     sx = px[order]
     r = math.hypot(sx[-1] - sx[0], py.max() - py.min())
     if tol < 0.5:
@@ -179,12 +194,7 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     near = (-tol <= t) & (t <= 1.0 + tol)
     e, i, t, dx, dy = e[near], i[near], t[near], dx[near], dy[near]
     cross = abx[e] * dy - dx * aby[e]
-    band = tol * (ab_len[e] * np.hypot(dx, dy))
-    collinear = np.abs(cross) <= band
-    unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > _BAND_MARGIN * band)
-    for s in np.flatnonzero(unsure).tolist():
-        a, b = pts[a_idx[e[s]]], pts[b_idx[e[s]]]
-        collinear[s] = orientation(a, b, pts[i[s]], tol) == COLLINEAR
+    collinear = np.abs(cross) <= tol * (ab_len[e] * np.sqrt(dx * dx + dy * dy))
     e, t, i = e[collinear], t[collinear], i[collinear]
     by = np.lexsort((i, t, e))
     e, i = e[by], i[by]
@@ -227,13 +237,9 @@ def is_convex_quadrilateral(a, b, c, d, tol: float = DEFAULT_TOL) -> bool:
 def point_in_triangle(p, a, b, c, tol: float = DEFAULT_TOL) -> bool:
     """Barycentric membership test, boundary included within tol."""
     check_tol(tol)
-    pv, av, bv, cv = (np.asarray(v, dtype=float) for v in (p, a, b, c))
+    pv, av, bv, cv = _unit_scale([p, a, b, c]).tolist()
     den = _cross(av, bv, cv)
-    scale = (
-        math.hypot(bv[0] - av[0], bv[1] - av[1])
-        * math.hypot(cv[0] - av[0], cv[1] - av[1])
-    )
-    if abs(den) <= tol * scale:
+    if abs(den) <= tol * _span(av, bv, cv):
         raise DegenerateTriangle("triangle vertices are collinear")
     l1 = _cross(pv, bv, cv) / den
     l2 = _cross(av, pv, cv) / den

@@ -293,9 +293,13 @@ def bisector_point(
             return origin + ts[-1] * d
         return None
 
+    # bisect until the midpoint is an end of the bracket: adjacent floats,
+    # which hold the crossing when even they are not within tol
     a, b, fa = bracket
-    for _ in range(200):
+    while True:
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            return origin + m * d
         fm = float(f_many(np.array([m]))[0])
         if abs(fm) <= tol:
             return origin + m * d
@@ -303,7 +307,6 @@ def bisector_point(
             a, fa = m, fm
         else:
             b = m
-    return None
 
 
 def sample_bisector(

@@ -182,6 +182,34 @@ def test_cli_bisector_two_points(tmp_path, capsys):
     assert all(abs(x) < 1e-8 for x, _ in payload["points"])
 
 
+@pytest.mark.parametrize("norm", ["euclidean", "l1", "linf", "lp:3"])
+def test_cli_bisector_at_tol_0(tmp_path, capsys, norm):
+    # the bisection used to stop after 200 halvings short of |f| <= 0 and
+    # report "no bisector crossing found"
+    pts = _write(tmp_path, "pair.json", "[[0.1, 0.2], [1.3, -0.7]]")
+    assert main(["bisector", "--norm", norm, "--points", pts, "--tol", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 33
+    assert payload["max_residual"] <= 1e-15
+
+
+@pytest.mark.parametrize("command", ["mxst", "perturb"])
+@pytest.mark.parametrize(
+    "points", ["[[1e308, 0], [-1e308, 0], [0, 1e308]]", "[[1e308, 0], [-1e308, 1], [3e307, 7e307]]"]
+)
+def test_cli_overflowing_distances_exit_1(tmp_path, capsys, command, points):
+    # the first set used to run without end in the perturbation, the second
+    # to fail with a StructureViolation (mxst) or move a point to nan (perturb)
+    pts = _write(tmp_path, "far.json", points)
+    assert main([command, "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "DegenerateInput",
+        "message": "a pairwise distance lies beyond the float range",
+    }
+
+
 def test_emit_svg_structure(tmp_path):
     S = PointSet(np.array(TRI_345, dtype=float))
     hull = convex_hull(S.points)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import all_norms
+from conftest import HEX_BALL, all_norms
 from normplane import geometry
 from normplane import (
     CCW,
@@ -18,10 +18,13 @@ from normplane import (
     distance,
     euclidean,
     is_convex_quadrilateral,
+    lp,
     mxst_mpsy,
     norm_many,
     orientation,
     point_in_triangle,
+    polygonal,
+    run_checks,
     segments_properly_intersect,
 )
 
@@ -371,23 +374,58 @@ def _window_cases(rng):
                 yield scale * base + offset
 
 
+def _near_band_entries(pts, verts, tol):
+    """How many (edge, point) entries with t in [-tol, 1 + tol] have |cross|
+    within 1e-14 of a nonzero collinearity band, relative."""
+    a = pts[verts]
+    ab = np.roll(a, -1, axis=0) - a
+    d = pts[None, :, :] - a[:, None, :]
+    t = (d[..., 0] * ab[:, None, 0] + d[..., 1] * ab[:, None, 1]) / (ab * ab).sum(axis=1)[:, None]
+    cross = ab[:, None, 0] * d[..., 1] - d[..., 0] * ab[:, None, 1]
+    band = tol * np.linalg.norm(ab, axis=1)[:, None] * np.linalg.norm(d, axis=2)
+    near = (-tol <= t) & (t <= 1.0 + tol) & (band != 0.0)
+    return int(np.count_nonzero(near & (np.abs(np.abs(cross) - band) <= 1e-14 * band)))
+
+
 def test_traversal_windows_leave_the_hull_unchanged(rng, monkeypatch):
     # the x-windows give the scalar reference's hull; the grid has collinear
-    # runs on every edge, and the band polygons send entries of many edges
-    # to orientation()
-    unsure = []
+    # runs on every edge, and the band polygons put entries of many edges on
+    # the collinearity band, which the hull decides without orientation()
+    calls = []
     monkeypatch.setattr(
-        geometry, "orientation", lambda *args: unsure.append(args) or orientation(*args)
+        geometry, "orientation", lambda *args: calls.append(args) or orientation(*args)
     )
     cases = [(pts, tol) for pts in _hull_cases(rng) for tol in (1e-9, 0.0, 1e-3)]
     cells = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
     cases.append((cells, 1e-3))
     cases += [(_band_polygon(m, 1e-3), 1e-3) for m in (3, 8, 40)]
     cases += [(pts, tol) for pts in _window_cases(rng) for tol in (0.0, 1e-9, 1e-3, 0.3, 2.0)]
+    on_band = 0
     for pts, tol in cases:
         hull = convex_hull(pts, tol)
         assert _as_reference(hull) == _reference_hull(pts, tol)
-    assert len(unsure) >= 10
+        on_band += _near_band_entries(pts, hull.vertices, tol)
+    assert not calls
+    assert on_band >= 10
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
+def test_orientation_decides_as_the_traversal_array_test_on_the_band(rng, tol):
+    # c is put on the collinearity band of ab, as in _band_polygon, then
+    # moved by up to 4 ulps per coordinate: orientation() and the array test
+    # of _boundary_traversal agree on every triple, on both sides of the band
+    m = 4000
+    a, b = rng.uniform(-1, 1, size=(2, m, 2))
+    ab = b - a
+    x = rng.uniform(-tol, 1 + tol, size=(m, 1))
+    normal = np.stack([-ab[:, 1], ab[:, 0]], axis=1) * rng.choice([-1.0, 1.0], size=(m, 1))
+    c = a + x * ab + tol * np.abs(x) / np.sqrt(1 - tol * tol) * normal
+    c += rng.integers(-4, 5, size=(m, 2)) * np.spacing(c)
+    (ux, uy), (vx, vy) = ab.T, (c - a).T
+    cross = ux * vy - vx * uy
+    collinear = np.abs(cross) <= tol * (np.sqrt(ux * ux + uy * uy) * np.sqrt(vx * vx + vy * vy))
+    assert 0 < np.count_nonzero(collinear) < m
+    assert [orientation(*abc, tol) == COLLINEAR for abc in zip(a, b, c)] == collinear.tolist()
 
 
 def _chunked_traversal(pts, verts, tol, chunk):
@@ -401,7 +439,7 @@ def _chunked_traversal(pts, verts, tol, chunk):
     ax, ay = px[a_idx], py[a_idx]
     abx, aby = px[b_idx] - ax, py[b_idx] - ay
     ab2 = abx * abx + aby * aby
-    ab_len = np.hypot(abx, aby)
+    ab_len = np.sqrt(ab2)
     step = max(1, chunk // n)
     found = []
     for lo in range(0, len(verts), step):
@@ -414,13 +452,7 @@ def _chunked_traversal(pts, verts, tol, chunk):
         e, i = np.divmod(near, n)
         e += lo
         cross = abx[e] * dy - dx * aby[e]
-        band = tol * (ab_len[e] * np.hypot(dx, dy))
-        collinear = np.abs(cross) <= band
-        margin = geometry._BAND_MARGIN * band
-        unsure = (band != 0.0) & ~(np.abs(np.abs(cross) - band) > margin)
-        for s in np.flatnonzero(unsure).tolist():
-            a, b = pts[a_idx[e[s]]], pts[b_idx[e[s]]]
-            collinear[s] = orientation(a, b, pts[i[s]], tol) == COLLINEAR
+        collinear = np.abs(cross) <= tol * (ab_len[e] * np.sqrt(dx * dx + dy * dy))
         found.append((e[collinear], t[collinear], i[collinear]))
     e, t, i = (np.concatenate(parts) for parts in zip(*found))
     by = np.lexsort((i, t, e))
@@ -459,6 +491,31 @@ def test_convex_hull_of_a_large_ellipse_is_every_point(tol):
     assert start == by_angle[10000]
     ccw = by_angle.tolist()
     assert hull.traversal().tolist() == ccw[10000:] + ccw[:10000]
+
+
+@pytest.mark.parametrize("factor", [2.0**600, 1e160, 1e300, 2.0**-600])
+def test_hull_and_checks_are_scale_free(factor):
+    # squares and cross products of these coordinates overflow or underflow
+    # unless the turn tests first scale by a power of two; the hull used to
+    # keep 0 or 2 of its boundary points, and most checks failed
+    for seed in range(3):
+        P = np.random.default_rng(seed).uniform(-1, 1, size=(30, 2))
+        assert _as_reference(convex_hull(factor * P, 0.0)) == _as_reference(convex_hull(P, 0.0))
+        for spec in (lp(1.5), euclidean(), polygonal(HEX_BALL)):
+            results = run_checks(spec, PointSet(factor * P), 0.0)
+            assert results == run_checks(spec, PointSet(P), 0.0)
+            assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("factor", [2.0**600, 1e300, 2.0**-600])
+def test_turn_predicates_are_scale_free(factor):
+    a, b, c, d = (factor * np.array(v) for v in ([0.0, 0.0], [3.0, 1.0], [1.0, 2.0], [2.0, -1.0]))
+    assert orientation(a, b, c) == CCW and orientation(a, b, d) == CW
+    assert orientation(a, b, 2.0 * b) == COLLINEAR
+    assert segments_properly_intersect((a, b), (c, d))
+    assert is_convex_quadrilateral(a, d, b, c)
+    assert point_in_triangle((a + b + c) / 3.0, a, b, c)
+    assert not point_in_triangle(d, a, b, c)
 
 
 def test_distinct_check_matches_dict_loop():
