@@ -5,11 +5,14 @@ maximum spanning tree as an executable check and reports pass/fail per
 invariant; used by the command-line ``check`` command and by the
 acceptance tests.
 
-Each call builds its structures once, in three stages: ``fng`` (the graph
-from :func:`fng.build_fng`'s streamed pass, plus the hull), ``cycle`` (the
-cyclic component order on that graph) and ``tree`` (the tree connected
-from that graph and hull, beside the :func:`mxst.mxst_bruteforce` oracle,
-which reads the distance triangle; no n x n table).  A stage that cannot be
+Each call reads the flat distance triangle once (:func:`fng._triangle`),
+for the global all-distances-distinct verdict and for the descending-greedy
+oracle, and builds its structures once, in three stages: ``fng`` (the
+furthest-neighbor map over every point as candidate, so the lemma that
+puts each furthest neighbor on the hull boundary is tested, plus the hull),
+``cycle`` (the cyclic component order on that graph) and ``tree`` (the
+tree connected from that graph and hull, beside the oracle; no n x n
+table).  Tied distances anywhere skip every stage; a stage that cannot be
 built answers for every check that needs it.
 """
 
@@ -19,10 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormPlaneError, TiesPresent
-from .fng import DEFAULT_TOL, PointSet, build_fng, distances_between, order_components
+from .errors import NormPlaneError
+from .fng import (
+    DEFAULT_TOL,
+    PointSet,
+    _decompose,
+    _furthest,
+    _tie_offsets,
+    _triangle,
+    distances_between,
+    order_components,
+)
 from .geometry import check_tol, convex_hull, segments_properly_intersect
-from .mxst import _max_pair, connect_components, mxst_bruteforce
+from .mxst import _greedy, _max_pair, connect_components
 from .norms import NormSpec
 
 
@@ -43,25 +55,33 @@ class _Stages:
     def __init__(self, spec: NormSpec, S: PointSet, tol: float):
         self.spec, self.S, self.tol = spec, S, tol
         self.missing: dict[str, str] = {}
-        self.ties = self.cycle_error = ""
-        try:
-            self.g = build_fng(spec, S, tol)
-        except TiesPresent as exc:
-            self.ties = str(exc)
+        self.cycle_error = ""
+        self.ties, self.oracle = _global_stage(spec, S, tol)
+        if self.ties:
             self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
             return
-        self.hull = convex_hull(S.points, tol)
+        self.g = _decompose(_furthest(spec, S.points, np.arange(S.n), tol))
+        self.hull = convex_hull(S.points, tol, strict=True)
         try:
             self.cycle = order_components(self.g, self.hull)
         except NormPlaneError as exc:
             self.cycle_error = str(exc)
             self.missing["cycle"] = "skipped: no component cycle"
         try:
-            self.tree, _ = connect_components(spec, S, self.g, self.hull)
+            self.tree, _ = connect_components(spec, S, self.g, self.hull, tol)
         except NormPlaneError as exc:
             self.missing["tree"] = f"tree construction failed: {exc}"
-        else:
-            self.oracle = mxst_bruteforce(spec, S)
+
+
+def _global_stage(spec: NormSpec, S: PointSet, tol: float):
+    """``(detail, oracle)`` from one read of the distance triangle: the count
+    of tied pairs, "" without any, and then the descending-greedy oracle
+    tree (None with ties).  The triangle is dropped before the other stages."""
+    iu, ju, w = _triangle(spec, S)
+    tied = sum(hits.size for _, hits in _tie_offsets(np.sort(w), tol))
+    if tied:
+        return f"{tied} tied distance pairs at tol={tol:g}", None
+    return "", _greedy(S.n, iu, ju, w)
 
 
 def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -151,7 +171,7 @@ def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
                 six_pos = {cycle[t]: r for r, t in enumerate(six)}
                 rows = comp_members[a]
                 cols = np.concatenate([comp_members[b], comp_members[c]])
-                best = _max_pair(st.spec, st.S, rows, cols)
+                best = _max_pair(st.spec, st.S, rows, cols)[0]
                 u, v = (best.i, best.j) if best.i in rows else (best.j, best.i)
                 du = six_pos[g.cluster_of[u]]
                 dv = six_pos[g.cluster_of[v]]

@@ -158,7 +158,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     g = build_fng(spec, S, args.tol)
-    hull = convex_hull(S.points, args.tol)
+    hull = convex_hull(S.points, args.tol, strict=True)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -255,13 +255,14 @@ def _cmd_check(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 
 def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
-    """Best-effort full rendering: hull always, FNG/tree when tie-free."""
-    hull = convex_hull(S.points, tol)
+    """Best-effort full rendering: the construction's hull always, FNG/tree
+    when the tree construction's decisions are tie-free."""
+    hull = convex_hull(S.points, tol, strict=True)
     g = None
     try:
         g = build_fng(spec, S, tol)
-        if tree is None:
-            tree, _ = connect_components(spec, S, g, hull)
+        built, _ = connect_components(spec, S, g, hull, tol)
+        tree = built if tree is None else tree
     except NormPlaneError:
         g = None
     svg.emit_svg(S, hull, g, tree, bipartition, path)

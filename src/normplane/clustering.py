@@ -135,8 +135,8 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
 def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bipartition:
     """Optimal 2-clustering minimizing the larger cluster diameter.
 
-    Requires tie-free distances (TiesPresent propagates from the tree
-    construction).  The sides are the two color classes of the spanning
+    Requires the tree construction's decisions to be tie-free
+    (TiesPresent propagates from it).  The sides are the two color classes of the spanning
     tree's proper 2-coloring, with point 0 in side_a; the witness is a
     stabbing line for the tree edges longer than the minimal feasible
     length of the binary search.

@@ -1,21 +1,23 @@
 """Furthest-neighbor graphs: out-maps, spines, clusters, cyclic component order.
 
-With all pairwise distances distinct, every point has a unique furthest
-neighbor; following that map, distances strictly increase until a 2-cycle
-(a *spine*) is reached.  Each spine determines a component, split into two
-clusters by the parity of the path length to the spine endpoints.
+With every row's furthest neighbor unique, following that map, distances
+strictly increase until a 2-cycle (a *spine*) is reached.  Each spine
+determines a component, split into two clusters by the parity of the path
+length to the spine endpoints.
 
-:func:`build_fng` needs no n x n table.  One streamed pass walks the strict
-upper triangle of the distance matrix in row blocks, evaluating each of the
-n(n-1)/2 distances once; it keeps running row and column maxima (the
-furthest-neighbor map) and copies the values into one flat vector of about
-8 n^2 / 2 bytes, whose sorted gaps certify that all distances are distinct.
-This pass is the seam where a furthest-site Voronoi structure could replace
-the quadratic scan.
+Every furthest neighbor lies on the hull boundary, since the norm is
+convex, so :func:`build_fng` takes the b boundary points as candidates:
+one kernel, :func:`_furthest`, evaluates their strict upper triangle and a
+row-blocked (other points x candidates) rectangle, b(b-1)/2 + (n-b) b
+distances, keeping each row's best and second-best value.  Nothing is
+stored or sorted; the only distances certified distinct are each row's
+best two, the comparison the map rests on (:class:`TiesPresent` names the
+row and both candidates).
 
-Ties are read from that flat triangle (``np.triu_indices`` order) alone, by
-one tied-pair scan (:func:`_tie_offsets`) and one chunked gap scan
-(:func:`_gaps`); :func:`pairwise_distances` is the triangle mirrored.
+The global all-distances-distinct certificate is read from the flat strict
+upper triangle (``np.triu_indices`` order, :func:`_triangle`) by one
+tied-pair scan (:func:`_tie_offsets`) and one chunked gap scan
+(:func:`_gaps`); :func:`pairwise_distances` is that triangle mirrored.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPresent
-from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, check_points, check_tol
+from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, check_points, check_tol, convex_hull
 from .norms import NormSpec, norm_many
 
-# distances evaluated per row block of the streamed pass, and values per
-# chunk of its gap scan; bounds the pass's temporaries independently of n
+# distances evaluated per row block of the furthest-neighbor kernel, and
+# values per chunk of the gap scan; bounds their temporaries independently of n
 _BLOCK = 1 << 14
 
 _OVERFLOW = "a pairwise distance lies beyond the float range"
@@ -75,9 +77,10 @@ def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.n
 def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All unordered pairs of index pairs whose distances agree within tol.
 
-    An empty result certifies the all-distances-distinct precondition the
-    structure theory (and :func:`mxst.mxst_mpsy`) relies on.  The list is
-    sorted, each entry ordered as (smaller pair, larger pair).
+    An empty result certifies the all-distances-distinct precondition of
+    the structure theory; :func:`mxst.mxst_mpsy` needs distinct distances
+    only at its decisions.  The list is sorted, each entry ordered as
+    (smaller pair, larger pair).
     """
     check_tol(tol)
     iu, ju, vals = _table_triangle(table)
@@ -169,73 +172,124 @@ class FNGraph(_IndexArrays):
 
 
 def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
-    """Construct the furthest-neighbor graph; distances must be tie-free.
+    """Construct the furthest-neighbor graph, certifying each row's decision.
 
-    Raises DuplicatePoints on a zero distance, DegenerateInput on one
-    beyond the float range, then TiesPresent when two distances agree
-    within tol (as ``detect_ties`` would report), without building the
-    n x n table.
+    Furthest neighbors are taken over the hull boundary (:func:`_furthest`).
+    Raises DegenerateInput on a distance beyond the float range, then
+    TiesPresent naming the first point whose two furthest candidates agree
+    within tol.  Ties between distances no row compares are not looked at.
     """
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fn, vals = _triangle_pass(spec, S.points)
-    vals.sort()  # a nan sorts last
-    if vals[0] <= 0.0:
-        raise DuplicatePoints("zero off-diagonal distance: duplicate points")
-    if not np.isfinite(vals[-1]):
-        raise DegenerateInput(_OVERFLOW)
-    if any(np.any(g <= tol) for g in _gaps(vals)):
-        count = sum(hits.size for _, hits in _tie_offsets(vals, tol))
-        raise TiesPresent(f"{count} tied distance pairs at tol={tol:g}")
-    return _decompose(fn)
+    return _decompose(_furthest(spec, S.points, convex_hull(S.points, tol, strict=True).boundary, tol))
 
 
-def _triangle_pass(spec: NormSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Furthest-neighbor map and the strict upper triangle of distances.
+def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
+    """Each point's furthest neighbor among the sorted candidate indices ``cand``.
 
-    Returns ``(fn, vals)``: ``vals`` equals ``table[np.triu_indices(n, 1)]``
-    of :func:`pairwise_distances` bit for bit, each distance evaluated once
-    as ``||p_i - p_j||`` with i < j, and ``fn`` equals that (mirrored)
-    table's row argmax with the diagonal masked (first index on equal
-    values).
-    Rows are taken in blocks of about ``_BLOCK`` distances, held in a
-    (rows x later columns) trapezoid whose lower-left corner is -inf.  Row
-    i's entries left of the diagonal are the earlier rows' column entries,
-    so its maximum is the running column maximum, then the block row's.
+    The candidates' own distances are one streamed strict upper triangle
+    (:func:`_candidate_triangle`), the other points' a (rest x cand)
+    rectangle in row blocks: b(b-1)/2 + (n-b) b evaluations for b
+    candidates, each ``||p_i - p_j||`` with the bits the full table holds.
+    Every row keeps its best and second-best value, so no distance is
+    stored.  Raises DuplicatePoints when a row's best is 0, DegenerateInput
+    on a distance beyond the float range (every evaluated value is at most
+    its row's best), and TiesPresent naming the first row whose best and
+    second-best lie within tol.
     """
     n = len(pts)
-    vals = np.empty(n * (n - 1) // 2)
-    best = np.full(n, -np.inf)  # max of d(i, j) over the rows i < j seen so far
+    cand = np.asarray(cand, dtype=np.intp)
     fn = np.zeros(n, dtype=np.intp)
-    step = min(max(1, _BLOCK // n), n - 1)
-    upper = np.triu(np.ones((step, n - 1), dtype=bool))  # column j > row i
-    tri_i, tri_j = np.triu_indices(step, k=1)
-    k = 0
-    for r0 in range(0, n - 1, step):
-        r1 = min(r0 + step, n - 1)
-        b = r1 - r0
-        block = np.full((b, n - 1 - r0), -np.inf)  # columns r0 + 1 .. n - 1
-        iu, ju = (tri_i, tri_j) if b == step else np.triu_indices(b, k=1)
-        block[iu, ju - 1] = norm_many(spec, _differences(pts, r0 + iu, r0 + ju))
-        block[:, b - 1 :] = norm_many(
-            spec, _differences(pts, np.arange(r0, r1)[:, None], np.arange(r1, n))
+    best = np.full(n, -np.inf)
+    second = np.full(n, -np.inf)
+    rest = np.ones(n, dtype=bool)
+    rest[cand] = False
+    rest = np.flatnonzero(rest)
+    step = max(1, _BLOCK // cand.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg, best[cand], second[cand] = _candidate_triangle(spec, pts[cand])
+        fn[cand] = cand[arg]
+        for r0 in range(0, rest.size, step):
+            rows = rest[r0 : r0 + step]
+            block = norm_many(spec, _differences(pts, rows[:, None], cand))
+            arg, best[rows], second[rows] = _top2(block, axis=1)
+            fn[rows] = cand[arg]
+    if not np.all(np.isfinite(best)):
+        raise DegenerateInput(_OVERFLOW)
+    if best.min() <= 0.0:
+        raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    tied = np.flatnonzero(best - second <= tol)
+    if tied.size:
+        i = int(tied[0])
+        row = norm_many(spec, _differences(pts, i, cand))
+        row[cand == i] = row[cand == fn[i]] = -np.inf
+        other = int(cand[np.argmax(row)])
+        raise TiesPresent(
+            f"tied furthest neighbors of point {i}: {int(fn[i])} and {other} within tol={tol:g}"
         )
+    return fn
 
-        col_best = block.max(axis=0)
-        raised = col_best > best[r0 + 1 :]
-        best[r0 + 1 :][raised] = col_best[raised]
-        fn[r0 + 1 :][raised] = block.argmax(axis=0)[raised] + r0
 
-        row_best = block.max(axis=1)
-        raised = row_best > best[r0:r1]
-        fn[r0:r1][raised] = block.argmax(axis=1)[raised] + r0 + 1
+def _candidate_triangle(spec: NormSpec, q: np.ndarray):
+    """``(arg, best, second)`` of each row of the (mirrored) distance table
+    of the points q, diagonal excluded: the row's first argmax, its maximum
+    and the largest other value (-inf for a lone point).
 
-        row_major = block[upper[:b, : block.shape[1]]]
-        vals[k : k + row_major.size] = row_major
-        k += row_major.size
-    return fn, vals
+    Rows are taken in blocks of about ``_BLOCK`` distances, held in a
+    (rows x later columns) trapezoid whose lower-left corner is -inf, so
+    each distance is evaluated once, as ``||q_i - q_j||`` with i < j.  Row
+    i's entries left of the diagonal are the earlier rows' column entries:
+    its best two are merged from the running column maxima, then the block
+    row's.
+    """
+    m = len(q)
+    arg = np.zeros(m, dtype=np.intp)
+    best = np.full(m, -np.inf)
+    second = np.full(m, -np.inf)
+    if m < 2:
+        return arg, best, second
+    step = min(max(1, _BLOCK // m), m - 1)
+    tri_i, tri_j = np.triu_indices(step, k=1)
+    for r0 in range(0, m - 1, step):
+        r1 = min(r0 + step, m - 1)
+        b = r1 - r0
+        block = np.full((b, m - 1 - r0), -np.inf)  # columns r0 + 1 .. m - 1
+        iu, ju = (tri_i, tri_j) if b == step else np.triu_indices(b, k=1)
+        block[iu, ju - 1] = norm_many(spec, _differences(q, r0 + iu, r0 + ju))
+        block[:, b - 1 :] = norm_many(
+            spec, _differences(q, np.arange(r0, r1)[:, None], np.arange(r1, m))
+        )
+        _merge(arg[r0 + 1 :], best[r0 + 1 :], second[r0 + 1 :], *_top2(block, axis=0), r0)
+        _merge(arg[r0:r1], best[r0:r1], second[r0:r1], *_top2(block, axis=1), r0 + 1)
+    return arg, best, second
+
+
+def _top2(block: np.ndarray, axis: int):
+    """``(argmax, max, runner-up)`` of a 2-D block along ``axis``; the
+    runner-up is the largest value off the first argmax.  The block is
+    restored after the masked second pass."""
+    lanes = block.T if axis == 0 else block  # a view: one lane per row
+    rows = np.arange(lanes.shape[0])
+    arg = lanes.argmax(axis=1)
+    top = lanes[rows, arg]
+    lanes[rows, arg] = -np.inf
+    runner = lanes.max(axis=1)
+    lanes[rows, arg] = top
+    return arg, top, runner
+
+
+def _merge(arg, best, second, new_arg, top, runner, offset) -> None:
+    """Merge a block's best two per row into the running ones, in place.
+
+    The block's values are other pairs than the running ones, so the best
+    two of the union are the best two of these four; a running best keeps
+    its index on an equal value, so the first argmax stays.
+    """
+    raised = top > best
+    second[...] = np.maximum(np.minimum(best, top), np.maximum(second, runner))
+    best[...] = np.maximum(best, top)
+    arg[raised] = new_arg[raised] + offset
 
 
 def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:
@@ -248,7 +302,7 @@ def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:
     out = np.empty((2, *np.broadcast_shapes(rows.shape, cols.shape)))
     for c in (0, 1):
         np.subtract(pts[rows, c], pts[cols, c], out=out[c])
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _decompose(fn) -> FNGraph:

@@ -82,8 +82,16 @@ class HullIndex(_IndexArrays):
         return self.boundary[np.argsort(self.position[self.boundary])]
 
 
-def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
-    """Monotone-chain hull over point indices, tracking collinear boundary."""
+def convex_hull(points, tol: float = DEFAULT_TOL, *, strict: bool = False) -> HullIndex:
+    """Monotone-chain hull over point indices, tracking collinear boundary.
+
+    The chain drops a vertex whose turn lies within tol's collinearity band,
+    and a run of such turns can drop a vertex well off the final edge.
+    ``strict`` takes the vertices from the chain at tol 0 instead, so every
+    extreme point is kept up to rounding, and the band then adds the points
+    near those edges: the hull the tree construction reads, whose boundary
+    holds each point's furthest neighbor.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise DuplicatePoints("empty point set")
@@ -95,9 +103,10 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     pts = _unit_scale(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
+    chain_tol = 0.0 if strict else tol
 
     def build(seq):
-        # pops while orientation(chain[-2], chain[-1], i, tol) != CCW, with
+        # pops while orientation(chain[-2], chain[-1], i, chain_tol) != CCW, with
         # orientation's expressions evaluated inline on plain floats
         chain: list[int] = []
         for i in seq:
@@ -107,7 +116,7 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
                 ux, uy = xs[chain[-1]] - ax, ys[chain[-1]] - ay
                 vx, vy = cx - ax, cy - ay
                 cross = ux * vy - vx * uy
-                if cross > 0.0 and cross > tol * (
+                if cross > 0.0 and cross > chain_tol * (
                     math.sqrt(ux * ux + uy * uy) * math.sqrt(vx * vx + vy * vy)
                 ):
                     break

@@ -4,15 +4,27 @@
 furthest-neighbor edges, order the FNG components cyclically around the
 hull, compute one candidate connecting edge per adjacent component pair
 (restricting one endpoint to the hull boundary), and drop the shortest
-candidate.  The furthest neighbors and the all-distances-distinct
-certificate come from one streamed pass over the distance triangle
-(:func:`fng.build_fng`): n(n-1)/2 norm evaluations, a flat vector of about
-8 n^2 / 2 bytes and no n x n table.  `connect_components` does the rest
-from that graph and the hull, evaluating only the cluster x
+candidate.  It computes the hull first and takes the furthest neighbors
+over its b boundary points (:func:`fng._furthest`): b(b-1)/2 + (n-b) b
+norm evaluations, no stored distances and no sort.  `connect_components`
+does the rest from that graph and the hull, evaluating only the cluster x
 boundary-cluster blocks it compares, each once per call (at k = 2 both
 adjacent component pairs read the same eight blocks); callers that
 already hold both (the invariant suite, the CLI's drawing) call it
-directly.  `mxst_bruteforce` is the independent descending-greedy oracle.
+directly.
+
+Distances need to be distinct only where the construction compares them,
+and only there are they certified; TiesPresent names the site and the two
+tied pairs:
+
+* a row whose best two candidates lie within tol (:func:`fng._furthest`);
+* a cluster pairing whose best two distinct pairs lie within tol;
+* an adjacent component pair whose best two of its four candidates do;
+* two distinct selected edges tied for the discarded minimum (at k = 2
+  both entries select the same edge, which is no tie).
+
+`mxst_bruteforce` is the independent descending-greedy oracle over all
+n(n-1)/2 distances.
 """
 
 from __future__ import annotations
@@ -22,13 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureViolation
+from .errors import StructureViolation, TiesPresent
 from .fng import (
     DEFAULT_TOL,
     FNGraph,
     PointSet,
+    _decompose,
+    _furthest,
     _triangle,
-    build_fng,
     distances_between,
     order_components,
 )
@@ -80,27 +93,28 @@ def mxst_mpsy(
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
     """Maximum spanning tree via the furthest-neighbor-graph construction.
 
-    Requires all pairwise distances distinct within tol (TiesPresent
-    otherwise).  Returns the tree and the per-component-pair report of
-    connecting-edge candidates.
+    Requires the distances each decision compares to be distinct within
+    tol (TiesPresent naming the decision otherwise).  Returns the tree and
+    the per-component-pair report of connecting-edge candidates.
     """
     check_tol(tol)
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
-    g = build_fng(spec, S, tol)
-    hull = convex_hull(S.points, tol)
-    return connect_components(spec, S, g, hull)
+    hull = convex_hull(S.points, tol, strict=True)
+    g = _decompose(_furthest(spec, S.points, hull.boundary, tol))
+    return connect_components(spec, S, g, hull, tol)
 
 
 def connect_components(
-    spec: NormSpec, S: PointSet, g: FNGraph, hull: HullIndex
+    spec: NormSpec, S: PointSet, g: FNGraph, hull: HullIndex, tol: float = DEFAULT_TOL
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
-    """The tree from a tie-free furthest-neighbor graph ``g`` of S and its hull.
+    """The tree from a furthest-neighbor graph ``g`` of S and its hull.
 
     Orders the components around the hull, adds one connecting edge per
     cyclically adjacent component pair but the shortest, and validates the
     result (StructureViolation when the components do not alternate or the
-    edges do not span).
+    edges do not span).  TiesPresent when one of its decisions compares two
+    distinct pairs within tol.
     """
     n = S.n
     cycle = order_components(g, hull)
@@ -118,7 +132,7 @@ def connect_components(
         xp = cycle[k:].tolist()
 
         @functools.cache
-        def block_max(ca: int, cb: int) -> CandidateEdge:
+        def block_max(ca: int, cb: int) -> tuple[CandidateEdge, ...]:
             # at k = 2 the two cyclically adjacent pairs are one pair, so
             # each ordered block is evaluated once and shared
             cols = members[cb][hull.position[members[cb]] >= 0]
@@ -127,10 +141,10 @@ def connect_components(
         def pairing_max(ca: int, cb: int) -> CandidateEdge:
             # max over the pairing with either endpoint taking the
             # boundary-restricted role; the connecting edge has at least
-            # one endpoint on the hull, so nothing is missed
-            lhs = block_max(ca, cb)
-            rhs = block_max(cb, ca)
-            return lhs if lhs.weight >= rhs.weight else rhs
+            # one endpoint on the hull, so nothing is missed.  A pair with
+            # both endpoints on the hull sits in both blocks.
+            cands = block_max(ca, cb) + block_max(cb, ca)
+            return _unique_max(cands, tol, f"maxima of the cluster pairing {(ca, cb)}")
 
         # One candidate edge per cyclically adjacent component pair, scanning
         # all four cross-cluster pairings.  The cyclic labeling x_1..x_k
@@ -146,15 +160,12 @@ def connect_components(
                 pairing_max(x[i], x[prev]),
                 pairing_max(xp[i], xp[prev]),
             )
-            selected = max(cands, key=lambda c: c.weight)
-            entries.append(
-                StepFourEntry(
-                    components=(int(g.component_of[x[prev]]), int(g.component_of[x[i]])),
-                    candidates=cands,
-                    selected=selected,
-                )
-            )
+            components = (int(g.component_of[x[prev]]), int(g.component_of[x[i]]))
+            selected = _unique_max(cands, tol, f"connecting candidates of components {components}")
+            entries.append(StepFourEntry(components=components, candidates=cands, selected=selected))
         discarded = int(np.argmin([e.selected.weight for e in entries]))
+        _certify(entries[discarded].selected, [e.selected for e in entries], tol,
+                 "minimum among the connecting edges")
         kept = [(e.selected.i, e.selected.j) for t, e in enumerate(entries) if t != discarded]
         pairs = np.concatenate([pairs, np.array(kept, dtype=np.intp)])
 
@@ -165,13 +176,40 @@ def connect_components(
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
-def _max_pair(spec: NormSpec, S: PointSet, rows: np.ndarray, cols: np.ndarray) -> CandidateEdge:
-    """The first maximum of the rows x cols distance block (index arrays)."""
+def _max_pair(spec: NormSpec, S: PointSet, rows, cols) -> tuple[CandidateEdge, ...]:
+    """The largest and the second-largest pair of the rows x cols distance
+    block (disjoint index arrays), first maximum first; one for a 1 x 1 block."""
     rows, cols = np.asarray(rows), np.asarray(cols)
-    sub = distances_between(spec, S, rows[:, None], cols[None, :])
-    r, c = divmod(int(np.argmax(sub)), len(cols))
+    sub = distances_between(spec, S, rows[:, None], cols[None, :]).ravel()
+    top = int(np.argmax(sub))
+    if sub.size == 1:
+        return (_candidate(rows, cols, sub, top),)
+    w = sub[top]
+    sub[top] = -np.inf
+    runner = int(np.argmax(sub))
+    sub[top] = w
+    return _candidate(rows, cols, sub, top), _candidate(rows, cols, sub, runner)
+
+
+def _candidate(rows, cols, sub, flat: int) -> CandidateEdge:
+    r, c = divmod(flat, len(cols))
     u, v = int(rows[r]), int(cols[c])
-    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub[r, c]))
+    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub[flat]))
+
+
+def _unique_max(cands, tol: float, site: str) -> CandidateEdge:
+    """The first heaviest candidate, certified (:func:`_certify`)."""
+    return _certify(max(cands, key=lambda c: c.weight), cands, tol, site)
+
+
+def _certify(chosen: CandidateEdge, cands, tol: float, site: str) -> CandidateEdge:
+    """``chosen``; TiesPresent when a candidate with another pair lies within tol of it."""
+    for c in cands:
+        if (c.i, c.j) != (chosen.i, chosen.j) and abs(c.weight - chosen.weight) <= tol:
+            raise TiesPresent(
+                f"tied {site}: {(chosen.i, chosen.j)} and {(c.i, c.j)} within tol={tol:g}"
+            )
+    return chosen
 
 
 def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
@@ -180,10 +218,13 @@ def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
     Ties at equal weight are broken lexicographically by (i, j), which makes
     the result deterministic even for tied inputs.
     """
-    n = S.n
-    if n <= 1:
+    if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ())
-    iu, ju, w = _triangle(spec, S)
+    return _greedy(S.n, *_triangle(spec, S))
+
+
+def _greedy(n: int, iu: np.ndarray, ju: np.ndarray, w: np.ndarray) -> SpanningTree:
+    """The descending-greedy tree over the flat strict upper triangle (iu, ju, w)."""
     join = _union_find(n)
     picked = []
     for idx in np.lexsort((ju, iu, -w)):

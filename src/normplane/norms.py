@@ -259,16 +259,25 @@ def bisector_point(
     |t| <= t_range for a sign change (or a grid point already within tol,
     which covers fat bisectors of non-strictly-convex norms), then bisects.
     Returns None when no crossing is found on the searched interval.
+
+    The scan and the bisection run on p, q, origin and dir times the power
+    of two that brings their largest |coordinate| into [1/2, 1), as the
+    hull's turn tests do (``geometry._unit_scale``): every norm family is
+    homogeneous, so f and tol scale by exactly that factor unless a value
+    leaves the normal range, and coordinates near 1e300 do not overflow in
+    the scan.  The point found is scaled back.
     """
     check_tol(tol)
     pv, qv = _as_vec(p), _as_vec(q)
     if np.array_equal(pv, qv):
         raise DegenerateInput("bisector of identical points")
-    origin = _as_vec(line_origin)
-    d = _as_vec(line_dir)
-    dlen = math.hypot(d[0], d[1])
-    if dlen == 0.0:
+    raw = np.array([pv, qv, _as_vec(line_origin), _as_vec(line_dir)])
+    if not raw[3].any():
         raise ZeroVector("line direction must be nonzero")
+    e = int(np.frexp(np.abs(raw).max())[1])
+    pv, qv, origin, d = np.ldexp(raw, -e)
+    tol = math.ldexp(tol, -e)
+    dlen = math.hypot(d[0], d[1])
     if t_range is None:
         mid = 0.5 * (pv + qv)
         reach = math.hypot(*(origin - mid)) + math.hypot(*(qv - pv))
@@ -278,19 +287,23 @@ def bisector_point(
         pts = origin[None, :] + ts[:, None] * d[None, :]
         return norm_many(spec, pts - pv) - norm_many(spec, pts - qv)
 
+    def point(t: float) -> np.ndarray:
+        return np.ldexp(origin + t * d, e)
+
     ts = np.linspace(-t_range, t_range, 257)
     vals = f_many(ts)
 
     bracket = None
     for i in range(len(ts) - 1):
         if abs(vals[i]) <= tol:
-            return origin + ts[i] * d
-        if vals[i] * vals[i + 1] < 0.0:
+            return point(ts[i])
+        # the signs, not their product, which underflows for tiny values
+        if (vals[i] < 0.0 < vals[i + 1]) or (vals[i + 1] < 0.0 < vals[i]):
             bracket = (ts[i], ts[i + 1], vals[i])
             break
     if bracket is None:
         if abs(vals[-1]) <= tol:
-            return origin + ts[-1] * d
+            return point(ts[-1])
         return None
 
     # bisect until the midpoint is an end of the bracket: adjacent floats,
@@ -299,10 +312,10 @@ def bisector_point(
     while True:
         m = 0.5 * (a + b)
         if m == a or m == b:
-            return origin + m * d
+            return point(m)
         fm = float(f_many(np.array([m]))[0])
         if abs(fm) <= tol:
-            return origin + m * d
+            return point(m)
         if (fm < 0.0) == (fa < 0.0):
             a, fa = m, fm
         else:

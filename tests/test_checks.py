@@ -17,7 +17,6 @@ from normplane import (
     pairwise_distances,
     run_checks,
 )
-from normplane.fng import _decompose
 
 NAMES = (
     "distances-distinct",
@@ -138,10 +137,9 @@ FOUR_SPINES = np.array([
 
 
 def _answer_with_graph(monkeypatch, points, fn, name):
-    """The (passed, detail) of check ``name`` when build_fng returns the
-    decomposition of the doctored furthest-neighbor map ``fn``."""
-    graph = _decompose(fn)
-    monkeypatch.setattr(checks_module, "build_fng", lambda spec, S, tol: graph)
+    """The (passed, detail) of check ``name`` when the furthest-neighbor
+    kernel returns the doctored map ``fn``."""
+    monkeypatch.setattr(checks_module, "_furthest", lambda spec, pts, cand, tol: np.asarray(fn))
     results = run_checks(lp(2), PointSet(points))
     return next((r.passed, r.detail) for r in results if r.name == name)
 
@@ -149,8 +147,8 @@ def _answer_with_graph(monkeypatch, points, fn, name):
 def _answer_with_tree(monkeypatch, points, doctor, name):
     """The (passed, detail) of check ``name`` when connect_components'
     tree edges are replaced by ``doctor(edges)``."""
-    def connect(spec, S, g, hull):
-        tree, report = mxst_module.connect_components(spec, S, g, hull)
+    def connect(spec, S, g, hull, tol):
+        tree, report = mxst_module.connect_components(spec, S, g, hull, tol)
         triples = zip(tree.edges.tolist(), tree.weights.tolist())
         edges = doctor([(i, j, w) for (i, j), w in triples])
         return SpanningTree([e[:2] for e in edges], [e[2] for e in edges]), report

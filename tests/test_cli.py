@@ -5,7 +5,19 @@ import re
 import numpy as np
 import pytest
 
-from normplane import PointSet, build_fng, convex_hull, emit_svg, lp, mxst_mpsy, two_clustering
+from normplane import (
+    PointSet,
+    build_fng,
+    convex_hull,
+    detect_ties,
+    emit_svg,
+    euclidean,
+    lp,
+    mxst_bruteforce,
+    mxst_mpsy,
+    pairwise_distances,
+    two_clustering,
+)
 from normplane.cli import load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from test_fng import JITTERED_SQUARE
@@ -77,6 +89,19 @@ def test_cli_perturb_linf_rejected(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NotStrictlyConvex"
+
+
+def test_cli_mxst_defaults_keep_the_exact_mode_when_only_other_distances_tie(tmp_path, capsys):
+    # 100 uniform points in a 0.01 square hold distances within the default
+    # tol 1e-9 of each other, none at a decision: mxst used to perturb them
+    pts = np.random.default_rng(100).uniform(0.0, 0.01, size=(100, 2))
+    S = PointSet(pts)
+    assert detect_ties(pairwise_distances(lp(2), S))
+    path = _write(tmp_path, "small.json", json.dumps(pts.tolist()))
+    assert main(["mxst", "--norm", "lp:2", "--points", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"]["mode"] == "exact" and payload["report"]["perturbation"] is None
+    assert {(i, j) for i, j, _ in payload["edges"]} == mxst_bruteforce(lp(2), S).edge_set()
 
 
 def test_cli_mxst_tie_fallbacks(tmp_path, capsys):
@@ -191,6 +216,42 @@ def test_cli_bisector_at_tol_0(tmp_path, capsys, norm):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["points"]) == 33
     assert payload["max_residual"] <= 1e-15
+
+
+def test_cli_fng_orders_components_on_the_construction_hull(tmp_path, capsys):
+    # a 9 x 9 grid jittered by 1e-3: at tol 1e-4 the band of convex_hull's
+    # chain drops corner 80, the furthest point of some rows and a spine end,
+    # so ordering the components on that hull raised a StructureViolation
+    cells = np.array([(i, j) for i in range(9) for j in range(9)], dtype=float)
+    pts = cells + np.random.default_rng(20240817).uniform(-1e-3, 1e-3, cells.shape)
+    path = _write(tmp_path, "grid.json", json.dumps(pts.tolist()))
+    assert main(["fng", "--points", path, "--tol", "1e-4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    table = pairwise_distances(euclidean(), PointSet(pts))
+    np.fill_diagonal(table, -np.inf)
+    assert payload["fn"] == table.argmax(axis=1).tolist()
+    assert 80 in payload["cycle"]
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l1", "linf", "lp:3"])
+@pytest.mark.parametrize("tol", ["0", "1e-9"])
+@pytest.mark.parametrize("points, size", [
+    # the product of two values of f below about 1e-162 underflowed to 0,
+    # so --tol 0 found no sign change ("no bisector crossing found")
+    ("[[1e-300, 0], [0, 2e-300]]", 2.3e-300),
+    # the scan's product of two values of f near 1e300 overflowed, a
+    # RuntimeWarning, which pytest turns into an error
+    ("[[1e300, 0], [-1e300, 1e300]]", 2.3e300),
+])
+def test_cli_bisector_far_from_unit_scale(tmp_path, capsys, norm, tol, points, size):
+    pts = _write(tmp_path, "pair.json", points)
+    assert main(["bisector", "--norm", norm, "--points", pts, "--tol", tol]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 33
+    if tol == "0":
+        assert payload["max_residual"] <= 1e-15 * size
+    else:  # absolute: every scanned |f| of the tiny pair is within it
+        assert payload["max_residual"] <= max(1e-9, 1e-15 * size)
 
 
 @pytest.mark.parametrize("command", ["mxst", "perturb"])

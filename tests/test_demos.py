@@ -2,6 +2,7 @@
 
 import pathlib
 import runpy
+import sys
 
 import pytest
 
@@ -15,5 +16,6 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(script)])  # each demo's defaults
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
+from test_geometry import _band_polygon
 from normplane import (
     DegenerateInput,
     DuplicatePoints,
@@ -21,9 +22,11 @@ from normplane import (
     order_components,
     pairwise_distances,
     perturb_distinct,
+    run_checks,
     segments_properly_intersect,
 )
-from normplane.fng import _decompose, _triangle_pass
+from normplane.fng import _BLOCK, _decompose, _differences, _furthest
+from normplane.norms import norm_many
 
 # a square with corners nudged so the two diagonals stay longest but no two
 # distances agree
@@ -101,9 +104,15 @@ def test_build_fng_jittered_square():
 
 
 def test_build_fng_rejects_ties():
-    S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(TiesPresent):
+    # point 2 of an isosceles triangle has two furthest points at one distance
+    S = PointSet(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]]))
+    message = "tied furthest neighbors of point 2: 0 and 1 within tol=1e-09"
+    with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
         build_fng(lp(2), S)
+    # each corner of the unit square has one furthest point, the opposite
+    # one, so the square's tied sides leave every row's decision standing
+    S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    assert build_fng(lp(2), S).fn.tolist() == [2, 3, 0, 1]
 
 
 def test_build_fng_collinear_single_component():
@@ -312,6 +321,50 @@ def fng_from_table(table: np.ndarray) -> FNGraph:
     return _decompose(masked.argmax(axis=1))
 
 
+def _triangle_pass(spec, pts):
+    """The streamed triangle that took furthest neighbors over every point
+    before the hull restriction, kept as the reference.
+
+    Returns ``(fn, vals)``: ``vals`` equals ``table[np.triu_indices(n, 1)]``
+    of :func:`pairwise_distances` bit for bit, each distance evaluated once
+    as ``||p_i - p_j||`` with i < j, and ``fn`` equals that (mirrored)
+    table's row argmax with the diagonal masked (first index on equal
+    values).  Rows are taken in blocks of about ``_BLOCK`` distances, held
+    in a (rows x later columns) trapezoid whose lower-left corner is -inf.
+    """
+    n = len(pts)
+    vals = np.empty(n * (n - 1) // 2)
+    best = np.full(n, -np.inf)  # max of d(i, j) over the rows i < j seen so far
+    fn = np.zeros(n, dtype=np.intp)
+    step = min(max(1, _BLOCK // n), n - 1)
+    upper = np.triu(np.ones((step, n - 1), dtype=bool))  # column j > row i
+    tri_i, tri_j = np.triu_indices(step, k=1)
+    k = 0
+    for r0 in range(0, n - 1, step):
+        r1 = min(r0 + step, n - 1)
+        b = r1 - r0
+        block = np.full((b, n - 1 - r0), -np.inf)  # columns r0 + 1 .. n - 1
+        iu, ju = (tri_i, tri_j) if b == step else np.triu_indices(b, k=1)
+        block[iu, ju - 1] = norm_many(spec, _differences(pts, r0 + iu, r0 + ju))
+        block[:, b - 1 :] = norm_many(
+            spec, _differences(pts, np.arange(r0, r1)[:, None], np.arange(r1, n))
+        )
+
+        col_best = block.max(axis=0)
+        raised = col_best > best[r0 + 1 :]
+        best[r0 + 1 :][raised] = col_best[raised]
+        fn[r0 + 1 :][raised] = block.argmax(axis=0)[raised] + r0
+
+        row_best = block.max(axis=1)
+        raised = row_best > best[r0:r1]
+        fn[r0:r1][raised] = block.argmax(axis=1)[raised] + r0 + 1
+
+        row_major = block[upper[:b, : block.shape[1]]]
+        vals[k : k + row_major.size] = row_major
+        k += row_major.size
+    return fn, vals
+
+
 def test_triangle_pass_bit_identical_to_table(rng):
     # n = 300 spans several row blocks of the streamed pass; a random gauge's
     # functionals are inexact in binary, so an evaluation whose rounding
@@ -325,18 +378,96 @@ def test_triangle_pass_bit_identical_to_table(rng):
             assert np.array_equal(fn, fng_from_table(table).fn)
 
 
+def _row_decisions(table, cand):
+    """Per row of a distance table, over the columns ``cand`` but its own:
+    the first argmax, the first argmax of the others, and the gap between
+    their values."""
+    n = len(table)
+    masked = np.full_like(table, -np.inf)
+    masked[:, cand] = table[:, cand]
+    np.fill_diagonal(masked, -np.inf)
+    rows = np.arange(n)
+    first = masked.argmax(axis=1)
+    top = masked[rows, first]
+    masked[rows, first] = -np.inf
+    other = masked.argmax(axis=1)
+    return first, other, top - masked[rows, other]
+
+
+def _row_tie_message(first, other, gap, tol):
+    """The TiesPresent message of the first row whose gap is within tol, or None."""
+    tied = np.flatnonzero(gap <= tol)
+    if not tied.size:
+        return None
+    i = tied[0]
+    return f"tied furthest neighbors of point {i}: {first[i]} and {other[i]} within tol={tol:g}"
+
+
 def test_build_fng_tie_count_matches_detect_ties(rng):
+    # build_fng certifies each row's best two candidates on the hull
+    # boundary and names the first tied row; the global count of tied
+    # pairs is run_checks' distances-distinct detail
     for trial in range(24):
         spec = all_norms()[trial % 7]
         S = grid_points(rng, int(rng.integers(3, 30)))
         for tol in (0.0, 1e-9, 0.3):
-            ties = detect_ties(pairwise_distances(spec, S), tol)
-            if not ties:
-                build_fng(spec, S, tol)
+            table = pairwise_distances(spec, S)
+            ties = detect_ties(table, tol)
+            detail = run_checks(spec, S, tol)[0].detail
+            assert detail == (f"{len(ties)} tied distance pairs at tol={tol:g}" if ties else "")
+            first, other, gap = _row_decisions(table, convex_hull(S.points, tol, strict=True).boundary)
+            message = _row_tie_message(first, other, gap, tol)
+            if message is None:
+                assert np.array_equal(build_fng(spec, S, tol).fn, first)
                 continue
-            with pytest.raises(TiesPresent) as info:
+            with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
                 build_fng(spec, S, tol)
-            assert str(info.value) == f"{len(ties)} tied distance pairs at tol={tol:g}"
+
+
+def _furthest_cases(rng):
+    """Uniform sets, ellipses (convex position), perturbed grids and band
+    polygons (points inside each edge on the collinearity band of tol 1e-3)."""
+    for n in (2, 3, 40, 300):
+        yield rng.uniform(-10, 10, size=(n, 2))
+        angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+        yield np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)
+    for n in (9, 30, 80):
+        yield grid_points(rng, n).points + rng.uniform(-1e-3, 1e-3, size=(n, 2))
+    for m in (3, 5, 12):
+        yield _band_polygon(m, 1e-3)
+
+
+def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
+    # the lemma the restriction rests on: each row's maximum over the hull
+    # boundary is its maximum over all points; the kernel returns the
+    # table's first argmax over its candidates, or names the first row
+    # whose best two candidates lie within tol
+    specs = all_norms() + [random_symmetric_polygon(rng)]
+    decided = banded_misses = 0
+    for pts in _furthest_cases(rng):
+        n = len(pts)
+        rows = np.arange(n)
+        for spec in specs:
+            table = pairwise_distances(spec, PointSet(pts))
+            every = _row_decisions(table, rows)
+            for tol in (0.0, 1e-9, 1e-3):
+                boundary = convex_hull(pts, tol, strict=True).boundary
+                on_hull = _row_decisions(table, boundary)
+                assert np.array_equal(table[rows, on_hull[0]], table[rows, every[0]])
+                if np.all(every[2] > 0.0):
+                    assert np.array_equal(on_hull[0], fng_from_table(table).fn)
+                # the band of convex_hull's chain can drop extreme points
+                banded = _row_decisions(table, convex_hull(pts, tol).boundary)
+                banded_misses += not np.array_equal(banded[0], every[0])
+                for cand, (first, other, gap) in ((boundary, on_hull), (np.arange(n), every)):
+                    message = _row_tie_message(first, other, gap, tol)
+                    if message is None:
+                        assert np.array_equal(_furthest(spec, pts, cand, tol), first)
+                        decided += 1
+                        continue
+                    with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
+                        _furthest(spec, pts, cand, tol)
+    assert decided >= 400 and banded_misses >= 1
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

@@ -328,6 +328,18 @@ def test_convex_hull_matches_scalar_reference(rng):
             assert _as_reference(hull) == _reference_hull(pts, tol)
 
 
+def test_strict_hull_keeps_the_vertices_of_tol_0(rng):
+    # the vertices come from the chain at tol 0 and the band only adds
+    # boundary points, so the strict boundary holds the tol-0 boundary
+    for pts in [*_hull_cases(rng), *_window_cases(rng)]:
+        exact = convex_hull(pts, 0.0)
+        assert _as_reference(convex_hull(pts, 0.0, strict=True)) == _as_reference(exact)
+        for tol in (1e-9, 1e-3, 0.3):
+            hull = convex_hull(pts, tol, strict=True)
+            assert hull.vertices.tolist() == exact.vertices.tolist()
+            assert set(exact.boundary.tolist()) <= set(hull.boundary.tolist())
+
+
 def _band_polygon(m, tol):
     """A regular m-gon plus, inside each edge, points whose |cross| sits on
     the collinearity band tol * |ab| * |ap| up to the rounding of their

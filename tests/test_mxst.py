@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from normplane import (
     TiesPresent,
     build_fng,
     convex_hull,
+    detect_ties,
     lp,
     mxst_bruteforce,
     mxst_mpsy,
@@ -211,8 +213,8 @@ def _reference_connect(spec, S, g, hull):
         xp = cycle[k:]
 
         def pairing_max(ca, cb):
-            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])
-            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])
+            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])[0]
+            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])[0]
             return lhs if lhs.weight >= rhs.weight else rhs
 
         for i in range(k):
@@ -283,3 +285,134 @@ def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
         assert repr(report) == repr(ref_report)
         seen_k.add(min(g.k, 3))
     assert seen_k >= {2, 3}
+
+
+# one injected tie per decision site of the construction, each under lp(2)
+# at tol 0 and 1e-9; every configuration is mirror-symmetric about the y-axis
+DECISION_TIES = {
+    # point 2 lies on the axis: its two furthest points mirror each other
+    "row": ([[-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]],
+            "tied furthest neighbors of point 2: 0 and 1 within tol={tol}"),
+    # interior points 2 and 3 mirror each other, and so do their furthest
+    # boundary points in the pairing of clusters 0 and 5
+    "pairing": ([[-4.0, -9.0], [-3.0, 9.0], [-2.0, -2.0], [2.0, -2.0], [3.0, 9.0], [4.0, -9.0]],
+                "tied maxima of the cluster pairing (0, 5): (2, 5) and (0, 3) within tol={tol}"),
+    # the unit square: unique diagonals, four equal sides between them
+    "entry": ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+              "tied connecting candidates of components (1, 0): (0, 3) and (1, 2) within tol={tol}"),
+    # three crossing spines, one on the axis and two mirror images: the
+    # connecting edges beside the axis spine mirror each other and are shortest
+    "minimum": ([[0.0, 10.0], [-5.65, 6.34], [8.76, -4.94], [0.0, -10.0], [-8.76, -4.94],
+                 [5.65, 6.34]],
+                "tied minimum among the connecting edges: (0, 4) and (0, 2) within tol={tol}"),
+}
+
+
+def _witness(message):
+    """The index pairs a TiesPresent message names (a row's as (i, a), (i, b))."""
+    numbers = [int(t) for t in re.findall(r"\d+", message.split(":", 1)[1].split("within")[0])]
+    if message.startswith("tied furthest neighbors of point "):
+        i = int(re.search(r"point (\d+)", message).group(1))
+        return (i, numbers[0]), (i, numbers[1])
+    return tuple(numbers[:2]), tuple(numbers[2:])
+
+
+@pytest.mark.parametrize("site", DECISION_TIES)
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_a_decision_tie_raises_naming_its_witness(site, tol):
+    points, message = DECISION_TIES[site]
+    S = PointSet(np.array(points))
+    message = message.format(tol=f"{tol:g}")
+    with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
+        mxst_mpsy(lp(2), S, tol)
+    (p, q), (r, s) = _witness(message)
+    table = pairwise_distances(lp(2), S)
+    assert (p, q) != (r, s) and table[p, q] == table[r, s]
+    if site != "row":
+        # the rows are decided, so build_fng stands and only the tree raises
+        build_fng(lp(2), S, tol)
+
+
+def _mirrored_sets(rng, count):
+    """Sets mirror-symmetric about the y-axis under the seven norm families,
+    every fourth with a point on the axis, and uniform sets with two mirrored
+    interior pairs at dyadic coordinates: ties the construction may or may
+    not compare."""
+    specs = all_norms()
+    for trial in range(count):
+        spec = specs[trial % len(specs)]
+        if trial % 4 == 3:
+            inner = np.array([[1.0, 0.5], [-1.0, 0.5], [0.5, -1.25], [-0.5, -1.25]])
+            yield spec, np.vstack([rng.uniform(-10, 10, size=(12, 2)), inner])
+            continue
+        m = int(rng.integers(1, 8))
+        half = np.stack([rng.uniform(0.1, 10, m), rng.uniform(-10, 10, m)], axis=1)
+        pts = np.vstack([half, half * [-1.0, 1.0]])
+        if trial % 4 == 0:
+            pts = np.vstack([pts, [[0.0, rng.uniform(-10, 10)]]])
+        yield spec, pts
+
+
+def test_ties_outside_the_decisions_leave_the_oracle_tree(rng):
+    # a maximum spanning tree is unique when every non-tree edge is strictly
+    # shorter than each edge on its tree path, so ties the construction
+    # never compares cannot matter: where no decision ties, the tree is the
+    # oracle's although other distances tie, and where one does, the
+    # message names two distinct pairs at tied distances
+    built = tied_elsewhere = 0
+    sites = set()
+    for spec, pts in _mirrored_sets(rng, 900):
+        S = PointSet(pts)
+        table = pairwise_distances(spec, S)
+        for tol in (0.0, 1e-9):
+            try:
+                tree, _ = mxst_mpsy(spec, S, tol)
+            except TiesPresent as exc:
+                (p, q), (r, s) = _witness(str(exc))
+                assert (p, q) != (r, s) and abs(table[p, q] - table[r, s]) <= tol
+                sites.add(str(exc).split(":")[0].rstrip("0123456789(), "))
+                continue
+            assert tree.edge_set() == mxst_bruteforce(spec, S).edge_set()
+            built += 1
+            tied_elsewhere += bool(detect_ties(table, tol))
+    assert built >= 800 and tied_elsewhere >= 700
+    assert len(sites) >= 3
+
+
+def test_a_large_uniform_tree_evaluates_about_n_b_distances(monkeypatch):
+    # every distance goes through norm_many; the furthest neighbors cost the
+    # candidates' triangle plus the (rest x candidates) rectangle, and the
+    # tree adds its connecting blocks and the n - 1 weights of its edges
+    import normplane.fng as fng_module
+
+    evaluated = []
+    blocks = []
+    norm_many = fng_module.norm_many
+    max_pair = mxst_module._max_pair
+
+    def counting_norm_many(spec, arr):
+        evaluated.append(np.shape(arr)[:-1])
+        return norm_many(spec, arr)
+
+    def counting_max_pair(spec, S, rows, cols):
+        blocks.append(len(rows) * len(cols))
+        return max_pair(spec, S, rows, cols)
+
+    monkeypatch.setattr(fng_module, "norm_many", counting_norm_many)
+    monkeypatch.setattr(mxst_module, "_max_pair", counting_max_pair)
+    n = 20_000
+    rng = np.random.default_rng(20_000)
+    S = PointSet(rng.uniform(-1.0, 1.0, size=(n, 2)))
+    spec = lp(1.5)
+    tree, _ = mxst_mpsy(spec, S, 0.0)
+    b = convex_hull(S.points, 0.0).boundary.size
+    evals = sum(int(np.prod(shape)) for shape in evaluated)
+    assert evals <= b * (b - 1) // 2 + (n - b) * b + sum(blocks) + (n - 1)
+    assert evals < 100 * n
+
+    g = build_fng(spec, S, 0.0)
+    for i in rng.choice(n, size=200, replace=False):
+        row = norm_many(spec, S.points[i] - S.points)
+        row[i] = -np.inf
+        assert g.fn[i] == np.argmax(row)
+    assert len(tree.edges) == n - 1 and g.undirected_edges() <= tree.edge_set()
