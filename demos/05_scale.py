@@ -39,7 +39,7 @@ def main() -> None:
     start = time.perf_counter()
     tree, report = mxst_mpsy(spec, S)
     seconds = time.perf_counter() - start
-    b = len(convex_hull(S.points, strict=True).boundary)
+    b = len(convex_hull(S.points).boundary)
     k = max(len(report.entries), 1)
     print(f"n = {S.n}: tree in {seconds:.3f} s, hull boundary b = {b}, components k = {k}")
     print(f"total weight {tree.total_weight:.6f} over {len(tree.edges)} edges")

@@ -61,7 +61,7 @@ class _Stages:
             self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
             return
         self.g = _decompose(_furthest(spec, S.points, np.arange(S.n), tol))
-        self.hull = convex_hull(S.points, tol, strict=True)
+        self.hull = convex_hull(S.points, tol)
         try:
             self.cycle = order_components(self.g, self.hull)
         except NormPlaneError as exc:

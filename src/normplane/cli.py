@@ -151,14 +151,17 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
         },
     }
     _emit(payload, args.out)
-    if args.svg:
+    if args.svg and mode == "oracle-fallback":
+        # the construction tied at one of its decisions: hull and oracle tree only
+        svg.emit_svg(S, convex_hull(S.points, args.tol), None, tree, None, args.svg)
+    elif args.svg:
         _draw(spec, S, args.tol, args.svg, tree=tree)
     return 0
 
 
 def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     g = build_fng(spec, S, args.tol)
-    hull = convex_hull(S.points, args.tol, strict=True)
+    hull = convex_hull(S.points, args.tol)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -255,14 +258,15 @@ def _cmd_check(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 
 def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
-    """Best-effort full rendering: the construction's hull always, FNG/tree
-    when the tree construction's decisions are tie-free."""
-    hull = convex_hull(S.points, tol, strict=True)
+    """Best-effort full rendering: the construction's hull always, the FNG
+    when its rows are tie-free, and the given tree or else the construction's
+    when the construction's decisions are."""
+    hull = convex_hull(S.points, tol)
     g = None
     try:
         g = build_fng(spec, S, tol)
-        built, _ = connect_components(spec, S, g, hull, tol)
-        tree = built if tree is None else tree
+        if tree is None:
+            tree, _ = connect_components(spec, S, g, hull, tol)
     except NormPlaneError:
         g = None
     svg.emit_svg(S, hull, g, tree, bipartition, path)

@@ -182,7 +182,7 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    return _decompose(_furthest(spec, S.points, convex_hull(S.points, tol, strict=True).boundary, tol))
+    return _decompose(_furthest(spec, S.points, convex_hull(S.points, tol).boundary, tol))
 
 
 def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
@@ -213,7 +213,7 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
         for r0 in range(0, rest.size, step):
             rows = rest[r0 : r0 + step]
             block = norm_many(spec, _differences(pts, rows[:, None], cand))
-            arg, best[rows], second[rows] = _top2(block, axis=1)
+            arg, best[rows], _, second[rows] = _top2(block, axis=1)
             fn[rows] = cand[arg]
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
@@ -260,32 +260,34 @@ def _candidate_triangle(spec: NormSpec, q: np.ndarray):
         block[:, b - 1 :] = norm_many(
             spec, _differences(q, np.arange(r0, r1)[:, None], np.arange(r1, m))
         )
-        _merge(arg[r0 + 1 :], best[r0 + 1 :], second[r0 + 1 :], *_top2(block, axis=0), r0)
-        _merge(arg[r0:r1], best[r0:r1], second[r0:r1], *_top2(block, axis=1), r0 + 1)
+        _merge(arg[r0 + 1 :], best[r0 + 1 :], second[r0 + 1 :], _top2(block, axis=0), r0)
+        _merge(arg[r0:r1], best[r0:r1], second[r0:r1], _top2(block, axis=1), r0 + 1)
     return arg, best, second
 
 
 def _top2(block: np.ndarray, axis: int):
-    """``(argmax, max, runner-up)`` of a 2-D block along ``axis``; the
-    runner-up is the largest value off the first argmax.  The block is
-    restored after the masked second pass."""
+    """``(argmax, max, runner-up argmax, runner-up)`` of a 2-D block along
+    ``axis``; the runner-up is the first largest value off the first argmax.
+    The block is restored after the masked second pass."""
     lanes = block.T if axis == 0 else block  # a view: one lane per row
     rows = np.arange(lanes.shape[0])
     arg = lanes.argmax(axis=1)
     top = lanes[rows, arg]
     lanes[rows, arg] = -np.inf
-    runner = lanes.max(axis=1)
+    runner_arg = lanes.argmax(axis=1)
+    runner = lanes[rows, runner_arg]
     lanes[rows, arg] = top
-    return arg, top, runner
+    return arg, top, runner_arg, runner
 
 
-def _merge(arg, best, second, new_arg, top, runner, offset) -> None:
-    """Merge a block's best two per row into the running ones, in place.
+def _merge(arg, best, second, top2, offset) -> None:
+    """Merge a block's best two per row (:func:`_top2`) into the running ones, in place.
 
     The block's values are other pairs than the running ones, so the best
     two of the union are the best two of these four; a running best keeps
     its index on an equal value, so the first argmax stays.
     """
+    new_arg, top, _, runner = top2
     raised = top > best
     second[...] = np.maximum(np.minimum(best, top), np.maximum(second, runner))
     best[...] = np.maximum(best, top)

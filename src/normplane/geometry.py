@@ -82,15 +82,14 @@ class HullIndex(_IndexArrays):
         return self.boundary[np.argsort(self.position[self.boundary])]
 
 
-def convex_hull(points, tol: float = DEFAULT_TOL, *, strict: bool = False) -> HullIndex:
+def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     """Monotone-chain hull over point indices, tracking collinear boundary.
 
-    The chain drops a vertex whose turn lies within tol's collinearity band,
-    and a run of such turns can drop a vertex well off the final edge.
-    ``strict`` takes the vertices from the chain at tol 0 instead, so every
-    extreme point is kept up to rounding, and the band then adds the points
-    near those edges: the hull the tree construction reads, whose boundary
-    holds each point's furthest neighbor.
+    The vertices come from the chain at tol 0, so every extreme point is
+    kept up to rounding (a banded chain could drop a run of near-collinear
+    vertices, some well off the final edge); tol's collinearity band only
+    adds the points near those edges to the boundary.  The boundary thus
+    holds each point's furthest neighbor under every norm.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -103,22 +102,16 @@ def convex_hull(points, tol: float = DEFAULT_TOL, *, strict: bool = False) -> Hu
     pts = _unit_scale(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
-    chain_tol = 0.0 if strict else tol
 
     def build(seq):
-        # pops while orientation(chain[-2], chain[-1], i, chain_tol) != CCW, with
-        # orientation's expressions evaluated inline on plain floats
+        # pops while orientation(chain[-2], chain[-1], i, 0.0) != CCW, with
+        # its cross product evaluated inline on plain floats
         chain: list[int] = []
         for i in seq:
             cx, cy = xs[i], ys[i]
             while len(chain) >= 2:
                 ax, ay = xs[chain[-2]], ys[chain[-2]]
-                ux, uy = xs[chain[-1]] - ax, ys[chain[-1]] - ay
-                vx, vy = cx - ax, cy - ay
-                cross = ux * vy - vx * uy
-                if cross > 0.0 and cross > chain_tol * (
-                    math.sqrt(ux * ux + uy * uy) * math.sqrt(vx * vx + vy * vy)
-                ):
+                if (xs[chain[-1]] - ax) * (cy - ay) - (cx - ax) * (ys[chain[-1]] - ay) > 0.0:
                     break
                 chain.pop()
             chain.append(i)

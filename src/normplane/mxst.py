@@ -41,6 +41,7 @@ from .fng import (
     PointSet,
     _decompose,
     _furthest,
+    _top2,
     _triangle,
     distances_between,
     order_components,
@@ -100,7 +101,7 @@ def mxst_mpsy(
     check_tol(tol)
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
-    hull = convex_hull(S.points, tol, strict=True)
+    hull = convex_hull(S.points, tol)
     g = _decompose(_furthest(spec, S.points, hull.boundary, tol))
     return connect_components(spec, S, g, hull, tol)
 
@@ -180,15 +181,10 @@ def _max_pair(spec: NormSpec, S: PointSet, rows, cols) -> tuple[CandidateEdge, .
     """The largest and the second-largest pair of the rows x cols distance
     block (disjoint index arrays), first maximum first; one for a 1 x 1 block."""
     rows, cols = np.asarray(rows), np.asarray(cols)
-    sub = distances_between(spec, S, rows[:, None], cols[None, :]).ravel()
-    top = int(np.argmax(sub))
-    if sub.size == 1:
-        return (_candidate(rows, cols, sub, top),)
-    w = sub[top]
-    sub[top] = -np.inf
-    runner = int(np.argmax(sub))
-    sub[top] = w
-    return _candidate(rows, cols, sub, top), _candidate(rows, cols, sub, runner)
+    sub = distances_between(spec, S, rows[:, None], cols[None, :]).reshape(1, -1)
+    (top,), _, (runner,), _ = _top2(sub, axis=1)
+    flats = (top,) if sub.size == 1 else (top, runner)
+    return tuple(_candidate(rows, cols, sub[0], int(f)) for f in flats)
 
 
 def _candidate(rows, cols, sub, flat: int) -> CandidateEdge:

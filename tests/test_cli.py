@@ -219,9 +219,10 @@ def test_cli_bisector_at_tol_0(tmp_path, capsys, norm):
 
 
 def test_cli_fng_orders_components_on_the_construction_hull(tmp_path, capsys):
-    # a 9 x 9 grid jittered by 1e-3: at tol 1e-4 the band of convex_hull's
-    # chain drops corner 80, the furthest point of some rows and a spine end,
-    # so ordering the components on that hull raised a StructureViolation
+    # a 9 x 9 grid jittered by 1e-3: at tol 1e-4 a chain that pops turns
+    # within the band drops corner 80, the furthest point of some rows and a
+    # spine end, so ordering the components on that hull raised a
+    # StructureViolation
     cells = np.array([(i, j) for i in range(9) for j in range(9)], dtype=float)
     pts = cells + np.random.default_rng(20240817).uniform(-1e-3, 1e-3, cells.shape)
     path = _write(tmp_path, "grid.json", json.dumps(pts.tolist()))

@@ -24,11 +24,15 @@ from normplane import (
     pairwise_distances,
     perturb_distinct,
     polygonal,
+    stabbing_line,
+    two_clustering,
+    two_clustering_bruteforce,
     validate_tree,
 )
 from normplane.fng import distances_between
 from normplane.mxst import ConnectingEdgeReport, StepFourEntry, _max_pair, connect_components
 from test_checks import THREE_SPINES
+from test_clustering import _line_stabs_all
 
 
 def test_mxst_three_points_drops_shortest_side():
@@ -353,13 +357,24 @@ def _mirrored_sets(rng, count):
         yield spec, pts
 
 
+def _stabs_the_feasible_family(line, tree, pts, tol) -> bool:
+    """True iff ``line`` stabs, within tol, the tree edges longer than the
+    shortest tree edge length whose longer-edge family has a stabbing line."""
+    for d in np.sort(tree.weights):
+        family = list(pts[tree.edges[tree.weights > d]])
+        if not family or stabbing_line(family, tol) is not None:
+            break
+    return _line_stabs_all(line, family, tol)
+
+
 def test_ties_outside_the_decisions_leave_the_oracle_tree(rng):
     # a maximum spanning tree is unique when every non-tree edge is strictly
     # shorter than each edge on its tree path, so ties the construction
     # never compares cannot matter: where no decision ties, the tree is the
-    # oracle's although other distances tie, and where one does, the
-    # message names two distinct pairs at tied distances
-    built = tied_elsewhere = 0
+    # oracle's although other distances tie, the 2-clustering built from it
+    # is optimal with a valid witness line, and where one does, the message
+    # names two distinct pairs at tied distances
+    built = tied_elsewhere = clustered = 0
     sites = set()
     for spec, pts in _mirrored_sets(rng, 900):
         S = PointSet(pts)
@@ -375,7 +390,12 @@ def test_ties_outside_the_decisions_leave_the_oracle_tree(rng):
             assert tree.edge_set() == mxst_bruteforce(spec, S).edge_set()
             built += 1
             tied_elsewhere += bool(detect_ties(table, tol))
-    assert built >= 800 and tied_elsewhere >= 700
+            if S.n <= 15:
+                part = two_clustering(spec, S, tol)
+                assert part.value == two_clustering_bruteforce(spec, S).value
+                assert _stabs_the_feasible_family(part.witness_line, tree, S.points, tol)
+                clustered += 1
+    assert built >= 800 and tied_elsewhere >= 700 and clustered >= 400
     assert len(sites) >= 3
 
 
