@@ -5,15 +5,15 @@ maximum spanning tree as an executable check and reports pass/fail per
 invariant; used by the command-line ``check`` command and by the
 acceptance tests.
 
-Each call reads the flat distance triangle once (:func:`fng._triangle`),
-for the global all-distances-distinct verdict and for the descending-greedy
-oracle, and builds its structures once, in three stages: ``fng`` (the
-furthest-neighbor map over every point as candidate, so the lemma that
-puts each furthest neighbor on the hull boundary is tested, plus the hull),
-``cycle`` (the cyclic component order on that graph) and ``tree`` (the
-tree connected from that graph and hull, beside the oracle; no n x n
-table).  Tied distances anywhere skip every stage; a stage that cannot be
-built answers for every check that needs it.
+Each call reads the flat distance triangle once (:func:`fng._triangle`) for
+the tie count and the greedy oracle, and keeps it mirrored as the n x n table
+every check reads distances from; only the construction under test evaluates
+others.  Stages are built once: ``fng`` (each table row's argmax over every
+point, certified by the tie gate, so the lemma that puts each furthest
+neighbor on the hull boundary is tested, plus the hull), ``cycle`` (the
+cyclic component order on that graph) and ``tree`` (the tree connected from
+that graph and hull, beside the oracle).  Tied distances anywhere skip every
+stage; a stage that cannot be built answers for every check that needs it.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from .fng import (
     DEFAULT_TOL,
     PointSet,
     _decompose,
-    _furthest,
     _tie_offsets,
     _triangle,
-    distances_between,
     order_components,
 )
 from .geometry import check_tol, convex_hull, segments_properly_intersect
-from .mxst import _greedy, _max_pair, connect_components
+from .mxst import _greedy, connect_components
 from .norms import NormSpec
 
 
@@ -53,14 +51,14 @@ class _Stages:
     """
 
     def __init__(self, spec: NormSpec, S: PointSet, tol: float):
-        self.spec, self.S, self.tol = spec, S, tol
+        self.S, self.tol = S, tol
         self.missing: dict[str, str] = {}
         self.cycle_error = ""
-        self.ties, self.oracle = _global_stage(spec, S, tol)
+        self.ties, self.oracle, self.table = _global_stage(spec, S, tol)
         if self.ties:
             self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
             return
-        self.g = _decompose(_furthest(spec, S.points, np.arange(S.n), tol))
+        self.g = _decompose(self.table.argmax(axis=1))
         self.hull = convex_hull(S.points, tol)
         try:
             self.cycle = order_components(self.g, self.hull)
@@ -74,14 +72,16 @@ class _Stages:
 
 
 def _global_stage(spec: NormSpec, S: PointSet, tol: float):
-    """``(detail, oracle)`` from one read of the distance triangle: the count
-    of tied pairs, "" without any, and then the descending-greedy oracle
-    tree (None with ties).  The triangle is dropped before the other stages."""
+    """``(detail, oracle, table)`` from one read of the distance triangle: the
+    count of tied pairs ("" without any), then the greedy oracle tree and the
+    triangle mirrored as :func:`fng.pairwise_distances` does, both None with ties."""
     iu, ju, w = _triangle(spec, S)
     tied = sum(hits.size for _, hits in _tie_offsets(np.sort(w), tol))
     if tied:
-        return f"{tied} tied distance pairs at tol={tol:g}", None
-    return "", _greedy(S.n, iu, ju, w)
+        return f"{tied} tied distance pairs at tol={tol:g}", None, None
+    table = np.zeros((S.n, S.n))
+    table[iu, ju] = table[ju, iu] = w
+    return "", _greedy(S.n, iu, ju, w), table
 
 
 def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -108,7 +108,7 @@ def _increasing_chains(st: _Stages) -> tuple[bool, str]:
     # every edge i -> fn[i] off a spine is strictly shorter than the next
     # edge fn[i] -> fn[fn[i]]; a cycle longer than a spine cannot satisfy it
     fn = st.g.fn
-    w = distances_between(st.spec, st.S, np.arange(len(fn)), fn)
+    w = st.table[np.arange(len(fn)), fn]
     bad = np.flatnonzero((fn[fn] != np.arange(len(fn))) & ~(w < w[fn]))
     if not bad.size:
         return True, ""
@@ -171,8 +171,8 @@ def _noncontiguous_maximum(st: _Stages) -> tuple[bool, str]:
                 six_pos = {cycle[t]: r for r, t in enumerate(six)}
                 rows = comp_members[a]
                 cols = np.concatenate([comp_members[b], comp_members[c]])
-                best = _max_pair(st.spec, st.S, rows, cols)[0]
-                u, v = (best.i, best.j) if best.i in rows else (best.j, best.i)
+                i, j = divmod(int(st.table[np.ix_(rows, cols)].argmax()), cols.size)
+                u, v = int(rows[i]), int(cols[j])
                 du = six_pos[g.cluster_of[u]]
                 dv = six_pos[g.cluster_of[v]]
                 if min((du - dv) % 6, (dv - du) % 6) != 2:

@@ -14,10 +14,9 @@ stored or sorted; the only distances certified distinct are each row's
 best two, the comparison the map rests on (:class:`TiesPresent` names the
 row and both candidates).
 
-The global all-distances-distinct certificate is read from the flat strict
-upper triangle (``np.triu_indices`` order, :func:`_triangle`) by one
-tied-pair scan (:func:`_tie_offsets`) and one chunked gap scan
-(:func:`_gaps`); :func:`pairwise_distances` is that triangle mirrored.
+The flat strict upper triangle (:func:`_triangle`, mirrored by
+:func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
+:func:`_gaps`) of :func:`detect_ties`, the invariant suite and :mod:`perturb`.
 """
 
 from __future__ import annotations

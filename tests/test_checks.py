@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import normplane.checks as checks_module
+import normplane.fng as fng_module
 import normplane.mxst as mxst_module
 from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
@@ -12,6 +13,7 @@ from normplane import (
     StructureViolation,
     SpanningTree,
     build_fng,
+    convex_hull,
     detect_ties,
     lp,
     pairwise_distances,
@@ -80,6 +82,45 @@ def test_tied_grid_pattern(rng):
     assert _answers(results[1:]) == [(name, False, "skipped: ties present") for name in NAMES[1:]]
 
 
+def _count_bank():
+    """Uniform sets, 120-point ellipses with k = 3 and k = 4, and jittered
+    grids, all tie-free at tol 1e-9 under lp(1.5)."""
+    rng = np.random.default_rng(40)
+    for n in (3, 12, 40, 150):
+        yield rng.uniform(0, 1, size=(n, 2))
+    for seed in (4, 7):
+        angles = np.sort(np.random.default_rng(seed).uniform(0, 2 * np.pi, size=120))
+        yield np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)
+    for n in (30, 80):
+        yield grid_points(rng, n).points + rng.uniform(-1e-3, 1e-3, size=(n, 2))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_run_checks_evaluates_the_triangle_and_the_construction_only(monkeypatch, tol):
+    # every distance a check reads comes from the one triangle the tie gate
+    # reads; the only others are those of the construction under test
+    evaluated = []
+    norm_many = fng_module.norm_many
+
+    def counting(spec, v):
+        evaluated.append(v[..., 0].size)
+        return norm_many(spec, v)
+
+    monkeypatch.setattr(fng_module, "norm_many", counting)
+    spec, ks = lp(1.5), set()
+    for pts in _count_bank():
+        S = PointSet(pts)
+        evaluated.clear()
+        assert all(r.passed for r in run_checks(spec, S, tol))
+        suite = sum(evaluated)
+        g, hull = build_fng(spec, S, tol), convex_hull(pts, tol)
+        ks.add(g.k)
+        evaluated.clear()
+        mxst_module.connect_components(spec, S, g, hull, tol)
+        assert suite == S.n * (S.n - 1) // 2 + sum(evaluated)
+    assert {3, 4} <= ks
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_fewer_than_three_points_are_trivial(n):
     S = PointSet(JITTERED_SQUARE[:n])
@@ -137,9 +178,10 @@ FOUR_SPINES = np.array([
 
 
 def _answer_with_graph(monkeypatch, points, fn, name):
-    """The (passed, detail) of check ``name`` when the furthest-neighbor
-    kernel returns the doctored map ``fn``."""
-    monkeypatch.setattr(checks_module, "_furthest", lambda spec, pts, cand, tol: np.asarray(fn))
+    """The (passed, detail) of check ``name`` when the suite decomposes the
+    doctored map ``fn`` in place of the table's row maxima."""
+    decompose = checks_module._decompose
+    monkeypatch.setattr(checks_module, "_decompose", lambda _: decompose(fn))
     results = run_checks(lp(2), PointSet(points))
     return next((r.passed, r.detail) for r in results if r.name == name)
 
