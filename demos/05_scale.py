@@ -14,8 +14,11 @@ This script builds the lp:1.5 tree of n uniform points in the unit square,
 prints its time, b and the number k of furthest-neighbor components, and
 checks the furthest neighbors of 200 random points against full scans (and,
 for n <= 2000, the whole tree against the descending-greedy oracle).
+``--tol`` is the tolerance of every decision (default: the library's 1e-9).
+At a million points the smallest gap between a point's two furthest
+candidates falls below 1e-9, so that size runs at tol 0:
 
-    python3 demos/05_scale.py --n 100000
+    python3 demos/05_scale.py --n 1000000 --tol 0
 """
 
 import argparse
@@ -30,6 +33,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="Build and check the lp:1.5 tree of n uniform points.")
     parser.add_argument("--n", type=int, default=600, help="number of points (default %(default)s)")
     parser.add_argument("--seed", type=int, default=5, help="random seed (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=1e-9,
+                        help="tolerance of the tree's decisions (default %(default)s)")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -37,15 +42,15 @@ def main() -> None:
     S = PointSet(rng.uniform(0.0, 1.0, size=(args.n, 2)))
 
     start = time.perf_counter()
-    tree, report = mxst_mpsy(spec, S)
+    tree, report = mxst_mpsy(spec, S, args.tol)
     seconds = time.perf_counter() - start
-    b = len(convex_hull(S.points).boundary)
+    b = len(convex_hull(S.points, args.tol).boundary)
     k = max(len(report.entries), 1)
     print(f"n = {S.n}: tree in {seconds:.3f} s, hull boundary b = {b}, components k = {k}")
     print(f"total weight {tree.total_weight:.6f} over {len(tree.edges)} edges")
 
     # the furthest neighbors of a sample of points, each against a full row scan
-    g = build_fng(spec, S)
+    g = build_fng(spec, S, args.tol)
     for i in rng.choice(S.n, size=min(200, S.n), replace=False):
         row = norm_many(spec, S.points[i] - S.points)
         row[i] = -np.inf

@@ -31,7 +31,7 @@ from .fng import (
     _triangle,
     order_components,
 )
-from .geometry import check_tol, convex_hull, segments_properly_intersect
+from .geometry import _hull, check_tol, segments_properly_intersect
 from .mxst import _greedy, connect_components
 from .norms import NormSpec
 
@@ -59,7 +59,7 @@ class _Stages:
             self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
             return
         self.g = _decompose(self.table.argmax(axis=1))
-        self.hull = convex_hull(S.points, tol)
+        self.hull = _hull(S.points, tol)
         try:
             self.cycle = order_components(self.g, self.hull)
         except NormPlaneError as exc:

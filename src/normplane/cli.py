@@ -29,7 +29,7 @@ from . import checks, svg
 from .clustering import two_clustering
 from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, build_fng, order_components
-from .geometry import check_tol, convex_hull
+from .geometry import _hull, check_tol
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
 from .norms import NormSpec, _numeric_rows, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import check_eps, perturb_distinct
@@ -153,7 +153,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     _emit(payload, args.out)
     if args.svg and mode == "oracle-fallback":
         # the construction tied at one of its decisions: hull and oracle tree only
-        svg.emit_svg(S, convex_hull(S.points, args.tol), None, tree, None, args.svg)
+        svg.emit_svg(S, _hull(S.points, args.tol), None, tree, None, args.svg)
     elif args.svg:
         _draw(spec, S, args.tol, args.svg, tree=tree)
     return 0
@@ -161,7 +161,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     g = build_fng(spec, S, args.tol)
-    hull = convex_hull(S.points, args.tol)
+    hull = _hull(S.points, args.tol)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -261,7 +261,7 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     """Best-effort full rendering: the construction's hull always, the FNG
     when its rows are tie-free, and the given tree or else the construction's
     when the construction's decisions are."""
-    hull = convex_hull(S.points, tol)
+    hull = _hull(S.points, tol)
     g = None
     try:
         g = build_fng(spec, S, tol)

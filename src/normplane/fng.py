@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPresent
-from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, check_points, check_tol, convex_hull
+from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, check_points, check_tol
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the furthest-neighbor kernel, and
@@ -181,7 +181,7 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    return _decompose(_furthest(spec, S.points, convex_hull(S.points, tol).boundary, tol))
+    return _decompose(_furthest(spec, S.points, _hull(S.points, tol).boundary, tol))
 
 
 def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:

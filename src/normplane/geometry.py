@@ -90,22 +90,36 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
     vertices, some well off the final edge); tol's collinearity band only
     adds the points near those edges to the boundary.  The boundary thus
     holds each point's furthest neighbor under every norm.
+
+    Before the chain, the points strictly inside the octagon of the eight
+    extreme directions are dropped (:func:`_octagon_survivors`, Akl and
+    Toussaint's filter): only the survivors are sorted by (x, y), walked by
+    Andrew's chain and tested against the hull edges, so on uniform input
+    the per-point Python touches a few dozen points, not n.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise DuplicatePoints("empty point set")
     check_points(pts)
     check_tol(tol)
+    return _hull(pts, tol)
+
+
+def _hull(pts: np.ndarray, tol: float) -> HullIndex:
+    """:func:`convex_hull` of a non-empty float (n, 2) array that
+    :func:`check_points` and :func:`check_tol` have already accepted."""
     if len(pts) == 1:
         return HullIndex(vertices=[0], boundary=[0], position=[0])
 
     pts = _unit_scale(pts)
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    order = np.lexsort((pts[:, 1], pts[:, 0]))  # by (x, y); distinct points never tie
+    keep = _octagon_survivors(pts, tol)
+    order = keep[np.lexsort((pts[keep, 1], pts[keep, 0]))]  # by (x, y); distinct points never tie
+    xs, ys = pts[order, 0].tolist(), pts[order, 1].tolist()
 
     def build(seq):
         # pops while orientation(chain[-2], chain[-1], i, 0.0) != CCW, with
-        # its cross product evaluated inline on plain floats
+        # its cross product evaluated inline on plain floats; the chain
+        # holds ranks in ``order``
         chain: list[int] = []
         for i in seq:
             cx, cy = xs[i], ys[i]
@@ -117,16 +131,53 @@ def convex_hull(points, tol: float = DEFAULT_TOL) -> HullIndex:
             chain.append(i)
         return chain
 
-    lower = build(order.tolist())
-    upper = build(order[::-1].tolist())
+    lower = build(range(len(order)))
+    upper = build(range(len(order) - 1, -1, -1))
     # the lower chain runs from order[0] to order[-1] and the upper one back,
     # so for n >= 2 distinct points verts holds at least those two
-    verts = lower[:-1] + upper[:-1]
+    verts = order[lower[:-1] + upper[:-1]]
 
     traversal = _boundary_traversal(pts, verts, order, tol)
     position = np.full(len(pts), -1, dtype=np.intp)
     position[traversal] = np.arange(traversal.size)
     return HullIndex(vertices=verts, boundary=np.sort(traversal), position=position)
+
+
+def _octagon_survivors(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Indices, ascending, of the points not strictly inside the octagon of
+    the extremes of x, y, x + y and x - y (Akl and Toussaint, IPL 1978).
+
+    The eight extremes, in CCW order, are points of the set, so the octagon
+    lies in the hull.  A point p is dropped when, for every edge ab between
+    distinct extremes, ab x ap exceeds (tol + 1e-12) D |ab|, D being the
+    bounding box's diagonal.  Then every point within (tol + 1e-12) D of p
+    is strictly left of every edge, so the closed polygon winds around it
+    and it lies in the hull: each hull edge's line is more than
+    tol D >= tol |ap| from p, and p is neither a hull vertex nor in an
+    edge's collinearity band.  1e-12 D |ab| covers the rounding of both
+    cross products, a few ulps of |ab| D, so the chain and the traversal
+    over the survivors decide as over every point.  Each edge's test is
+    one pass over the points with two float temporaries; a degenerate
+    octagon (a segment) drops nothing, as no point is left of both its
+    directions.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    ext = pts[[x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+               x.argmax(), s.argmax(), y.argmax(), d.argmin()]].tolist()
+    del s, d
+    margin = (tol + 1e-12) * math.hypot(ext[4][0] - ext[0][0], ext[6][1] - ext[2][1])
+    inside = np.ones(len(pts), dtype=bool)
+    for (ax, ay), (bx, by) in zip(ext, ext[1:] + ext[:1]):
+        if ax == bx and ay == by:
+            continue  # coincident extremes: a zero-length edge constrains nothing
+        cross = np.subtract(y, ay)
+        cross *= bx - ax
+        dx = np.subtract(x, ax)
+        dx *= by - ay
+        cross -= dx
+        inside &= cross > margin * math.hypot(bx - ax, by - ay)
+    return np.flatnonzero(~inside)
 
 
 def check_points(pts: np.ndarray) -> None:
@@ -162,7 +213,9 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     orientation()'s collinearity test, |ab x ap| <= tol |ab| |ap| evaluated as
     in ``_span``; the tour is the on-edge points ordered by (edge, t, index),
     without each edge's end vertex.
-    An edge tests only the points (``order`` sorts them by x) whose x is within
+    An edge tests only the points of ``order`` (the octagon's survivors, sorted
+    by x; they include both x extremes, so the extent is that of all points)
+    whose x is within
     reach = 2 tol (|ab_x| + r) + 1e-12 (scale + r) of its x-span, scale being
     the largest |coordinate| and r a bound on |ap| for an on-edge p: the
     bounding box's diagonal extent, and for tol < 1/2 the smaller of extent and

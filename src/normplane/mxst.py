@@ -4,14 +4,18 @@
 furthest-neighbor edges, order the FNG components cyclically around the
 hull, compute one candidate connecting edge per adjacent component pair
 (restricting one endpoint to the hull boundary), and drop the shortest
-candidate.  It computes the hull first and takes the furthest neighbors
-over its b boundary points (:func:`fng._furthest`): b(b-1)/2 + (n-b) b
-norm evaluations, no stored distances and no sort.  `connect_components`
-does the rest from that graph and the hull, evaluating only the cluster x
-boundary-cluster blocks it compares, each once per call (at k = 2 both
-adjacent component pairs read the same eight blocks); callers that
-already hold both (the invariant suite, the CLI's drawing) call it
-directly.
+candidate.  It computes the hull first, from the points the octagon
+filter keeps (:func:`geometry.convex_hull`, without the input checks the
+PointSet has run), and takes the furthest neighbors over its b boundary points
+(:func:`fng._furthest`): b(b-1)/2 + (n-b) b norm evaluations, no stored
+distances and no sort.  `connect_components` does the rest from that graph
+and the hull, evaluating only the cluster x boundary-cluster blocks it
+compares, each once per call (at k = 2 both adjacent component pairs read
+the same eight blocks); callers that already hold both (the invariant
+suite, the CLI's drawing) call it directly.  The tree's validity follows
+from the decomposition: the graph is a forest of k trees, so it suffices
+that the k - 1 kept connecting edges join its components into one, a
+union-find over k components rather than n points.
 
 Distances need to be distinct only where the construction compares them,
 and only there are they certified; TiesPresent names the site and the two
@@ -30,6 +34,7 @@ n(n-1)/2 distances.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +51,12 @@ from .fng import (
     distances_between,
     order_components,
 )
-from .geometry import HullIndex, _IndexArrays, check_tol, convex_hull
+from .geometry import HullIndex, _IndexArrays, _hull, check_tol
 from .norms import NormSpec
+
+# edges the greedy oracle reads as Python ints at a time: larger chunks
+# save no time and hold more ints when the scan stops early
+_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +110,7 @@ def mxst_mpsy(
     check_tol(tol)
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
-    hull = convex_hull(S.points, tol)
+    hull = _hull(S.points, tol)
     g = _decompose(_furthest(spec, S.points, hull.boundary, tol))
     return connect_components(spec, S, g, hull, tol)
 
@@ -112,10 +121,14 @@ def connect_components(
     """The tree from a furthest-neighbor graph ``g`` of S and its hull.
 
     Orders the components around the hull, adds one connecting edge per
-    cyclically adjacent component pair but the shortest, and validates the
-    result (StructureViolation when the components do not alternate or the
-    edges do not span).  TiesPresent when one of its decisions compares two
-    distinct pairs within tol.
+    cyclically adjacent component pair but the shortest, and certifies the
+    result from the decomposition (StructureViolation when the components
+    do not alternate or the edges do not span).  ``g``'s edges are a forest
+    of k trees, one per component, so the result is a spanning tree when it
+    has n - 1 edges and the kept connecting edges join the k components
+    without a cycle; :func:`validate_tree` would repeat that over n points.
+    TiesPresent when one of its decisions compares two distinct pairs within
+    tol.
     """
     n = S.n
     cycle = order_components(g, hull)
@@ -126,6 +139,7 @@ def connect_components(
     pairs = np.sort(np.stack([idx, g.fn], axis=1)[(g.fn[g.fn] != idx) | (idx < g.fn)], axis=1)
     entries: list[StepFourEntry] = []
     discarded: int | None = None
+    kept: list[tuple[int, int]] = []
 
     if k > 1:
         members = g.cluster_members()
@@ -170,10 +184,13 @@ def connect_components(
         kept = [(e.selected.i, e.selected.j) for t, e in enumerate(entries) if t != discarded]
         pairs = np.concatenate([pairs, np.array(kept, dtype=np.intp)])
 
+    join = _union_find(k)
+    if len(pairs) != n - 1 or not all(
+        join(int(g.component_of[i]), int(g.component_of[j])) for i, j in kept
+    ):
+        raise StructureViolation("connecting edges did not produce a spanning tree")
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     tree = SpanningTree(pairs, distances_between(spec, S, pairs[:, 0], pairs[:, 1]))
-    if not validate_tree(tree, n):
-        raise StructureViolation("connecting edges did not produce a spanning tree")
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
@@ -222,13 +239,16 @@ def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
 def _greedy(n: int, iu: np.ndarray, ju: np.ndarray, w: np.ndarray) -> SpanningTree:
     """The descending-greedy tree over the flat strict upper triangle (iu, ju, w)."""
     join = _union_find(n)
-    picked = []
-    for idx in np.lexsort((ju, iu, -w)):
-        if join(int(iu[idx]), int(ju[idx])):
-            picked.append(idx)
+    order = np.lexsort((ju, iu, -w))
+    chunks = (order[s : s + _CHUNK] for s in range(0, order.size, _CHUNK))
+    edges = itertools.chain.from_iterable(zip(iu[c].tolist(), ju[c].tolist()) for c in chunks)
+    picked = []  # ranks in order
+    for rank, (i, j) in enumerate(edges):
+        if join(i, j):
+            picked.append(rank)
             if len(picked) == n - 1:
                 break
-    picked.sort()  # flat upper-triangle positions order pairs as (i, j) does
+    picked = np.sort(order[picked])  # flat upper-triangle positions order pairs as (i, j) does
     return SpanningTree(np.stack([iu[picked], ju[picked]], axis=1), w[picked])
 
 

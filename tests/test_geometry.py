@@ -329,6 +329,61 @@ def test_convex_hull_matches_scalar_reference(rng):
             assert _as_reference(hull) == _reference_hull(pts, tol)
 
 
+def _diamond_band(tol):
+    """A diamond whose four hull edges are octagon edges (the extremes of
+    x +- y lie on them), with points on each edge and pushed inward or
+    outward by fractions of the band tol |ab| |ap| and by a few ulps."""
+    corners = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    pts = [corners, [[0.0, 0.0], [0.2, -0.3]]]
+    for e in range(4):
+        a, b = corners[e], corners[(e + 1) % 4]
+        ab = b - a
+        inward = np.array([-ab[1], ab[0]]) / np.hypot(ab[0], ab[1])
+        for x in np.linspace(0.05, 0.95, 7):
+            band = tol * x * np.hypot(ab[0], ab[1])
+            for h in (0.0, 1e-15, -1e-15, 0.5 * band, 0.999 * band, 1.001 * band, 2.0 * band):
+                for side in (1.0, -1.0):
+                    pts.append([a + x * ab + side * h * inward])
+    return np.unique(np.vstack(pts), axis=0)
+
+
+def _filter_cases(rng):
+    """The octagon filter's bank: uniform points, the diamond's band, and
+    axis-aligned grids, where extremes coincide and some octagon edges have
+    zero length."""
+    yield rng.uniform(-10, 10, size=(2000, 2))
+    for tol in (0.0, 1e-9, 1e-3):
+        yield _diamond_band(tol)
+    for cols, rows in ((1, 7), (2, 2), (3, 8), (6, 6)):
+        cells = np.array([(i, j) for i in range(cols) for j in range(rows)], dtype=float)
+        yield cells
+        yield np.vstack([cells, [[0.5 * (cols - 1) + 0.25, 0.5 * (rows - 1) + 0.125]]])
+
+
+def test_octagon_filtered_hull_matches_scalar_reference(rng):
+    # the reference's own squares overflow at 2^600, so the scaled sets are
+    # compared with the reference hull of the unscaled points
+    cases = list(_filter_cases(rng))
+    cases += [cases[0][:300], cases[1], cases[-1]]
+    for k, pts in enumerate(cases):
+        for tol in (0.0, 1e-9, 1e-3):
+            want = _reference_hull(pts, tol)
+            assert _as_reference(convex_hull(pts, tol)) == want
+            if k >= len(cases) - 3:
+                for factor in (2.0**600, 2.0**-600):
+                    assert _as_reference(convex_hull(factor * pts, tol)) == want
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_octagon_filter_drops_the_interior_and_keeps_convex_position(tol):
+    rng = np.random.default_rng(11)
+    uniform = geometry._unit_scale(rng.uniform(-1, 1, size=(10_000, 2)))
+    assert geometry._octagon_survivors(uniform, tol).size <= 500
+    angles = np.sort(rng.uniform(0, 2 * np.pi, size=10_000))
+    ellipse = geometry._unit_scale(np.stack([2 * np.cos(angles), np.sin(angles)], axis=1))
+    assert geometry._octagon_survivors(ellipse, tol).tolist() == list(range(10_000))
+
+
 def test_hull_keeps_the_vertices_of_tol_0(rng):
     # the vertices come from the chain at tol 0 and the band only adds
     # boundary points, so every boundary holds the tol-0 boundary

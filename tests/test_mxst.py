@@ -30,8 +30,14 @@ from normplane import (
     validate_tree,
 )
 from normplane.fng import distances_between
-from normplane.mxst import ConnectingEdgeReport, StepFourEntry, _max_pair, connect_components
-from test_checks import THREE_SPINES
+from normplane.mxst import (
+    CandidateEdge,
+    ConnectingEdgeReport,
+    StepFourEntry,
+    _max_pair,
+    connect_components,
+)
+from test_checks import FOUR_SPINES, THREE_SPINES
 from test_clustering import _line_stabs_all
 
 
@@ -289,6 +295,73 @@ def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
         assert repr(report) == repr(ref_report)
         seen_k.add(min(g.k, 3))
     assert seen_k >= {2, 3}
+
+
+def _doctor_connecting_step(monkeypatch, pick):
+    """Route each connecting-candidate selection through ``pick(cands, t)``,
+    t counting the selections; the other decisions keep their maxima.
+    Returns the list of picks."""
+    unique_max = mxst_module._unique_max
+    picks = []
+
+    def doctored(cands, tol, site):
+        if not site.startswith("connecting candidates"):
+            return unique_max(cands, tol, site)
+        picks.append(pick(cands, len(picks)))
+        return picks[-1]
+
+    monkeypatch.setattr(mxst_module, "_unique_max", doctored)
+    return picks
+
+
+def test_a_doctored_connecting_step_fails_the_component_certificate(rng, monkeypatch):
+    # connect_components certifies the tree from the decomposition: the
+    # kept connecting edges must join the k components into one tree.  Three
+    # doctored selections: every entry repeating the first one's edge (two
+    # kept edges then join the same pair of components), every entry taking
+    # a spine (an edge inside a component), and random candidates of any
+    # entry.  validate_tree over all n - 1 edges is the reference verdict.
+    doctorings = {
+        "repeat": lambda honest: lambda cands, t: honest[0],
+        "spine": lambda honest: lambda cands, t: spine_edge,
+        "random": lambda honest: lambda cands, t: honest[1][rng.integers(len(honest[1]))],
+    }
+    instances = [(lp(2), PointSet(THREE_SPINES)), (lp(2), PointSet(FOUR_SPINES))]
+    instances += [(spec, S) for spec, S in _connect_instances(rng) if build_fng(spec, S, 0.0).k >= 3]
+    verdicts = {name: set() for name in doctorings}
+    for spec, S in instances:
+        g, hull = build_fng(spec, S, 0.0), convex_hull(S.points, 0.0)
+        _, report = connect_components(spec, S, g, hull, 0.0)
+        honest = ([e.selected for e in report.entries][0],
+                  [c for e in report.entries for c in e.candidates])
+        x, y = (int(v) for v in g.spines[0])
+        spine_edge = CandidateEdge(x, y, float(distances_between(spec, S, [x], [y])[0]))
+        fng_edges = sorted(g.undirected_edges())
+        for name, doctoring in doctorings.items():
+            with monkeypatch.context() as m:
+                picks = _doctor_connecting_step(m, doctoring(honest))
+                try:
+                    tree, _ = connect_components(spec, S, g, hull, 0.0)
+                except StructureViolation as exc:
+                    assert str(exc) == "connecting edges did not produce a spanning tree"
+                    tree = None
+            dropped = int(np.argmin([c.weight for c in picks]))
+            kept = [(c.i, c.j) for t, c in enumerate(picks) if t != dropped]
+            edges = SpanningTree(fng_edges + kept, np.zeros(S.n - 1))
+            assert (tree is not None) == validate_tree(edges, S.n)
+            if tree is not None:
+                assert tree.edge_set() == edges.edge_set()
+            verdicts[name].add(tree is not None)
+    assert verdicts == {"repeat": {False}, "spine": {False}, "random": {False, True}}
+
+
+def test_mxst_mpsy_never_runs_validate_tree(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mxst_module, "validate_tree", lambda *a: calls.append(a) or validate_tree(*a))
+    for spec, S in _connect_instances(rng):
+        tree, _ = mxst_mpsy(spec, S, 0.0)
+        assert validate_tree(tree, S.n)
+    assert not calls
 
 
 # one injected tie per decision site of the construction, each under lp(2)
