@@ -27,6 +27,7 @@ from .fng import (
     DEFAULT_TOL,
     PointSet,
     _decompose,
+    _mirrored,
     _tie_offsets,
     _triangle,
     order_components,
@@ -79,9 +80,7 @@ def _global_stage(spec: NormSpec, S: PointSet, tol: float):
     tied = sum(hits.size for _, hits in _tie_offsets(np.sort(w), tol))
     if tied:
         return f"{tied} tied distance pairs at tol={tol:g}", None, None
-    table = np.zeros((S.n, S.n))
-    table[iu, ju] = table[ju, iu] = w
-    return "", _greedy(S.n, iu, ju, w), table
+    return "", _greedy(S.n, iu, ju, w), _mirrored(S.n, iu, ju, w)
 
 
 def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[CheckResult]:

@@ -15,7 +15,8 @@ search's last feasible probe, is returned as the witness line of the split.
 :func:`stabbing_line` scans the lines through pairs of segment endpoints on
 plain floats, at most m^3 endpoint tests for m segments.  Each side's
 diameter is taken over that side's points alone (:func:`diameter`), each
-pair evaluated once; no n x n table is built.
+pair evaluated once, in row blocks, by the furthest neighbors' triangle
+kernel (:func:`fng._candidate_triangle`); no n x n table is built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import DEFAULT_TOL, PointSet, _triangle, distances_between
+from .fng import DEFAULT_TOL, PointSet, _candidate_triangle, _triangle
 from .geometry import check_tol
 from .mxst import mxst_mpsy
 from .norms import NormSpec
@@ -83,11 +84,9 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
         raise DegenerateInput(f"subset indices must be integers, got dtype {idx.dtype}")
     if len(idx) and (idx[0] < 0 or idx[-1] >= S.n):
         raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
-    idx = idx.astype(np.intp)
     if len(idx) <= 1:
         return 0.0
-    iu, ju = np.triu_indices(len(idx), k=1)
-    return float(distances_between(spec, S, idx[iu], idx[ju]).max())
+    return float(_candidate_triangle(spec, S.points[idx])[1].max())
 
 
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:

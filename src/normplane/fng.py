@@ -6,13 +6,15 @@ determines a component, split into two clusters by the parity of the path
 length to the spine endpoints.
 
 Every furthest neighbor lies on the hull boundary, since the norm is
-convex, so :func:`build_fng` takes the b boundary points as candidates:
-one kernel, :func:`_furthest`, evaluates their strict upper triangle and a
-row-blocked (other points x candidates) rectangle, b(b-1)/2 + (n-b) b
-distances, keeping each row's best and second-best value.  Nothing is
-stored or sorted; the only distances certified distinct are each row's
-best two, the comparison the map rests on (:class:`TiesPresent` names the
-row and both candidates).
+convex, so :func:`build_fng` takes the b boundary points as candidates,
+b(b-1)/2 + (n-b) b distances, each row keeping its best and second-best
+value.  Nothing is stored or sorted; the only distances certified distinct
+are each row's best two, the comparison the map rests on
+(:class:`TiesPresent` names the row and both candidates).  Each largest
+distance is found by one of two kernels, holding whole rows of about ``_BLOCK``
+distances: :func:`_candidate_triangle` (a set against itself: the candidates,
+a side's diameter) and :func:`_rectangle_top2` (rows x columns: the other
+points, the tie report, the cluster blocks of :func:`mxst._max_pair`).
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
 :func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
@@ -54,8 +56,12 @@ class PointSet:
 
 def pairwise_distances(spec: NormSpec, S: PointSet) -> np.ndarray:
     """Full symmetric distance table (n x n, zero diagonal): the mirrored triangle."""
-    iu, ju, vals = _triangle(spec, S)
-    d = np.zeros((S.n, S.n))
+    return _mirrored(S.n, *_triangle(spec, S))
+
+
+def _mirrored(n: int, iu, ju, vals) -> np.ndarray:
+    """The n x n table holding vals at (iu, ju) and (ju, iu), zero elsewhere."""
+    d = np.zeros((n, n))
     d[iu, ju] = d[ju, iu] = vals
     return d
 
@@ -189,31 +195,24 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
 
     The candidates' own distances are one streamed strict upper triangle
     (:func:`_candidate_triangle`), the other points' a (rest x cand)
-    rectangle in row blocks: b(b-1)/2 + (n-b) b evaluations for b
+    rectangle (:func:`_rectangle_top2`): b(b-1)/2 + (n-b) b evaluations for b
     candidates, each ``||p_i - p_j||`` with the bits the full table holds.
     Every row keeps its best and second-best value, so no distance is
     stored.  Raises DuplicatePoints when a row's best is 0, DegenerateInput
     on a distance beyond the float range (every evaluated value is at most
     its row's best), and TiesPresent naming the first row whose best and
-    second-best lie within tol.
+    second-best lie within tol, and those two (its own 0 is never second).
     """
     n = len(pts)
     cand = np.asarray(cand, dtype=np.intp)
+    rest = np.delete(np.arange(n), cand)
     fn = np.zeros(n, dtype=np.intp)
-    best = np.full(n, -np.inf)
-    second = np.full(n, -np.inf)
-    rest = np.ones(n, dtype=bool)
-    rest[cand] = False
-    rest = np.flatnonzero(rest)
-    step = max(1, _BLOCK // cand.size)
+    best, second = np.full((2, n), -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         arg, best[cand], second[cand] = _candidate_triangle(spec, pts[cand])
         fn[cand] = cand[arg]
-        for r0 in range(0, rest.size, step):
-            rows = rest[r0 : r0 + step]
-            block = norm_many(spec, _differences(pts, rows[:, None], cand))
-            arg, best[rows], _, second[rows] = _top2(block, axis=1)
-            fn[rows] = cand[arg]
+        arg, best[rest], _, second[rest] = _rectangle_top2(spec, pts, rest, cand)
+        fn[rest] = cand[arg]
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
@@ -221,9 +220,7 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
     tied = np.flatnonzero(best - second <= tol)
     if tied.size:
         i = int(tied[0])
-        row = norm_many(spec, _differences(pts, i, cand))
-        row[cand == i] = row[cand == fn[i]] = -np.inf
-        other = int(cand[np.argmax(row)])
+        other = int(cand[_rectangle_top2(spec, pts, tied[:1], cand)[2][0]])
         raise TiesPresent(
             f"tied furthest neighbors of point {i}: {int(fn[i])} and {other} within tol={tol:g}"
         )
@@ -262,6 +259,19 @@ def _candidate_triangle(spec: NormSpec, q: np.ndarray):
         _merge(arg[r0 + 1 :], best[r0 + 1 :], second[r0 + 1 :], _top2(block, axis=0), r0)
         _merge(arg[r0:r1], best[r0:r1], second[r0:r1], _top2(block, axis=1), r0 + 1)
     return arg, best, second
+
+
+def _rectangle_top2(spec: NormSpec, pts: np.ndarray, rows, cols):
+    """:func:`_top2` of each row of the (rows x cols) distance block, index
+    arrays, cols non-empty: ``||p_r - p_c||`` in row blocks of about ``_BLOCK``."""
+    arg, best = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
+    runner_arg, runner = np.empty_like(arg), np.empty_like(best)
+    step = max(1, _BLOCK // cols.size)
+    for r0 in range(0, rows.size, step):
+        r = slice(r0, r0 + step)
+        block = norm_many(spec, _differences(pts, rows[r, None], cols))
+        arg[r], best[r], runner_arg[r], runner[r] = _top2(block, axis=1)
+    return arg, best, runner_arg, runner
 
 
 def _top2(block: np.ndarray, axis: int):

@@ -11,7 +11,8 @@ PointSet has run), and takes the furthest neighbors over its b boundary points
 distances and no sort.  `connect_components` does the rest from that graph
 and the hull, evaluating only the cluster x boundary-cluster blocks it
 compares, each once per call (at k = 2 both adjacent component pairs read
-the same eight blocks); callers that already hold both (the invariant
+the same eight blocks) in row blocks (:func:`fng._rectangle_top2`, the
+furthest neighbors' kernel); callers that already hold both (the invariant
 suite, the CLI's drawing) call it directly.  The tree's validity follows
 from the decomposition: the graph is a forest of k trees, so it suffices
 that the k - 1 kept connecting edges join its components into one, a
@@ -46,7 +47,7 @@ from .fng import (
     PointSet,
     _decompose,
     _furthest,
-    _top2,
+    _rectangle_top2,
     _triangle,
     distances_between,
     order_components,
@@ -196,18 +197,18 @@ def connect_components(
 
 def _max_pair(spec: NormSpec, S: PointSet, rows, cols) -> tuple[CandidateEdge, ...]:
     """The largest and the second-largest pair of the rows x cols distance
-    block (disjoint index arrays), first maximum first; one for a 1 x 1 block."""
+    block (disjoint index arrays), each the first in row-major order; one for
+    a 1 x 1 block.  The rows' best two (:func:`fng._rectangle_top2`) hold both:
+    the first row holding the maximum, then the first row whose best (for that
+    row, whose runner-up) equals the largest remaining value."""
     rows, cols = np.asarray(rows), np.asarray(cols)
-    sub = distances_between(spec, S, rows[:, None], cols[None, :]).reshape(1, -1)
-    (top,), _, (runner,), _ = _top2(sub, axis=1)
-    flats = (top,) if sub.size == 1 else (top, runner)
-    return tuple(_candidate(rows, cols, sub[0], int(f)) for f in flats)
-
-
-def _candidate(rows, cols, sub, flat: int) -> CandidateEdge:
-    r, c = divmod(flat, len(cols))
-    u, v = int(rows[r]), int(cols[c])
-    return CandidateEdge(i=min(u, v), j=max(u, v), weight=float(sub[flat]))
+    arg, best, runner_arg, runner = _rectangle_top2(spec, S.points, rows, cols)
+    ends = []
+    for _ in range(1 if rows.size * cols.size == 1 else 2):
+        r = int(np.argmax(best))
+        ends.append((int(rows[r]), int(cols[arg[r]]), float(best[r])))
+        best[r], arg[r] = runner[r], runner_arg[r]  # row r without the value taken
+    return tuple(CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for u, v, w in ends)
 
 
 def _unique_max(cands, tol: float, site: str) -> CandidateEdge:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import normplane.clustering as clustering_module
-from conftest import tie_free_points
+from conftest import all_norms, random_symmetric_polygon, tie_free_points
 from normplane import (
     DegenerateInput,
     DegenerateSegment,
@@ -36,6 +38,33 @@ def test_diameter_basic(rng):
         float(np.linalg.norm(pts[a] - pts[b])) for a in subset for b in subset
     )
     assert diameter(lp(2), S, subset) == pytest.approx(best)
+
+
+def test_diameter_is_the_table_maximum_bit_for_bit(rng):
+    # 300 points span several row blocks of the triangle kernel
+    pts = rng.uniform(-5.0, 5.0, size=(500, 2))
+    pts[:100] = np.round(pts[:100])  # equal distances too
+    S = PointSet(np.unique(pts, axis=0))
+    for spec in (*all_norms(), random_symmetric_polygon(rng)):
+        table = pairwise_distances(spec, S)
+        for m in (2, 3, 300, S.n):
+            subset = rng.choice(S.n, size=m, replace=False)
+            expected = table[np.ix_(subset, subset)].max()
+            assert diameter(spec, S, subset) == expected
+            assert diameter(spec, S, set(subset.tolist())) == expected
+
+
+def test_diameter_holds_about_one_row_block():
+    # index arrays over all 1,999,000 pairs would take about 128 MB; the
+    # triangle kernel holds row blocks of about 16,384 distances
+    S = PointSet(np.random.default_rng(2).uniform(size=(2000, 2)))
+    tracemalloc.start()
+    try:
+        diameter(euclidean(), S, range(S.n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize("index", [-1, 3])

@@ -17,6 +17,8 @@ from normplane import (
     build_fng,
     convex_hull,
     detect_ties,
+    l1,
+    linf,
     lp,
     mxst_bruteforce,
     mxst_mpsy,
@@ -29,7 +31,7 @@ from normplane import (
     two_clustering_bruteforce,
     validate_tree,
 )
-from normplane.fng import distances_between
+from normplane.fng import _BLOCK, distances_between
 from normplane.mxst import (
     CandidateEdge,
     ConnectingEdgeReport,
@@ -203,6 +205,68 @@ def test_mxst_memory_stays_below_one_table():
         tracemalloc.stop()
     assert len(tree.edges) == n - 1
     assert peak < 8 * n * n, f"peak {peak} bytes"
+
+
+def _whole_block_max_pair(spec, S, rows, cols):
+    """_max_pair as one broadcast of the whole block, kept as the reference:
+    the first maximum in row-major order, then the first largest value at
+    another position."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    flat = distances_between(spec, S, rows[:, None], cols[None, :]).ravel()
+    top = int(np.argmax(flat))
+    rest = flat.copy()
+    rest[top] = -np.inf
+    edges = []
+    for f in (top,) if flat.size == 1 else (top, int(np.argmax(rest))):
+        u, v = int(rows[f // cols.size]), int(cols[f % cols.size])
+        edges.append(CandidateEdge(i=min(u, v), j=max(u, v), weight=float(flat[f])))
+    return tuple(edges)
+
+
+def _max_pair_blocks(rng):
+    """(spec, S, rows, cols): grid blocks full of equal distances, the
+    degenerate 1 x 1, 1 x m and m x 1 shapes and blocks past _BLOCK."""
+    axis = np.arange(12.0)
+    grid = PointSet(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2))
+    for spec in (l1(), linf(), polygonal(HEX_BALL)):
+        for _ in range(120):
+            idx = rng.permutation(grid.n)
+            a, b = rng.integers(1, 40, size=2)
+            rows, cols = idx[:a], idx[a : a + b]
+            if rng.random() < 0.5:
+                rows, cols = np.sort(rows), np.sort(cols)
+            yield spec, grid, rows, cols
+    uniform = PointSet(rng.uniform(-1.0, 1.0, size=(30_000, 2)))
+    for spec in (*all_norms(), random_symmetric_polygon(rng)):
+        idx = rng.permutation(uniform.n)
+        for a, b in ((1, 1), (1, 7), (7, 1), (1, 2), (2, 1), (3000, 20), (2, 20_000)):
+            yield spec, uniform, idx[:a], idx[a : a + b]
+
+
+def test_max_pair_equals_the_whole_block_answer(rng):
+    tied_in_max_row = tied_in_later_row = large = 0
+    for spec, S, rows, cols in _max_pair_blocks(rng):
+        assert _max_pair(spec, S, rows, cols) == _whole_block_max_pair(spec, S, rows, cols)
+        block = distances_between(spec, S, rows[:, None], cols[None, :])
+        r = int(np.argmax(block.max(axis=1)))
+        tied_in_max_row += int(np.sum(block[r] == block[r].max()) > 1)
+        tied_in_later_row += int(np.any(block[r + 1 :] == block[r].max()))
+        large += block.size > _BLOCK
+    assert tied_in_max_row >= 50 and tied_in_later_row >= 50 and large >= 16
+
+
+def test_max_pair_holds_about_one_row_block():
+    # 3.2 million distances held at once would take about 200 MB; row blocks
+    # leave the per-row best two (about 13 MB)
+    S = PointSet(np.random.default_rng(3).uniform(size=(200_016, 2)))
+    rows, cols = np.arange(200_000), np.arange(200_000, 200_016)
+    tracemalloc.start()
+    try:
+        _max_pair(lp(1.5), S, rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak} bytes"
 
 
 def _reference_connect(spec, S, g, hull):
