@@ -11,10 +11,14 @@ b(b-1)/2 + (n-b) b distances, each row keeping its best and second-best
 value.  Nothing is stored or sorted; the only distances certified distinct
 are each row's best two, the comparison the map rests on
 (:class:`TiesPresent` names the row and both candidates).  Each largest
-distance is found by one of two kernels, holding whole rows of about ``_BLOCK``
-distances: :func:`_candidate_triangle` (a set against itself: the candidates,
-a side's diameter) and :func:`_rectangle_top2` (rows x columns: the other
-points, the tie report, the cluster blocks of :func:`mxst._max_pair`).
+distance is found in blocks of whole rows of about ``_BLOCK`` distances,
+either by :func:`_candidate_triangle` (a set against itself: the
+candidates, a side's diameter) or from one rows x columns pass
+(:func:`_row_blocks`), reduced to each row's best two by
+:func:`_rectangle_top2` (the other points, the tie report) or to the best
+two pairs of each (row group x column group) block by :func:`_group_top2`
+(the connecting edges of :func:`mxst.connect_components`, one pass per
+spine).
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
 :func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
@@ -23,6 +27,7 @@ The flat strict upper triangle (:func:`_triangle`, mirrored by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,7 @@ from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPr
 from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, check_points, check_tol
 from .norms import NormSpec, norm_many
 
-# distances evaluated per row block of the furthest-neighbor kernel, and
+# distances evaluated per row block of the largest-distance kernels, and
 # values per chunk of the gap scan; bounds their temporaries independently of n
 _BLOCK = 1 << 14
 
@@ -263,29 +268,88 @@ def _candidate_triangle(spec: NormSpec, q: np.ndarray):
 
 def _rectangle_top2(spec: NormSpec, pts: np.ndarray, rows, cols):
     """:func:`_top2` of each row of the (rows x cols) distance block, index
-    arrays, cols non-empty: ``||p_r - p_c||`` in row blocks of about ``_BLOCK``."""
+    arrays, cols non-empty, taken in row blocks (:func:`_row_blocks`)."""
     arg, best = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
     runner_arg, runner = np.empty_like(arg), np.empty_like(best)
-    step = max(1, _BLOCK // cols.size)
-    for r0 in range(0, rows.size, step):
-        r = slice(r0, r0 + step)
-        block = norm_many(spec, _differences(pts, rows[r, None], cols))
+    for r0, block in _row_blocks(spec, pts, rows, cols):
+        r = slice(r0, r0 + len(block))
         arg[r], best[r], runner_arg[r], runner[r] = _top2(block, axis=1)
     return arg, best, runner_arg, runner
+
+
+def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
+    """The largest and the second-largest pair of every (row group x column
+    group) distance block, each the first in row-major order; one for a
+    1 x 1 block.
+
+    The groups are non-empty index arrays.  Returns ``top[t][g]``, a list
+    of ``(weight, row, col)`` point-index triples, heaviest first, for row
+    group t and column group g.  One pass (:func:`_row_blocks`) evaluates
+    the concatenated rows against the concatenated columns; each block's
+    piece of a group pair is reduced to its best two, merged with the
+    running ones by (weight descending, then earlier position), so nothing
+    per row outlives its block.
+    """
+    rows, cols = np.concatenate(row_groups), np.concatenate(col_groups)
+    row_bounds = [0, *itertools.accumulate(map(len, row_groups))]
+    col_bounds = [0, *itertools.accumulate(map(len, col_groups))]
+    top = [[[] for _ in col_groups] for _ in row_groups]
+    for r0, block in _row_blocks(spec, pts, rows, cols):
+        r1 = r0 + len(block)
+        for row_top, a, b in zip(top, row_bounds, row_bounds[1:]):
+            a, b = max(a, r0), min(b, r1)
+            if a >= b:
+                continue
+            for g, (c0, c1) in enumerate(zip(col_bounds, col_bounds[1:])):
+                piece = [(w, a + f // (c1 - c0), c0 + f % (c1 - c0))
+                         for w, f in _first_two(block[a - r0 : b - r0, c0:c1].ravel())]
+                row_top[g] = sorted(row_top[g] + piece, key=lambda e: (-e[0], e[1], e[2]))[:2]
+    return [[[(w, int(rows[i]), int(cols[j])) for w, i, j in pair] for pair in row_top]
+            for row_top in top]
+
+
+def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
+    """``(value, position)`` of a 1-D array's first maximum and of the first
+    largest value at another position (none for a single value): one lane
+    of :func:`_top2` without its per-lane offset arrays, which on a single
+    lane cost more than the search."""
+    i = int(flat.argmax())
+    top = flat[i]
+    if flat.size == 1:
+        return [(float(top), i)]
+    flat[i] = -np.inf
+    j = int(flat.argmax())
+    second = flat[j]
+    flat[i] = top
+    return [(float(top), i), (float(second), j)]
+
+
+def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols):
+    """Yield ``(r0, block)``: the distances ``||p_r - p_c||`` of consecutive
+    slices ``rows[r0 : r0 + s]`` against ``cols`` (index arrays, cols
+    non-empty), s rows of about ``_BLOCK`` distances, C-contiguous."""
+    step = max(1, _BLOCK // cols.size)
+    for r0 in range(0, rows.size, step):
+        yield r0, norm_many(spec, _differences(pts, rows[r0 : r0 + step, None], cols))
 
 
 def _top2(block: np.ndarray, axis: int):
     """``(argmax, max, runner-up argmax, runner-up)`` of a 2-D block along
     ``axis``; the runner-up is the first largest value off the first argmax.
-    The block is restored after the masked second pass."""
-    lanes = block.T if axis == 0 else block  # a view: one lane per row
-    rows = np.arange(lanes.shape[0])
-    arg = lanes.argmax(axis=1)
-    top = lanes[rows, arg]
-    lanes[rows, arg] = -np.inf
-    runner_arg = lanes.argmax(axis=1)
-    runner = lanes[rows, runner_arg]
-    lanes[rows, arg] = top
+    Each lane's entries are read and written through flat offsets into the
+    raveled block, which is restored after the masked second pass."""
+    block = np.ascontiguousarray(block)  # the caller's block: both kernels build C order
+    flat = block.reshape(-1)
+    width = block.shape[1]
+    step, lane_step = (width, 1) if axis == 0 else (1, width)
+    base = np.arange(block.shape[1 - axis]) * lane_step
+    arg = block.argmax(axis=axis)
+    at = base + arg * step
+    top = flat[at]
+    flat[at] = -np.inf
+    runner_arg = block.argmax(axis=axis)
+    runner = flat[base + runner_arg * step]
+    flat[at] = top
     return arg, top, runner_arg, runner
 
 

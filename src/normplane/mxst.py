@@ -10,10 +10,12 @@ PointSet has run), and takes the furthest neighbors over its b boundary points
 (:func:`fng._furthest`): b(b-1)/2 + (n-b) b norm evaluations, no stored
 distances and no sort.  `connect_components` does the rest from that graph
 and the hull, evaluating only the cluster x boundary-cluster blocks it
-compares, each once per call (at k = 2 both adjacent component pairs read
-the same eight blocks) in row blocks (:func:`fng._rectangle_top2`, the
-furthest neighbors' kernel); callers that already hold both (the invariant
-suite, the CLI's drawing) call it directly.  The tree's validity follows
+compares, each once per call, in one row-blocked pass per spine
+(:func:`fng._group_top2`): the spine's two clusters against the boundary
+points of the clusters of its neighbours in the cyclic order (at k = 2 the
+one other spine), each block reduced to its best two pairs.  Callers that
+already hold the graph and the hull (the invariant suite, the CLI's
+drawing) call it directly.  The tree's validity follows
 from the decomposition: the graph is a forest of k trees, so it suffices
 that the k - 1 kept connecting edges join its components into one, a
 union-find over k components rather than n points.
@@ -34,7 +36,6 @@ n(n-1)/2 distances.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -47,7 +48,7 @@ from .fng import (
     PointSet,
     _decompose,
     _furthest,
-    _rectangle_top2,
+    _group_top2,
     _triangle,
     distances_between,
     order_components,
@@ -144,22 +145,32 @@ def connect_components(
 
     if k > 1:
         members = g.cluster_members()
+        boundary = {c: m[hull.position[m] >= 0] for c, m in members.items()}
         x = cycle[:k].tolist()
         xp = cycle[k:].tolist()
 
-        @functools.cache
-        def block_max(ca: int, cb: int) -> tuple[CandidateEdge, ...]:
-            # at k = 2 the two cyclically adjacent pairs are one pair, so
-            # each ordered block is evaluated once and shared
-            cols = members[cb][hull.position[members[cb]] >= 0]
-            return _max_pair(spec, S, members[ca], cols)
+        # one pass per spine: its two clusters against the boundary members
+        # of the clusters of its adjacent spines (the one other spine at
+        # k = 2), so each ordered cluster x boundary-cluster block is
+        # evaluated once, however many pairings read it
+        blocks: dict[tuple[int, int], tuple[CandidateEdge, ...]] = {}
+        for s in range(k):
+            row_reps = (x[s], xp[s])
+            col_reps = [c for t in dict.fromkeys(((s - 1) % k, (s + 1) % k)) for c in (x[t], xp[t])]
+            top = _group_top2(spec, S.points, [members[c] for c in row_reps],
+                              [boundary[c] for c in col_reps])
+            for ca, row_top in zip(row_reps, top):
+                for cb, pair_top in zip(col_reps, row_top):
+                    blocks[ca, cb] = tuple(
+                        CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for w, u, v in pair_top
+                    )
 
         def pairing_max(ca: int, cb: int) -> CandidateEdge:
             # max over the pairing with either endpoint taking the
             # boundary-restricted role; the connecting edge has at least
             # one endpoint on the hull, so nothing is missed.  A pair with
             # both endpoints on the hull sits in both blocks.
-            cands = block_max(ca, cb) + block_max(cb, ca)
+            cands = blocks[ca, cb] + blocks[cb, ca]
             return _unique_max(cands, tol, f"maxima of the cluster pairing {(ca, cb)}")
 
         # One candidate edge per cyclically adjacent component pair, scanning
@@ -193,22 +204,6 @@ def connect_components(
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     tree = SpanningTree(pairs, distances_between(spec, S, pairs[:, 0], pairs[:, 1]))
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
-
-
-def _max_pair(spec: NormSpec, S: PointSet, rows, cols) -> tuple[CandidateEdge, ...]:
-    """The largest and the second-largest pair of the rows x cols distance
-    block (disjoint index arrays), each the first in row-major order; one for
-    a 1 x 1 block.  The rows' best two (:func:`fng._rectangle_top2`) hold both:
-    the first row holding the maximum, then the first row whose best (for that
-    row, whose runner-up) equals the largest remaining value."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    arg, best, runner_arg, runner = _rectangle_top2(spec, S.points, rows, cols)
-    ends = []
-    for _ in range(1 if rows.size * cols.size == 1 else 2):
-        r = int(np.argmax(best))
-        ends.append((int(rows[r]), int(cols[arg[r]]), float(best[r])))
-        best[r], arg[r] = runner[r], runner_arg[r]  # row r without the value taken
-    return tuple(CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for u, v, w in ends)
 
 
 def _unique_max(cands, tol: float, site: str) -> CandidateEdge:

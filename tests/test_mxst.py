@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import normplane.fng as fng_module
 import normplane.mxst as mxst_module
 from conftest import HEX_BALL, all_norms, random_symmetric_polygon, tie_free_points
 from normplane import (
@@ -22,6 +23,7 @@ from normplane import (
     lp,
     mxst_bruteforce,
     mxst_mpsy,
+    norm_many,
     order_components,
     pairwise_distances,
     perturb_distinct,
@@ -31,12 +33,11 @@ from normplane import (
     two_clustering_bruteforce,
     validate_tree,
 )
-from normplane.fng import _BLOCK, distances_between
+from normplane.fng import _BLOCK, _group_top2, distances_between
 from normplane.mxst import (
     CandidateEdge,
     ConnectingEdgeReport,
     StepFourEntry,
-    _max_pair,
     connect_components,
 )
 from test_checks import FOUR_SPINES, THREE_SPINES
@@ -208,9 +209,9 @@ def test_mxst_memory_stays_below_one_table():
 
 
 def _whole_block_max_pair(spec, S, rows, cols):
-    """_max_pair as one broadcast of the whole block, kept as the reference:
-    the first maximum in row-major order, then the first largest value at
-    another position."""
+    """A block's largest and second-largest pair from one broadcast of the
+    whole block, the reference: the first maximum in row-major order, then
+    the first largest value at another position."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     flat = distances_between(spec, S, rows[:, None], cols[None, :]).ravel()
     top = int(np.argmax(flat))
@@ -221,6 +222,11 @@ def _whole_block_max_pair(spec, S, rows, cols):
         u, v = int(rows[f // cols.size]), int(cols[f % cols.size])
         edges.append(CandidateEdge(i=min(u, v), j=max(u, v), weight=float(flat[f])))
     return tuple(edges)
+
+
+def _edges(pair_top):
+    """_group_top2's (weight, row, col) triples of one group pair as candidate edges."""
+    return tuple(CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for w, u, v in pair_top)
 
 
 def _max_pair_blocks(rng):
@@ -246,7 +252,8 @@ def _max_pair_blocks(rng):
 def test_max_pair_equals_the_whole_block_answer(rng):
     tied_in_max_row = tied_in_later_row = large = 0
     for spec, S, rows, cols in _max_pair_blocks(rng):
-        assert _max_pair(spec, S, rows, cols) == _whole_block_max_pair(spec, S, rows, cols)
+        (top,), = _group_top2(spec, S.points, [rows], [cols])
+        assert _edges(top) == _whole_block_max_pair(spec, S, rows, cols)
         block = distances_between(spec, S, rows[:, None], cols[None, :])
         r = int(np.argmax(block.max(axis=1)))
         tied_in_max_row += int(np.sum(block[r] == block[r].max()) > 1)
@@ -257,21 +264,57 @@ def test_max_pair_equals_the_whole_block_answer(rng):
 
 def test_max_pair_holds_about_one_row_block():
     # 3.2 million distances held at once would take about 200 MB; row blocks
-    # leave the per-row best two (about 13 MB)
+    # leave one block of about _BLOCK distances and the running best two
     S = PointSet(np.random.default_rng(3).uniform(size=(200_016, 2)))
     rows, cols = np.arange(200_000), np.arange(200_000, 200_016)
     tracemalloc.start()
     try:
-        _max_pair(lp(1.5), S, rows, cols)
+        _group_top2(lp(1.5), S.points, [rows], [cols])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32e6, f"peak {peak} bytes"
 
 
+def _cut(rng, idx, parts):
+    """idx split at up to ``parts - 1`` random places into non-empty groups."""
+    cuts = np.sort(rng.choice(np.arange(1, idx.size), size=min(parts, idx.size) - 1, replace=False))
+    return np.split(idx, cuts)
+
+
+def test_group_pairs_equal_the_whole_block_answer_of_each_sub_block(rng):
+    # rows drawn with repetition from a 12 x 12 grid against disjoint
+    # columns: a group spans several row blocks, equal distances recur in
+    # later blocks, and group boundaries fall inside row blocks
+    axis = np.arange(12.0)
+    grid = PointSet(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2))
+    inside = spanning = tied_later = 0
+    for spec in (l1(), linf(), polygonal(HEX_BALL)):
+        for _ in range(25):
+            idx = rng.permutation(grid.n)
+            cols = idx[: rng.integers(8, 61)]
+            step = _BLOCK // cols.size  # rows per row block
+            rows = rng.choice(idx[cols.size :], size=int(rng.integers(2, 3 * step)))
+            row_groups = _cut(rng, rows, int(rng.integers(1, 6)))
+            col_groups = _cut(rng, cols, int(rng.integers(1, 5)))
+            top = _group_top2(spec, grid.points, row_groups, col_groups)
+            r0 = 0
+            for rg, row_top in zip(row_groups, top):
+                inside += r0 % step != 0
+                spanning += r0 // step != (r0 + rg.size - 1) // step
+                r0 += rg.size
+                for cg, pair_top in zip(col_groups, row_top):
+                    want = _whole_block_max_pair(spec, grid, rg, cg)
+                    assert _edges(pair_top) == want
+                    block = distances_between(spec, grid, rg[:, None], cg[None, :])
+                    first = int(np.argmax(block.max(axis=1)))
+                    tied_later += int(np.any(block[first + step :] == want[0].weight))
+    assert inside >= 100 and spanning >= 50 and tied_later >= 50
+
+
 def _reference_connect(spec, S, g, hull):
     """connect_components with no shared blocks, the reference: two
-    _max_pair calls per pairing, 8 k in all, 16 at k = 2."""
+    whole-block maxima per pairing, 8 k in all, 16 at k = 2."""
     n = S.n
     cycle = order_components(g, hull)
     k = g.k
@@ -287,8 +330,8 @@ def _reference_connect(spec, S, g, hull):
         xp = cycle[k:]
 
         def pairing_max(ca, cb):
-            lhs = _max_pair(spec, S, members[ca], boundary_members[cb])[0]
-            rhs = _max_pair(spec, S, members[cb], boundary_members[ca])[0]
+            lhs = _whole_block_max_pair(spec, S, members[ca], boundary_members[cb])[0]
+            rhs = _whole_block_max_pair(spec, S, members[cb], boundary_members[ca])[0]
             return lhs if lhs.weight >= rhs.weight else rhs
 
         for i in range(k):
@@ -337,21 +380,44 @@ def _connect_instances(rng):
                 yield spec, S
 
 
+def _connecting_evaluations(g, hull):
+    """The distances connect_components evaluates besides its tree's n - 1
+    weights: each spine's component against the boundary points of the
+    components next to it in the cyclic order (one at k = 2), each once."""
+    if g.k < 2:
+        return 0
+    cyclic = g.component_of[order_components(g, hull)[: g.k]].tolist()
+    size = np.bincount(g.component_of, minlength=g.k)
+    on_boundary = np.bincount(g.component_of[hull.boundary], minlength=g.k)
+    return sum(
+        int(size[cyclic[s]]) * sum(int(on_boundary[cyclic[t]]) for t in {(s - 1) % g.k, (s + 1) % g.k})
+        for s in range(g.k)
+    )
+
+
+def _counting_norm_many(monkeypatch):
+    """Route fng's norm_many through a counter; returns the list of the
+    evaluation counts of its calls."""
+    evaluated = []
+    norm_many = fng_module.norm_many
+
+    def counting(spec, arr):
+        evaluated.append(int(np.prod(np.shape(arr)[:-1])))
+        return norm_many(spec, arr)
+
+    monkeypatch.setattr(fng_module, "norm_many", counting)
+    return evaluated
+
+
 def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _max_pair(*args)
-
-    monkeypatch.setattr(mxst_module, "_max_pair", counting)
+    evaluated = _counting_norm_many(monkeypatch)
     seen_k = set()
     for spec, S in _connect_instances(rng):
         g = build_fng(spec, S, 0.0)
         hull = convex_hull(S.points, 0.0)
-        calls.clear()
+        evaluated.clear()
         tree, report = connect_components(spec, S, g, hull)
-        assert len(calls) == {1: 0, 2: 8}.get(g.k, 8 * g.k)
+        assert sum(evaluated) == _connecting_evaluations(g, hull) + S.n - 1
         ref_tree, ref_report = _reference_connect(spec, S, g, hull)
         # the tree field by field (an array repr rounds), the report by repr
         assert np.array_equal(tree.edges, ref_tree.edges)
@@ -540,34 +606,19 @@ def test_a_large_uniform_tree_evaluates_about_n_b_distances(monkeypatch):
     # every distance goes through norm_many; the furthest neighbors cost the
     # candidates' triangle plus the (rest x candidates) rectangle, and the
     # tree adds its connecting blocks and the n - 1 weights of its edges
-    import normplane.fng as fng_module
-
-    evaluated = []
-    blocks = []
-    norm_many = fng_module.norm_many
-    max_pair = mxst_module._max_pair
-
-    def counting_norm_many(spec, arr):
-        evaluated.append(np.shape(arr)[:-1])
-        return norm_many(spec, arr)
-
-    def counting_max_pair(spec, S, rows, cols):
-        blocks.append(len(rows) * len(cols))
-        return max_pair(spec, S, rows, cols)
-
-    monkeypatch.setattr(fng_module, "norm_many", counting_norm_many)
-    monkeypatch.setattr(mxst_module, "_max_pair", counting_max_pair)
+    evaluated = _counting_norm_many(monkeypatch)
     n = 20_000
     rng = np.random.default_rng(20_000)
     S = PointSet(rng.uniform(-1.0, 1.0, size=(n, 2)))
     spec = lp(1.5)
     tree, _ = mxst_mpsy(spec, S, 0.0)
-    b = convex_hull(S.points, 0.0).boundary.size
-    evals = sum(int(np.prod(shape)) for shape in evaluated)
-    assert evals <= b * (b - 1) // 2 + (n - b) * b + sum(blocks) + (n - 1)
+    hull = convex_hull(S.points, 0.0)
+    b = hull.boundary.size
+    evals = sum(evaluated)
+    g = build_fng(spec, S, 0.0)
+    assert evals <= b * (b - 1) // 2 + (n - b) * b + _connecting_evaluations(g, hull) + (n - 1)
     assert evals < 100 * n
 
-    g = build_fng(spec, S, 0.0)
     for i in rng.choice(n, size=200, replace=False):
         row = norm_many(spec, S.points[i] - S.points)
         row[i] = -np.inf
