@@ -293,6 +293,8 @@ def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
     rows, cols = np.concatenate(row_groups), np.concatenate(col_groups)
     row_bounds = [0, *itertools.accumulate(map(len, row_groups))]
     col_bounds = [0, *itertools.accumulate(map(len, col_groups))]
+    # (-weight, row position, col position): sorted, heaviest first, then
+    # earliest in row-major order
     top = [[[] for _ in col_groups] for _ in row_groups]
     for r0, block in _row_blocks(spec, pts, rows, cols):
         r1 = r0 + len(block)
@@ -301,10 +303,10 @@ def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
             if a >= b:
                 continue
             for g, (c0, c1) in enumerate(zip(col_bounds, col_bounds[1:])):
-                piece = [(w, a + f // (c1 - c0), c0 + f % (c1 - c0))
-                         for w, f in _first_two(block[a - r0 : b - r0, c0:c1].ravel())]
-                row_top[g] = sorted(row_top[g] + piece, key=lambda e: (-e[0], e[1], e[2]))[:2]
-    return [[[(w, int(rows[i]), int(cols[j])) for w, i, j in pair] for pair in row_top]
+                piece = block[a - r0 : b - r0, c0:c1].ravel()
+                found = [(-w, a + f // (c1 - c0), c0 + f % (c1 - c0)) for w, f in _first_two(piece)]
+                row_top[g] = sorted(row_top[g] + found)[:2]
+    return [[[(-w, int(rows[i]), int(cols[j])) for w, i, j in pair] for pair in row_top]
             for row_top in top]
 
 
