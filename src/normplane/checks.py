@@ -12,8 +12,9 @@ others.  Stages are built once: ``fng`` (each table row's argmax over every
 point, certified by the tie gate, so the lemma that puts each furthest
 neighbor on the hull boundary is tested, plus the hull), ``cycle`` (the
 cyclic component order on that graph) and ``tree`` (the tree connected from
-that graph and hull, beside the oracle).  Tied distances anywhere skip every
-stage; a stage that cannot be built answers for every check that needs it.
+that graph, its table distances and the hull, beside the oracle).  Tied
+distances anywhere skip every stage; a stage that cannot be built answers
+for every check that needs it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class _Stages:
             self.missing = dict.fromkeys(("fng", "cycle", "tree"), "skipped: ties present")
             return
         self.g = _decompose(self.table.argmax(axis=1))
+        self.fn_dist = self.table[np.arange(S.n), self.g.fn]
         self.hull = _hull(S.points, tol)
         try:
             self.cycle = order_components(self.g, self.hull)
@@ -67,7 +69,7 @@ class _Stages:
             self.cycle_error = str(exc)
             self.missing["cycle"] = "skipped: no component cycle"
         try:
-            self.tree, _ = connect_components(spec, S, self.g, self.hull, tol)
+            self.tree, _ = connect_components(spec, S, self.g, self.fn_dist, self.hull, tol)
         except NormPlaneError as exc:
             self.missing["tree"] = f"tree construction failed: {exc}"
 
@@ -106,8 +108,7 @@ def _distances_distinct(st: _Stages) -> tuple[bool, str]:
 def _increasing_chains(st: _Stages) -> tuple[bool, str]:
     # every edge i -> fn[i] off a spine is strictly shorter than the next
     # edge fn[i] -> fn[fn[i]]; a cycle longer than a spine cannot satisfy it
-    fn = st.g.fn
-    w = st.table[np.arange(len(fn)), fn]
+    fn, w = st.g.fn, st.fn_dist
     bad = np.flatnonzero((fn[fn] != np.arange(len(fn))) & ~(w < w[fn]))
     if not bad.size:
         return True, ""

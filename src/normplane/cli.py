@@ -30,7 +30,7 @@ from .clustering import two_clustering
 from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, build_fng, order_components
 from .geometry import _hull, check_tol
-from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
+from .mxst import mxst_bruteforce, mxst_mpsy
 from .norms import NormSpec, _numeric_rows, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import check_eps, perturb_distinct
 
@@ -266,7 +266,7 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     try:
         g = build_fng(spec, S, tol)
         if tree is None:
-            tree, _ = connect_components(spec, S, g, hull, tol)
+            tree, _ = mxst_mpsy(spec, S, tol)
     except NormPlaneError:
         g = None
     svg.emit_svg(S, hull, g, tree, bipartition, path)

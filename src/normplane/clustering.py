@@ -14,9 +14,10 @@ monotone since the family shrinks); that transversal, the line of the
 search's last feasible probe, is returned as the witness line of the split.
 :func:`stabbing_line` scans the lines through pairs of segment endpoints on
 plain floats, at most m^3 endpoint tests for m segments.  Each side's
-diameter is taken over that side's points alone (:func:`diameter`), each
-pair evaluated once, in row blocks, by the furthest neighbors' triangle
-kernel (:func:`fng._candidate_triangle`); no n x n table is built.
+diameter is taken over that side's points alone (:func:`diameter`), as the
+largest row maximum of the furthest neighbors' row-blocked rectangle kernel
+(:func:`fng._rectangle_top2`) over the side against itself; no n x n table
+is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import DEFAULT_TOL, PointSet, _candidate_triangle, _triangle
+from .fng import DEFAULT_TOL, PointSet, _rectangle_top2, _triangle
 from .geometry import check_tol
 from .mxst import mxst_mpsy
 from .norms import NormSpec
@@ -76,8 +77,10 @@ class Bipartition:
 def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     """Max pairwise distance within the subset (0 for at most one point).
 
-    DegenerateInput when an index is not an integer (booleans included) or
-    lies outside [0, n).
+    The largest row maximum of the subset's rows against its own columns,
+    taken in row blocks of about ``fng._BLOCK`` distances.  DegenerateInput
+    when an index is not an integer (booleans included) or lies outside
+    [0, n).
     """
     idx = np.array(sorted(subset))
     if len(idx) and idx.dtype.kind not in "iu":
@@ -86,7 +89,7 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
         raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
     if len(idx) <= 1:
         return 0.0
-    return float(_candidate_triangle(spec, S.points[idx])[1].max())
+    return float(_rectangle_top2(spec, S.points, idx, idx)[1].max())
 
 
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:

@@ -6,19 +6,17 @@ determines a component, split into two clusters by the parity of the path
 length to the spine endpoints.
 
 Every furthest neighbor lies on the hull boundary, since the norm is
-convex, so :func:`build_fng` takes the b boundary points as candidates,
-b(b-1)/2 + (n-b) b distances, each row keeping its best and second-best
-value.  Nothing is stored or sorted; the only distances certified distinct
-are each row's best two, the comparison the map rests on
-(:class:`TiesPresent` names the row and both candidates).  Each largest
-distance is found in blocks of whole rows of about ``_BLOCK`` distances,
-either by :func:`_candidate_triangle` (a set against itself: the
-candidates, a side's diameter) or from one rows x columns pass
-(:func:`_row_blocks`), reduced to each row's best two by
-:func:`_rectangle_top2` (the other points, the tie report) or to the best
-two pairs of each (row group x column group) block by :func:`_group_top2`
-(the connecting edges of :func:`mxst.connect_components`, one pass per
-spine).
+convex, so :func:`build_fng` takes the b boundary points as candidates:
+one (all points x candidates) pass of n b distances, each row keeping its
+best and second-best value.  Nothing is stored or sorted; the only
+distances certified distinct are each row's best two, the comparison the
+map rests on (:class:`TiesPresent` names the row and both candidates).
+Every largest distance is found from one rows x columns pass in blocks of
+whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), reduced to
+each row's best two by :func:`_rectangle_top2` (the furthest neighbors, a
+side's diameter) or to the best two pairs of each (row group x column
+group) block by :func:`_group_top2` (the connecting edges of
+:func:`mxst.connect_components`, one pass per spine).
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
 :func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
@@ -37,8 +35,10 @@ from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, check_points,
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the largest-distance kernels, and
-# values per chunk of the gap scan; bounds their temporaries independently of n
-_BLOCK = 1 << 14
+# values per chunk of the gap scan; bounds their temporaries independently of n.
+# A block's difference planes and distances are held whole, so on points in
+# convex position (b = n) a block of 1 << 14 raised the tree's peak by half
+_BLOCK = 1 << 13
 
 _OVERFLOW = "a pairwise distance lies beyond the float range"
 
@@ -184,86 +184,49 @@ class FNGraph(_IndexArrays):
 def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     """Construct the furthest-neighbor graph, certifying each row's decision.
 
-    Furthest neighbors are taken over the hull boundary (:func:`_furthest`).
-    Raises DegenerateInput on a distance beyond the float range, then
-    TiesPresent naming the first point whose two furthest candidates agree
-    within tol.  Ties between distances no row compares are not looked at.
+    Furthest neighbors are taken over the hull boundary (:func:`_furthest`,
+    n b distances for b boundary points).  Raises DegenerateInput on a
+    distance beyond the float range, then TiesPresent naming the first point
+    whose two furthest candidates agree within tol.  Ties between distances
+    no row compares are not looked at.
     """
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    return _decompose(_furthest(spec, S.points, _hull(S.points, tol).boundary, tol))
+    return _decompose(_furthest(spec, S.points, _hull(S.points, tol).boundary, tol)[0])
 
 
-def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> np.ndarray:
-    """Each point's furthest neighbor among the sorted candidate indices ``cand``.
+def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(fn, fn_dist)``: each point's furthest neighbor among the sorted
+    candidate indices ``cand``, and its distance.
 
-    The candidates' own distances are one streamed strict upper triangle
-    (:func:`_candidate_triangle`), the other points' a (rest x cand)
-    rectangle (:func:`_rectangle_top2`): b(b-1)/2 + (n-b) b evaluations for b
-    candidates, each ``||p_i - p_j||`` with the bits the full table holds.
-    Every row keeps its best and second-best value, so no distance is
-    stored.  Raises DuplicatePoints when a row's best is 0, DegenerateInput
-    on a distance beyond the float range (every evaluated value is at most
-    its row's best), and TiesPresent naming the first row whose best and
-    second-best lie within tol, and those two (its own 0 is never second).
+    One (all rows x cand) rectangle (:func:`_rectangle_top2`), n b
+    evaluations for b candidates, each ``||p_i - p_j||`` with the bits the
+    full table holds.  Every row keeps its best and second-best value, so no
+    distance is stored.  A candidate's own column holds 0, which is its
+    runner-up only when it has a single rival (b = 2); that runner-up is no
+    rival and never ties.  Raises DuplicatePoints when a row's best is 0,
+    DegenerateInput on a distance beyond the float range (every evaluated
+    value is at most its row's best), and TiesPresent naming the first row
+    whose best and second-best lie within tol, and those two.
     """
-    n = len(pts)
     cand = np.asarray(cand, dtype=np.intp)
-    rest = np.delete(np.arange(n), cand)
-    fn = np.zeros(n, dtype=np.intp)
-    best, second = np.full((2, n), -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        arg, best[cand], second[cand] = _candidate_triangle(spec, pts[cand])
-        fn[cand] = cand[arg]
-        arg, best[rest], _, second[rest] = _rectangle_top2(spec, pts, rest, cand)
-        fn[rest] = cand[arg]
+        arg, best, runner_arg, second = _rectangle_top2(spec, pts, np.arange(len(pts)), cand)
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    fn = cand[arg]
     tied = np.flatnonzero(best - second <= tol)
+    tied = tied[cand[runner_arg[tied]] != tied]
     if tied.size:
         i = int(tied[0])
-        other = int(cand[_rectangle_top2(spec, pts, tied[:1], cand)[2][0]])
         raise TiesPresent(
-            f"tied furthest neighbors of point {i}: {int(fn[i])} and {other} within tol={tol:g}"
+            f"tied furthest neighbors of point {i}: {int(fn[i])} and "
+            f"{int(cand[runner_arg[i]])} within tol={tol:g}"
         )
-    return fn
-
-
-def _candidate_triangle(spec: NormSpec, q: np.ndarray):
-    """``(arg, best, second)`` of each row of the (mirrored) distance table
-    of the points q, diagonal excluded: the row's first argmax, its maximum
-    and the largest other value (-inf for a lone point).
-
-    Rows are taken in blocks of about ``_BLOCK`` distances, held in a
-    (rows x later columns) trapezoid whose lower-left corner is -inf, so
-    each distance is evaluated once, as ``||q_i - q_j||`` with i < j.  Row
-    i's entries left of the diagonal are the earlier rows' column entries:
-    its best two are merged from the running column maxima, then the block
-    row's.
-    """
-    m = len(q)
-    arg = np.zeros(m, dtype=np.intp)
-    best = np.full(m, -np.inf)
-    second = np.full(m, -np.inf)
-    if m < 2:
-        return arg, best, second
-    step = min(max(1, _BLOCK // m), m - 1)
-    tri_i, tri_j = np.triu_indices(step, k=1)
-    for r0 in range(0, m - 1, step):
-        r1 = min(r0 + step, m - 1)
-        b = r1 - r0
-        block = np.full((b, m - 1 - r0), -np.inf)  # columns r0 + 1 .. m - 1
-        iu, ju = (tri_i, tri_j) if b == step else np.triu_indices(b, k=1)
-        block[iu, ju - 1] = norm_many(spec, _differences(q, r0 + iu, r0 + ju))
-        block[:, b - 1 :] = norm_many(
-            spec, _differences(q, np.arange(r0, r1)[:, None], np.arange(r1, m))
-        )
-        _merge(arg[r0 + 1 :], best[r0 + 1 :], second[r0 + 1 :], _top2(block, axis=0), r0)
-        _merge(arg[r0:r1], best[r0:r1], second[r0:r1], _top2(block, axis=1), r0 + 1)
-    return arg, best, second
+    return fn, best
 
 
 def _rectangle_top2(spec: NormSpec, pts: np.ndarray, rows, cols):
@@ -273,7 +236,7 @@ def _rectangle_top2(spec: NormSpec, pts: np.ndarray, rows, cols):
     runner_arg, runner = np.empty_like(arg), np.empty_like(best)
     for r0, block in _row_blocks(spec, pts, rows, cols):
         r = slice(r0, r0 + len(block))
-        arg[r], best[r], runner_arg[r], runner[r] = _top2(block, axis=1)
+        arg[r], best[r], runner_arg[r], runner[r] = _top2(block)
     return arg, best, runner_arg, runner
 
 
@@ -335,38 +298,22 @@ def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols):
         yield r0, norm_many(spec, _differences(pts, rows[r0 : r0 + step, None], cols))
 
 
-def _top2(block: np.ndarray, axis: int):
-    """``(argmax, max, runner-up argmax, runner-up)`` of a 2-D block along
-    ``axis``; the runner-up is the first largest value off the first argmax.
-    Each lane's entries are read and written through flat offsets into the
+def _top2(block: np.ndarray):
+    """``(argmax, max, runner-up argmax, runner-up)`` of each row of a 2-D
+    block; the runner-up is the first largest value off the first argmax.
+    Each row's entries are read and written through flat offsets into the
     raveled block, which is restored after the masked second pass."""
-    block = np.ascontiguousarray(block)  # the caller's block: both kernels build C order
+    block = np.ascontiguousarray(block)  # the caller's block: _row_blocks builds C order
     flat = block.reshape(-1)
-    width = block.shape[1]
-    step, lane_step = (width, 1) if axis == 0 else (1, width)
-    base = np.arange(block.shape[1 - axis]) * lane_step
-    arg = block.argmax(axis=axis)
-    at = base + arg * step
+    base = np.arange(block.shape[0]) * block.shape[1]
+    arg = block.argmax(axis=1)
+    at = base + arg
     top = flat[at]
     flat[at] = -np.inf
-    runner_arg = block.argmax(axis=axis)
-    runner = flat[base + runner_arg * step]
+    runner_arg = block.argmax(axis=1)
+    runner = flat[base + runner_arg]
     flat[at] = top
     return arg, top, runner_arg, runner
-
-
-def _merge(arg, best, second, top2, offset) -> None:
-    """Merge a block's best two per row (:func:`_top2`) into the running ones, in place.
-
-    The block's values are other pairs than the running ones, so the best
-    two of the union are the best two of these four; a running best keeps
-    its index on an equal value, so the first argmax stays.
-    """
-    new_arg, top, _, runner = top2
-    raised = top > best
-    second[...] = np.maximum(np.minimum(best, top), np.maximum(second, runner))
-    best[...] = np.maximum(best, top)
-    arg[raised] = new_arg[raised] + offset
 
 
 def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:

@@ -6,19 +6,20 @@ hull, compute one candidate connecting edge per adjacent component pair
 (restricting one endpoint to the hull boundary), and drop the shortest
 candidate.  It computes the hull first, from the points the octagon
 filter keeps (:func:`geometry.convex_hull`, without the input checks the
-PointSet has run), and takes the furthest neighbors over its b boundary points
-(:func:`fng._furthest`): b(b-1)/2 + (n-b) b norm evaluations, no stored
-distances and no sort.  `connect_components` does the rest from that graph
-and the hull, evaluating only the cluster x boundary-cluster blocks it
-compares, each once per call, in one row-blocked pass per spine
-(:func:`fng._group_top2`): the spine's two clusters against the boundary
-points of the clusters of its neighbours in the cyclic order (at k = 2 the
-one other spine), each block reduced to its best two pairs.  Callers that
-already hold the graph and the hull (the invariant suite, the CLI's
-drawing) call it directly.  The tree's validity follows
-from the decomposition: the graph is a forest of k trees, so it suffices
-that the k - 1 kept connecting edges join its components into one, a
-union-find over k components rather than n points.
+PointSet has run), and takes the furthest neighbors and their distances
+over its b boundary points (:func:`fng._furthest`): n b norm evaluations,
+no stored distances and no sort.  `connect_components` does the rest from
+that graph, those distances and the hull, evaluating only the cluster x
+boundary-cluster blocks it compares, each once per call, in one
+row-blocked pass per spine (:func:`fng._group_top2`): the spine's two
+clusters against the boundary points of the clusters of its neighbours in
+the cyclic order (at k = 2 the one other spine), each block reduced to its
+best two pairs.  Each tree edge keeps the weight of the pass that found it,
+so no distance is evaluated twice.  The invariant suite, which already
+holds the graph, its distances and the hull, calls it directly.  The
+tree's validity follows from the decomposition: the graph is a forest of
+k trees, so it suffices that the k - 1 kept connecting edges join its
+components into one, a union-find over k components rather than n points.
 
 Distances need to be distinct only where the construction compares them,
 and only there are they certified; TiesPresent names the site and the two
@@ -50,7 +51,6 @@ from .fng import (
     _furthest,
     _group_top2,
     _triangle,
-    distances_between,
     order_components,
 )
 from .geometry import HullIndex, _IndexArrays, _hull, check_tol
@@ -113,14 +113,20 @@ def mxst_mpsy(
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
     hull = _hull(S.points, tol)
-    g = _decompose(_furthest(spec, S.points, hull.boundary, tol))
-    return connect_components(spec, S, g, hull, tol)
+    fn, fn_dist = _furthest(spec, S.points, hull.boundary, tol)
+    return connect_components(spec, S, _decompose(fn), fn_dist, hull, tol)
 
 
 def connect_components(
-    spec: NormSpec, S: PointSet, g: FNGraph, hull: HullIndex, tol: float = DEFAULT_TOL
+    spec: NormSpec,
+    S: PointSet,
+    g: FNGraph,
+    fn_dist: np.ndarray,
+    hull: HullIndex,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
-    """The tree from a furthest-neighbor graph ``g`` of S and its hull.
+    """The tree from a furthest-neighbor graph ``g`` of S, the distances
+    ``fn_dist[i] = ||p_i - p_fn[i]||`` and the hull.
 
     Orders the components around the hull, adds one connecting edge per
     cyclically adjacent component pair but the shortest, and certifies the
@@ -130,7 +136,9 @@ def connect_components(
     has n - 1 edges and the kept connecting edges join the k components
     without a cycle; :func:`validate_tree` would repeat that over n points.
     TiesPresent when one of its decisions compares two distinct pairs within
-    tol.
+    tol.  The FNG edges weigh their ``fn_dist`` and each connecting edge the
+    weight its candidate was found with, so no tree weight is evaluated
+    again.
     """
     n = S.n
     cycle = order_components(g, hull)
@@ -138,10 +146,12 @@ def connect_components(
 
     # the FNG edges sorted(i, fn[i]), each spine once, at its smaller endpoint
     idx = np.arange(n)
-    pairs = np.sort(np.stack([idx, g.fn], axis=1)[(g.fn[g.fn] != idx) | (idx < g.fn)], axis=1)
+    once = (g.fn[g.fn] != idx) | (idx < g.fn)
+    pairs = np.sort(np.stack([idx, g.fn], axis=1)[once], axis=1)
+    weights = fn_dist[once]
     entries: list[StepFourEntry] = []
     discarded: int | None = None
-    kept: list[tuple[int, int]] = []
+    kept: list[CandidateEdge] = []
 
     if k > 1:
         members = g.cluster_members()
@@ -193,16 +203,19 @@ def connect_components(
         discarded = int(np.argmin([e.selected.weight for e in entries]))
         _certify(entries[discarded].selected, [e.selected for e in entries], tol,
                  "minimum among the connecting edges")
-        kept = [(e.selected.i, e.selected.j) for t, e in enumerate(entries) if t != discarded]
-        pairs = np.concatenate([pairs, np.array(kept, dtype=np.intp)])
+        kept = [e.selected for t, e in enumerate(entries) if t != discarded]
+        pairs = np.concatenate([pairs, np.array([(c.i, c.j) for c in kept], dtype=np.intp)])
+        weights = np.concatenate([weights, [c.weight for c in kept]])
 
     join = _union_find(k)
     if len(pairs) != n - 1 or not all(
-        join(int(g.component_of[i]), int(g.component_of[j])) for i, j in kept
+        join(int(g.component_of[c.i]), int(g.component_of[c.j])) for c in kept
     ):
         raise StructureViolation("connecting edges did not produce a spanning tree")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    tree = SpanningTree(pairs, distances_between(spec, S, pairs[:, 0], pairs[:, 1]))
+    by = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    # rebound, so the unsorted arrays are freed before SpanningTree copies these
+    pairs, weights = pairs[by], weights[by]
+    tree = SpanningTree(pairs, weights)
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 

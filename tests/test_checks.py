@@ -114,9 +114,10 @@ def test_run_checks_evaluates_the_triangle_and_the_construction_only(monkeypatch
         assert all(r.passed for r in run_checks(spec, S, tol))
         suite = sum(evaluated)
         g, hull = build_fng(spec, S, tol), convex_hull(pts, tol)
+        fn_dist = fng_module.distances_between(spec, S, np.arange(S.n), g.fn)
         ks.add(g.k)
         evaluated.clear()
-        mxst_module.connect_components(spec, S, g, hull, tol)
+        mxst_module.connect_components(spec, S, g, fn_dist, hull, tol)
         assert suite == S.n * (S.n - 1) // 2 + sum(evaluated)
     assert {3, 4} <= ks
 
@@ -189,8 +190,8 @@ def _answer_with_graph(monkeypatch, points, fn, name):
 def _answer_with_tree(monkeypatch, points, doctor, name):
     """The (passed, detail) of check ``name`` when connect_components'
     tree edges are replaced by ``doctor(edges)``."""
-    def connect(spec, S, g, hull, tol):
-        tree, report = mxst_module.connect_components(spec, S, g, hull, tol)
+    def connect(spec, S, g, fn_dist, hull, tol):
+        tree, report = mxst_module.connect_components(spec, S, g, fn_dist, hull, tol)
         triples = zip(tree.edges.tolist(), tree.weights.tolist())
         edges = doctor([(i, j, w) for (i, j), w in triples])
         return SpanningTree([e[:2] for e in edges], [e[2] for e in edges]), report

@@ -41,7 +41,7 @@ def test_diameter_basic(rng):
 
 
 def test_diameter_is_the_table_maximum_bit_for_bit(rng):
-    # 300 points span several row blocks of the triangle kernel
+    # 300 points span several row blocks of the rectangle kernel
     pts = rng.uniform(-5.0, 5.0, size=(500, 2))
     pts[:100] = np.round(pts[:100])  # equal distances too
     S = PointSet(np.unique(pts, axis=0))
@@ -56,7 +56,7 @@ def test_diameter_is_the_table_maximum_bit_for_bit(rng):
 
 def test_diameter_holds_about_one_row_block():
     # index arrays over all 1,999,000 pairs would take about 128 MB; the
-    # triangle kernel holds row blocks of about 16,384 distances
+    # rectangle kernel holds row blocks of about 8,192 distances
     S = PointSet(np.random.default_rng(2).uniform(size=(2000, 2)))
     tracemalloc.start()
     try:

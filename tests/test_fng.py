@@ -459,7 +459,9 @@ def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
                 for cand, (first, other, gap) in ((boundary, on_hull), (np.arange(n), every)):
                     message = _row_tie_message(first, other, gap, tol)
                     if message is None:
-                        assert np.array_equal(_furthest(spec, pts, cand, tol), first)
+                        fn, fn_dist = _furthest(spec, pts, cand, tol)
+                        assert np.array_equal(fn, first)
+                        assert np.array_equal(fn_dist, table[rows, first])
                         decided += 1
                         continue
                     with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):

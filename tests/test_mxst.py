@@ -51,6 +51,20 @@ def test_mxst_three_points_drops_shortest_side():
     assert tree.total_weight == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("spec", [lp(2), lp(1.5), l1(), linf(), polygonal(HEX_BALL)])
+def test_two_points_closer_than_tol_are_no_tie(spec):
+    # each point's own distance, 0, is its only other value: the point has a
+    # single rival, so its furthest neighbour is decided however close it is
+    S = PointSet(np.array([[0.0, 0.0], [1e-10, 0.0]]))
+    weight = float(norm_many(spec, np.array([1e-10, 0.0])))
+    assert build_fng(spec, S, 1e-9).fn.tolist() == [1, 0]
+    tree, report = mxst_mpsy(spec, S, 1e-9)
+    assert tree.edges.tolist() == [[0, 1]] and tree.weights.tolist() == [weight]
+    assert report == ConnectingEdgeReport((), None)
+    part = two_clustering(spec, S, 1e-9)
+    assert (part.side_a, part.side_b, part.value) == ((0,), (1,), 0.0)
+
+
 def test_mxst_collinear_reference():
     S = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
     tree, _ = mxst_mpsy(lp(2), S)
@@ -380,10 +394,15 @@ def _connect_instances(rng):
                 yield spec, S
 
 
+def _fn_dist(spec, S, g):
+    """``||p_i - p_fn[i]||`` per point, the distances connect_components reads."""
+    return distances_between(spec, S, np.arange(S.n), g.fn)
+
+
 def _connecting_evaluations(g, hull):
-    """The distances connect_components evaluates besides its tree's n - 1
-    weights: each spine's component against the boundary points of the
-    components next to it in the cyclic order (one at k = 2), each once."""
+    """The distances connect_components evaluates: each spine's component
+    against the boundary points of the components next to it in the cyclic
+    order (one at k = 2), each once."""
     if g.k < 2:
         return 0
     cyclic = g.component_of[order_components(g, hull)[: g.k]].tolist()
@@ -415,9 +434,10 @@ def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
     for spec, S in _connect_instances(rng):
         g = build_fng(spec, S, 0.0)
         hull = convex_hull(S.points, 0.0)
+        fn_dist = _fn_dist(spec, S, g)
         evaluated.clear()
-        tree, report = connect_components(spec, S, g, hull)
-        assert sum(evaluated) == _connecting_evaluations(g, hull) + S.n - 1
+        tree, report = connect_components(spec, S, g, fn_dist, hull)
+        assert sum(evaluated) == _connecting_evaluations(g, hull)
         ref_tree, ref_report = _reference_connect(spec, S, g, hull)
         # the tree field by field (an array repr rounds), the report by repr
         assert np.array_equal(tree.edges, ref_tree.edges)
@@ -461,7 +481,8 @@ def test_a_doctored_connecting_step_fails_the_component_certificate(rng, monkeyp
     verdicts = {name: set() for name in doctorings}
     for spec, S in instances:
         g, hull = build_fng(spec, S, 0.0), convex_hull(S.points, 0.0)
-        _, report = connect_components(spec, S, g, hull, 0.0)
+        fn_dist = _fn_dist(spec, S, g)
+        _, report = connect_components(spec, S, g, fn_dist, hull, 0.0)
         honest = ([e.selected for e in report.entries][0],
                   [c for e in report.entries for c in e.candidates])
         x, y = (int(v) for v in g.spines[0])
@@ -471,7 +492,7 @@ def test_a_doctored_connecting_step_fails_the_component_certificate(rng, monkeyp
             with monkeypatch.context() as m:
                 picks = _doctor_connecting_step(m, doctoring(honest))
                 try:
-                    tree, _ = connect_components(spec, S, g, hull, 0.0)
+                    tree, _ = connect_components(spec, S, g, fn_dist, hull, 0.0)
                 except StructureViolation as exc:
                     assert str(exc) == "connecting edges did not produce a spanning tree"
                     tree = None
@@ -604,8 +625,10 @@ def test_ties_outside_the_decisions_leave_the_oracle_tree(rng):
 
 def test_a_large_uniform_tree_evaluates_about_n_b_distances(monkeypatch):
     # every distance goes through norm_many; the furthest neighbors cost the
-    # candidates' triangle plus the (rest x candidates) rectangle, and the
-    # tree adds its connecting blocks and the n - 1 weights of its edges
+    # (all points x candidates) rectangle, and the tree adds its connecting
+    # blocks; its edges weigh what those passes found.  n b is within the
+    # bound of a candidates' triangle plus a (rest x candidates) rectangle
+    # and n - 1 edge weights, since b (b + 1) / 2 < n - 1
     evaluated = _counting_norm_many(monkeypatch)
     n = 20_000
     rng = np.random.default_rng(20_000)
@@ -617,6 +640,7 @@ def test_a_large_uniform_tree_evaluates_about_n_b_distances(monkeypatch):
     evals = sum(evaluated)
     g = build_fng(spec, S, 0.0)
     assert evals <= b * (b - 1) // 2 + (n - b) * b + _connecting_evaluations(g, hull) + (n - 1)
+    assert evals == n * b + _connecting_evaluations(g, hull)
     assert evals < 100 * n
 
     for i in rng.choice(n, size=200, replace=False):
