@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -290,6 +291,7 @@ def _error_json(exc: Exception) -> None:
     )
 
 
+@functools.cache  # one parser per process: main may run many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normplane",

@@ -15,9 +15,8 @@ search's last feasible probe, is returned as the witness line of the split.
 :func:`stabbing_line` scans the lines through pairs of segment endpoints on
 plain floats, at most m^3 endpoint tests for m segments.  Each side's
 diameter is taken over that side's points alone (:func:`diameter`), as the
-largest row maximum of the furthest neighbors' row-blocked rectangle kernel
-(:func:`fng._rectangle_top2`) over the side against itself; no n x n table
-is built.
+largest block maximum of the row-blocked pass (:func:`fng._row_blocks`)
+over the side against itself, with no n x n table.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import DEFAULT_TOL, PointSet, _rectangle_top2, _triangle
+from .fng import _OVERFLOW, DEFAULT_TOL, PointSet, _row_blocks, _triangle
 from .geometry import check_tol
 from .mxst import mxst_mpsy
 from .norms import NormSpec
@@ -77,10 +76,10 @@ class Bipartition:
 def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     """Max pairwise distance within the subset (0 for at most one point).
 
-    The largest row maximum of the subset's rows against its own columns,
+    The largest block maximum of the subset's rows against its own columns,
     taken in row blocks of about ``fng._BLOCK`` distances.  DegenerateInput
     when an index is not an integer (booleans included) or lies outside
-    [0, n).
+    [0, n), and when the diameter lies beyond the float range.
     """
     idx = np.array(sorted(subset))
     if len(idx) and idx.dtype.kind not in "iu":
@@ -89,7 +88,10 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
         raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
     if len(idx) <= 1:
         return 0.0
-    return float(_rectangle_top2(spec, S.points, idx, idx)[1].max())
+    d = np.max([block.max() for _, block in _row_blocks(spec, S.points, idx, idx)])
+    if not np.isfinite(d):  # np.max, unlike max, keeps a nan block maximum
+        raise DegenerateInput(_OVERFLOW)
+    return float(d)
 
 
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:

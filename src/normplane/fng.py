@@ -13,10 +13,13 @@ distances certified distinct are each row's best two, the comparison the
 map rests on (:class:`TiesPresent` names the row and both candidates).
 Every largest distance is found from one rows x columns pass in blocks of
 whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), reduced to
-each row's best two by :func:`_rectangle_top2` (the furthest neighbors, a
-side's diameter) or to the best two pairs of each (row group x column
-group) block by :func:`_group_top2` (the connecting edges of
-:func:`mxst.connect_components`, one pass per spine).
+each row's best two (:func:`_furthest`), each block's maximum
+(:func:`clustering.diameter`) or the best two pairs of each (row group x
+column group) block (:func:`_group_top2`, the connecting edges of
+:func:`mxst.connect_components`, one pass per spine).  That pass and
+:func:`distances_between` own the float range: a distance beyond it reads
+inf or nan without a warning, and each caller raises DegenerateInput on a
+non-finite value it reads.
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
 :func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
@@ -75,8 +78,7 @@ def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.n
     """``(iu, ju, vals)`` over pairs i < j in ``np.triu_indices`` order;
     DuplicatePoints on 0, DegenerateInput on a distance beyond the float range."""
     iu, ju = np.triu_indices(S.n, k=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = distances_between(spec, S, iu, ju)
+    vals = distances_between(spec, S, iu, ju)
     if np.any(vals <= 0.0):
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
     if not np.all(np.isfinite(vals)):
@@ -200,19 +202,22 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
     """``(fn, fn_dist)``: each point's furthest neighbor among the sorted
     candidate indices ``cand``, and its distance.
 
-    One (all rows x cand) rectangle (:func:`_rectangle_top2`), n b
-    evaluations for b candidates, each ``||p_i - p_j||`` with the bits the
-    full table holds.  Every row keeps its best and second-best value, so no
+    One (all rows x cand) pass (:func:`_row_blocks`), n b evaluations for b
+    candidates, each ``||p_i - p_j||`` with the bits the full table holds.
+    Every row keeps its best and second-best value (:func:`_top2`), so no
     distance is stored.  A candidate's own column holds 0, which is its
     runner-up only when it has a single rival (b = 2); that runner-up is no
-    rival and never ties.  Raises DuplicatePoints when a row's best is 0,
-    DegenerateInput on a distance beyond the float range (every evaluated
-    value is at most its row's best), and TiesPresent naming the first row
-    whose best and second-best lie within tol, and those two.
+    rival and never ties.  Raises DegenerateInput when a row's best is not
+    finite (no value exceeds it, and a nan is its row's best), DuplicatePoints
+    when it is 0, and TiesPresent naming the first row whose best and
+    second-best lie within tol, and those two.
     """
     cand = np.asarray(cand, dtype=np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg, best, runner_arg, second = _rectangle_top2(spec, pts, np.arange(len(pts)), cand)
+    arg, best = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
+    runner_arg, second = np.empty_like(arg), np.empty_like(best)
+    for r0, block in _row_blocks(spec, pts, np.arange(len(pts)), cand):
+        r = slice(r0, r0 + len(block))
+        arg[r], best[r], runner_arg[r], second[r] = _top2(block)
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
@@ -227,17 +232,6 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
             f"{int(cand[runner_arg[i]])} within tol={tol:g}"
         )
     return fn, best
-
-
-def _rectangle_top2(spec: NormSpec, pts: np.ndarray, rows, cols):
-    """:func:`_top2` of each row of the (rows x cols) distance block, index
-    arrays, cols non-empty, taken in row blocks (:func:`_row_blocks`)."""
-    arg, best = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
-    runner_arg, runner = np.empty_like(arg), np.empty_like(best)
-    for r0, block in _row_blocks(spec, pts, rows, cols):
-        r = slice(r0, r0 + len(block))
-        arg[r], best[r], runner_arg[r], runner[r] = _top2(block)
-    return arg, best, runner_arg, runner
 
 
 def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
@@ -292,10 +286,14 @@ def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
 def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols):
     """Yield ``(r0, block)``: the distances ``||p_r - p_c||`` of consecutive
     slices ``rows[r0 : r0 + s]`` against ``cols`` (index arrays, cols
-    non-empty), s rows of about ``_BLOCK`` distances, C-contiguous."""
+    non-empty), s rows of about ``_BLOCK`` distances, C-contiguous; a
+    distance beyond the float range reads inf or nan without a warning."""
     step = max(1, _BLOCK // cols.size)
     for r0 in range(0, rows.size, step):
-        yield r0, norm_many(spec, _differences(pts, rows[r0 : r0 + step, None], cols))
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _differences(pts, rows[r0 : r0 + step, None], cols)
+            block = norm_many(spec, block)  # rebound, so the differences are freed
+        yield r0, block
 
 
 def _top2(block: np.ndarray):
@@ -360,7 +358,8 @@ def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
 
     :func:`pairwise_distances` is built from these values with rows < cols.
     """
-    return norm_many(spec, _differences(S.points, rows, cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm_many(spec, _differences(S.points, rows, cols))
 
 
 def order_components(g: FNGraph, hull: HullIndex) -> np.ndarray:

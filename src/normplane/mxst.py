@@ -248,7 +248,7 @@ def mxst_bruteforce(spec: NormSpec, S: PointSet) -> SpanningTree:
 def _greedy(n: int, iu: np.ndarray, ju: np.ndarray, w: np.ndarray) -> SpanningTree:
     """The descending-greedy tree over the flat strict upper triangle (iu, ju, w)."""
     join = _union_find(n)
-    order = np.lexsort((ju, iu, -w))
+    order = np.argsort(-w, kind="stable")  # equal weights stay in (i, j) order
     chunks = (order[s : s + _CHUNK] for s in range(0, order.size, _CHUNK))
     edges = itertools.chain.from_iterable(zip(iu[c].tolist(), ju[c].tolist()) for c in chunks)
     picked = []  # ranks in order

@@ -197,11 +197,7 @@ def is_strictly_convex(spec: NormSpec) -> bool:
     Euclidean and Lp with 1 < p < inf qualify; L1, Linf and polygonal
     gauges do not.
     """
-    if spec.kind == "euclidean":
-        return True
-    if spec.kind == "lp":
-        return 1.0 < spec.p < INF
-    return False
+    return spec.kind == "euclidean" or (spec.kind == "lp" and 1.0 < spec.p < INF)
 
 
 def birkhoff_orthogonal(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> bool:

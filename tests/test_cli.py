@@ -18,7 +18,7 @@ from normplane import (
     pairwise_distances,
     two_clustering,
 )
-from normplane.cli import load_points, main
+from normplane.cli import _build_parser, load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from test_fng import JITTERED_SQUARE
 
@@ -403,6 +403,15 @@ def test_cli_flag_a_command_does_not_read_is_a_usage_error(
     assert captured.out == ""
     assert f"unrecognized arguments: {flag}" in captured.err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags_between_calls():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    first = parser.parse_args(["mxst", "--points", "p.json", "--tol", "0", "--fallback-ties"])
+    again = parser.parse_args(["mxst", "--points", "p.json"])
+    assert (first.tol, first.fallback_ties) == (0.0, True)
+    assert (again.tol, again.fallback_ties, again.eps) == (1e-9, False, 1e-3)
 
 
 @pytest.mark.parametrize("command", ["fng", "perturb", "check"])

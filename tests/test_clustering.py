@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from normplane import (
     TooLarge,
     diameter,
     euclidean,
+    l1,
     line_through,
+    linf,
     lp,
     mxst_mpsy,
+    norm_many,
     pairwise_distances,
     stabbing_line,
     two_clustering,
@@ -41,7 +45,7 @@ def test_diameter_basic(rng):
 
 
 def test_diameter_is_the_table_maximum_bit_for_bit(rng):
-    # 300 points span several row blocks of the rectangle kernel
+    # 300 points span several row blocks of the distance pass
     pts = rng.uniform(-5.0, 5.0, size=(500, 2))
     pts[:100] = np.round(pts[:100])  # equal distances too
     S = PointSet(np.unique(pts, axis=0))
@@ -56,7 +60,7 @@ def test_diameter_is_the_table_maximum_bit_for_bit(rng):
 
 def test_diameter_holds_about_one_row_block():
     # index arrays over all 1,999,000 pairs would take about 128 MB; the
-    # rectangle kernel holds row blocks of about 8,192 distances
+    # distance pass holds row blocks of about 8,192 distances
     S = PointSet(np.random.default_rng(2).uniform(size=(2000, 2)))
     tracemalloc.start()
     try:
@@ -65,6 +69,20 @@ def test_diameter_holds_about_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("spec", [lp(2), lp(1.5), l1(), linf()], ids=["lp:2", "lp:1.5", "l1", "linf"])
+def test_diameter_beyond_the_float_range_raises_as_the_tree_does(spec):
+    S = PointSet(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]))
+    message = r"^a pairwise distance lies beyond the float range$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match=message):
+            diameter(spec, S, [0, 1, 2])
+        with pytest.raises(DegenerateInput, match=message):
+            mxst_mpsy(spec, S)
+        # a pair within the float range is still measured
+        assert diameter(spec, S, [0, 2]) == norm_many(spec, S.points[0] - S.points[2])
 
 
 @pytest.mark.parametrize("index", [-1, 3])

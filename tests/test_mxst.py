@@ -8,7 +8,7 @@ import pytest
 
 import normplane.fng as fng_module
 import normplane.mxst as mxst_module
-from conftest import HEX_BALL, all_norms, random_symmetric_polygon, tie_free_points
+from conftest import HEX_BALL, all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from normplane import (
     DegenerateInput,
     PointSet,
@@ -157,6 +157,45 @@ def test_bruteforce_total_weight_beats_random_trees(rng):
     for _ in range(10_000):
         seq = rng.integers(0, n, size=n - 2)  # random spanning tree
         assert _pruefer_tree_weight(seq, table) <= oracle.total_weight + 1e-9
+
+
+def _greedy_by_sorted_pairs(spec, S, key):
+    """The descending-greedy tree in plain Python, over the pairs i < j
+    sorted by ``key(w, i, j)``: sorted (i, j, w) triples."""
+    d = pairwise_distances(spec, S).tolist()
+    pairs = [(i, j) for i in range(S.n) for j in range(i + 1, S.n)]
+    parent = list(range(S.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    edges = []
+    for i, j in sorted(pairs, key=lambda ij: key(d[ij[0]][ij[1]], *ij)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j, d[i][j]))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("spec", [l1(), linf(), polygonal(HEX_BALL)], ids=["l1", "linf", "hex"])
+def test_oracle_breaks_weight_ties_by_pair(rng, spec):
+    # integer grids tie most distances: the oracle takes the pairs by weight
+    # descending, then (i, j), so its tree is the plain greedy's over that order
+    axis = np.arange(6.0)
+    full = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    sets = [PointSet(full), PointSet(full[rng.permutation(len(full))])]
+    sets += [grid_points(rng, int(n)) for n in rng.integers(3, 30, size=30)]
+    reordered = 0
+    for S in sets:
+        tree = mxst_bruteforce(spec, S)
+        got = [(i, j, w) for (i, j), w in zip(tree.edges.tolist(), tree.weights.tolist())]
+        assert got == _greedy_by_sorted_pairs(spec, S, lambda w, i, j: (-w, i, j))
+        # the tie-break decides the tree: pairs taken in reverse order differ
+        reordered += got != _greedy_by_sorted_pairs(spec, S, lambda w, i, j: (-w, -i, -j))
+    assert reordered >= 20
 
 
 def test_validate_tree():
