@@ -88,7 +88,7 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
         raise DegenerateInput(f"subset indices must lie in [0, {S.n})")
     if len(idx) <= 1:
         return 0.0
-    d = np.max([block.max() for _, block in _row_blocks(spec, S.points, idx, idx)])
+    d = np.max(_row_blocks(spec, S.points, idx, idx, lambda _, block: block.max()))
     if not np.isfinite(d):  # np.max, unlike max, keeps a nan block maximum
         raise DegenerateInput(_OVERFLOW)
     return float(d)

@@ -12,18 +12,18 @@ best and second-best value.  Nothing is stored or sorted; the only
 distances certified distinct are each row's best two, the comparison the
 map rests on (:class:`TiesPresent` names the row and both candidates).
 Every largest distance is found from one rows x columns pass in blocks of
-whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), reduced to
-each row's best two (:func:`_furthest`), each block's maximum
-(:func:`clustering.diameter`) or the best two pairs of each (row group x
-column group) block (:func:`_group_top2`, the connecting edges of
-:func:`mxst.connect_components`, one pass per spine).  That pass and
-:func:`distances_between` own the float range: a distance beyond it reads
-inf or nan without a warning, and each caller raises DegenerateInput on a
-non-finite value it reads.
+whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), each block
+handed to the caller's reduction, which owns it: each row's best two
+(:func:`_furthest`), the block's maximum (:func:`clustering.diameter`) or the
+best two pairs of each (row group x column group) block (:func:`_group_top2`,
+the connecting edges of :func:`mxst.connect_components`, one pass per spine).
+That pass, in one float-range scope, and :func:`distances_between` own the
+float range: a distance beyond it reads inf or nan without a warning, and
+each caller raises DegenerateInput on a non-finite value it reads.
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
-:func:`pairwise_distances`) feeds the global tie scans (:func:`_tie_offsets`,
-:func:`_gaps`) of :func:`detect_ties`, the invariant suite and :mod:`perturb`.
+:func:`pairwise_distances`) feeds one sorted tie walk (:func:`_tie_offsets`)
+behind :func:`detect_ties`, the invariant suite and :mod:`perturb`.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPr
 from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, check_points, check_tol
 from .norms import NormSpec, norm_many
 
-# distances evaluated per row block of the largest-distance kernels, and
-# values per chunk of the gap scan; bounds their temporaries independently of n.
+# distances evaluated per row block of the largest-distance pass; bounds its
+# temporaries independently of n.
 # A block's difference planes and distances are held whole, so on points in
 # convex position (b = n) a block of 1 << 14 raised the tree's peak by half
 _BLOCK = 1 << 13
@@ -142,13 +142,6 @@ def _tie_offsets(sv: np.ndarray, tol: float):
         a = a[sv[a + d] - sv[a] <= tol]
 
 
-def _gaps(sv: np.ndarray):
-    """The gaps ``sv[a + 1] - sv[a]`` of sorted values, in chunks of ``_BLOCK``."""
-    for s in range(0, len(sv) - 1, _BLOCK):
-        e = min(s + _BLOCK, len(sv) - 1)
-        yield sv[s + 1 : e + 1] - sv[s:e]
-
-
 @dataclass(frozen=True, eq=False)
 class FNGraph(_IndexArrays):
     """Furthest-neighbor out-map plus its component/cluster decomposition.
@@ -215,9 +208,11 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
     cand = np.asarray(cand, dtype=np.intp)
     arg, best = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
     runner_arg, second = np.empty_like(arg), np.empty_like(best)
-    for r0, block in _row_blocks(spec, pts, np.arange(len(pts)), cand):
+    def put(r0, block):
         r = slice(r0, r0 + len(block))
         arg[r], best[r], runner_arg[r], second[r] = _top2(block)
+
+    _row_blocks(spec, pts, np.arange(len(pts)), cand, put)
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
@@ -253,7 +248,7 @@ def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
     # (-weight, row position, col position): sorted, heaviest first, then
     # earliest in row-major order
     top = [[[] for _ in col_groups] for _ in row_groups]
-    for r0, block in _row_blocks(spec, pts, rows, cols):
+    def merge(r0, block):
         r1 = r0 + len(block)
         for row_top, a, b in zip(top, row_bounds, row_bounds[1:]):
             a, b = max(a, r0), min(b, r1)
@@ -263,6 +258,8 @@ def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
                 piece = block[a - r0 : b - r0, c0:c1].ravel()
                 found = [(-w, a + f // (c1 - c0), c0 + f % (c1 - c0)) for w, f in _first_two(piece)]
                 row_top[g] = sorted(row_top[g] + found)[:2]
+
+    _row_blocks(spec, pts, rows, cols, merge)
     return [[[(-w, int(rows[i]), int(cols[j])) for w, i, j in pair] for pair in row_top]
             for row_top in top]
 
@@ -271,36 +268,36 @@ def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
     """``(value, position)`` of a 1-D array's first maximum and of the first
     largest value at another position (none for a single value): one lane
     of :func:`_top2` without its per-lane offset arrays, which on a single
-    lane cost more than the search."""
+    lane cost more than the search.  The maximum is left masked with -inf."""
     i = int(flat.argmax())
-    top = flat[i]
+    top = float(flat[i])
     if flat.size == 1:
-        return [(float(top), i)]
+        return [(top, i)]
     flat[i] = -np.inf
     j = int(flat.argmax())
-    second = flat[j]
-    flat[i] = top
-    return [(float(top), i), (float(second), j)]
+    return [(top, i), (float(flat[j]), j)]
 
 
-def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols):
-    """Yield ``(r0, block)``: the distances ``||p_r - p_c||`` of consecutive
-    slices ``rows[r0 : r0 + s]`` against ``cols`` (index arrays, cols
-    non-empty), s rows of about ``_BLOCK`` distances, C-contiguous; a
-    distance beyond the float range reads inf or nan without a warning."""
+def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols, reduce) -> list:
+    """``[reduce(r0, block), ...]``: ``block`` holds the distances
+    ``||p_r - p_c||`` of the consecutive slices ``rows[r0 : r0 + s]`` against
+    ``cols`` (index arrays, cols non-empty), s rows of about ``_BLOCK``
+    distances, C-contiguous, and the reduction owns it.  The whole pass runs
+    in one float-range scope: a distance beyond the range reads inf or nan
+    without a warning, so a reduction must not rely on float warnings."""
     step = max(1, _BLOCK // cols.size)
-    for r0 in range(0, rows.size, step):
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = _differences(pts, rows[r0 : r0 + step, None], cols)
-            block = norm_many(spec, block)  # rebound, so the differences are freed
-        yield r0, block
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each block's differences are freed before its reduction runs
+        blocks = ((r0, norm_many(spec, _differences(pts, rows[r0 : r0 + step, None], cols)))
+                  for r0 in range(0, rows.size, step))
+        return [reduce(r0, block) for r0, block in blocks]
 
 
 def _top2(block: np.ndarray):
     """``(argmax, max, runner-up argmax, runner-up)`` of each row of a 2-D
     block; the runner-up is the first largest value off the first argmax.
     Each row's entries are read and written through flat offsets into the
-    raveled block, which is restored after the masked second pass."""
+    raveled block, whose maxima are left masked with -inf."""
     block = np.ascontiguousarray(block)  # the caller's block: _row_blocks builds C order
     flat = block.reshape(-1)
     base = np.arange(block.shape[0]) * block.shape[1]
@@ -309,9 +306,7 @@ def _top2(block: np.ndarray):
     top = flat[at]
     flat[at] = -np.inf
     runner_arg = block.argmax(axis=1)
-    runner = flat[base + runner_arg]
-    flat[at] = top
-    return arg, top, runner_arg, runner
+    return arg, top, runner_arg, flat[base + runner_arg]
 
 
 def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:

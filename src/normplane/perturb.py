@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _gaps, _table_triangle, _tied_pairs, _triangle
+from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tie_offsets, _tied_pairs, _triangle
 from .geometry import check_tol, convex_hull
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -74,9 +74,9 @@ def min_distance_gap(table, tol: float = DEFAULT_TOL) -> float:
 
 
 def _least_gap(sv: np.ndarray, tol: float) -> float:
-    """The smallest gap above tol between consecutive sorted values, or +inf."""
-    wide = (g[g > tol] for g in _gaps(sv))
-    return min((float(w.min()) for w in wide if w.size), default=math.inf)
+    """The smallest gap above tol in one ``np.diff`` of sorted values, or +inf."""
+    gaps = np.diff(sv)
+    return float(np.min(gaps[gaps > tol], initial=math.inf))
 
 
 def check_eps(eps: float) -> None:
@@ -124,9 +124,10 @@ class _Perturber:
         self.iu, self.ju, self.vals = _triangle(spec, S)
         self.order = np.argsort(self.vals)
         # every rung's cap is at most eps / (2n), so past this floor no move
-        # is ever admissible: fail before listing the (possibly many) ties
-        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and any(
-            (g <= tol).any() for g in _gaps(self.vals[self.order])
+        # is ever admissible: fail at the tie walk's first step, before listing
+        # the (possibly many) ties; without distances (n <= 1) nothing is tied
+        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and next(
+            _tie_offsets(self.vals[self.order], tol), None
         ):
             raise BudgetExceeded(_NO_MOVE)
         lo, hi = _tied_pairs(self.vals, tol)
@@ -182,10 +183,13 @@ class _Perturber:
             if not pending:
                 return
             # in tie order, each side's endpoints on the layer move away
-            # from the side's other endpoint; the first move made restarts
+            # from the side's other endpoint, each (mover, anchor) once, as
+            # a failed attempt changes nothing; the first move made restarts
+            seen = set()
             tries = (
                 (m, a) for i, j, k, l in pending
-                for m, a in ((i, j), (j, i), (k, l), (l, k)) if m in tour_set
+                for m, a in ((i, j), (j, i), (k, l), (l, k))
+                if m in tour_set and (m, a) not in seen and not seen.add((m, a))
             )
             if not any(self._attempt_move(mover, anchor) for mover, anchor in tries):
                 raise BudgetExceeded(_NO_MOVE)

@@ -25,7 +25,7 @@ from normplane import (
     run_checks,
     segments_properly_intersect,
 )
-from normplane.fng import _BLOCK, _decompose, _differences, _furthest
+from normplane.fng import _BLOCK, _decompose, _differences, _furthest, _row_blocks
 from normplane.norms import norm_many
 
 # a square with corners nudged so the two diagonals stay longest but no two
@@ -467,6 +467,55 @@ def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
                     with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
                         _furthest(spec, pts, cand, tol)
     assert decided >= 400
+
+
+def test_row_blocks_hands_every_block_to_one_float_range_scope(monkeypatch, rng):
+    # one np.errstate around the whole pass, not one per block: each
+    # reduction runs inside it, sees the pass's distances, and the caller's
+    # setting is back afterwards
+    pts = rng.uniform(-1.0, 1.0, size=(300, 2))
+    rows, cols = rng.permutation(300), np.arange(0, 300, 3)
+    step = _BLOCK // cols.size
+    spec = lp(1.5)
+    entered, inside, errstate = [], [], np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+
+    def reduce(r0, block):
+        inside.append(np.geterr())
+        expected = norm_many(spec, _differences(pts, rows[r0 : r0 + step, None], cols))
+        assert block.flags.c_contiguous and np.array_equal(block, expected)
+        return r0
+
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        entered.clear()
+        out = _row_blocks(spec, pts, rows, cols, reduce)
+        assert np.geterr() == caller
+    assert out == list(range(0, 300, step)) and len(inside) == len(out) >= 3
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
+    for err in inside:
+        assert err["over"] == err["invalid"] == "ignore"
+        assert err["divide"] == err["under"] == "raise"
+
+
+def test_row_blocks_restores_the_caller_float_setting_when_a_reduction_raises():
+    pts = np.random.default_rng(5).uniform(size=(200, 2))
+
+    def reduce(r0, block):
+        if r0:
+            raise KeyError(r0)
+
+    for setting in ("warn", "raise", "ignore"):
+        with np.errstate(all=setting):
+            caller = np.geterr()
+            with pytest.raises(KeyError):
+                _row_blocks(lp(2), pts, np.arange(200), np.arange(200), reduce)
+            assert np.geterr() == caller
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

@@ -139,6 +139,48 @@ def test_perturb_fails_fast_when_no_move_is_admissible(monkeypatch):
         perturb_distinct(lp(2), UNIT_SQUARE, eps=1e-12, tol=1e-9)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_perturb_returns_fewer_than_two_points_unmoved(n):
+    S = PointSet(np.random.default_rng(3).uniform(size=(n, 2)))
+    for tol in (0.0, 1e-9):
+        S2, report = perturb_distinct(lp(2), S, eps=1e-3, tol=tol)
+        assert S2.points.tobytes() == S.points.tobytes() and S2.n == n
+        assert report.steps == () and report.displacement == (0.0,) * n
+        assert report.residual_min_gap == math.inf
+
+
+def test_residual_breakers_try_each_move_once_per_tie_state(monkeypatch):
+    # 18 uniform points scaled by 2**-600: every distance lies below the
+    # absolute tol, so every pair ties and each tie lists the same
+    # (mover, anchor) pairs again.  A failed attempt leaves the ties as they
+    # were, so a repeated (mover, anchor, steps so far) is wasted work; the
+    # unfiltered loop made 560 attempts over 80 such triples
+    attempts, residual = [], []
+    breakers, attempt = perturb._Perturber._residual_breakers, perturb._Perturber._attempt_move
+
+    def in_residual_phase(self, tour):
+        residual.append(tour)
+        try:
+            return breakers(self, tour)
+        finally:
+            residual.pop()
+
+    def counted(self, mover, anchor):
+        if residual:
+            attempts.append((mover, anchor, len(self.steps)))
+        return attempt(self, mover, anchor)
+
+    monkeypatch.setattr(perturb._Perturber, "_residual_breakers", in_residual_phase)
+    monkeypatch.setattr(perturb._Perturber, "_attempt_move", counted)
+    S = PointSet(np.random.default_rng(1).uniform(size=(18, 2)) * 2.0 ** -600)
+    message = re.escape(
+        "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
+    )
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        perturb_distinct(lp(2), S, eps=1e-3)
+    assert attempts and len(set(attempts)) == len(attempts)
+
+
 def test_perturb_step_log_and_budget_accounting(rng):
     for trial in range(30):
         n = int(rng.integers(4, 26))
