@@ -11,11 +11,16 @@ the minimum distance gap always measured against the whole set.
 
 The bookkeeping holds no n x n table: the flat distance triangle
 (``np.triu_indices`` order, each pair evaluated once), its sort order, and
-the ties as sorted keys ``lo * P + hi`` of two flat positions (P = n(n-1)/2).
-A move changes only the mover's n - 1 pairs, so a step is accepted when the
-ties touching the mover strictly shrink.  Each rung tests only the candidate
-row: against the other pairs' sorted values (``np.searchsorted`` in a +-2 tol
-window, then the exact ``|a - b| <= tol``) and against itself.
+one tie list, built once: every tie as a sorted key ``lo * P + hi`` of two
+flat positions (P = n(n-1)/2), its (i, j, k, l) endpoint row, and a live
+mask.  A move changes only the mover's n - 1 pairs, and it is accepted only
+when it keeps a strict subset of the mover's live ties and adds none, so
+the tie list only ever shrinks: an accepted move clears the ties it broke
+and decrements the live-tie counts per point and per pair, which decide the
+sweeps' triggers.  Each rung tests only the candidate row, against the
+mover's live ties alone (read from the ties indexed by point): its values
+against the other pairs' sorted values (``np.searchsorted`` in a +-2 tol
+window, then the exact ``|a - b| <= tol``) and, sorted, among themselves.
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
 from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tie_offsets, _tied_pairs, _triangle
-from .geometry import check_tol, convex_hull
+from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
 # fractions of the per-move cap tried for each move, largest first; a move
@@ -111,6 +116,45 @@ def perturb_distinct(
     return PointSet(worker.pts), report
 
 
+def _windows(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)``: each a paired with every b in ``start[a]`` up to
+    ``start[a] + width[a] - 1``."""
+    a = np.arange(width.size).repeat(width)
+    return a, np.arange(a.size) + (start - width.cumsum() + width).repeat(width)
+
+
+def _close_pairs(row: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, q)``: the positions of every two row values within tol, the
+    pairs ``_tied_pairs(row, tol)`` lists, each once but in no set order.
+
+    In sorted order a value's partners follow it in a window wide enough for
+    any rounding of value + tol; the exact ``|a - b| <= tol`` then decides,
+    as in ``_tied_pairs``.
+    """
+    by = row.argsort()
+    sv = row[by]
+    after = np.arange(1, row.size + 1)
+    a, b = _windows(after, sv.searchsorted(sv + 2.0 * tol, "right") - after)
+    close = np.abs(sv[a] - sv[b]) <= tol
+    return by[a[close]], by[b[close]]
+
+
+def _touching(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ties, at)``: the ties (rows of ``ends``) holding each point,
+    ascending, point p's being ``ties[at[p]:at[p + 1]]``."""
+    size = len(ends)
+    key = ends * size
+    key += np.arange(size)[:, None]
+    key = key.ravel()
+    key.sort()  # by point, then row; a row holding a point twice lists it twice
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    ties = key[first]
+    at = ties.searchsorted(np.arange(n + 1) * size)
+    ties %= max(size, 1)
+    return ties, at
+
+
 class _Perturber:
     def __init__(self, spec: NormSpec, S: PointSet, eps: float, tol: float):
         self.spec = spec
@@ -130,56 +174,107 @@ class _Perturber:
             _tie_offsets(self.vals[self.order], tol), None
         ):
             raise BudgetExceeded(_NO_MOVE)
-        lo, hi = _tied_pairs(self.vals, tol)
-        self._set_ties(lo * self.vals.size + hi)
+        # the tie list is built once: a move only ever drops ties, so a tie
+        # stays ``alive`` until a move of one of its endpoints breaks it;
+        # point_ties counts the live ties' ends at each point, pair_ties the
+        # live ties holding each flat pair
+        self.keys, self.ends, self.pair_ties = self._tie_list()
+        self.alive = np.ones(self.keys.size, dtype=bool)
+        self.point_ties = np.bincount(self.ends.ravel(), minlength=self.n)
+        self.touch, self.touch_at = _touching(self.ends, self.n)
+        self.rows: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.n
+        self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
 
-    # -- bookkeeping ---------------------------------------------------
+    def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, ends, pair_ties)``: today's tie keys ``lo * P + hi``,
+        sorted; their ``(i, j, k, l)`` rows, pairs (i, j) < (k, l); and the
+        number of ties holding each flat pair."""
+        size = self.vals.size
+        lo, hi = _tied_pairs(self.vals, self.tol)
+        ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
+        return lo * size + hi, ends, np.bincount(np.concatenate([lo, hi]), minlength=size)
 
-    def _set_ties(self, keys: np.ndarray) -> None:
-        self.ties = keys
-        lo, hi = np.divmod(keys, self.vals.size)
-        # (i, j, k, l) per tie: pairs (i, j) < (k, l), in key order
-        self.ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
-        pairs = np.unique(np.concatenate([lo, hi]))
-        self.tied_pairs = set(zip(self.iu[pairs].tolist(), self.ju[pairs].tolist()))
-        self.tied_points = set(np.unique(self.ends).tolist())
+    @property
+    def ties(self) -> np.ndarray:
+        """The live tie keys ``lo * P + hi``, sorted."""
+        return self.keys[self.alive]
+
+    def _flat(self, a: int, b: int) -> int:
+        """Flat upper-triangle position of the pair {a, b}."""
+        lo, hi = min(a, b), max(a, b)
+        return lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
+
+    def _row_of(self, mover: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(others, mine)``: the points other than ``mover``, ascending,
+        and the flat positions of its pairs with them; made once per point."""
+        if self.rows[mover] is None:
+            others = np.flatnonzero(np.arange(self.n) != mover)
+            lo, hi = np.minimum(others, mover), np.maximum(others, mover)
+            self.rows[mover] = others, lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
+        return self.rows[mover]
+
+    def _live_ties(self, mover: int) -> np.ndarray:
+        """The live ties holding ``mover``, ascending."""
+        touched = self.touch[self.touch_at[mover]:self.touch_at[mover + 1]]
+        return touched[self.alive[touched]]
+
+    def _drop_ties(self, mover: int, new_ties: np.ndarray) -> None:
+        """Retire the mover's live ties that the sorted keys ``new_ties``
+        no longer hold (a move changes no other tie)."""
+        touched = self._live_ties(mover)
+        keys = self.keys[touched]
+        pos = new_ties.searchsorted(keys)
+        held = pos < new_ties.size
+        held[held] = new_ties[pos[held]] == keys[held]
+        gone = touched[~held]
+        self.alive[gone] = False
+        np.subtract.at(self.point_ties, self.ends[gone].ravel(), 1)
+        lo, hi = np.divmod(keys[~held], self.vals.size)
+        np.subtract.at(self.pair_ties, np.concatenate([lo, hi]), 1)
 
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
         active = np.arange(self.n)
-        while self.ties.size and active.size:
-            hull = convex_hull(self.pts[active], self.tol)
-            tour = active[hull.traversal()].tolist()
+        while self.alive.any() and active.size:
+            # _hull skips convex_hull's check_points: the input passed it, and
+            # an accepted move keeps every point finite and distinct, since a
+            # rung whose row holds a distance <= 0 or beyond the float range
+            # is skipped
+            hull = _hull(self.pts[active], self.tol)
+            tour = active[hull.traversal()]
             self._directional_sweeps(tour)
             self._residual_breakers(tour)
             active = active[hull.position < 0]
-        if self.ties.size:
+        if self.alive.any():
             raise BudgetExceeded("ties remain after every hull layer was processed")
 
-    def _directional_sweeps(self, tour: list[int]) -> None:
+    def _directional_sweeps(self, tour: np.ndarray) -> None:
         """Step j moves tied hull vertices away from their j-th predecessor."""
         K = len(tour)
+        verts = tour.tolist()
         for j in range(1, K):
-            if not self.tied_points.intersection(tour):
+            if not self.point_ties[tour].any():
                 return
             for h in range(K - 1, -1, -1):
-                mover = tour[h]
-                anchor = tour[(h - j) % K]
+                mover = verts[h]
+                anchor = verts[(h - j) % K]
                 if j == 1:
-                    trigger = mover in self.tied_points
+                    trigger = self.point_ties[mover] > 0
                 else:
-                    trigger = (min(mover, anchor), max(mover, anchor)) in self.tied_pairs
+                    trigger = self.pair_ties[self._flat(mover, anchor)] > 0
                 if trigger:
                     # best effort: symmetric configurations can survive a
                     # directional move; the residual phase handles them
                     self._attempt_move(mover, anchor)
 
-    def _residual_breakers(self, tour: list[int]) -> None:
+    def _residual_breakers(self, tour: np.ndarray) -> None:
         """Break every remaining tie that touches the current hull layer."""
-        tour_set = set(tour)
+        on_layer = np.zeros(self.n, dtype=bool)
+        on_layer[tour] = True
         while True:
-            pending = self.ends[np.isin(self.ends, tour).any(axis=1)].tolist()
+            live = self.ends[self.alive]
+            pending = live[on_layer[live].any(axis=1)].tolist()
             if not pending:
                 return
             # in tie order, each side's endpoints on the layer move away
@@ -189,7 +284,7 @@ class _Perturber:
             tries = (
                 (m, a) for i, j, k, l in pending
                 for m, a in ((i, j), (j, i), (k, l), (l, k))
-                if m in tour_set and (m, a) not in seen and not seen.add((m, a))
+                if on_layer[m] and (m, a) not in seen and not seen.add((m, a))
             )
             if not any(self._attempt_move(mover, anchor) for mover, anchor in tries):
                 raise BudgetExceeded(_NO_MOVE)
@@ -200,10 +295,11 @@ class _Perturber:
         """Move ``mover`` away from ``anchor`` if some step strictly helps.
 
         The step is at most min(eps, eps_remaining)/(2n); candidates descend
-        until one strictly shrinks the tie set without creating new ties.
-        Moving directly away from ``anchor`` changes that one distance by
-        exactly the step size, so the triggering tie cannot survive every
-        candidate unless the tolerance floor is reached.
+        until one strictly shrinks the mover's live ties without creating
+        new ones.  Moving directly away from ``anchor`` changes that one
+        distance by exactly the step size, so the triggering tie cannot
+        survive every candidate unless the tolerance floor is reached.  An
+        accepted move retires the ties it broke; the tie list never grows.
         """
         remaining = self.eps - self.moved[mover]
         cap = min(self.eps, remaining) / (2.0 * self.n)
@@ -212,17 +308,18 @@ class _Perturber:
         direction = self.pts[mover] - self.pts[anchor]
         dn = float(norm_many(self.spec, direction))
         unit = direction / dn
-        others = np.flatnonzero(np.arange(self.n) != mover)
-        lo, hi = np.minimum(others, mover), np.maximum(others, mover)
-        mine = lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1  # flat positions
+        others, mine = self._row_of(mover)
         ties_after = self._row_test(mover, mine)
         for frac in _LADDER:
             delta = cap * frac
             if delta <= 2.0 * self.tol:
                 break
-            cand_pt = self.pts[mover] + delta * unit
-            row = norm_many(self.spec, cand_pt[None, :] - self.pts)[others]
-            if np.any(row <= 0.0):
+            # a distance beyond the float range reads inf or nan, and its
+            # rung is skipped like one that would make two points coincide
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_pt = self.pts[mover] + delta * unit
+                row = norm_many(self.spec, cand_pt[None, :] - self.pts)[others]
+            if not 0.0 < row.min() <= row.max() < math.inf:
                 continue
             new_ties = ties_after(row)
             if new_ties is not None:
@@ -239,34 +336,45 @@ class _Perturber:
                 self.order = np.argsort(self.vals)
                 self.moved[mover] += delta
                 self.steps.append((mover, (mover, anchor), float(delta)))
-                self._set_ties(new_ties)
+                self._drop_ties(mover, new_ties)
                 return True
         return False
 
     def _row_test(self, mover: int, mine: np.ndarray):
-        """``ties_after(row)``: the tie keys once the mover's pairs (flat
-        positions ``mine``) take the values ``row``, if a strict subset of
-        today's ties, else None; only ties touching the mover can change."""
+        """``ties_after(row)``: the sorted live tie keys once the mover's
+        pairs (flat positions ``mine``) take the values ``row``, or None
+        unless the row keeps a strict subset of the mover's live ties and
+        adds none, so the tie list never grows.  Only ties holding the mover
+        can change, so a row is tested against those alone, read from the
+        ties indexed by point: its values against the other pairs' (sorted,
+        in a window) and among themselves (:func:`_close_pairs`)."""
         size, tol = self.vals.size, self.tol
-        rest = self.order[~np.isin(self.order, mine, kind="table")]  # the others, by value
+        self.not_mine[mine] = False
+        rest = self.order[self.not_mine[self.order]]  # the others, by value
+        self.not_mine[mine] = True
         rest_sv = self.vals[rest]
-        touching = (self.ends == mover).any(axis=1)
-        kept, touched = self.ties[~touching], set(self.ties[touching].tolist())
+        touched = self._live_ties(mover)
+        touched_keys = self.keys[touched]
+        reach = 2.0 * tol
 
         def ties_after(row: np.ndarray) -> np.ndarray | None:
             # a window wide enough for any rounding of row -+ tol, then the
             # exact predicate of detect_ties (|a - b| is symmetric in sign)
-            lo = np.searchsorted(rest_sv, row - 2.0 * tol, side="left")
-            width = np.searchsorted(rest_sv, row + 2.0 * tol, side="right") - lo
-            a = np.repeat(np.arange(row.size), width)
-            b = np.arange(a.size) + np.repeat(lo - np.cumsum(width) + width, width)
+            lo = rest_sv.searchsorted(row - reach)
+            a, b = _windows(lo, rest_sv.searchsorted(row + reach, "right") - lo)
             hit = np.abs(row[a] - rest_sv[b]) <= tol
-            p, q = _tied_pairs(row, tol)  # among the mover's own pairs
+            p, q = _close_pairs(row, tol)
+            if np.count_nonzero(hit) + p.size >= touched.size:
+                return None  # no strict shrink; the new ties are distinct
             x = np.concatenate([mine[a[hit]], mine[p]])
             y = np.concatenate([rest[b[hit]], mine[q]])
             new = np.minimum(x, y) * size + np.maximum(x, y)
-            if new.size < len(touched) and touched.issuperset(new.tolist()):
-                return np.sort(np.concatenate([kept, new]))
-            return None
+            pos = touched_keys.searchsorted(new)
+            if not (touched_keys.take(pos, mode="clip") == new).all():
+                return None  # a tie the mover did not have
+            keep = self.alive.copy()
+            keep[touched] = False
+            keep[touched[pos]] = True
+            return self.keys[keep]
 
         return ties_after

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -288,3 +289,77 @@ def test_row_move_test_matches_full_rescan(monkeypatch, tol, eps, n_max):
     rescanned = [_perturb_outcome(spec, S, eps, tol) for spec, S in cases]
     assert rescanned == shipped
     assert sum(isinstance(out, tuple) and len(out[1].steps) > 0 for out in shipped) >= 6
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
+    # after every accepted move the live ties equal a fresh rescan of the
+    # distances, are a strict subset of the ties before the move, and the
+    # per-point and per-pair counts equal recounts over the live ties
+    attempt = perturb._Perturber._attempt_move
+    moves = []
+
+    def checked(self, mover, anchor):
+        before = self.ties
+        moved = attempt(self, mover, anchor)
+        if moved:
+            moves.append(mover)
+            lo, hi = perturb._tied_pairs(self.vals, self.tol)
+            assert self.ties.tolist() == (lo * self.vals.size + hi).tolist()
+            assert self.ties.size < before.size and np.isin(self.ties, before).all()
+            live = self.ends[self.alive]
+            assert np.array_equal(self.point_ties, np.bincount(live.ravel(), minlength=self.n))
+            pairs = np.concatenate(np.divmod(self.ties, self.vals.size))
+            assert np.array_equal(self.pair_ties, np.bincount(pairs, minlength=self.vals.size))
+        else:
+            assert np.array_equal(self.ties, before)
+        return moved
+
+    monkeypatch.setattr(perturb._Perturber, "_attempt_move", checked)
+    rng = np.random.default_rng(4242)
+    for k in range(4, 21):
+        for spec in (lp(2), lp(1.5), lp(4)):
+            S = grid_points(rng, k)
+            S2, report = perturb_distinct(spec, S, eps=1e-3, tol=tol)
+            assert detect_ties(pairwise_distances(spec, S2), tol) == []
+    assert len(moves) > 100
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_close_pairs_match_the_sorted_tie_walk(tol):
+    # the mover's own pairs come from sorted windows and the exact
+    # |a - b| <= tol; the sorted walk of _tied_pairs must find the same
+    # pairs on rows with exact repeats and neighbours one ulp apart
+    rng = np.random.default_rng(808)
+    found = 0
+    for trial in range(200):
+        m = int(rng.integers(1, 40))
+        row = rng.uniform(0.5, 2.0, size=m)
+        if m > 1:
+            picks = rng.integers(0, m, size=(int(rng.integers(1, m + 1)), 2))
+            for dst, src in picks.tolist():
+                row[dst] = [row[src], np.nextafter(row[src], 3.0), np.nextafter(row[src], 0.0),
+                            row[src] + tol, row[src] - 0.5 * tol][trial % 5]
+        p, q = perturb._close_pairs(row, tol)
+        lo, hi = perturb._tied_pairs(row, tol)
+        pairs = sorted(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+        assert len(set(pairs)) == p.size and pairs == list(zip(lo.tolist(), hi.tolist()))
+        found += p.size
+    assert found > 200
+
+
+def test_a_rung_beyond_the_float_range_is_skipped():
+    # the first set's largest step would carry its outer point past the
+    # largest float, and the square's would carry a diagonal beyond it: such
+    # rungs are skipped without a warning and a smaller step is taken, so
+    # every coordinate and distance stays finite
+    u = 2.0 ** 1023
+    for pts in ([[1.46875 * u, 0.0], [1.71875 * u, 0.0], [1.96875 * u, 0.0]],
+                [[0.0, 0.0], [1.2e308, 0.0], [1.2e308, 1.2e308], [0.0, 1.2e308]]):
+        S = PointSet(np.array(pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S2, report = perturb_distinct(lp(2), S, eps=1.7e308)
+        assert report.steps and np.isfinite(S2.points).all()
+        vals = pairwise_distances(lp(2), S2)[np.triu_indices(S.n, k=1)]
+        assert np.isfinite(vals).all() and detect_ties(pairwise_distances(lp(2), S2)) == []
