@@ -29,7 +29,7 @@ from .fng import (
     PointSet,
     _decompose,
     _mirrored,
-    _tie_offsets,
+    _sorted_ties,
     _triangle,
     order_components,
 )
@@ -79,7 +79,7 @@ def _global_stage(spec: NormSpec, S: PointSet, tol: float):
     count of tied pairs ("" without any), then the greedy oracle tree and the
     triangle mirrored as :func:`fng.pairwise_distances` does, both None with ties."""
     iu, ju, w = _triangle(spec, S)
-    tied = sum(hits.size for _, hits in _tie_offsets(np.sort(w), tol))
+    tied = _sorted_ties(np.sort(w), tol)[0].size
     if tied:
         return f"{tied} tied distance pairs at tol={tol:g}", None, None
     return "", _greedy(S.n, iu, ju, w), _mirrored(S.n, iu, ju, w)

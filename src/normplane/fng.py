@@ -22,8 +22,10 @@ float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
-:func:`pairwise_distances`) feeds one sorted tie walk (:func:`_tie_offsets`)
-behind :func:`detect_ties`, the invariant suite and :mod:`perturb`.
+:func:`pairwise_distances`) feeds one sorted tie search (:func:`_sorted_ties`:
+a window after each value tied to its successor) behind :func:`detect_ties`,
+the invariant suite and :mod:`perturb`, which also runs it on each candidate
+row of distances.
 """
 
 from __future__ import annotations
@@ -118,28 +120,36 @@ def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Flat upper-triangle positions order pairs as (i, j) tuples do.
     """
     order = np.argsort(vals)
-    runs = [(0, np.empty(0, dtype=np.intp)), *_tie_offsets(vals[order], tol)]
-    a = order[np.concatenate([hits for _, hits in runs])]
-    b = order[np.concatenate([hits + d for d, hits in runs])]
+    a, b = _sorted_ties(vals[order], tol)
+    a, b = order[a], order[b]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = np.lexsort((hi, lo))
     return lo[keep], hi[keep]
 
 
-def _tie_offsets(sv: np.ndarray, tol: float):
-    """Yield (d, a) for d = 1, 2, ...: the positions a with sv[a + d] - sv[a] <= tol.
+def _sorted_ties(sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(a, b)``, a < b, of every two values of the sorted ``sv``
+    within tol (``sv[b] - sv[a] <= tol``), each pair once.
 
-    ``sv`` is sorted, so for each a the gap grows with d: the hits at
-    offset d are among those at d - 1, and the walk ends at the first
-    offset without any.  Together the offsets list every tied pair once.
+    Float subtraction is monotone, so a value tied to any later one is tied
+    to its successor, and its partners follow it up to the last value at
+    most ``sv[a] + 2 tol``, a window wide enough for any rounding of
+    ``sv[a] + tol``; the exact predicate then decides.
     """
     a = np.flatnonzero(sv[1:] - sv[:-1] <= tol)
-    d = 1
-    while a.size:
-        yield d, a
-        d += 1
-        a = a[a + d < len(sv)]
-        a = a[sv[a + d] - sv[a] <= tol]
+    if not a.size:
+        return a, a  # the common case on a perturbation rung's row
+    g, b = _windows(a + 1, sv.searchsorted(sv[a] + 2.0 * tol, "right") - a - 1)
+    a = a[g]
+    hit = sv[b] - sv[a] <= tol
+    return a[hit], b[hit]
+
+
+def _windows(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, b)``: each g paired with every b in ``start[g]`` up to
+    ``start[g] + width[g] - 1``."""
+    g = np.arange(width.size).repeat(width)
+    return g, np.arange(g.size) + (start - width.cumsum() + width).repeat(width)
 
 
 @dataclass(frozen=True, eq=False)

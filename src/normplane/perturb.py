@@ -16,11 +16,12 @@ flat positions (P = n(n-1)/2), its (i, j, k, l) endpoint row, and a live
 mask.  A move changes only the mover's n - 1 pairs, and it is accepted only
 when it keeps a strict subset of the mover's live ties and adds none, so
 the tie list only ever shrinks: an accepted move clears the ties it broke
-and decrements the live-tie counts per point and per pair, which decide the
-sweeps' triggers.  Each rung tests only the candidate row, against the
-mover's live ties alone (read from the ties indexed by point): its values
-against the other pairs' sorted values (``np.searchsorted`` in a +-2 tol
-window, then the exact ``|a - b| <= tol``) and, sorted, among themselves.
+and decrements the live-tie counts per point and per tied pair, which
+decide the sweeps' triggers.  Each rung tests only the candidate row,
+against the mover's live ties alone (read from the ties indexed by point):
+its values against the other pairs' sorted values (``np.searchsorted`` in a
++-2 tol window, then the exact ``|a - b| <= tol``) and among themselves
+(the tie search of :func:`fng._tied_pairs` on the row).
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tie_offsets, _tied_pairs, _triangle
+from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tied_pairs, _triangle, _windows
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -116,29 +117,6 @@ def perturb_distinct(
     return PointSet(worker.pts), report
 
 
-def _windows(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a, b)``: each a paired with every b in ``start[a]`` up to
-    ``start[a] + width[a] - 1``."""
-    a = np.arange(width.size).repeat(width)
-    return a, np.arange(a.size) + (start - width.cumsum() + width).repeat(width)
-
-
-def _close_pairs(row: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(p, q)``: the positions of every two row values within tol, the
-    pairs ``_tied_pairs(row, tol)`` lists, each once but in no set order.
-
-    In sorted order a value's partners follow it in a window wide enough for
-    any rounding of value + tol; the exact ``|a - b| <= tol`` then decides,
-    as in ``_tied_pairs``.
-    """
-    by = row.argsort()
-    sv = row[by]
-    after = np.arange(1, row.size + 1)
-    a, b = _windows(after, sv.searchsorted(sv + 2.0 * tol, "right") - after)
-    close = np.abs(sv[a] - sv[b]) <= tol
-    return by[a[close]], by[b[close]]
-
-
 def _touching(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(ties, at)``: the ties (rows of ``ends``) holding each point,
     ascending, point p's being ``ties[at[p]:at[p + 1]]``."""
@@ -168,50 +146,48 @@ class _Perturber:
         self.iu, self.ju, self.vals = _triangle(spec, S)
         self.order = np.argsort(self.vals)
         # every rung's cap is at most eps / (2n), so past this floor no move
-        # is ever admissible: fail at the tie walk's first step, before listing
-        # the (possibly many) ties; without distances (n <= 1) nothing is tied
-        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and next(
-            _tie_offsets(self.vals[self.order], tol), None
-        ):
+        # is ever admissible: fail if any value is tied to its successor,
+        # before listing the (possibly many) ties; without distances (n <= 1)
+        # nothing is tied
+        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and (
+            np.diff(self.vals[self.order]) <= tol
+        ).any():
             raise BudgetExceeded(_NO_MOVE)
         # the tie list is built once: a move only ever drops ties, so a tie
         # stays ``alive`` until a move of one of its endpoints breaks it;
         # point_ties counts the live ties' ends at each point, pair_ties the
-        # live ties holding each flat pair
-        self.keys, self.ends, self.pair_ties = self._tie_list()
+        # live ties holding each tied flat pair pair_ids[t]
+        self.keys, self.ends, self.pair_ids, self.pair_ties = self._tie_list()
         self.alive = np.ones(self.keys.size, dtype=bool)
         self.point_ties = np.bincount(self.ends.ravel(), minlength=self.n)
         self.touch, self.touch_at = _touching(self.ends, self.n)
-        self.rows: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.n
         self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
 
-    def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, ends, pair_ties)``: today's tie keys ``lo * P + hi``,
-        sorted; their ``(i, j, k, l)`` rows, pairs (i, j) < (k, l); and the
-        number of ties holding each flat pair."""
-        size = self.vals.size
+    def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, ends, pair_ids, pair_ties)``: today's tie keys
+        ``lo * P + hi``, sorted; their ``(i, j, k, l)`` rows, pairs
+        (i, j) < (k, l); the tied flat pairs, ascending; and the number of
+        ties holding each."""
         lo, hi = _tied_pairs(self.vals, self.tol)
         ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
-        return lo * size + hi, ends, np.bincount(np.concatenate([lo, hi]), minlength=size)
+        pair_ids, pair_ties = np.unique(np.concatenate([lo, hi]), return_counts=True)
+        return lo * self.vals.size + hi, ends, pair_ids, pair_ties
 
     @property
     def ties(self) -> np.ndarray:
         """The live tie keys ``lo * P + hi``, sorted."""
         return self.keys[self.alive]
 
-    def _flat(self, a: int, b: int) -> int:
-        """Flat upper-triangle position of the pair {a, b}."""
-        lo, hi = min(a, b), max(a, b)
+    def _flat(self, a, b):
+        """Flat upper-triangle positions of the pairs {a, b} (points or arrays)."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         return lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
 
-    def _row_of(self, mover: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(others, mine)``: the points other than ``mover``, ascending,
-        and the flat positions of its pairs with them; made once per point."""
-        if self.rows[mover] is None:
-            others = np.flatnonzero(np.arange(self.n) != mover)
-            lo, hi = np.minimum(others, mover), np.maximum(others, mover)
-            self.rows[mover] = others, lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
-        return self.rows[mover]
+    def _pair_tied(self, a: int, b: int) -> bool:
+        """Whether a live tie holds the pair {a, b}."""
+        flat = self._flat(a, b)
+        at = self.pair_ids.searchsorted(flat)
+        return at < self.pair_ids.size and self.pair_ids[at] == flat and self.pair_ties[at] > 0
 
     def _live_ties(self, mover: int) -> np.ndarray:
         """The live ties holding ``mover``, ascending."""
@@ -230,7 +206,7 @@ class _Perturber:
         self.alive[gone] = False
         np.subtract.at(self.point_ties, self.ends[gone].ravel(), 1)
         lo, hi = np.divmod(keys[~held], self.vals.size)
-        np.subtract.at(self.pair_ties, np.concatenate([lo, hi]), 1)
+        np.subtract.at(self.pair_ties, self.pair_ids.searchsorted(np.concatenate([lo, hi])), 1)
 
     # -- main loop ------------------------------------------------------
 
@@ -262,7 +238,7 @@ class _Perturber:
                 if j == 1:
                     trigger = self.point_ties[mover] > 0
                 else:
-                    trigger = self.pair_ties[self._flat(mover, anchor)] > 0
+                    trigger = self._pair_tied(mover, anchor)
                 if trigger:
                     # best effort: symmetric configurations can survive a
                     # directional move; the residual phase handles them
@@ -308,7 +284,8 @@ class _Perturber:
         direction = self.pts[mover] - self.pts[anchor]
         dn = float(norm_many(self.spec, direction))
         unit = direction / dn
-        others, mine = self._row_of(mover)
+        others = np.flatnonzero(np.arange(self.n) != mover)
+        mine = self._flat(others, mover)  # flat positions
         ties_after = self._row_test(mover, mine)
         for frac in _LADDER:
             delta = cap * frac
@@ -341,13 +318,14 @@ class _Perturber:
         return False
 
     def _row_test(self, mover: int, mine: np.ndarray):
-        """``ties_after(row)``: the sorted live tie keys once the mover's
-        pairs (flat positions ``mine``) take the values ``row``, or None
-        unless the row keeps a strict subset of the mover's live ties and
-        adds none, so the tie list never grows.  Only ties holding the mover
-        can change, so a row is tested against those alone, read from the
-        ties indexed by point: its values against the other pairs' (sorted,
-        in a window) and among themselves (:func:`_close_pairs`)."""
+        """``ties_after(row)``: sorted tie keys that hold at least the
+        mover's ties once its pairs (flat positions ``mine``) take the values
+        ``row``, or None unless the row keeps a strict subset of the mover's
+        live ties and adds none, so the tie list never grows.  Only ties
+        holding the mover can change, so a row is tested against those
+        alone, read from the ties indexed by point: its values against the
+        other pairs' (sorted, in a window) and among themselves
+        (:func:`fng._tied_pairs`)."""
         size, tol = self.vals.size, self.tol
         self.not_mine[mine] = False
         rest = self.order[self.not_mine[self.order]]  # the others, by value
@@ -363,7 +341,7 @@ class _Perturber:
             lo = rest_sv.searchsorted(row - reach)
             a, b = _windows(lo, rest_sv.searchsorted(row + reach, "right") - lo)
             hit = np.abs(row[a] - rest_sv[b]) <= tol
-            p, q = _close_pairs(row, tol)
+            p, q = _tied_pairs(row, tol)  # among the mover's own pairs
             if np.count_nonzero(hit) + p.size >= touched.size:
                 return None  # no strict shrink; the new ties are distinct
             x = np.concatenate([mine[a[hit]], mine[p]])
@@ -372,9 +350,6 @@ class _Perturber:
             pos = touched_keys.searchsorted(new)
             if not (touched_keys.take(pos, mode="clip") == new).all():
                 return None  # a tie the mover did not have
-            keep = self.alive.copy()
-            keep[touched] = False
-            keep[touched[pos]] = True
-            return self.keys[keep]
+            return np.sort(new)
 
         return ties_after

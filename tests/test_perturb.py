@@ -310,7 +310,9 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
             live = self.ends[self.alive]
             assert np.array_equal(self.point_ties, np.bincount(live.ravel(), minlength=self.n))
             pairs = np.concatenate(np.divmod(self.ties, self.vals.size))
-            assert np.array_equal(self.pair_ties, np.bincount(pairs, minlength=self.vals.size))
+            assert np.isin(pairs, self.pair_ids).all()
+            recount = np.bincount(self.pair_ids.searchsorted(pairs), minlength=self.pair_ids.size)
+            assert np.array_equal(self.pair_ties, recount)
         else:
             assert np.array_equal(self.ties, before)
         return moved
@@ -326,10 +328,10 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-def test_close_pairs_match_the_sorted_tie_walk(tol):
-    # the mover's own pairs come from sorted windows and the exact
-    # |a - b| <= tol; the sorted walk of _tied_pairs must find the same
-    # pairs on rows with exact repeats and neighbours one ulp apart
+def test_tied_pairs_match_every_pair_compared(tol):
+    # a rung's own pairs come from the sorted windows of _tied_pairs; they
+    # must be exactly the pairs of a row whose |a - b| <= tol, checked on
+    # rows with exact repeats and neighbours one ulp apart
     rng = np.random.default_rng(808)
     found = 0
     for trial in range(200):
@@ -340,11 +342,11 @@ def test_close_pairs_match_the_sorted_tie_walk(tol):
             for dst, src in picks.tolist():
                 row[dst] = [row[src], np.nextafter(row[src], 3.0), np.nextafter(row[src], 0.0),
                             row[src] + tol, row[src] - 0.5 * tol][trial % 5]
-        p, q = perturb._close_pairs(row, tol)
         lo, hi = perturb._tied_pairs(row, tol)
-        pairs = sorted(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
-        assert len(set(pairs)) == p.size and pairs == list(zip(lo.tolist(), hi.tolist()))
-        found += p.size
+        iu, ju = np.triu_indices(m, k=1)
+        close = np.abs(row[iu] - row[ju]) <= tol
+        assert lo.tolist() == iu[close].tolist() and hi.tolist() == ju[close].tolist()
+        found += lo.size
     assert found > 200
 
 
