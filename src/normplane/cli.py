@@ -269,7 +269,7 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
         if tree is None:
             tree, _ = mxst_mpsy(spec, S, tol)
     except NormPlaneError:
-        g = None
+        pass  # draws what was built: a tie in the connecting step keeps the FNG
     svg.emit_svg(S, hull, g, tree, bipartition, path)
 
 

@@ -167,7 +167,7 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     # line; feasibility is monotone because the family shrinks with the
     # threshold, and the empty family at the top is always feasible
     lo, hi = 0, len(lengths) - 1
-    witness = None  # the line of the last feasible probe, which ends at lo
+    witness = witness_for(hi)  # the line of hi's family; hi ends at lo
     while lo < hi:
         mid = (lo + hi) // 2
         line = witness_for(mid)
@@ -175,8 +175,6 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
             hi, witness = mid, line
         else:
             lo = mid + 1
-    if witness is None:
-        witness = witness_for(lo)  # no probe was feasible: lo is the top
     return _bipartition(spec, S, *_tree_two_coloring(tree, n), witness)
 
 

@@ -22,10 +22,11 @@ float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
 
 The flat strict upper triangle (:func:`_triangle`, mirrored by
-:func:`pairwise_distances`) feeds one sorted tie search (:func:`_sorted_ties`:
-a window after each value tied to its successor) behind :func:`detect_ties`,
-the invariant suite and :mod:`perturb`, which also runs it on each candidate
-row of distances.
+:func:`pairwise_distances`) feeds one window search for ties
+(:func:`_window_ties`) behind :func:`detect_ties`, the invariant suite and
+each :mod:`perturb` rung: a value x meets the sorted values up to the last
+one at most x + 2 tol, enough for any rounding of x + tol, and the exact
+``|x - v| <= tol`` decides.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DuplicatePoints, StructureViolation, TiesPresent
-from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, check_points, check_tol
+from .geometry import DEFAULT_TOL, HullIndex, _IndexArrays, _hull, _windows, check_points, check_tol
 from .norms import NormSpec, norm_many
 
 # distances evaluated per row block of the largest-distance pass; bounds its
@@ -129,27 +130,27 @@ def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _sorted_ties(sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions ``(a, b)``, a < b, of every two values of the sorted ``sv``
-    within tol (``sv[b] - sv[a] <= tol``), each pair once.
+    within tol, each pair once.
 
     Float subtraction is monotone, so a value tied to any later one is tied
-    to its successor, and its partners follow it up to the last value at
-    most ``sv[a] + 2 tol``, a window wide enough for any rounding of
-    ``sv[a] + tol``; the exact predicate then decides.
+    to its successor; its window (:func:`_window_ties`) starts there.
     """
     a = np.flatnonzero(sv[1:] - sv[:-1] <= tol)
     if not a.size:
         return a, a  # the common case on a perturbation rung's row
-    g, b = _windows(a + 1, sv.searchsorted(sv[a] + 2.0 * tol, "right") - a - 1)
-    a = a[g]
-    hit = sv[b] - sv[a] <= tol
-    return a[hit], b[hit]
+    g, b = _window_ties(sv[a], sv, a + 1, tol)
+    return a[g], b
 
 
-def _windows(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(g, b)``: each g paired with every b in ``start[g]`` up to
-    ``start[g] + width[g] - 1``."""
-    g = np.arange(width.size).repeat(width)
-    return g, np.arange(g.size) + (start - width.cumsum() + width).repeat(width)
+def _window_ties(x: np.ndarray, sv: np.ndarray, start: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, b)``: each ``x[g]`` paired with every ``sv[b]``, b from
+    ``start[g]`` up to the last value at most ``x[g] + 2 tol``, with
+    ``|x[g] - sv[b]| <= tol``; sv sorted.  For the sorted ``v >= x`` of one
+    array, ``|x - v|`` is exactly ``v - x``."""
+    g, b = _windows(start, sv.searchsorted(x + 2.0 * tol, "right") - start)
+    hit = np.abs(x[g] - sv[b]) <= tol
+    return g[hit], b[hit]
 
 
 @dataclass(frozen=True, eq=False)

@@ -241,9 +241,8 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
         r = np.minimum(r, (1.0 + tol) / (1.0 - tol) * ab_len)
     reach = 2.0 * tol * (np.abs(abx) + r) + 1e-12 * (np.abs(pts).max() + r)
     lo = np.searchsorted(sx, np.minimum(ax, bx) - reach, side="left")
-    width = np.searchsorted(sx, np.maximum(ax, bx) + reach, side="right") - lo
-    e = np.repeat(np.arange(a_idx.size), width)
-    i = order[np.arange(e.size) + np.repeat(lo - np.cumsum(width) + width, width)]
+    e, i = _windows(lo, np.searchsorted(sx, np.maximum(ax, bx) + reach, side="right") - lo)
+    i = order[i]
     dx, dy = px[i] - ax[e], py[i] - ay[e]
     t = (dx * abx[e] + dy * aby[e]) / ab2[e]
     near = (-tol <= t) & (t <= 1.0 + tol)
@@ -258,6 +257,13 @@ def _boundary_traversal(pts: np.ndarray, verts: list[int], order: np.ndarray,
     # first occurrences reduce that to the forward pass
     _, first = np.unique(i, return_index=True)
     return i[np.sort(first)]
+
+
+def _windows(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, b)``: each g paired with every b in ``start[g]`` up to
+    ``start[g] + width[g] - 1``."""
+    g = np.arange(width.size).repeat(width)
+    return g, np.arange(g.size) + (start - width.cumsum() + width).repeat(width)
 
 
 def segments_properly_intersect(s1, s2, tol: float = DEFAULT_TOL) -> bool:

@@ -33,7 +33,7 @@ from .errors import (
     StructureViolation,
     ZeroVector,
 )
-from .geometry import DEFAULT_TOL, check_tol
+from .geometry import DEFAULT_TOL, _cross, check_tol
 
 INF = math.inf
 
@@ -133,9 +133,7 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
     arr = np.concatenate([arr[: m // 2], 0.0 - arr[: m // 2]])
     # strict CCW convexity, including the wrap-around corners
     for i in range(m):
-        a, b, c = arr[i], arr[(i + 1) % m], arr[(i + 2) % m]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        if cross <= tol * scale * scale:
+        if _cross(arr[i], arr[(i + 1) % m], arr[(i + 2) % m]) <= tol * scale * scale:
             raise InvalidNorm("polygon vertices must be strictly convex in CCW order")
     # origin strictly interior <=> every edge line has positive offset
     if np.any(_edge_lines(arr)[1] <= tol * scale):

@@ -18,10 +18,11 @@ when it keeps a strict subset of the mover's live ties and adds none, so
 the tie list only ever shrinks: an accepted move clears the ties it broke
 and decrements the live-tie counts per point and per tied pair, which
 decide the sweeps' triggers.  Each rung tests only the candidate row,
-against the mover's live ties alone (read from the ties indexed by point):
-its values against the other pairs' sorted values (``np.searchsorted`` in a
-+-2 tol window, then the exact ``|a - b| <= tol``) and among themselves
-(the tie search of :func:`fng._tied_pairs` on the row).
+against the mover's live ties alone (read from the ties indexed by point),
+with the one window search of :mod:`fng`: its values against the other
+pairs' sorted values (:func:`fng._window_ties`, each window starting at the
+first value at least row - 2 tol) and among themselves
+(:func:`fng._tied_pairs` on the row).
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tied_pairs, _triangle, _windows
+from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tied_pairs, _triangle, _window_ties
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -324,8 +325,8 @@ class _Perturber:
         live ties and adds none, so the tie list never grows.  Only ties
         holding the mover can change, so a row is tested against those
         alone, read from the ties indexed by point: its values against the
-        other pairs' (sorted, in a window) and among themselves
-        (:func:`fng._tied_pairs`)."""
+        other pairs' sorted values (:func:`fng._window_ties`) and among
+        themselves (:func:`fng._tied_pairs`)."""
         size, tol = self.vals.size, self.tol
         self.not_mine[mine] = False
         rest = self.order[self.not_mine[self.order]]  # the others, by value
@@ -333,19 +334,14 @@ class _Perturber:
         rest_sv = self.vals[rest]
         touched = self._live_ties(mover)
         touched_keys = self.keys[touched]
-        reach = 2.0 * tol
 
         def ties_after(row: np.ndarray) -> np.ndarray | None:
-            # a window wide enough for any rounding of row -+ tol, then the
-            # exact predicate of detect_ties (|a - b| is symmetric in sign)
-            lo = rest_sv.searchsorted(row - reach)
-            a, b = _windows(lo, rest_sv.searchsorted(row + reach, "right") - lo)
-            hit = np.abs(row[a] - rest_sv[b]) <= tol
+            a, b = _window_ties(row, rest_sv, rest_sv.searchsorted(row - 2.0 * tol), tol)
             p, q = _tied_pairs(row, tol)  # among the mover's own pairs
-            if np.count_nonzero(hit) + p.size >= touched.size:
+            if a.size + p.size >= touched.size:
                 return None  # no strict shrink; the new ties are distinct
-            x = np.concatenate([mine[a[hit]], mine[p]])
-            y = np.concatenate([rest[b[hit]], mine[q]])
+            x = np.concatenate([mine[a], mine[p]])
+            y = np.concatenate([rest[b], mine[q]])
             new = np.minimum(x, y) * size + np.maximum(x, y)
             pos = touched_keys.searchsorted(new)
             if not (touched_keys.take(pos, mode="clip") == new).all():

@@ -59,27 +59,16 @@ def emit_svg(S, hull, fng, tree, bipartition=None, path=None) -> str:
 
     if tree is not None:
         for p, q in pts[tree.edges]:
-            (x1, y1), (x2, y2) = cv.xy(p), cv.xy(q)
-            out.append(
-                f'<line class="tree-edge" x1="{x1:.2f}" y1="{y1:.2f}" '
-                f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#222222" stroke-width="3"/>\n'
-            )
+            out.append(_segment(cv, "tree-edge", p, q, 'stroke="#222222" stroke-width="3"'))
 
     if fng is not None:
         for i in np.flatnonzero(fng.fn[fng.fn] != np.arange(len(pts))):
-            (x1, y1), (x2, y2) = cv.xy(pts[i]), cv.xy(pts[fng.fn[i]])
-            out.append(
-                f'<line class="fng-arrow" x1="{x1:.2f}" y1="{y1:.2f}" '
-                f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#888888" '
-                'stroke-width="1" marker-end="url(#arrow)"/>\n'
-            )
+            out.append(_segment(cv, "fng-arrow", pts[i], pts[fng.fn[i]],
+                                'stroke="#888888" stroke-width="1" marker-end="url(#arrow)"'))
         for x, xp in fng.spines:
-            (x1, y1), (x2, y2) = cv.xy(pts[x]), cv.xy(pts[xp])
-            out.append(
-                f'<line class="spine" x1="{x1:.2f}" y1="{y1:.2f}" '
-                f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#d62728" '
-                'stroke-width="4" stroke-dasharray="8 4" opacity="0.8"/>\n'
-            )
+            out.append(_segment(cv, "spine", pts[x], pts[xp],
+                                'stroke="#d62728" stroke-width="4" stroke-dasharray="8 4" '
+                                'opacity="0.8"'))
 
     if bipartition is not None and bipartition.witness_line is not None:
         out.append(_stab_line_element(bipartition.witness_line, pts, cv))
@@ -117,11 +106,13 @@ def _stab_line_element(line, pts: np.ndarray, cv: _Canvas) -> str:
     foot = center - line.eval(center) * np.array([line.a, line.b])
     direction = np.array([-line.b, line.a])
     reach = float(np.abs(pts - pts.mean(axis=0)).max()) * 4.0 + 1.0
-    p1 = foot - reach * direction
-    p2 = foot + reach * direction
-    (x1, y1), (x2, y2) = cv.xy(p1), cv.xy(p2)
-    return (
-        f'<line class="stab-line" x1="{x1:.2f}" y1="{y1:.2f}" '
-        f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#2ca02c" '
-        'stroke-width="2" stroke-dasharray="2 6"/>\n'
-    )
+    return _segment(cv, "stab-line", foot - reach * direction, foot + reach * direction,
+                    'stroke="#2ca02c" stroke-width="2" stroke-dasharray="2 6"')
+
+
+def _segment(cv: _Canvas, cls: str, p, q, style: str) -> str:
+    """A ``<line>`` of class ``cls`` from p to q (data coordinates) with the
+    style attributes ``style``."""
+    (x1, y1), (x2, y2) = cv.xy(p), cv.xy(q)
+    return (f'<line class="{cls}" x1="{x1:.2f}" y1="{y1:.2f}" '
+            f'x2="{x2:.2f}" y2="{y2:.2f}" {style}/>\n')

@@ -440,6 +440,18 @@ def test_cli_svg_of_oracle_fallback_draws_hull_and_tree_only(tmp_path, capsys):
     assert 'class="fng-arrow"' not in text and 'class="spine"' not in text
 
 
+def test_cli_check_svg_keeps_the_fng_when_only_the_connecting_step_ties(tmp_path, capsys):
+    # under l1 each row's furthest neighbor is unique, but the connecting
+    # step's candidate edges tie: the drawing keeps the FNG and has no tree
+    pts = _write(tmp_path, "kite.json", "[[4, 1], [0, 1], [0, 5], [5, 5]]")
+    svg_path = tmp_path / "kite.svg"
+    assert main(["check", "--norm", "l1", "--points", pts, "--svg", str(svg_path)]) == 1
+    capsys.readouterr()
+    text = svg_path.read_text()
+    assert text.count('class="spine"') == 2
+    assert 'class="tree-edge"' not in text
+
+
 def test_cli_bisector_rejects_three_points(tmp_path, capsys):
     pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
     assert main(["bisector", "--points", pts]) == 1

@@ -11,6 +11,7 @@ from normplane import (
     DegenerateInput,
     DuplicatePoints,
     FNGraph,
+    HullIndex,
     PointSet,
     StructureViolation,
     TiesPresent,
@@ -151,6 +152,17 @@ def test_order_components_rejects_scrambled_structure():
     g2 = dataclasses.replace(g, fn=[1, 0, 3, 2], spines=[[0, 1], [2, 3]])
     with pytest.raises(StructureViolation):
         order_components(g2, hull)
+    # a hull doctored to leave point 3, an endpoint of the spine (1, 3), off
+    # its boundary
+    off = HullIndex(vertices=[0, 1, 2], boundary=[0, 1, 2], position=[0, 1, 2, -1])
+    message = "spine endpoints [3] not on hull boundary"
+    with pytest.raises(StructureViolation, match=f"^{re.escape(message)}$"):
+        order_components(g, off)
+
+
+def test_build_fng_rejects_a_single_point():
+    with pytest.raises(DegenerateInput, match="^need at least two points$"):
+        build_fng(lp(2), PointSet(np.array([[0.5, -2.0]])))
 
 
 def test_fng_and_hull_fields_are_read_only_intp_arrays(rng):

@@ -75,6 +75,12 @@ def test_convex_hull_boundary_point_on_edge():
     assert hull.position[0] < hull.position[4] < hull.position[1]
 
 
+def test_convex_hull_of_one_point():
+    hull = convex_hull(np.array([[3.0, -1.0]]))
+    for field in (hull.vertices, hull.boundary, hull.position, hull.traversal()):
+        assert field.tolist() == [0]
+
+
 def test_convex_hull_rejects_duplicates():
     with pytest.raises(DuplicatePoints):
         convex_hull(np.array([[0, 0], [1, 1], [0, 0]], dtype=float))

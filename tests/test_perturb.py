@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_points
-from normplane import perturb
+from normplane import fng, perturb
 from normplane import (
     BudgetExceeded,
     DegenerateInput,
@@ -331,9 +331,13 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
 def test_tied_pairs_match_every_pair_compared(tol):
     # a rung's own pairs come from the sorted windows of _tied_pairs; they
     # must be exactly the pairs of a row whose |a - b| <= tol, checked on
-    # rows with exact repeats and neighbours one ulp apart
+    # rows with exact repeats and neighbours one ulp apart.  The rung's
+    # cross pairs come from the same window search (fng._window_ties) of
+    # the row against the other pairs' sorted values: exactly the pairs
+    # with |row - rest| <= tol, checked on a rest holding each picked row
+    # value repeated, one ulp either side and tol either side
     rng = np.random.default_rng(808)
-    found = 0
+    found = crossed = 0
     for trial in range(200):
         m = int(rng.integers(1, 40))
         row = rng.uniform(0.5, 2.0, size=m)
@@ -347,7 +351,17 @@ def test_tied_pairs_match_every_pair_compared(tol):
         close = np.abs(row[iu] - row[ju]) <= tol
         assert lo.tolist() == iu[close].tolist() and hi.tolist() == ju[close].tolist()
         found += lo.size
-    assert found > 200
+        planted = row[rng.integers(0, m, size=int(rng.integers(0, m + 1)))]
+        rest = np.sort(np.concatenate([
+            rng.uniform(0.5, 2.0, size=int(rng.integers(0, 40))),
+            planted, np.nextafter(planted, 3.0), np.nextafter(planted, 0.0),
+            planted + tol, planted - tol,
+        ]))
+        g, b = fng._window_ties(row, rest, rest.searchsorted(row - 2.0 * tol), tol)
+        g_all, b_all = np.nonzero(np.abs(row[:, None] - rest) <= tol)
+        assert g.tolist() == g_all.tolist() and b.tolist() == b_all.tolist()
+        crossed += g.size
+    assert found > 200 and crossed > 200
 
 
 def test_a_rung_beyond_the_float_range_is_skipped():
