@@ -13,7 +13,9 @@ length whose longer-edge family admits a stabbing line (feasibility is
 monotone since the family shrinks); that transversal, the line of the
 search's last feasible probe, is returned as the witness line of the split.
 :func:`stabbing_line` scans the lines through pairs of segment endpoints on
-plain floats, at most m^3 endpoint tests for m segments.  Each side's
+plain floats, at most m^3 endpoint tests for m segments: the family is read
+as one float array, each candidate line is tested with inline arithmetic,
+and a :class:`Line` is built only for the line returned.  Each side's
 diameter is taken over that side's points alone (:func:`diameter`), as the
 largest block maximum of the row-blocked pass (:func:`fng._row_blocks`)
 over the side against itself, with no n x n table.
@@ -105,34 +107,56 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     (in first-seen order) are a complete candidate set; a single segment's
     own supporting line is the pair of its two endpoints.  Each candidate is
     tested on plain floats and abandoned at the first segment it misses.
+
+    The family is read as one (m, 2, 2) float array when numpy can read it
+    so; anything else (ragged or non-2-vector endpoints, an iterator) is
+    read segment by segment, which raises on the first bad segment.
     """
     check_tol(tol)
-    segs = []
-    for p, q in segments:
-        pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-        if pv.shape != (2,) or qv.shape != (2,):
-            raise DegenerateInput(
-                f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
-            )
-        px, py, qx, qy = *pv.tolist(), *qv.tolist()
-        if px == qx and py == qy:
-            raise DegenerateSegment("segment endpoints coincide")
-        segs.append((px, py, qx, qy))
+    try:
+        arr = np.asarray(segments, dtype=float)  # does not consume an iterator
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.ndim == 3 and arr.shape[1:] == (2, 2):
+        segs = arr.reshape(-1, 4).tolist()
+        for px, py, qx, qy in segs:
+            if px == qx and py == qy:
+                raise DegenerateSegment("segment endpoints coincide")
+    else:
+        segs = []
+        for p, q in segments:
+            pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+            if pv.shape != (2,) or qv.shape != (2,):
+                raise DegenerateInput(
+                    f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
+                )
+            px, py, qx, qy = *pv.tolist(), *qv.tolist()
+            if px == qx and py == qy:
+                raise DegenerateSegment("segment endpoints coincide")
+            segs.append((px, py, qx, qy))
     if not segs:
         raise DegenerateInput("an empty segment family has every line as a transversal")
     # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
     ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
-    for i, p in enumerate(ends):
-        for q in ends[i + 1 :]:
-            line = line_through(p, q)
-            a, b, c = line.a, line.b, line.c
-            for px, py, qx, qy in segs:
-                sp = a * px + b * py - c
-                sq = a * qx + b * qy - c
-                if min(sp, sq) > tol or max(sp, sq) < -tol:
+    for i, (px, py) in enumerate(ends):
+        for qx, qy in ends[i + 1 :]:
+            # line_through(p, q) without the Line: the same operations in order
+            nx, ny = py - qy, qx - px
+            length = math.hypot(nx, ny)
+            if length == 0.0:
+                raise DegenerateInput("line through coincident points")
+            a, b = nx / length, ny / length
+            c = a * px + b * py
+            if a < 0.0 or (a == 0.0 and b < 0.0):
+                a, b, c = -a, -b, -c
+            for sx, sy, tx, ty in segs:
+                sp = a * sx + b * sy - c
+                sq = a * tx + b * ty - c
+                # min(sp, sq) > tol or max(sp, sq) < -tol, NaN answers included
+                if (sq if sq < sp else sp) > tol or (sq if sq > sp else sp) < -tol:
                     break
             else:
-                return line
+                return line_through((px, py), (qx, qy))
     return None
 
 

@@ -209,6 +209,14 @@ def test_increasing_chains_names_the_failing_step(monkeypatch):
     )
 
 
+def test_nonleaves_on_boundary_lists_each_interior_target_once_ascending(monkeypatch):
+    # 4, 5 and 6 point at interior 7, and 7 at interior 6
+    fn = (1, 0, 3, 2, 7, 7, 7, 6)
+    assert _answer_with_graph(monkeypatch, THREE_SPINES, fn, "fng-nonleaves-on-boundary") == (
+        False, "non-leaf vertices [6, 7] are interior"
+    )
+
+
 def test_spines_intersect_names_the_disjoint_pair(monkeypatch):
     # the square's two bottom and top sides as spines: parallel, never crossing
     fn = (1, 0, 3, 2)

@@ -255,6 +255,64 @@ def test_stabbing_line_matches_endpoint_pair_scan():
     assert found >= 500 and missed >= 200
 
 
+def _probed_families(monkeypatch, cases):
+    """Every (family, tol) that two_clustering hands to stabbing_line."""
+    probes = []
+
+    def recording(segments, tol):
+        probes.append((np.array(segments), tol))
+        return stabbing_line(segments, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering_module, "stabbing_line", recording)
+        for spec, S, tol in cases:
+            two_clustering(spec, S, tol)
+    return probes
+
+
+def _probe_cases(seeds):
+    cases = [
+        (spec, PointSet(np.random.default_rng(seed).uniform(size=(40, 2))), tol)
+        for seed in seeds
+        for spec in (euclidean(), lp(1.5), lp(3))
+        for tol in (0.0, 1e-9)
+    ]
+    # this draw meets an infeasible probe (see the witness test below)
+    cases.append((euclidean(), PointSet(np.random.default_rng(9).uniform(0, 1, (60, 2))), 0.0))
+    return cases
+
+
+def test_stabbing_line_matches_endpoint_pair_scan_on_two_clustering_probes(monkeypatch):
+    # tree-edge families: m up to 59, many shared endpoints, infeasible probes
+    probes = _probed_families(monkeypatch, _probe_cases((0, 1, 2)))
+    outcomes = [_stab_outcome(stabbing_line, fam, tol) for fam, tol in probes]
+    for (fam, tol), mine in zip(probes, outcomes):
+        assert mine == _stab_outcome(_reference_stabbing_line, fam, tol)
+    assert None in outcomes and max(len(fam) for fam, _ in probes) >= 50
+
+
+def test_stabbing_line_gives_one_answer_for_every_input_form(monkeypatch):
+    for fam, tol in _probed_families(monkeypatch, _probe_cases((3,))):
+        want = _stab_outcome(stabbing_line, fam, tol)
+        rows = fam.tolist()
+        forms = (
+            [(p, q) for p, q in rows],
+            tuple(tuple(map(tuple, seg)) for seg in rows),
+            (seg for seg in rows),
+        )
+        for form in forms:
+            assert _stab_outcome(stabbing_line, form, tol) == want
+    # a bad segment is reported as the first one met, however the family is given
+    same, ragged = ([1, 1], [1, 1]), ([0, 0, 1], [1, 1])
+    coincide = ("DegenerateSegment", "segment endpoints coincide")
+    shapes = ("DegenerateInput", "segment endpoints must be 2-vectors, got shapes (3,) and (2,)")
+    for segs, want in (([same, ragged], coincide), ([ragged, same], shapes)):
+        segs = [([0, 0], [2, 3])] + segs
+        assert _stab_outcome(stabbing_line, segs, 0.0) == want
+        assert _stab_outcome(stabbing_line, iter(segs), 0.0) == want
+        assert _stab_outcome(stabbing_line, tuple(map(tuple, segs)), 0.0) == want
+
+
 def _sweep_oracle(segments, angles=720):
     """Dense rotational sweep: for each direction, intersect the projection
     intervals of all segments onto the unit normal; feasible iff nonempty."""
