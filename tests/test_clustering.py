@@ -295,11 +295,7 @@ def test_stabbing_line_gives_one_answer_for_every_input_form(monkeypatch):
     for fam, tol in _probed_families(monkeypatch, _probe_cases((3,))):
         want = _stab_outcome(stabbing_line, fam, tol)
         rows = fam.tolist()
-        forms = (
-            [(p, q) for p, q in rows],
-            tuple(tuple(map(tuple, seg)) for seg in rows),
-            (seg for seg in rows),
-        )
+        forms = (rows, tuple(tuple(map(tuple, seg)) for seg in rows), (seg for seg in rows))
         for form in forms:
             assert _stab_outcome(stabbing_line, form, tol) == want
     # a bad segment is reported as the first one met, however the family is given
