@@ -29,9 +29,9 @@ import numpy as np
 from . import checks, svg
 from .clustering import two_clustering
 from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPresent
-from .fng import PointSet, build_fng, order_components
+from .fng import PointSet, _stages, order_components
 from .geometry import _hull, check_tol
-from .mxst import mxst_bruteforce, mxst_mpsy
+from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
 from .norms import NormSpec, _numeric_rows, is_strictly_convex, parse_norm, sample_bisector
 from .perturb import check_eps, perturb_distinct
 
@@ -161,8 +161,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 
 def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
-    g = build_fng(spec, S, args.tol)
-    hull = _hull(S.points, args.tol)
+    hull, g, _ = _stages(spec, S, args.tol)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -261,15 +260,17 @@ def _cmd_check(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     """Best-effort full rendering: the construction's hull always, the FNG
     when its rows are tie-free, and the given tree or else the construction's
-    when the construction's decisions are."""
-    hull = _hull(S.points, tol)
+    when the construction's decisions are.  The stages are built once
+    (:func:`fng._stages`); when they raise, the hull is built alone."""
     g = None
     try:
-        g = build_fng(spec, S, tol)
+        hull, g, fn_dist = _stages(spec, S, tol)
         if tree is None:
-            tree, _ = mxst_mpsy(spec, S, tol)
+            tree, _ = connect_components(spec, S, g, fn_dist, hull, tol)
     except NormPlaneError:
-        pass  # draws what was built: a tie in the connecting step keeps the FNG
+        # draws what was built: a tie in the connecting step keeps the FNG
+        if g is None:
+            hull = _hull(S.points, tol)
     svg.emit_svg(S, hull, g, tree, bipartition, path)
 
 

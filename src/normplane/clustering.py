@@ -8,6 +8,18 @@ must separate each path edge and the pair ends up together exactly when the
 path has even length; the alternating coloring therefore attains the best
 possible value, the largest even-path pair distance.
 
+The coloring is read off the construction's own structure, with no
+traversal (:func:`_two_coloring`).  The tree is the furthest-neighbor
+graph, a forest of k components, plus the k - 1 kept connecting edges.
+Point i and its cluster representative ``cluster_of[i]`` are joined by an
+even-length furthest-neighbor path, so they share a color; a spine is one
+edge, so its two endpoints' clusters differ.  That colors each component
+up to a swap.  The kept edges join every cyclically adjacent pair of
+components but the discarded one, so they form a path over the components,
+starting at the discarded edge's later component: walking it, each next
+component is swapped exactly when its connecting edge would otherwise
+join one color.
+
 A binary search over the sorted tree edge lengths also locates the minimal
 length whose longer-edge family admits a stabbing line (feasibility is
 monotone since the family shrinks); that transversal, the line of the
@@ -29,10 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import _OVERFLOW, DEFAULT_TOL, PointSet, _row_blocks, _triangle
+from .fng import _OVERFLOW, DEFAULT_TOL, FNGraph, PointSet, _row_blocks, _stages, _triangle
 from .geometry import check_tol
-from .mxst import mxst_mpsy
+from .mxst import ConnectingEdgeReport, connect_components
 from .norms import NormSpec
+
+_NON_FINITE = "segment endpoints must be finite"
 
 
 @dataclass(frozen=True)
@@ -109,15 +123,18 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     tested on plain floats and abandoned at the first segment it misses.
 
     The family is read as one (m, 2, 2) float array when numpy can read it
-    so; anything else (ragged or non-2-vector endpoints, an iterator) is
-    read segment by segment, which raises on the first bad segment.
+    so and every coordinate is finite; anything else (ragged, non-2-vector
+    or non-finite endpoints, an iterator) is read segment by segment, which
+    raises on the first bad segment: DegenerateInput for a non-finite
+    coordinate, including one beyond the float range.
     """
     check_tol(tol)
     try:
         arr = np.asarray(segments, dtype=float)  # does not consume an iterator
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is not None and arr.ndim == 3 and arr.shape[1:] == (2, 2):
+    if (arr is not None and arr.ndim == 3 and arr.shape[1:] == (2, 2)
+            and np.isfinite(arr).all()):
         segs = arr.reshape(-1, 4).tolist()
         for px, py, qx, qy in segs:
             if px == qx and py == qy:
@@ -125,12 +142,17 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     else:
         segs = []
         for p, q in segments:
-            pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+            try:
+                pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+            except OverflowError as exc:
+                raise DegenerateInput(_NON_FINITE) from exc
             if pv.shape != (2,) or qv.shape != (2,):
                 raise DegenerateInput(
                     f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
                 )
             px, py, qx, qy = *pv.tolist(), *qv.tolist()
+            if not all(map(math.isfinite, (px, py, qx, qy))):
+                raise DegenerateInput(_NON_FINITE)
             if px == qx and py == qy:
                 raise DegenerateSegment("segment endpoints coincide")
             segs.append((px, py, qx, qy))
@@ -164,15 +186,15 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     """Optimal 2-clustering minimizing the larger cluster diameter.
 
     Requires the tree construction's decisions to be tie-free
-    (TiesPresent propagates from it).  The sides are the two color classes of the spanning
-    tree's proper 2-coloring, with point 0 in side_a; the witness is a
-    stabbing line for the tree edges longer than the minimal feasible
-    length of the binary search.
+    (TiesPresent propagates from it).  The sides are the two color classes
+    of the spanning tree's proper 2-coloring (:func:`_two_coloring`), with
+    point 0 in side_a; the witness is a stabbing line for the tree edges
+    longer than the minimal feasible length of the binary search.
     """
-    n = S.n
-    if n < 2:
+    if S.n < 2:
         raise DegenerateInput("2-clustering needs at least two points")
-    tree, _ = mxst_mpsy(spec, S, tol)
+    hull, g, fn_dist = _stages(spec, S, tol)
+    tree, report = connect_components(spec, S, g, fn_dist, hull, tol)
 
     by_length = np.argsort(tree.weights, kind="stable")
     lengths = tree.weights[by_length]
@@ -199,27 +221,23 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
             hi, witness = mid, line
         else:
             lo = mid + 1
-    return _bipartition(spec, S, *_tree_two_coloring(tree, n), witness)
+    return _bipartition(spec, S, *_two_coloring(g, report), witness)
 
 
-def _tree_two_coloring(tree, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Proper 2-coloring of the spanning tree, side_a holding point 0."""
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in tree.edges.tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                stack.append(v)
-    side_a = tuple(i for i in range(n) if color[i] == 0)
-    side_b = tuple(i for i in range(n) if color[i] == 1)
-    return side_a, side_b
+def _two_coloring(g: FNGraph, report: ConnectingEdgeReport):
+    """``(side_a, side_b)``, ascending: the proper 2-coloring of the tree
+    built from ``g`` and ``report``, side_a holding point 0 (the module
+    docstring gives the rule); the cluster of a spine's larger endpoint
+    starts with color 1."""
+    color = g.cluster_of == g.spines[g.component_of, 1]
+    flip = np.zeros(g.k, dtype=bool)
+    for t in range(1, g.k):
+        e = report.entries[(report.discarded + t) % g.k]
+        prev, cur = e.components
+        flip[cur] = flip[prev] ^ (color[e.selected.i] == color[e.selected.j])
+    color ^= flip[g.component_of]
+    color ^= color[0]
+    return tuple(np.flatnonzero(~color).tolist()), tuple(np.flatnonzero(color).tolist())
 
 
 def _bipartition(spec: NormSpec, S: PointSet, side_a, side_b, witness) -> Bipartition:

@@ -6,11 +6,14 @@ determines a component, split into two clusters by the parity of the path
 length to the spine endpoints.
 
 Every furthest neighbor lies on the hull boundary, since the norm is
-convex, so :func:`build_fng` takes the b boundary points as candidates:
-one (all points x candidates) pass of n b distances, each row keeping its
-best and second-best value.  Nothing is stored or sorted; the only
-distances certified distinct are each row's best two, the comparison the
-map rests on (:class:`TiesPresent` names the row and both candidates).
+convex, so the graph takes the b boundary points as candidates: one (all
+points x candidates) pass of n b distances, each row keeping its best and
+second-best value.  Nothing is stored or sorted; the only distances
+certified distinct are each row's best two, the comparison the map rests
+on (:class:`TiesPresent` names the row and both candidates).
+:func:`_stages` is the one composition of the hull, that pass and the
+decomposition; :func:`build_fng`, the tree, the 2-clustering and the CLI
+all read its ``(hull, graph, furthest distances)``.
 Every largest distance is found from one rows x columns pass in blocks of
 whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), each block
 handed to the caller's reduction, which owns it: each row's best two
@@ -196,10 +199,20 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     whose two furthest candidates agree within tol.  Ties between distances
     no row compares are not looked at.
     """
+    return _stages(spec, S, tol)[1]
+
+
+def _stages(spec: NormSpec, S: PointSet, tol: float) -> tuple[HullIndex, FNGraph, np.ndarray]:
+    """``(hull, g, fn_dist)``: the hull, the furthest-neighbor graph over its
+    boundary and each point's furthest distance.  DegenerateInput on a bad
+    tol (:func:`check_tol`) or below two points; otherwise raises as
+    :func:`_furthest` does."""
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    return _decompose(_furthest(spec, S.points, _hull(S.points, tol).boundary, tol)[0])
+    hull = _hull(S.points, tol)
+    fn, fn_dist = _furthest(spec, S.points, hull.boundary, tol)
+    return hull, _decompose(fn), fn_dist
 
 
 def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.ndarray, np.ndarray]:

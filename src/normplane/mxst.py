@@ -7,7 +7,7 @@ hull, compute one candidate connecting edge per adjacent component pair
 candidate.  It computes the hull first, from the points the octagon
 filter keeps (:func:`geometry.convex_hull`, without the input checks the
 PointSet has run), and takes the furthest neighbors and their distances
-over its b boundary points (:func:`fng._furthest`): n b norm evaluations,
+over its b boundary points (:func:`fng._stages`): n b norm evaluations,
 no stored distances and no sort.  `connect_components` does the rest from
 that graph, those distances and the hull, evaluating only the cluster x
 boundary-cluster blocks it compares, each once per call, in one
@@ -16,9 +16,10 @@ clusters against the boundary points of the clusters of its neighbours in
 the cyclic order (at k = 2 the one other spine), each block reduced to its
 best two pairs.  Each tree edge keeps the weight of the pass that found it,
 so no distance is evaluated twice.  The invariant suite, which already
-holds the graph, its distances and the hull, calls it directly.  The
-tree's validity follows from the decomposition: the graph is a forest of
-k trees, so it suffices that the k - 1 kept connecting edges join its
+holds the graph, its distances and the hull, calls it directly, as does
+:func:`clustering.two_clustering`, which colors the tree from that graph.
+The tree's validity follows from the decomposition: the graph is a forest
+of k trees, so it suffices that the k - 1 kept connecting edges join its
 components into one, a union-find over k components rather than n points.
 
 Distances need to be distinct only where the construction compares them,
@@ -47,13 +48,12 @@ from .fng import (
     DEFAULT_TOL,
     FNGraph,
     PointSet,
-    _decompose,
-    _furthest,
     _group_top2,
+    _stages,
     _triangle,
     order_components,
 )
-from .geometry import HullIndex, _IndexArrays, _hull, check_tol
+from .geometry import HullIndex, _IndexArrays, check_tol
 from .norms import NormSpec
 
 # edges the greedy oracle reads as Python ints at a time: larger chunks
@@ -112,9 +112,8 @@ def mxst_mpsy(
     check_tol(tol)
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
-    hull = _hull(S.points, tol)
-    fn, fn_dist = _furthest(spec, S.points, hull.boundary, tol)
-    return connect_components(spec, S, _decompose(fn), fn_dist, hull, tol)
+    hull, g, fn_dist = _stages(spec, S, tol)
+    return connect_components(spec, S, g, fn_dist, hull, tol)
 
 
 def connect_components(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normplane.clustering as clustering_module
-from conftest import all_norms, random_symmetric_polygon, tie_free_points
+from conftest import HEX_BALL, all_norms, random_symmetric_polygon, tie_free_points
 from normplane import (
     DegenerateInput,
     DegenerateSegment,
@@ -22,6 +22,7 @@ from normplane import (
     mxst_mpsy,
     norm_many,
     pairwise_distances,
+    polygonal,
     stabbing_line,
     two_clustering,
     two_clustering_bruteforce,
@@ -149,13 +150,32 @@ def test_stabbing_line_degenerate_segment():
             stabbing_line([([5, 5], [6, 7]), (p, q)])
 
 
-# the endpoint-pair scan as it was written with numpy 2-vectors: the
-# reference the plain-float scan must reproduce bit for bit
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("family, dtype", [
+    ([([0, 0], [1, 1]), ([_NAN, 5], [3, 3])], float),
+    ([([_NAN, 0], [_NAN, 0])], float),
+    ([([0, 0], [_INF, 1])], float),
+    ([([0, 0], [10**400, 1])], object),  # no float array holds 10**400
+])
+def test_stabbing_line_rejects_non_finite_coordinates(family, dtype):
+    for form in (np.array(family, dtype=dtype), [list(map(list, seg)) for seg in family],
+                 (seg for seg in family)):
+        with pytest.raises(DegenerateInput, match="^segment endpoints must be finite$"):
+            stabbing_line(form, 0.0)
+
+
+# the endpoint-pair scan as it was written with numpy 2-vectors, rejecting
+# non-finite endpoints: the reference the plain-float scan must reproduce
+# bit for bit
 def _segment_arrays(segments):
     segs = []
     for p, q in segments:
         pv = np.asarray(p, dtype=float)
         qv = np.asarray(q, dtype=float)
+        if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(qv))):
+            raise DegenerateInput("segment endpoints must be finite")
         if np.array_equal(pv, qv):
             raise DegenerateSegment("segment endpoints coincide")
         segs.append((pv, qv))
@@ -212,7 +232,7 @@ def _stab_outcome(stab, segs, tol):
 def _segment_family(rng, kind, m):
     if kind in ("random", "nan"):
         pts = rng.uniform(-5, 5, size=(m, 2, 2))
-        if kind == "nan":  # the miss test must keep its answer on NaN
+        if kind == "nan":  # a NaN endpoint is rejected wherever it sits
             pts[tuple(rng.integers(0, (m, 2, 2)))] = np.nan
         return [(p, q) for p, q in pts]
     if kind == "grid":
@@ -539,3 +559,35 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
         if line is not None:
             break
     assert (witness.a, witness.b, witness.c) == (line.a, line.b, line.c)
+
+
+def _colouring_bank():
+    """Uniform, near-circular ellipse and anisotropic Gaussian sets of
+    n = 2-300; every set with k >= 3 is an ellipse."""
+    rng = np.random.default_rng(26)
+    for n in (2, 3, 5, 9, 17, 25, 40, 60, 100, 150, 220, 300):
+        yield rng.uniform(size=(n, 2))
+        angles = rng.uniform(0, 2 * np.pi, n)
+        yield np.stack([np.cos(angles), 0.95 * np.sin(angles)], axis=1)
+        yield rng.normal(size=(n, 2)) @ np.array([[3.0, 1.0], [0.0, 0.4]])
+
+
+def test_two_clustering_sides_properly_colour_the_tree():
+    # a spanning tree has exactly one proper 2-colouring with point 0 in
+    # side_a, so these checks pin the sides without a traversal to compare
+    ks = []
+    for pts in _colouring_bank():
+        S = PointSet(pts)
+        for spec in (euclidean(), lp(1.5), lp(3), l1(), linf(), polygonal(HEX_BALL)):
+            for tol in (0.0, 1e-9):
+                part = two_clustering(spec, S, tol)
+                tree, report = mxst_mpsy(spec, S, tol)
+                a, b = np.array(part.side_a), np.array(part.side_b)
+                assert a[0] == 0
+                assert np.all(np.diff(a) > 0) and np.all(np.diff(b) > 0)
+                assert np.array_equal(np.sort(np.concatenate([a, b])), np.arange(S.n))
+                in_a = np.zeros(S.n, dtype=bool)
+                in_a[a] = True
+                assert np.all(in_a[tree.edges[:, 0]] != in_a[tree.edges[:, 1]])
+                ks.append(max(1, len(report.entries)))
+    assert 1 in ks and 2 in ks and sum(k >= 3 for k in ks) >= 20
