@@ -101,19 +101,6 @@ def run_checks(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> list[Ch
     return results
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending, as ``np.unique(x)`` gives them.
-
-    A sort and a neighbour mask: numpy 2.4's plain ``np.unique`` takes a
-    hash path that is slower than sorting from about a hundred values up
-    (on 2,000 integer keys, 146 µs against 21 µs).
-    """
-    s = np.sort(x)
-    first = np.ones(s.size, dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    return s[first]
-
-
 def _distances_distinct(st: _Stages) -> tuple[bool, str]:
     return "fng" not in st.missing, st.ties
 
@@ -130,7 +117,7 @@ def _increasing_chains(st: _Stages) -> tuple[bool, str]:
 
 
 def _nonleaves_on_boundary(st: _Stages) -> tuple[bool, str]:
-    internal = _distinct(st.g.fn[st.hull.position[st.g.fn] < 0]).tolist()
+    internal = np.unique(st.g.fn[st.hull.position[st.g.fn] < 0]).tolist()
     return not internal, "" if not internal else f"non-leaf vertices {internal} are interior"
 
 
@@ -151,7 +138,7 @@ def _spines_intersect(st: _Stages) -> tuple[bool, str]:
 
 def _cluster_contiguity(st: _Stages) -> tuple[bool, str]:
     labels = st.g.cluster_of[st.hull.traversal()]
-    distinct = _distinct(labels).size
+    distinct = np.unique(labels).size
     runs = np.count_nonzero(labels != np.roll(labels, 1))
     if distinct == 1 or runs == distinct:
         return True, ""

@@ -11,8 +11,9 @@ check     run the full invariant suite on the input: --svg
 
 A flag a command does not read is a usage error, as is any unknown flag.
 
-Exit codes: 0 success, 1 domain error, 2 I/O or usage error.  Domain
-errors are reported as JSON objects on standard error.
+Exit codes: 0 success, 1 domain error, 2 I/O or usage error; a points or
+polygon file that cannot be read is an I/O error (``norms._read_text``).
+Domain and I/O errors are reported as JSON objects on standard error.
 """
 
 from __future__ import annotations
@@ -30,21 +31,17 @@ from . import checks, svg
 from .clustering import two_clustering
 from .errors import DegenerateInput, IoError, NormPlaneError, ParseError, TiesPresent
 from .fng import PointSet, _stages, order_components
-from .geometry import _hull, check_tol
+from .geometry import DEFAULT_TOL, _hull, check_tol
 from .mxst import connect_components, mxst_bruteforce, mxst_mpsy
-from .norms import NormSpec, _numeric_rows, is_strictly_convex, parse_norm, sample_bisector
+from .norms import (NormSpec, _numeric_rows, _read_text, is_strictly_convex, parse_norm,
+                    sample_bisector)
 from .perturb import check_eps, perturb_distinct
 
 
 def load_points(path: str) -> PointSet:
     """Read a point set from a JSON array of [x, y] pairs or a 2-column CSV."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    text = _read_text(path, repr(path))
+    if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -133,7 +130,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
                 "max_displacement": max(preport.displacement),
                 "moves": len(preport.steps),
                 "residual_min_gap": _finite_or_none(preport.residual_min_gap),
-                "points": [[x, y] for x, y in S.points],
+                "points": S.points.tolist(),
             }
         else:
             raise
@@ -203,7 +200,7 @@ def _cmd_perturb(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
         "norm": spec.label(),
         "n": S2.n,
         "eps": args.eps,
-        "points": [[x, y] for x, y in S2.points],
+        "points": S2.points.tolist(),
         "report": {
             "displacement": list(report.displacement),
             "steps": [[i, list(pair), d] for i, pair, d in report.steps],
@@ -228,7 +225,7 @@ def _cmd_bisector(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
         "q": [q[0], q[1]],
         "count": 33,
         "extent": extent,
-        "points": [[x, y] for x, y in sample.points],
+        "points": sample.points.tolist(),
         "residuals": list(map(float, sample.residuals)),
         "max_residual": float(sample.residuals.max()),
     }
@@ -311,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "--eps" in flags:
             p.add_argument("--eps", type=float, default=1e-3,
                            help="perturbation budget (default %(default)s)")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="numeric tolerance (default %(default)s)")
         if "--fallback-ties" in flags:
             p.add_argument("--fallback-ties", action="store_true", dest="fallback_ties",

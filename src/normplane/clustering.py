@@ -165,8 +165,6 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
             # line_through(p, q) without the Line: the same operations in order
             nx, ny = py - qy, qx - px
             length = math.hypot(nx, ny)
-            if length == 0.0:
-                raise DegenerateInput("line through coincident points")
             a, b = nx / length, ny / length
             c = a * px + b * py
             if a < 0.0 or (a == 0.0 and b < 0.0):

@@ -29,11 +29,12 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     InvalidNorm,
+    IoError,
     ParseError,
     StructureViolation,
     ZeroVector,
 )
-from .geometry import DEFAULT_TOL, _cross, check_tol
+from .geometry import DEFAULT_TOL, _cross, _unit_scale, check_tol
 
 INF = math.inf
 
@@ -80,10 +81,17 @@ class NormSpec:
         vertex special cases.  The stored polygon is exactly symmetric, so
         edge i + m/2's functional is exactly -f_i and only the first m/2 are
         kept.  Not a field, so ==, hash and repr ignore it.
+
+        Derived on the polygon times the power of two that brings its largest
+        |coordinate| into [1/2, 1) and scaled back, so no scale overflows the
+        offsets; inf where a functional lies beyond the float range.
         """
-        normals, offsets = _edge_lines(np.asarray(self.vertices, dtype=float))
+        arr = np.asarray(self.vertices, dtype=float)
+        e = int(np.frexp(np.abs(arr).max())[1])
+        normals, offsets = _edge_lines(np.ldexp(arr, -e))
         h = len(normals) // 2
-        f = normals[:h] / offsets[:h, None]
+        with np.errstate(over="ignore"):
+            f = np.ldexp(normals[:h] / offsets[:h, None], -e)
         f.flags.writeable = False
         return f
 
@@ -114,6 +122,13 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
     must also be a vertex (up to ``tol`` relative to the polygon scale).
     The stored polygon is the first m/2 vertices followed by their exact
     negations, so the gauge is exactly symmetric: N(-v) == N(v).
+
+    The symmetry, convexity and interior tests read the polygon times the
+    power of two that brings its largest |coordinate| into [1/2, 1), as the
+    hull's turn tests do (``geometry._unit_scale``), with the bands
+    tol * scale for the symmetry and tol * scale^2 for the turns and the
+    edge-line offsets, so no scale overflows them or moves their decision;
+    InvalidNorm when the functionals lie beyond the float range.
     """
     check_tol(tol)
     arr = np.asarray(vertices, dtype=float)
@@ -123,22 +138,27 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
         raise InvalidNorm("polygonal norm has non-finite vertices")
     if arr.shape[0] % 2 != 0:
         raise InvalidNorm("centrally symmetric polygon must have an even vertex count")
-    scale = float(np.abs(arr).max())
     m = arr.shape[0]
+    unit = _unit_scale(arr)
+    scale = float(np.abs(unit).max())
     # central symmetry: antipode of vertex i must be vertex i + m/2
-    anti = arr + np.roll(arr, m // 2, axis=0)
-    if np.abs(anti).max() > tol * max(scale, 1.0):
+    if np.abs(unit + np.roll(unit, m // 2, axis=0)).max() > tol * scale:
         raise InvalidNorm("polygon is not centrally symmetric")
     # 0.0 - a is exactly -a, with +0.0 for a zero coordinate
     arr = np.concatenate([arr[: m // 2], 0.0 - arr[: m // 2]])
-    # strict CCW convexity, including the wrap-around corners
+    unit = np.concatenate([unit[: m // 2], 0.0 - unit[: m // 2]])
+    # strict CCW convexity, including the wrap-around corners; turns and
+    # edge-line offsets scale as the square of the polygon
     for i in range(m):
-        if _cross(arr[i], arr[(i + 1) % m], arr[(i + 2) % m]) <= tol * scale * scale:
+        if _cross(unit[i], unit[(i + 1) % m], unit[(i + 2) % m]) <= tol * scale * scale:
             raise InvalidNorm("polygon vertices must be strictly convex in CCW order")
     # origin strictly interior <=> every edge line has positive offset
-    if np.any(_edge_lines(arr)[1] <= tol * scale):
+    if np.any(_edge_lines(unit)[1] <= tol * scale * scale):
         raise InvalidNorm("origin is not strictly interior to the polygon")
-    return NormSpec(kind="polygonal", vertices=tuple(map(tuple, arr)))
+    spec = NormSpec(kind="polygonal", vertices=tuple(map(tuple, arr)))
+    if not np.isfinite(spec._functionals).all():
+        raise InvalidNorm("polygonal norm's functionals lie beyond the float range")
+    return spec
 
 
 def _edge_lines(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +385,8 @@ def parse_norm(text: str) -> NormSpec:
     """Parse the shared norm grammar.
 
     ``euclidean`` | ``l1`` | ``linf`` | ``lp:<p>`` | ``polygon:<path>``
-    where the file at <path> holds a JSON array of [x, y] vertex pairs.
+    where the file at <path> holds a JSON array of [x, y] vertex pairs;
+    IoError when that file cannot be read.
     """
     t = text.strip()
     if t == "euclidean":
@@ -385,14 +406,23 @@ def parse_norm(text: str) -> NormSpec:
     if t.startswith("polygon:"):
         path = t[len("polygon:"):]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read polygon file {path!r}: {exc}") from exc
+            data = json.loads(_read_text(path, f"polygon file {path!r}"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"polygon file {path!r} is not valid JSON") from exc
         return polygonal(_numeric_rows(data, f"polygon file {path!r}"))
     raise ParseError(f"unrecognized norm {text!r}")
+
+
+def _read_text(path: str, source: str) -> str:
+    """The text of the file at ``path``; IoError naming ``source`` if
+    unreadable, ParseError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
 def _numeric_rows(rows, source: str) -> np.ndarray:

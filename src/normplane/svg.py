@@ -24,8 +24,9 @@ _HEADER = (
 
 class _Canvas:
     def __init__(self, pts: np.ndarray, size: float = 640.0, margin: float = 40.0):
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+        # an empty set has no bounding box: its canvas draws nothing
+        lo = pts.min(axis=0) if len(pts) else np.zeros(2)
+        hi = pts.max(axis=0) if len(pts) else lo
         span = max(float((hi - lo).max()), 1e-12)
         self.scale = (size - 2 * margin) / span
         self.lo = lo

@@ -18,8 +18,10 @@ from normplane import (
     pairwise_distances,
     two_clustering,
 )
+import normplane.cli as cli_module
 from normplane.cli import _build_parser, load_points, main
 from normplane.errors import DuplicatePoints, ParseError
+from normplane.geometry import DEFAULT_TOL
 from test_fng import JITTERED_SQUARE
 
 TRI_345 = [[0, 0], [3, 0], [3, 4]]
@@ -44,6 +46,9 @@ def test_load_points_csv_with_and_without_header(tmp_path):
     path = _write(tmp_path, "raw.csv", "0,0\n1,0\n2.5,3.5\n")
     S = load_points(path)
     assert S.n == 3 and S.points[2, 1] == 3.5
+    # blank lines, empty or all spaces, are skipped
+    path = _write(tmp_path, "gaps.csv", "x,y\n\n0,0\n \n1,0\n , \n2.5,3.5\n\n")
+    assert np.array_equal(load_points(path).points, S.points)
 
 
 def test_load_points_rejects_bad_input(tmp_path):
@@ -479,6 +484,8 @@ def test_cli_bisector_rejects_three_points(tmp_path, capsys):
         # ids in a first column would otherwise become x coordinates
         ("ids.csv", "id,x,y\n0,0.5,0.7\n1,0.2,0.9\n", "line 1: more than two columns"),
         ("wide.csv", "0,0\n1,0\n2,3,,4\n", "line 3: more than two columns"),
+        ("broken.json", "[[0, 0], [1, 2",
+         "is not valid JSON: Expecting ',' delimiter: line 1 column 15 (char 14)"),
         # an integer beyond the float range used to raise OverflowError
         pytest.param("huge.json", f"[[0, 0], [{10**400}, 1]]",
                      "a value lies beyond the float range", id="huge.json"),
@@ -545,6 +552,100 @@ def test_cli_out_into_missing_directory_is_io_error(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["error"] == "IoError"
     assert error["message"].startswith(f"cannot write {str(out)!r}")
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA_FLAGS))
+def test_cli_tol_default_is_the_library_default(command, capsys, monkeypatch):
+    # the parser reads geometry.DEFAULT_TOL: a changed constant changes every
+    # command's default and its help text
+    def default_and_help():
+        tol = _build_parser().parse_args([command, "--points", "p.json"]).tol
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        return tol, re.search(r"numeric tolerance \(default (\S+)\)", capsys.readouterr().out)[1]
+
+    assert default_and_help() == (DEFAULT_TOL, "1e-09")
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "DEFAULT_TOL", 0.25)
+            _build_parser.cache_clear()
+            assert default_and_help() == (0.25, "0.25")
+    finally:
+        _build_parser.cache_clear()
+    assert default_and_help() == (DEFAULT_TOL, "1e-09")
+
+
+@pytest.mark.parametrize("norm_file", [False, True], ids=["points", "polygon"])
+@pytest.mark.parametrize("unreadable", ["missing.json", "."], ids=["missing", "directory"])
+def test_cli_unreadable_input_file_is_io_error(tmp_path, capsys, norm_file, unreadable):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    path = str(tmp_path / unreadable)
+    if norm_file:
+        argv = ["mxst", "--norm", f"polygon:{path}", "--points", pts]
+    else:
+        argv = ["mxst", "--points", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "IoError"
+    source = f"polygon file {path!r}" if norm_file else repr(path)
+    assert error["message"].startswith(f"cannot read {source}: [Errno ")
+
+
+@pytest.mark.parametrize("norm_file", [False, True], ids=["points", "polygon"])
+def test_cli_input_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, norm_file):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"[[0, 0], [1, 0], [0, 1]] \xe9")
+    if norm_file:
+        argv = ["mxst", "--norm", f"polygon:{path}", "--points", pts]
+    else:
+        argv = ["mxst", "--points", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "ParseError"
+    source = f"polygon file {str(path)!r}" if norm_file else repr(str(path))
+    assert error["message"].startswith(f"{source} is not UTF-8 text: ")
+
+
+def test_cli_svg_into_missing_directory_is_io_error(tmp_path, capsys):
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    svg_path = tmp_path / "missing" / "tree.svg"
+    assert main(["mxst", "--points", pts, "--svg", str(svg_path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["n"] == 3  # the tree is written before the drawing
+    error = json.loads(captured.err)
+    assert error["error"] == "IoError"
+    assert error["message"].startswith(f"cannot write SVG to {str(svg_path)!r}")
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l1"])
+def test_cli_check_svg_of_a_tied_furthest_neighbor_row_draws_hull_and_points(
+    tmp_path, capsys, norm
+):
+    # point 0's two furthest neighbors tie, so the FNG is never built: the
+    # drawing holds the hull and the points only
+    pts = _write(tmp_path, "corner.json", "[[0, 0], [5, 0], [0, 5]]")
+    svg_path = tmp_path / "corner.svg"
+    assert main(["check", "--norm", norm, "--points", pts, "--svg", str(svg_path)]) == 1
+    capsys.readouterr()
+    text = svg_path.read_text()
+    assert text.count('class="hull"') == 1
+    assert text.count('class="point"') == 3
+    for absent in ("fng-arrow", "spine", "tree-edge"):
+        assert f'class="{absent}"' not in text
+
+
+def test_emit_svg_of_an_empty_set_is_the_bare_canvas(tmp_path):
+    S = PointSet(np.empty((0, 2)))
+    tree, _ = mxst_mpsy(euclidean(), S)
+    text = emit_svg(S, None, None, tree, None, str(tmp_path / "empty.svg"))
+    assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
+    assert text.endswith('<rect width="640.0" height="640.0" fill="white"/>\n</svg>\n')
+    assert (tmp_path / "empty.svg").read_text() == text
 
 
 def test_cli_third_csv_value_exits_1_and_trailing_empty_cells_load(tmp_path, capsys):

@@ -386,6 +386,14 @@ def test_stabbing_agrees_with_sweep_oracle(rng):
 
 
 def test_two_clustering_tiny_cases():
+    for n in (0, 1):
+        S = PointSet(np.zeros((n, 2)) + 0.5)
+        for cluster in (two_clustering, two_clustering_bruteforce):
+            with pytest.raises(DegenerateInput, match="^2-clustering needs at least two points$"):
+                cluster(lp(2), S)
+    with pytest.raises(DegenerateInput, match="^line through coincident points$"):
+        line_through([1.5, -2.0], [1.5, -2.0])
+
     S = PointSet(np.array([[0.0, 0.0], [5.0, 5.0]]))
     part = two_clustering(lp(2), S)
     assert part.value == 0.0

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import all_norms, grid_points, random_symmetric_polygon, tie_free_points
+from conftest import HEX_BALL, all_norms, grid_points, random_symmetric_polygon, tie_free_points
 from test_geometry import _band_polygon
 from normplane import (
     DegenerateInput,
@@ -20,9 +20,12 @@ from normplane import (
     detect_ties,
     l1,
     lp,
+    mxst_bruteforce,
+    mxst_mpsy,
     order_components,
     pairwise_distances,
     perturb_distinct,
+    polygonal,
     run_checks,
     segments_properly_intersect,
 )
@@ -163,6 +166,17 @@ def test_order_components_rejects_scrambled_structure():
 def test_build_fng_rejects_a_single_point():
     with pytest.raises(DegenerateInput, match="^need at least two points$"):
         build_fng(lp(2), PointSet(np.array([[0.5, -2.0]])))
+
+
+def test_distances_that_underflow_to_zero_are_duplicate_points():
+    # under the hexagon at 2^1020 the functionals are about 2^-1020, so every
+    # projection of differences 2^-60 underflows to 0: the furthest-neighbor
+    # pass and the oracle's triangle both read a zero distance
+    spec = polygonal(np.ldexp(HEX_BALL, 1020))
+    S = PointSet(np.ldexp([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], -60))
+    for construct in (build_fng, mxst_mpsy, mxst_bruteforce):
+        with pytest.raises(DuplicatePoints, match="^zero off-diagonal distance: duplicate points$"):
+            construct(spec, S)
 
 
 def test_fng_and_hull_fields_are_read_only_intp_arrays(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from conftest import (
 from normplane import (
     DegenerateInput,
     InvalidNorm,
+    IoError,
+    ParseError,
     PointSet,
     ZeroVector,
     birkhoff_orthogonal,
@@ -60,6 +63,20 @@ def test_invalid_norms_rejected():
         polygonal([[1, 0], [0, 1], [-1, 0.5], [0, -1]])  # not symmetric
     with pytest.raises(InvalidNorm):
         polygonal([[2, 0], [1, 0], [-2, 0], [-1, 0]])  # degenerate, flat
+    with pytest.raises(InvalidNorm, match="non-finite vertices"):
+        polygonal([[1, 0], [0, math.inf], [-1, 0], [0, -1]])
+    with pytest.raises(InvalidNorm, match="even vertex count"):
+        polygonal([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]])
+    with pytest.raises(InvalidNorm, match="origin is not strictly interior"):
+        # a symmetric convex polygon holds the origin, so this test fails only
+        # within tol: each corner's turn is 1.4e-3 > tol, each edge line's
+        # offset 7e-4 <= tol
+        polygonal([[1, 0], [0, 7e-4], [-1, 0], [0, -7e-4]], tol=1e-3)
+    for s in (1e-12, 1e-300):
+        # the symmetry band is relative to the polygon's scale at every scale:
+        # a vertex 3x too far is no antipode, however small the polygon
+        with pytest.raises(InvalidNorm, match="not centrally symmetric"):
+            polygonal([[s, 0], [0, s], [-3 * s, 0], [0, -s]])
 
 
 def test_strict_convexity_classification():
@@ -250,11 +267,96 @@ def test_parse_norm_grammar(tmp_path):
     assert parse_norm("l1").p == 1.0
     assert parse_norm("linf").p == math.inf
     assert parse_norm("lp:1.5").p == 1.5
+    assert parse_norm("lp:inf") == parse_norm("lp:infinity") == linf()
     poly = tmp_path / "ball.json"
     poly.write_text("[[1,1],[-1,1],[-1,-1],[1,-1]]")
     spec = parse_norm(f"polygon:{poly}")
     assert spec.kind == "polygonal"
     assert evaluate_norm(spec, [2, 1]) == pytest.approx(2.0)
+    with pytest.raises(ParseError, match="^bad Lp parameter 'x'$"):
+        parse_norm("lp:x")
+    with pytest.raises(ParseError, match="^unrecognized norm 'cosine'$"):
+        parse_norm("cosine")
+    broken = tmp_path / "broken.json"
+    broken.write_text("[[1,1],[-1,1]")
+    message = f"^polygon file {re.escape(repr(str(broken)))} is not valid JSON$"
+    with pytest.raises(ParseError, match=message):
+        parse_norm(f"polygon:{broken}")
+    # a file that cannot be read is an I/O error, as for point files
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        message = f"^cannot read polygon file {re.escape(repr(str(unreadable)))}: "
+        with pytest.raises(IoError, match=message):
+            parse_norm(f"polygon:{unreadable}")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: distance(lp(2), [0, 0, 0], [1, 1]), DegenerateInput,
+         "expected a 2-vector, got shape (3,)"),
+        (lambda: distance(lp(2), [0, math.nan], [1, 1]), DegenerateInput, "non-finite coordinates"),
+        (lambda: norm_many(lp(2), np.zeros((4, 3))), DegenerateInput,
+         "expected trailing axis of size 2, got shape (4, 3)"),
+        (lambda: norm_many(norms_module.NormSpec(kind="cosine"), np.zeros((4, 2))), InvalidNorm,
+         "unknown norm kind 'cosine'"),
+        (lambda: bisector_point(lp(2), [1, 2], [1, 2], [0, 0], [0, 1]), DegenerateInput,
+         "bisector of identical points"),
+        (lambda: bisector_point(lp(2), [-1, 0], [1, 0], [0, 0], [0, 0]), ZeroVector,
+         "line direction must be nonzero"),
+        (lambda: sample_bisector(lp(2), [1, 2], [1, 2], count=5, extent=1.0), DegenerateInput,
+         "bisector of identical points"),
+        (lambda: sample_bisector(lp(2), [-1, 0], [1, 0], count=0, extent=1.0), DegenerateInput,
+         "count must be >= 1"),
+        (lambda: sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=0.0), DegenerateInput,
+         "extent must be positive"),
+        (lambda: sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=-1.0), DegenerateInput,
+         "extent must be positive"),
+    ],
+    ids=["not-a-2-vector", "non-finite", "trailing-axis", "unknown-kind", "bisector-identical",
+         "bisector-zero-direction", "sample-identical", "sample-count", "sample-zero-extent",
+         "sample-negative-extent"],
+)
+def test_degenerate_vector_arguments_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+HEX = np.array(HEX_BALL, dtype=float)
+
+
+def test_polygonal_accepts_gauges_far_from_unit_scale():
+    # the shape tests and the functionals read the polygon scaled into
+    # [1/2, 1): every power-of-two scaling of the hexagon is the same gauge,
+    # bit for bit, with each vertex at norm exactly 1 (pytest turns a float
+    # RuntimeWarning into an error)
+    unit = polygonal(HEX)._functionals
+    for k in range(-1000, 1023):
+        spec = polygonal(np.ldexp(HEX, k))
+        assert np.array_equal(spec._functionals, np.ldexp(unit, -k)), k
+        assert np.all(norm_many(spec, np.array(spec.vertices)) == 1.0), k
+    # the diamond used to fail the convexity test (1e-300, 1e-200), the
+    # interior test (1e-150), or overflow in the convexity test (1e200, 1e300)
+    for s in (1e-300, 1e-200, 1e-150, 1e200, 1e300):
+        spec = polygonal([[s, 0], [0, s], [-s, 0], [0, -s]])
+        assert np.allclose(norm_many(spec, np.array(spec.vertices)), 1.0, rtol=1e-15), s
+
+
+def test_polygonal_interior_band_is_relative_to_the_scale():
+    # the diamond of half-height a at tol 1e-3: its origin lies within the
+    # band of an edge line exactly when a <= tol, at every scale, since edge
+    # offsets scale as the square of the polygon (1.5 and 3 share no power
+    # of two with 1)
+    for s in (1.0, 1.5, 3.0, 1e-100, 1e100):
+        polygonal([[s, 0], [0, 1.5e-3 * s], [-s, 0], [0, -1.5e-3 * s]], tol=1e-3)
+        with pytest.raises(InvalidNorm, match="origin is not strictly interior"):
+            polygonal([[s, 0], [0, 7e-4 * s], [-s, 0], [0, -7e-4 * s]], tol=1e-3)
+
+
+@pytest.mark.parametrize("k", [-1050, -1070])
+def test_polygonal_rejects_functionals_beyond_the_float_range(k):
+    message = "^polygonal norm's functionals lie beyond the float range$"
+    with pytest.raises(InvalidNorm, match=message):
+        polygonal(np.ldexp(HEX, k))
 
 
 # the kernel as it was written with two layouts: Lp families reduced over the
@@ -364,16 +466,19 @@ def test_polygonal_functionals_are_derived_once_per_norm(monkeypatch):
         norms_module, "_edge_lines", lambda arr: calls.append(1) or edge_lines(arr)
     )
     specs = [polygonal(HEX_BALL), polygonal(UNIT_SQUARE_BALL)]
+    # the factory reads the edge lines once for its interior test and derives
+    # the functionals once, for its range check, into the spec's cache
+    assert len(calls) == 2 * len(specs)
     twins = [polygonal(HEX_BALL), polygonal(UNIT_SQUARE_BALL)]
     before = [(repr(s), hash(s)) for s in specs]
-    calls.clear()  # the factory's validation reads the edge lines too
+    calls.clear()
     v = np.random.default_rng(3).uniform(-1, 1, size=(50, 2))
     for spec in specs:
         for _ in range(5):
             norm_many(spec, v)
             evaluate_norm(spec, v[0])
             distance(spec, v[1], v[2])
-    assert len(calls) == len(specs)
+    assert calls == []
     # derived state, not a field: equality, hash and repr are unchanged
     assert [(repr(s), hash(s)) for s in specs] == before
     assert specs == twins
