@@ -18,8 +18,8 @@ Every largest distance is found from one rows x columns pass in blocks of
 whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), each block
 handed to the caller's reduction, which owns it: each row's best two
 (:func:`_furthest`), the block's maximum (:func:`clustering.diameter`) or the
-best two pairs of each (row group x column group) block (:func:`_group_top2`,
-the connecting edges of :func:`mxst.connect_components`, one pass per spine).
+best two pairs of each (row cluster x column cluster) block
+(:func:`mxst._cluster_blocks`, the connecting edges, one pass per spine).
 That pass, in one float-range scope, and :func:`distances_between` own the
 float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
@@ -34,7 +34,6 @@ one at most x + 2 tol, enough for any rounding of x + tol, and the exact
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,55 +250,6 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
             f"{int(cand[runner_arg[i]])} within tol={tol:g}"
         )
     return fn, best
-
-
-def _group_top2(spec: NormSpec, pts: np.ndarray, row_groups, col_groups):
-    """The largest and the second-largest pair of every (row group x column
-    group) distance block, each the first in row-major order; one for a
-    1 x 1 block.
-
-    The groups are non-empty index arrays.  Returns ``top[t][g]``, a list
-    of ``(weight, row, col)`` point-index triples, heaviest first, for row
-    group t and column group g.  One pass (:func:`_row_blocks`) evaluates
-    the concatenated rows against the concatenated columns; each block's
-    piece of a group pair is reduced to its best two, merged with the
-    running ones by (weight descending, then earlier position), so nothing
-    per row outlives its block.
-    """
-    rows, cols = np.concatenate(row_groups), np.concatenate(col_groups)
-    row_bounds = [0, *itertools.accumulate(map(len, row_groups))]
-    col_bounds = [0, *itertools.accumulate(map(len, col_groups))]
-    # (-weight, row position, col position): sorted, heaviest first, then
-    # earliest in row-major order
-    top = [[[] for _ in col_groups] for _ in row_groups]
-    def merge(r0, block):
-        r1 = r0 + len(block)
-        for row_top, a, b in zip(top, row_bounds, row_bounds[1:]):
-            a, b = max(a, r0), min(b, r1)
-            if a >= b:
-                continue
-            for g, (c0, c1) in enumerate(zip(col_bounds, col_bounds[1:])):
-                piece = block[a - r0 : b - r0, c0:c1].ravel()
-                found = [(-w, a + f // (c1 - c0), c0 + f % (c1 - c0)) for w, f in _first_two(piece)]
-                row_top[g] = sorted(row_top[g] + found)[:2]
-
-    _row_blocks(spec, pts, rows, cols, merge)
-    return [[[(-w, int(rows[i]), int(cols[j])) for w, i, j in pair] for pair in row_top]
-            for row_top in top]
-
-
-def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
-    """``(value, position)`` of a 1-D array's first maximum and of the first
-    largest value at another position (none for a single value): one lane
-    of :func:`_top2` without its per-lane offset arrays, which on a single
-    lane cost more than the search.  The maximum is left masked with -inf."""
-    i = int(flat.argmax())
-    top = float(flat[i])
-    if flat.size == 1:
-        return [(top, i)]
-    flat[i] = -np.inf
-    j = int(flat.argmax())
-    return [(top, i), (float(flat[j]), j)]
 
 
 def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols, reduce) -> list:

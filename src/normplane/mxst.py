@@ -11,7 +11,7 @@ over its b boundary points (:func:`fng._stages`): n b norm evaluations,
 no stored distances and no sort.  `connect_components` does the rest from
 that graph, those distances and the hull, evaluating only the cluster x
 boundary-cluster blocks it compares, each once per call, in one
-row-blocked pass per spine (:func:`fng._group_top2`): the spine's two
+row-blocked pass per spine (:func:`_cluster_blocks`): the spine's two
 clusters against the boundary points of the clusters of its neighbours in
 the cyclic order (at k = 2 the one other spine), each block reduced to its
 best two pairs.  Each tree edge keeps the weight of the pass that found it,
@@ -48,7 +48,7 @@ from .fng import (
     DEFAULT_TOL,
     FNGraph,
     PointSet,
-    _group_top2,
+    _row_blocks,
     _stages,
     _triangle,
     order_components,
@@ -164,15 +164,10 @@ def connect_components(
         # evaluated once, however many pairings read it
         blocks: dict[tuple[int, int], tuple[CandidateEdge, ...]] = {}
         for s in range(k):
-            row_reps = (x[s], xp[s])
-            col_reps = [c for t in dict.fromkeys(((s - 1) % k, (s + 1) % k)) for c in (x[t], xp[t])]
-            top = _group_top2(spec, S.points, [members[c] for c in row_reps],
-                              [boundary[c] for c in col_reps])
-            for ca, row_top in zip(row_reps, top):
-                for cb, pair_top in zip(col_reps, row_top):
-                    blocks[ca, cb] = tuple(
-                        CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for w, u, v in pair_top
-                    )
+            rows_of = {c: members[c] for c in (x[s], xp[s])}
+            cols_of = {c: boundary[c] for t in dict.fromkeys(((s - 1) % k, (s + 1) % k))
+                       for c in (x[t], xp[t])}
+            blocks.update(_cluster_blocks(spec, S.points, rows_of, cols_of))
 
         def pairing_max(ca: int, cb: int) -> CandidateEdge:
             # max over the pairing with either endpoint taking the
@@ -216,6 +211,55 @@ def connect_components(
     pairs, weights = pairs[by], weights[by]
     tree = SpanningTree(pairs, weights)
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
+
+
+def _cluster_blocks(spec: NormSpec, pts: np.ndarray, rows_of: dict, cols_of: dict) -> dict:
+    """The best two pairs of every (row cluster x column cluster) distance
+    block as CandidateEdges, heaviest first, each the first in row-major
+    order (one for a 1 x 1 block), keyed (row cluster, column cluster);
+    ``rows_of`` and ``cols_of`` map cluster representatives to non-empty
+    index arrays.
+
+    One pass (:func:`fng._row_blocks`) evaluates the concatenated rows
+    against the concatenated columns; each block's piece of a cluster pair
+    is reduced to its best two and merged with the running ones by (weight
+    descending, then earlier position), so nothing per row outlives its block.
+    """
+    rows, cols = (np.concatenate(list(m.values())) for m in (rows_of, cols_of))
+    n_cols = cols.size
+    row_spans, col_spans = (dict(zip(m, itertools.pairwise(itertools.accumulate(
+        map(len, m.values()), initial=0)))) for m in (rows_of, cols_of))
+    # (-weight, position in the pass's row-major order): sorted, heaviest first
+    top: dict[tuple[int, int], list] = {}
+
+    def merge(r0, block):
+        for ca, (a, b) in row_spans.items():
+            a, b = max(a, r0), min(b, r0 + len(block))
+            if a >= b:
+                continue
+            for cb, (c0, c1) in col_spans.items():
+                found = [(-w, (a + f // (c1 - c0)) * n_cols + c0 + f % (c1 - c0))
+                         for w, f in _first_two(block[a - r0 : b - r0, c0:c1].ravel())]
+                top[ca, cb] = sorted(top.get((ca, cb), []) + found)[:2]
+
+    _row_blocks(spec, pts, rows, cols, merge)
+    return {pair: tuple(CandidateEdge(*sorted((int(rows[f // n_cols]), int(cols[f % n_cols]))), -w)
+                        for w, f in best) for pair, best in top.items()}
+
+
+def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
+    """``(value, position)`` of a 1-D array's first maximum and of the first
+    largest value at another position (none for a single value): one lane
+    of :func:`fng._top2` without its per-lane offset arrays, which on a
+    single lane cost more than the search.  The maximum is left masked with
+    -inf."""
+    i = int(flat.argmax())
+    top = float(flat[i])
+    if flat.size == 1:
+        return [(top, i)]
+    flat[i] = -np.inf
+    j = int(flat.argmax())
+    return [(top, i), (float(flat[j]), j)]
 
 
 def _unique_max(cands, tol: float, site: str) -> CandidateEdge:

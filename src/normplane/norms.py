@@ -37,6 +37,10 @@ from .errors import (
 from .geometry import DEFAULT_TOL, _cross, _unit_scale, check_tol
 
 INF = math.inf
+# doublings of the default search range before sample_bisector gives up: a
+# crossing lies about as many q - p out as the gauge is stretched, and 2^40
+# times the default reaches past a stretch of 10^13
+_WIDENINGS = 40
 
 
 def _as_vec(v) -> np.ndarray:
@@ -118,8 +122,10 @@ def linf() -> NormSpec:
 def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
     """Gauge of a convex, centrally symmetric polygon given CCW.
 
-    The origin must be strictly interior; for every vertex v the point -v
-    must also be a vertex (up to ``tol`` relative to the polygon scale).
+    The origin must be strictly interior and the polygon must wind once
+    around it (a star polygon such as the {8/3} octagram turns left at every
+    vertex, yet is no convex polygon); for every vertex v the point -v must
+    also be a vertex (up to ``tol`` relative to the polygon scale).
     The stored polygon is the first m/2 vertices followed by their exact
     negations, so the gauge is exactly symmetric: N(-v) == N(v).
 
@@ -153,8 +159,14 @@ def polygonal(vertices, tol: float = DEFAULT_TOL) -> NormSpec:
         if _cross(unit[i], unit[(i + 1) % m], unit[(i + 2) % m]) <= tol * scale * scale:
             raise InvalidNorm("polygon vertices must be strictly convex in CCW order")
     # origin strictly interior <=> every edge line has positive offset
-    if np.any(_edge_lines(unit)[1] <= tol * scale * scale):
+    offsets = _edge_lines(unit)[1]
+    if np.any(offsets <= tol * scale * scale):
         raise InvalidNorm("origin is not strictly interior to the polygon")
+    # each offset is cross(v_i, v_i+1) > 0, so each turn around the origin
+    # lies in (0, pi) and the turns sum to 2 pi times the winding number
+    dots = np.einsum("ij,ij->i", unit, np.roll(unit, -1, axis=0))
+    if np.arctan2(offsets, dots).sum() >= 3.0 * np.pi:
+        raise InvalidNorm("polygon winds more than once around the origin")
     spec = NormSpec(kind="polygonal", vertices=tuple(map(tuple, arr)))
     if not np.isfinite(spec._functionals).all():
         raise InvalidNorm("polygonal norm's functionals lie beyond the float range")
@@ -349,7 +361,9 @@ def sample_bisector(
     Offsets spread over [-extent, extent] along the Euclidean perpendicular
     of q - p through the midpoint; each sample is a root of
     f(t) = ||r(t)-p|| - ||r(t)-q|| on the line with direction q - p, where f
-    runs from negative (far p-side) to positive (far q-side).
+    runs from negative (far p-side) to positive (far q-side).  Where
+    :func:`bisector_point`'s default range misses the root, the range is
+    doubled until it holds it (StructureViolation after ``_WIDENINGS``).
     """
     check_tol(tol)
     pv, qv = _as_vec(p), _as_vec(q)
@@ -360,18 +374,24 @@ def sample_bisector(
     if not extent > 0.0:
         raise DegenerateInput("extent must be positive")
     dvec = qv - pv
-    perp = np.array([-dvec[1], dvec[0]]) / math.hypot(dvec[0], dvec[1])
+    dlen = math.hypot(dvec[0], dvec[1])
+    perp = np.array([-dvec[1], dvec[0]]) / dlen
     mid = 0.5 * (pv + qv)
     offsets = np.linspace(-extent, extent, count)
     points = np.empty((count, 2))
     for i, s in enumerate(offsets):
         base = mid + s * perp
         pt = bisector_point(spec, pv, qv, base, dvec, tol)
-        if pt is None:
-            # sign change is guaranteed; retry wider before giving up
-            reach = abs(s) + math.hypot(dvec[0], dvec[1])
-            pt = bisector_point(spec, pv, qv, base, dvec, tol,
-                                t_range=16.0 * (1.0 + reach))
+        # f(t) = h(t) - h(t - 1) for a convex h, so f is nondecreasing and runs
+        # from -||q - p|| to ||q - p||: a crossing exists, and the default range
+        # |t| <= 4 (2 + |s| / |q - p|) is doubled until it holds it (a gauge
+        # stretched 300-fold put one at t = -263, past a range of 16)
+        t_range = 4.0 * (2.0 + abs(s) / dlen)
+        for _ in range(_WIDENINGS):
+            if pt is not None:
+                break
+            t_range *= 2.0
+            pt = bisector_point(spec, pv, qv, base, dvec, tol, t_range=t_range)
         if pt is None:
             raise StructureViolation(
                 f"no bisector crossing found at offset {s}; widen the search range"

@@ -1,5 +1,7 @@
 """Shared generators for the test suite (all randomness is seeded)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,12 @@ from normplane import (
 UNIT_SQUARE_BALL = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
 DIAMOND_BALL = [[1, 0], [0, 1], [-1, 0], [0, -1]]
 HEX_BALL = [[1.0, 0.0], [0.5, 1.0], [-0.5, 1.0], [-1.0, 0.0], [-0.5, -1.0], [0.5, -1.0]]
+# HEX_BALL stretched 300-fold along x, then turned by 27 degrees: the
+# bisector of (0, 0) and (2, 1) crosses the line through (3, -3.5) along
+# q - p near (-523, -267), 263 times q - p away
+_TURN = math.radians(27.0)
+ELONGATED_HEX_BALL = (np.array(HEX_BALL) * [300.0, 1.0] @ [
+    [math.cos(_TURN), math.sin(_TURN)], [-math.sin(_TURN), math.cos(_TURN)]]).tolist()
 
 
 def all_norms():

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ import normplane.cli as cli_module
 from normplane.cli import _build_parser, load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from normplane.geometry import DEFAULT_TOL
+from conftest import ELONGATED_HEX_BALL, HEX_BALL
 from test_fng import JITTERED_SQUARE
 
 TRI_345 = [[0, 0], [3, 0], [3, 4]]
@@ -204,6 +207,18 @@ def test_cli_rejects_negative_or_non_finite_tol(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_console_scripts_name_callables():
+    # an installed package runs each [project.scripts] target; the tests run
+    # from src/, so a renamed entry point would otherwise go unnoticed
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"normplane": "normplane.cli:main"}
+    for target in scripts.values():
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_cli_bisector_two_points(tmp_path, capsys):
     pts = _write(tmp_path, "pair.json", "[[-1,0],[1,0]]")
     assert main(["bisector", "--norm", "lp:2", "--points", pts]) == 0
@@ -221,6 +236,18 @@ def test_cli_bisector_at_tol_0(tmp_path, capsys, norm):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["points"]) == 33
     assert payload["max_residual"] <= 1e-15
+
+
+def test_cli_bisector_under_an_elongated_gauge(tmp_path, capsys):
+    # the crossing at offset -2 |q - p| lies 263 times q - p out along q - p,
+    # past a single retry's range of 123: "no bisector crossing found"
+    ball = _write(tmp_path, "ball.json", json.dumps(ELONGATED_HEX_BALL))
+    pts = _write(tmp_path, "pair.json", "[[0, 0], [2, 1]]")
+    assert main(["bisector", "--norm", f"polygon:{ball}", "--points", pts]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 33
+    assert payload["max_residual"] <= 1e-9
+    assert payload["points"][0] == pytest.approx([-523.03, -266.52], abs=0.01)
 
 
 def test_cli_fng_orders_components_on_the_construction_hull(tmp_path, capsys):
@@ -733,3 +760,53 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys):
             for kind, data in outputs.items():
                 digests[name, command, kind] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN
+
+
+# sha256 of each stdout, recorded at 58424b5
+TOOL_GOLDEN = {
+    ("perturb", "tol 0"):
+        "41ad2a892cc022d7f90963a7044e817a057f11c5e42c67beb8088792fdaa4e26",
+    ("perturb", "default"):
+        "8d9659c874a8d7607c9ae85d9ff3071bbd5b7d9c0d9327ee012673b38b777bef",
+    ("bisector", "a", "euclidean"):
+        "e47ad69ca0c114db845c4a4e67ebe3f76c41043fd92351c2b344cb1ea6293e12",
+    ("bisector", "a", "lp:1.5"):
+        "0c70eaa25333253ca6d0a3e8e6f4704fc8e3e9e7e7da06dc9297f8986e2646c1",
+    ("bisector", "a", "l1"):
+        "0767e14b64f036ad525db6b7e378ee1df312d56f71b66ca14ed09c9fb2f78af3",
+    ("bisector", "a", "linf"):
+        "5a7692da5bd8f2e25029d0b00db1f36e1c51990b5f67583729d22ff46bbdeaee",
+    ("bisector", "a", "hex"):
+        "e342010886d87f8cf883345bea7387f9b48b50e690acc9404a47d37bec06e060",
+    ("bisector", "b", "euclidean"):
+        "3c449aaa68e66f41bd8883127eba5402aac161ed514103c0cf8630df3d606fe6",
+    ("bisector", "b", "lp:1.5"):
+        "41708e5c97696c1582941bad51bd382ec39c8d231b46b1b64ecdea7c98944018",
+    ("bisector", "b", "l1"):
+        "1c067553fdb31038b5669656cbac8e3bdcf14e1681e7dd0f036ab2a960e5b3e9",
+    ("bisector", "b", "linf"):
+        "74cf8465df31a8b48a81577300a571b6a1501d146483435696fff83949b8d198",
+    ("bisector", "b", "hex"):
+        "ea3277e3e02f3c79e372490df228c049c2860421e76774d4645e86f0bf74f249",
+}
+
+
+def test_cli_perturb_and_bisector_bytes_are_pinned(tmp_path, capsys):
+    # stdout of perturb on a full 6 x 6 grid under lp:1.5 (at tol 0 and at
+    # the default) and of bisector on two point pairs under five norms
+    axis = np.arange(6.0)
+    grid = _write(tmp_path, "grid.json",
+                  json.dumps(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2).tolist()))
+    hexagon = _write(tmp_path, "hex.json", json.dumps(HEX_BALL))
+    runs = {("perturb", "tol 0"): ["perturb", "--norm", "lp:1.5", "--points", grid, "--tol", "0"],
+            ("perturb", "default"): ["perturb", "--norm", "lp:1.5", "--points", grid]}
+    for name, pair in {"a": [[0, 0], [2, 1]], "b": [[-1.5, 0.25], [0.75, -2.0]]}.items():
+        path = _write(tmp_path, f"pair-{name}.json", json.dumps(pair))
+        for norm in ("euclidean", "lp:1.5", "l1", "linf", "hex"):
+            arg = f"polygon:{hexagon}" if norm == "hex" else norm
+            runs["bisector", name, norm] = ["bisector", "--norm", arg, "--points", path]
+    digests = {}
+    for key, argv in runs.items():
+        assert main(argv) == 0
+        digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == TOOL_GOLDEN

@@ -33,11 +33,12 @@ from normplane import (
     two_clustering_bruteforce,
     validate_tree,
 )
-from normplane.fng import _BLOCK, _group_top2, distances_between
+from normplane.fng import _BLOCK, distances_between
 from normplane.mxst import (
     CandidateEdge,
     ConnectingEdgeReport,
     StepFourEntry,
+    _cluster_blocks,
     connect_components,
 )
 from test_checks import FOUR_SPINES, THREE_SPINES
@@ -277,11 +278,6 @@ def _whole_block_max_pair(spec, S, rows, cols):
     return tuple(edges)
 
 
-def _edges(pair_top):
-    """_group_top2's (weight, row, col) triples of one group pair as candidate edges."""
-    return tuple(CandidateEdge(i=min(u, v), j=max(u, v), weight=w) for w, u, v in pair_top)
-
-
 def _max_pair_blocks(rng):
     """(spec, S, rows, cols): grid blocks full of equal distances, the
     degenerate 1 x 1, 1 x m and m x 1 shapes and blocks past _BLOCK."""
@@ -305,8 +301,8 @@ def _max_pair_blocks(rng):
 def test_max_pair_equals_the_whole_block_answer(rng):
     tied_in_max_row = tied_in_later_row = large = 0
     for spec, S, rows, cols in _max_pair_blocks(rng):
-        (top,), = _group_top2(spec, S.points, [rows], [cols])
-        assert _edges(top) == _whole_block_max_pair(spec, S, rows, cols)
+        top, = _cluster_blocks(spec, S.points, {0: rows}, {1: cols}).values()
+        assert top == _whole_block_max_pair(spec, S, rows, cols)
         block = distances_between(spec, S, rows[:, None], cols[None, :])
         r = int(np.argmax(block.max(axis=1)))
         tied_in_max_row += int(np.sum(block[r] == block[r].max()) > 1)
@@ -322,7 +318,7 @@ def test_max_pair_holds_about_one_row_block():
     rows, cols = np.arange(200_000), np.arange(200_000, 200_016)
     tracemalloc.start()
     try:
-        _group_top2(lp(1.5), S.points, [rows], [cols])
+        _cluster_blocks(lp(1.5), S.points, {0: rows}, {1: cols})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,15 +346,16 @@ def test_group_pairs_equal_the_whole_block_answer_of_each_sub_block(rng):
             rows = rng.choice(idx[cols.size :], size=int(rng.integers(2, 3 * step)))
             row_groups = _cut(rng, rows, int(rng.integers(1, 6)))
             col_groups = _cut(rng, cols, int(rng.integers(1, 5)))
-            top = _group_top2(spec, grid.points, row_groups, col_groups)
+            top = _cluster_blocks(spec, grid.points, dict(enumerate(row_groups)),
+                                  dict(enumerate(col_groups)))
             r0 = 0
-            for rg, row_top in zip(row_groups, top):
+            for t, rg in enumerate(row_groups):
                 inside += r0 % step != 0
                 spanning += r0 // step != (r0 + rg.size - 1) // step
                 r0 += rg.size
-                for cg, pair_top in zip(col_groups, row_top):
+                for g, cg in enumerate(col_groups):
                     want = _whole_block_max_pair(spec, grid, rg, cg)
-                    assert _edges(pair_top) == want
+                    assert top[t, g] == want
                     block = distances_between(spec, grid, rg[:, None], cg[None, :])
                     first = int(np.argmax(block.max(axis=1)))
                     tied_later += int(np.any(block[first + step :] == want[0].weight))

@@ -8,6 +8,7 @@ import pytest
 import normplane.norms as norms_module
 from conftest import (
     DIAMOND_BALL,
+    ELONGATED_HEX_BALL,
     HEX_BALL,
     UNIT_SQUARE_BALL,
     all_norms,
@@ -72,6 +73,13 @@ def test_invalid_norms_rejected():
         # within tol: each corner's turn is 1.4e-3 > tol, each edge line's
         # offset 7e-4 <= tol
         polygonal([[1, 0], [0, 7e-4], [-1, 0], [0, -7e-4]], tol=1e-3)
+    for step, m in ((135, 8), (108, 10), (150, 12)):
+        # the {8/3}, {10/3} and {12/5} stars: every turn is left and every
+        # edge line has a positive offset, but they wind more than once
+        half = [[math.cos(math.radians(step * i)), math.sin(math.radians(step * i))]
+                for i in range(m // 2)]
+        with pytest.raises(InvalidNorm, match="winds more than once"):
+            polygonal(half + [[-x, -y] for x, y in half])
     for s in (1e-12, 1e-300):
         # the symmetry band is relative to the polygon's scale at every scale:
         # a vertex 3x too far is no antipode, however small the polygon
@@ -187,7 +195,8 @@ def test_sample_bisector_euclidean_axis():
 
 
 def test_sample_bisector_residuals_random(rng):
-    for spec in (lp(3), lp(1.5), euclidean()):
+    # the elongated gauge can put a crossing hundreds of q - p out along q - p
+    for spec in (lp(3), lp(1.5), euclidean(), polygonal(ELONGATED_HEX_BALL)):
         for _ in range(10):
             p = rng.uniform(-5, 5, size=2)
             q = rng.uniform(-5, 5, size=2)
