@@ -10,19 +10,24 @@ partner, then the hull layer is retired and the interior is processed, with
 the minimum distance gap always measured against the whole set.
 
 The bookkeeping holds no n x n table: the flat distance triangle
-(``np.triu_indices`` order, each pair evaluated once), its sort order, and
-one tie list, built once: every tie as a sorted key ``lo * P + hi`` of two
-flat positions (P = n(n-1)/2), its (i, j, k, l) endpoint row, and a live
-mask.  A move changes only the mover's n - 1 pairs, and it is accepted only
-when it keeps a strict subset of the mover's live ties and adds none, so
-the tie list only ever shrinks: an accepted move clears the ties it broke
-and decrements the live-tie counts per point and per tied pair, which
-decide the sweeps' triggers.  Each rung tests only the candidate row,
-against the mover's live ties alone (read from the ties indexed by point),
-with the one window search of :mod:`fng`: its values against the other
+(``np.triu_indices`` order, each pair evaluated once), its sort order and
+its values in that order, and one tie list, built once: every tie as a
+sorted key ``lo * P + hi`` of two flat positions (P = n(n-1)/2), its
+(i, j, k, l) endpoint row, and a live mask.  A move changes only the
+mover's n - 1 pairs, and it is accepted only when it keeps a strict subset
+of the mover's live ties and adds none, so the tie list only ever shrinks:
+an accepted move clears the ties it broke and decrements the live-tie
+counts per point and per tied pair, which decide the sweeps' triggers, and
+merges the mover's sorted row into the others' order (O(P), no sort of the
+triangle).  Each rung tests only the candidate row, against the mover's
+live ties alone (read from the ties indexed by point), with the one window
+search of :mod:`fng`, cheapest test first: its values against the other
 pairs' sorted values (:func:`fng._window_ties`, each window starting at the
-first value at least row - 2 tol) and among themselves
-(:func:`fng._tied_pairs` on the row).
+first value at least row - 2 tol), rejecting on the count of those ties or
+on one the mover did not have; then among themselves
+(:func:`fng._tied_pairs` on the row), only when two of its sorted values
+lie within tol.  The residual phase keeps the live ties touching the layer
+as one index array, filtered by the live mask after each move.
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -113,7 +118,7 @@ def perturb_distinct(
     report = PerturbReport(
         displacement=tuple(float(x) for x in disp),
         steps=tuple(worker.steps),
-        residual_min_gap=_least_gap(worker.vals[worker.order], 0.0),
+        residual_min_gap=_least_gap(worker.sorted_vals, 0.0),
     )
     return PointSet(worker.pts), report
 
@@ -163,6 +168,8 @@ class _Perturber:
         self.point_ties = np.bincount(self.ends.ravel(), minlength=self.n)
         self.touch, self.touch_at = _touching(self.ends, self.n)
         self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
+        # the values in ``order``; both are kept by merging after each move
+        self.sorted_vals = self.vals[self.order]
 
     def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, ends, pair_ids, pair_ties)``: today's tie keys
@@ -185,8 +192,9 @@ class _Perturber:
         return lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
 
     def _pair_tied(self, a: int, b: int) -> bool:
-        """Whether a live tie holds the pair {a, b}."""
-        flat = self._flat(a, b)
+        """Whether a live tie holds the pair {a, b} (Python ints)."""
+        lo, hi = (a, b) if a < b else (b, a)
+        flat = lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
         at = self.pair_ids.searchsorted(flat)
         return at < self.pair_ids.size and self.pair_ids[at] == flat and self.pair_ties[at] > 0
 
@@ -249,22 +257,31 @@ class _Perturber:
         """Break every remaining tie that touches the current hull layer."""
         on_layer = np.zeros(self.n, dtype=bool)
         on_layer[tour] = True
-        while True:
-            live = self.ends[self.alive]
-            pending = live[on_layer[live].any(axis=1)].tolist()
-            if not pending:
-                return
-            # in tie order, each side's endpoints on the layer move away
-            # from the side's other endpoint, each (mover, anchor) once, as
-            # a failed attempt changes nothing; the first move made restarts
-            seen = set()
-            tries = (
-                (m, a) for i, j, k, l in pending
-                for m, a in ((i, j), (j, i), (k, l), (l, k))
-                if on_layer[m] and (m, a) not in seen and not seen.add((m, a))
-            )
-            if not any(self._attempt_move(mover, anchor) for mover, anchor in tries):
+        # the layer is fixed and ties only die, so the live ties touching it
+        # are this list filtered by ``alive`` after each move, in tie order
+        pending = np.flatnonzero(on_layer[self.ends].any(axis=1) & self.alive)
+        layer = on_layer.tolist()
+        while pending.size:
+            if not any(self._attempt_move(mover, anchor)
+                       for mover, anchor in self._tries(pending, layer)):
                 raise BudgetExceeded(_NO_MOVE)
+            pending = pending[self.alive[pending]]
+
+    def _tries(self, pending: np.ndarray, on_layer: list[bool]):
+        """In tie order, each side's endpoints on the layer move away from
+        the side's other endpoint, each (mover, anchor) once, as a failed
+        attempt changes nothing; the first move made restarts.  The ties'
+        rows reach Python in chunks of doubling size as the tries consume
+        them."""
+        seen = set()
+        start, chunk = 0, 16
+        while start < pending.size:
+            for i, j, k, l in self.ends[pending[start:start + chunk]].tolist():
+                for m, a in ((i, j), (j, i), (k, l), (l, k)):
+                    if on_layer[m] and (m, a) not in seen:
+                        seen.add((m, a))
+                        yield m, a
+            start, chunk = start + chunk, 2 * chunk
 
     # -- a single verified move ------------------------------------------
 
@@ -288,35 +305,58 @@ class _Perturber:
         others = np.flatnonzero(np.arange(self.n) != mover)
         mine = self._flat(others, mover)  # flat positions
         ties_after = self._row_test(mover, mine)
-        for frac in _LADDER:
-            delta = cap * frac
-            if delta <= 2.0 * self.tol:
-                break
-            # a distance beyond the float range reads inf or nan, and its
-            # rung is skipped like one that would make two points coincide
-            with np.errstate(over="ignore", invalid="ignore"):
+        # a distance beyond the float range reads inf or nan, and its rung
+        # is skipped like one that would make two points coincide
+        new_ties = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for frac in _LADDER:
+                delta = cap * frac
+                if delta <= 2.0 * self.tol:
+                    break
                 cand_pt = self.pts[mover] + delta * unit
                 row = norm_many(self.spec, cand_pt[None, :] - self.pts)[others]
-            if not 0.0 < row.min() <= row.max() < math.inf:
-                continue
-            new_ties = ties_after(row)
-            if new_ties is not None:
-                if len(self.steps) >= self.max_steps:
-                    raise BudgetExceeded(
-                        f"move log would exceed n*(n-1) = {self.max_steps} steps"
-                    )
-                if self.moved[mover] + delta >= self.eps:
-                    raise BudgetExceeded(
-                        f"point {mover} would move beyond eps = {self.eps}"
-                    )
-                self.pts[mover] = cand_pt
-                self.vals[mine] = row
-                self.order = np.argsort(self.vals)
-                self.moved[mover] += delta
-                self.steps.append((mover, (mover, anchor), float(delta)))
-                self._drop_ties(mover, new_ties)
-                return True
-        return False
+                if not 0.0 < row.min() <= row.max() < math.inf:
+                    continue
+                new_ties = ties_after(row)
+                if new_ties is not None:
+                    break
+        if new_ties is None:
+            return False
+        if len(self.steps) >= self.max_steps:
+            raise BudgetExceeded(f"move log would exceed n*(n-1) = {self.max_steps} steps")
+        if self.moved[mover] + delta >= self.eps:
+            raise BudgetExceeded(f"point {mover} would move beyond eps = {self.eps}")
+        # the others keep their values and their order: merge the mover's
+        # sorted row into them, O(P) instead of a sort of all P values.  The
+        # merge fills new arrays: filled in place, 1,000 uniform points took
+        # twice as long, with 50 times the minor page faults
+        rest, rest_sv = self._others_by_value(mine)
+        by_value = np.argsort(row)
+        new_sv = row[by_value]
+        at = rest_sv.searchsorted(new_sv)
+        at += np.arange(at.size)  # the row's positions in the merged order
+        from_rest = np.ones(self.vals.size, dtype=bool)
+        from_rest[at] = False
+        order, sorted_vals = np.empty_like(self.order), np.empty_like(self.sorted_vals)
+        order[at] = mine[by_value]
+        order[from_rest] = rest
+        sorted_vals[at] = new_sv
+        sorted_vals[from_rest] = rest_sv
+        self.order, self.sorted_vals = order, sorted_vals
+        self.pts[mover] = cand_pt
+        self.vals[mine] = row
+        self.moved[mover] += delta
+        self.steps.append((mover, (mover, anchor), float(delta)))
+        self._drop_ties(mover, new_ties)
+        return True
+
+    def _others_by_value(self, mine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The flat positions other than ``mine`` ascending by value, and
+        their values in that order."""
+        self.not_mine[mine] = False
+        keep = self.not_mine[self.order]
+        self.not_mine[mine] = True
+        return self.order[keep], self.sorted_vals[keep]
 
     def _row_test(self, mover: int, mine: np.ndarray):
         """``ties_after(row)``: sorted tie keys that hold at least the
@@ -324,28 +364,39 @@ class _Perturber:
         ``row``, or None unless the row keeps a strict subset of the mover's
         live ties and adds none, so the tie list never grows.  Only ties
         holding the mover can change, so a row is tested against those
-        alone, read from the ties indexed by point: its values against the
-        other pairs' sorted values (:func:`fng._window_ties`) and among
-        themselves (:func:`fng._tied_pairs`)."""
+        alone, read from the ties indexed by point, cheapest test first: its
+        values against the other pairs' sorted values
+        (:func:`fng._window_ties`), then among themselves
+        (:func:`fng._tied_pairs`), searched only when two of the row's
+        sorted values lie within tol (float subtraction is monotone, so any
+        two tied values include two adjacent ones)."""
         size, tol = self.vals.size, self.tol
-        self.not_mine[mine] = False
-        rest = self.order[self.not_mine[self.order]]  # the others, by value
-        self.not_mine[mine] = True
-        rest_sv = self.vals[rest]
+        rest, rest_sv = self._others_by_value(mine)
         touched = self._live_ties(mover)
         touched_keys = self.keys[touched]
 
+        def kept(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+            """The keys of the flat pairs (x, y), or None unless the mover had each."""
+            keys = np.minimum(x, y) * size + np.maximum(x, y)
+            pos = touched_keys.searchsorted(keys)
+            return keys if (touched_keys.take(pos, mode="clip") == keys).all() else None
+
         def ties_after(row: np.ndarray) -> np.ndarray | None:
             a, b = _window_ties(row, rest_sv, rest_sv.searchsorted(row - 2.0 * tol), tol)
-            p, q = _tied_pairs(row, tol)  # among the mover's own pairs
-            if a.size + p.size >= touched.size:
+            if a.size >= touched.size:
                 return None  # no strict shrink; the new ties are distinct
-            x = np.concatenate([mine[a], mine[p]])
-            y = np.concatenate([rest[b], mine[q]])
-            new = np.minimum(x, y) * size + np.maximum(x, y)
-            pos = touched_keys.searchsorted(new)
-            if not (touched_keys.take(pos, mode="clip") == new).all():
+            new = kept(mine[a], rest[b])
+            if new is None:
                 return None  # a tie the mover did not have
+            sr = np.sort(row)
+            if (sr[1:] - sr[:-1] <= tol).any():  # among the mover's own pairs
+                p, q = _tied_pairs(row, tol)
+                if a.size + p.size >= touched.size:
+                    return None
+                own = kept(mine[p], mine[q])
+                if own is None:
+                    return None
+                new = np.concatenate([new, own])
             return np.sort(new)
 
         return ties_after

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -327,6 +328,73 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
     assert len(moves) > 100
 
 
+@pytest.mark.parametrize("spec", [lp(1.5), lp(2), lp(4)], ids=["lp1.5", "lp2", "lp4"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_merged_order_sorts_the_values_after_every_move(monkeypatch, spec, tol):
+    # an accepted move merges the mover's sorted row into the others' order;
+    # the result must still be a permutation of the P flat positions that
+    # reads the values in non-decreasing order, with sorted_vals those values
+    attempt = perturb._Perturber._attempt_move
+    moves = []
+
+    def checked(self, mover, anchor):
+        moved = attempt(self, mover, anchor)
+        if moved:
+            moves.append(mover)
+            assert np.array_equal(np.sort(self.order), np.arange(self.vals.size))
+            assert (np.diff(self.vals[self.order]) >= 0.0).all()
+            assert np.array_equal(self.sorted_vals, self.vals[self.order])
+        return moved
+
+    monkeypatch.setattr(perturb._Perturber, "_attempt_move", checked)
+    rng = np.random.default_rng(5151)
+    for k in (6, 12, 20):
+        perturb_distinct(spec, grid_points(rng, k), eps=1e-3, tol=tol)
+    perturb_distinct(spec, PointSet(rng.uniform(0.0, 0.01, size=(30, 2))), eps=1e-3, tol=tol)
+    assert len(moves) > 20
+
+
+def _triangle_rescan(self, mover, mine):
+    """The move test as a rescan of the whole candidate triangle's ties."""
+    today = self.ties
+
+    def ties_after(row):
+        vals = self.vals.copy()
+        vals[mine] = row
+        lo, hi = fng._tied_pairs(vals, self.tol)
+        new = lo * vals.size + hi
+        return new if new.size < today.size and np.isin(new, today).all() else None
+
+    return ties_after
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_own_pair_search_runs_and_matches_the_full_rescan(monkeypatch, tol):
+    # on full grids some rungs' rows tie among their own pairs (a grid point
+    # keeps mirror-image distances); the own-pair search (_tied_pairs on the
+    # row) must run there, and every move must be the one a rescan of the
+    # whole candidate triangle accepts
+    tied_pairs = perturb._tied_pairs
+    calls = []
+
+    def counted(vals, tol):
+        lo, hi = tied_pairs(vals, tol)
+        calls.append((vals.size, lo.size))
+        return lo, hi
+
+    cases = [(spec, PointSet(np.array([(i, j) for j in range(k) for i in range(k)], dtype=float)))
+             for k in (5, 6) for spec in (lp(1.5), lp(2.0), lp(4.0))]
+    monkeypatch.setattr(perturb, "_tied_pairs", counted)
+    shipped = [_perturb_outcome(spec, S, 1e-3, tol) for spec, S in cases]
+    # a row holds n - 1 values, the whole triangle n(n - 1)/2
+    rows = [tied for size, tied in calls if size in {S.n - 1 for _, S in cases}]
+    monkeypatch.setattr(perturb._Perturber, "_row_test", _triangle_rescan)
+    rescanned = [_perturb_outcome(spec, S, 1e-3, tol) for spec, S in cases]
+    assert rescanned == shipped
+    assert all(isinstance(out, tuple) and out[1].steps for out in shipped)
+    assert sum(tied > 0 for tied in rows) >= 10
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_tied_pairs_match_every_pair_compared(tol):
     # a rung's own pairs come from the sorted windows of _tied_pairs; they
@@ -379,3 +447,38 @@ def test_a_rung_beyond_the_float_range_is_skipped():
         assert report.steps and np.isfinite(S2.points).all()
         vals = pairwise_distances(lp(2), S2)[np.triu_indices(S.n, k=1)]
         assert np.isfinite(vals).all() and detect_ties(pairwise_distances(lp(2), S2)) == []
+
+
+def _pinned_bank():
+    """Full k x k grids (k = 3-6) in both point orders, six seeded 20-point
+    grids and 30 uniform points in a 0.01 square."""
+    sets = []
+    for k in range(3, 7):
+        sets.append(np.array([(i, j) for j in range(k) for i in range(k)], dtype=float))
+        sets.append(np.array([(i, j) for i in range(k) for j in range(k)], dtype=float))
+    rng = np.random.default_rng(2929)
+    sets += [grid_points(rng, 20).points for _ in range(6)]
+    sets.append(rng.uniform(0.0, 0.01, size=(30, 2)))
+    return [PointSet(pts) for pts in sets]
+
+
+# sha256 of the bank's outcomes, recorded at 7b67e73
+PERTURB_GOLDEN = "b6381d9a5f7d1ab11111f9c0e354fed58162ab6548fba4f172e8b334ad3bbdc6"
+
+
+def test_perturb_outcomes_are_pinned():
+    # each outcome: the point bytes, the step log and the residual gap, or
+    # the exception's type and message; a numpy scalar reaching the step
+    # log changes its repr and shows here
+    digest = hashlib.sha256()
+    for S in _pinned_bank():
+        for spec in (lp(1.5), lp(2), lp(4)):
+            for tol in (0.0, 1e-9):
+                try:
+                    S2, report = perturb_distinct(spec, S, eps=1e-3, tol=tol)
+                except Exception as exc:  # noqa: BLE001 - the outcome is the exception
+                    outcome = (type(exc).__name__, str(exc))
+                else:
+                    outcome = (S2.points.tobytes(), report.steps, report.residual_min_gap)
+                digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == PERTURB_GOLDEN
