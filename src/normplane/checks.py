@@ -7,12 +7,13 @@ acceptance tests.
 
 Each call reads the flat distance triangle once (:func:`fng._triangle`) for
 the tie count and the greedy oracle, and keeps it mirrored as the n x n table
-every check reads distances from; only the construction under test evaluates
-others.  Stages are built once: ``fng`` (each table row's argmax over every
-point, certified by the tie gate, so the lemma that puts each furthest
-neighbor on the hull boundary is tested, plus the hull), ``cycle`` (the
-cyclic component order on that graph) and ``tree`` (the tree connected from
-that graph, its table distances and the hull, beside the oracle).  Tied
+every check reads distances from, so the call evaluates nothing else.
+Stages are built once: ``fng`` (each table row's argmax over every point,
+certified by the tie gate, so the lemma that puts each furthest neighbor on
+the hull boundary is tested, plus the hull), ``cycle`` (the cyclic
+component order on that graph) and ``tree`` (the tree connected from that
+graph, its table distances and the hull, its connecting blocks read from
+the table, beside the oracle).  Tied
 distances anywhere skip every stage; a stage that cannot be built answers
 for every check that needs it.
 """
@@ -69,7 +70,8 @@ class _Stages:
             self.cycle_error = str(exc)
             self.missing["cycle"] = "skipped: no component cycle"
         try:
-            self.tree, _ = connect_components(spec, S, self.g, self.fn_dist, self.hull, tol)
+            self.tree, _ = connect_components(spec, S, self.g, self.fn_dist, self.hull, tol,
+                                              (self.table, np.arange(S.n)))
         except NormPlaneError as exc:
             self.missing["tree"] = f"tree construction failed: {exc}"
 

@@ -158,7 +158,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
 
 
 def _cmd_fng(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
-    hull, g, _ = _stages(spec, S, args.tol)
+    hull, g, _, _ = _stages(spec, S, args.tol)
     cycle = order_components(g, hull)
     payload = {
         "norm": spec.label(),
@@ -258,16 +258,15 @@ def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
     """Best-effort full rendering: the construction's hull always, the FNG
     when its rows are tie-free, and the given tree or else the construction's
     when the construction's decisions are.  The stages are built once
-    (:func:`fng._stages`); when they raise, the hull is built alone."""
-    g = None
+    (:func:`fng._stages`), from the hull built first, so a stage that
+    raises leaves the hull to draw."""
+    hull, g = _hull(S.points, tol), None
     try:
-        hull, g, fn_dist = _stages(spec, S, tol)
+        _, g, fn_dist, held = _stages(spec, S, tol, hull)
         if tree is None:
-            tree, _ = connect_components(spec, S, g, fn_dist, hull, tol)
+            tree, _ = connect_components(spec, S, g, fn_dist, hull, tol, held)
     except NormPlaneError:
-        # draws what was built: a tie in the connecting step keeps the FNG
-        if g is None:
-            hull = _hull(S.points, tol)
+        pass  # draws what was built: a tie in the connecting step keeps the FNG
     svg.emit_svg(S, hull, g, tree, bipartition, path)
 
 

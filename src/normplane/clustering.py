@@ -191,8 +191,8 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     """
     if S.n < 2:
         raise DegenerateInput("2-clustering needs at least two points")
-    hull, g, fn_dist = _stages(spec, S, tol)
-    tree, report = connect_components(spec, S, g, fn_dist, hull, tol)
+    hull, g, fn_dist, held = _stages(spec, S, tol)
+    tree, report = connect_components(spec, S, g, fn_dist, hull, tol, held)
 
     by_length = np.argsort(tree.weights, kind="stable")
     lengths = tree.weights[by_length]

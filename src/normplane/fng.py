@@ -8,18 +8,21 @@ length to the spine endpoints.
 Every furthest neighbor lies on the hull boundary, since the norm is
 convex, so the graph takes the b boundary points as candidates: one (all
 points x candidates) pass of n b distances, each row keeping its best and
-second-best value.  Nothing is stored or sorted; the only distances
-certified distinct are each row's best two, the comparison the map rests
-on (:class:`TiesPresent` names the row and both candidates).
-:func:`_stages` is the one composition of the hull, that pass and the
-decomposition; :func:`build_fng`, the tree, the 2-clustering and the CLI
-all read its ``(hull, graph, furthest distances)``.
-Every largest distance is found from one rows x columns pass in blocks of
-whole rows of about ``_BLOCK`` distances (:func:`_row_blocks`), each block
-handed to the caller's reduction, which owns it: each row's best two
-(:func:`_furthest`), the block's maximum (:func:`clustering.diameter`) or the
-best two pairs of each (row cluster x column cluster) block
-(:func:`mxst._cluster_blocks`, the connecting edges, one pass per spine).
+second-best value.  Nothing is sorted, and only a pass of one block is
+kept; the only distances certified distinct are each row's best two, the
+comparison the map rests on (:class:`TiesPresent` names the row and both
+candidates).  :func:`_stages` is the one composition of the hull, that
+pass and the decomposition; :func:`build_fng`, the tree, the 2-clustering
+and the CLI all read its ``(hull, graph, furthest distances, held)``,
+``held`` being that one block, which the connecting step reads in place
+of evaluating its blocks again.
+Every largest distance that is evaluated is found from one rows x columns
+pass in blocks of whole rows of about ``_BLOCK`` distances
+(:func:`_row_blocks`), each block handed to the caller's reduction, which
+owns it: each row's best two (:func:`_furthest`), the block's maximum
+(:func:`clustering.diameter`) or the best two pairs of each (row cluster x
+column cluster) block (:func:`mxst._cluster_blocks`, the connecting edges,
+one pass per spine when no caller holds their distances).
 That pass, in one float-range scope, and :func:`distances_between` own the
 float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
@@ -123,7 +126,13 @@ def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Flat upper-triangle positions order pairs as (i, j) tuples do.
     """
     order = np.argsort(vals)
-    a, b = _sorted_ties(vals[order], tol)
+    return _ordered_ties(order, vals[order], tol)
+
+
+def _ordered_ties(order: np.ndarray, sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tied_pairs` of the values whose argsort is ``order``, ``sv``
+    being those values in that order."""
+    a, b = _sorted_ties(sv, tol)
     a, b = order[a], order[b]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = np.lexsort((hi, lo))
@@ -201,27 +210,33 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
     return _stages(spec, S, tol)[1]
 
 
-def _stages(spec: NormSpec, S: PointSet, tol: float) -> tuple[HullIndex, FNGraph, np.ndarray]:
-    """``(hull, g, fn_dist)``: the hull, the furthest-neighbor graph over its
-    boundary and each point's furthest distance.  DegenerateInput on a bad
-    tol (:func:`check_tol`) or below two points; otherwise raises as
-    :func:`_furthest` does."""
+def _stages(spec: NormSpec, S: PointSet, tol: float, hull: HullIndex | None = None):
+    """``(hull, g, fn_dist, held)``: the hull, the furthest-neighbor graph
+    over its boundary, each point's furthest distance, and the pass's
+    ``(table, boundary)`` when it was one block (:func:`_furthest`), else
+    None.  A caller that needs the hull even when a later stage raises
+    builds it first and passes it.  DegenerateInput on a bad tol (:func:`check_tol`)
+    or below two points; otherwise raises as :func:`_furthest` does."""
     check_tol(tol)
     if S.n < 2:
         raise DegenerateInput("need at least two points")
-    hull = _hull(S.points, tol)
-    fn, fn_dist = _furthest(spec, S.points, hull.boundary, tol)
-    return hull, _decompose(fn), fn_dist
+    if hull is None:
+        hull = _hull(S.points, tol)
+    fn, fn_dist, held = _furthest(spec, S.points, hull.boundary, tol)
+    return hull, _decompose(fn), fn_dist, held
 
 
-def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(fn, fn_dist)``: each point's furthest neighbor among the sorted
-    candidate indices ``cand``, and its distance.
+def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float):
+    """``(fn, fn_dist, held)``: each point's furthest neighbor among the
+    sorted candidate indices ``cand``, its distance, and ``(table, cand)``
+    when the pass was one block, ``table[i, t] = ||p_i - p_cand[t]||``
+    (the distances :func:`mxst.connect_components` reads), else None.
 
     One (all rows x cand) pass (:func:`_row_blocks`), n b evaluations for b
     candidates, each ``||p_i - p_j||`` with the bits the full table holds.
-    Every row keeps its best and second-best value (:func:`_top2`), so no
-    distance is stored.  A candidate's own column holds 0, which is its
+    Every row keeps its best and second-best value (:func:`_top2`); only a
+    pass of one block, at most ``_BLOCK`` distances, is kept whole.  A
+    candidate's own column holds 0, which is its
     runner-up only when it has a single rival (b = 2); that runner-up is no
     rival and never ties.  Raises DegenerateInput when a row's best is not
     finite (no value exceeds it, and a nan is its row's best), DuplicatePoints
@@ -234,8 +249,9 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
     def put(r0, block):
         r = slice(r0, r0 + len(block))
         arg[r], best[r], runner_arg[r], second[r] = _top2(block)
+        return block if len(block) == len(pts) else None  # the whole pass
 
-    _row_blocks(spec, pts, np.arange(len(pts)), cand, put)
+    table = _row_blocks(spec, pts, np.arange(len(pts)), cand, put)[0]
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
@@ -249,7 +265,7 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float) -> tuple[np.nda
             f"tied furthest neighbors of point {i}: {int(fn[i])} and "
             f"{int(cand[runner_arg[i]])} within tol={tol:g}"
         )
-    return fn, best
+    return fn, best, None if table is None else (table, cand)
 
 
 def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols, reduce) -> list:
@@ -271,7 +287,8 @@ def _top2(block: np.ndarray):
     """``(argmax, max, runner-up argmax, runner-up)`` of each row of a 2-D
     block; the runner-up is the first largest value off the first argmax.
     Each row's entries are read and written through flat offsets into the
-    raveled block, whose maxima are left masked with -inf."""
+    raveled block, whose maxima are masked with -inf for the runner-up
+    search and then put back, so the block keeps its values."""
     block = np.ascontiguousarray(block)  # the caller's block: _row_blocks builds C order
     flat = block.reshape(-1)
     base = np.arange(block.shape[0]) * block.shape[1]
@@ -280,7 +297,9 @@ def _top2(block: np.ndarray):
     top = flat[at]
     flat[at] = -np.inf
     runner_arg = block.argmax(axis=1)
-    return arg, top, runner_arg, flat[base + runner_arg]
+    runner = flat[base + runner_arg]
+    flat[at] = top
+    return arg, top, runner_arg, runner
 
 
 def _differences(pts: np.ndarray, rows, cols) -> np.ndarray:

@@ -8,15 +8,19 @@ candidate.  It computes the hull first, from the points the octagon
 filter keeps (:func:`geometry.convex_hull`, without the input checks the
 PointSet has run), and takes the furthest neighbors and their distances
 over its b boundary points (:func:`fng._stages`): n b norm evaluations,
-no stored distances and no sort.  `connect_components` does the rest from
-that graph, those distances and the hull, evaluating only the cluster x
-boundary-cluster blocks it compares, each once per call, in one
-row-blocked pass per spine (:func:`_cluster_blocks`): the spine's two
-clusters against the boundary points of the clusters of its neighbours in
-the cyclic order (at k = 2 the one other spine), each block reduced to its
-best two pairs.  Each tree edge keeps the weight of the pass that found it,
-so no distance is evaluated twice.  The invariant suite, which already
-holds the graph, its distances and the hull, calls it directly, as does
+no sort, and the pass kept only when it was one block.  `connect_components`
+does the rest from that graph, those distances and the hull, reading only
+the cluster x boundary-cluster blocks it compares, each once per call: the
+spine's two clusters against the boundary points of the clusters of its
+neighbours in the cyclic order (at k = 2 the one other spine), each block
+reduced to its best two pairs (:func:`_cluster_blocks`).  The clusters are
+index ranges of one stable argsort of the points by their cluster's cyclic
+rank (:func:`_cluster_ranges`), so a spine's rows are one slice.  A block
+is gathered from the distances the caller holds (the furthest-neighbor
+pass of one block, or the invariant suite's table), else evaluated in one
+row-blocked pass per spine.  Each tree edge keeps the weight of the pass
+that found it.  The invariant suite, which already holds the graph, its
+distances, the hull and the n x n table, calls it directly, as does
 :func:`clustering.two_clustering`, which colors the tree from that graph.
 The tree's validity follows from the decomposition: the graph is a forest
 of k trees, so it suffices that the k - 1 kept connecting edges join its
@@ -39,6 +43,7 @@ n(n-1)/2 distances.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +117,8 @@ def mxst_mpsy(
     check_tol(tol)
     if S.n <= 1:
         return SpanningTree(np.empty((0, 2)), ()), ConnectingEdgeReport((), None)
-    hull, g, fn_dist = _stages(spec, S, tol)
-    return connect_components(spec, S, g, fn_dist, hull, tol)
+    hull, g, fn_dist, held = _stages(spec, S, tol)
+    return connect_components(spec, S, g, fn_dist, hull, tol, held)
 
 
 def connect_components(
@@ -123,6 +128,7 @@ def connect_components(
     fn_dist: np.ndarray,
     hull: HullIndex,
     tol: float = DEFAULT_TOL,
+    held: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
     """The tree from a furthest-neighbor graph ``g`` of S, the distances
     ``fn_dist[i] = ||p_i - p_fn[i]||`` and the hull.
@@ -138,6 +144,11 @@ def connect_components(
     tol.  The FNG edges weigh their ``fn_dist`` and each connecting edge the
     weight its candidate was found with, so no tree weight is evaluated
     again.
+
+    ``held``, when the caller already holds the distances, is ``(table,
+    columns)``: ``table[i, t] = ||p_i - p_columns[t]||`` for every point i
+    and the sorted point indices ``columns``, which hold the hull boundary.
+    The connecting blocks are then read from it instead of evaluated.
     """
     n = S.n
     cycle = order_components(g, hull)
@@ -150,32 +161,50 @@ def connect_components(
     weights = fn_dist[once]
     entries: list[StepFourEntry] = []
     discarded: int | None = None
-    kept: list[CandidateEdge] = []
+    kept: list[tuple[int, int, float]] = []
 
     if k > 1:
-        members = g.cluster_members()
-        boundary = {c: m[hull.position[m] >= 0] for c, m in members.items()}
-        x = cycle[:k].tolist()
-        xp = cycle[k:].tolist()
+        # the clusters ranked spine by spine in the cyclic order, x_s being
+        # 2s and x'_s 2s + 1, so spine s's two clusters are one slice of
+        # ``by_rank`` and each cluster's boundary points one of ``on_hull``
+        reps = cycle.reshape(2, k).T.ravel()
+        by_rank, size, on_hull, on_size = _cluster_ranges(g, hull, reps)
+        at = list(itertools.accumulate(size, initial=0))
+        on_at = list(itertools.accumulate(on_size, initial=0))
 
-        # one pass per spine: its two clusters against the boundary members
+        # one block per spine: its two clusters against the boundary points
         # of the clusters of its adjacent spines (the one other spine at
-        # k = 2), so each ordered cluster x boundary-cluster block is
-        # evaluated once, however many pairings read it
-        blocks: dict[tuple[int, int], tuple[CandidateEdge, ...]] = {}
+        # k = 2), so each ordered cluster x boundary-cluster block is read
+        # once, however many pairings read it
+        blocks: dict[tuple[int, int], list] = {}
         for s in range(k):
-            rows_of = {c: members[c] for c in (x[s], xp[s])}
-            cols_of = {c: boundary[c] for t in dict.fromkeys(((s - 1) % k, (s + 1) % k))
-                       for c in (x[t], xp[t])}
-            blocks.update(_cluster_blocks(spec, S.points, rows_of, cols_of))
+            rows = by_rank[at[2 * s] : at[2 * s + 2]]
+            near = dict.fromkeys(((s - 1) % k, (s + 1) % k))
+            cols = np.concatenate([on_hull[on_at[2 * t] : on_at[2 * t + 2]] for t in near])
+            col_ranks = [c for t in near for c in (2 * t, 2 * t + 1)]
+            block = None
+            if held is not None:
+                table, columns = held
+                block = table[rows[:, None], columns.searchsorted(cols)]  # a fresh array
+            top = _cluster_blocks(spec, S.points, rows, size[2 * s : 2 * s + 2],
+                                  cols, [on_size[c] for c in col_ranks], block)
+            for a, line in enumerate(top):
+                blocks.update(((2 * s + a, c), found) for c, found in zip(col_ranks, line))
 
-        def pairing_max(ca: int, cb: int) -> CandidateEdge:
-            # max over the pairing with either endpoint taking the
-            # boundary-restricted role; the connecting edge has at least
-            # one endpoint on the hull, so nothing is missed.  A pair with
-            # both endpoints on the hull sits in both blocks.
-            cands = blocks[ca, cb] + blocks[cb, ca]
-            return _unique_max(cands, tol, f"maxima of the cluster pairing {(ca, cb)}")
+        pairings: dict[tuple[int, int], tuple[int, int, float]] = {}
+
+        def pairing_max(ca: int, cb: int) -> tuple[int, int, float]:
+            # max over the pairing of the clusters ranked ca and cb, with
+            # either endpoint taking the boundary-restricted role; the
+            # connecting edge has at least one endpoint on the hull, so
+            # nothing is missed.  A pair with both endpoints on the hull
+            # sits in both blocks.  Found and certified once per call: the
+            # other order has the same maximum and no tie the first lacks
+            pairing = (min(ca, cb), max(ca, cb))
+            if pairing not in pairings:
+                site = f"maxima of the cluster pairing {(int(reps[ca]), int(reps[cb]))}"
+                pairings[pairing] = _unique_max(blocks[ca, cb] + blocks[cb, ca], tol, site)
+            return pairings[pairing]
 
         # One candidate edge per cyclically adjacent component pair, scanning
         # all four cross-cluster pairings.  The cyclic labeling x_1..x_k
@@ -183,27 +212,29 @@ def connect_components(
         # pairings sit at the wrap of the pattern, so restricting each scan
         # to the two mixed pairings is not labeling-safe; the component-level
         # adjacency is, and the four pairings cover every cross pair.
+        selected = []
         for i in range(k):
             prev = (i - 1) % k
             cands = (
-                pairing_max(x[i], xp[prev]),
-                pairing_max(x[prev], xp[i]),
-                pairing_max(x[i], x[prev]),
-                pairing_max(xp[i], xp[prev]),
+                pairing_max(2 * i, 2 * prev + 1),
+                pairing_max(2 * prev, 2 * i + 1),
+                pairing_max(2 * i, 2 * prev),
+                pairing_max(2 * i + 1, 2 * prev + 1),
             )
-            components = (int(g.component_of[x[prev]]), int(g.component_of[x[i]]))
-            selected = _unique_max(cands, tol, f"connecting candidates of components {components}")
-            entries.append(StepFourEntry(components=components, candidates=cands, selected=selected))
-        discarded = int(np.argmin([e.selected.weight for e in entries]))
-        _certify(entries[discarded].selected, [e.selected for e in entries], tol,
-                 "minimum among the connecting edges")
-        kept = [e.selected for t, e in enumerate(entries) if t != discarded]
-        pairs = np.concatenate([pairs, np.array([(c.i, c.j) for c in kept], dtype=np.intp)])
-        weights = np.concatenate([weights, [c.weight for c in kept]])
+            components = (int(g.component_of[reps[2 * prev]]), int(g.component_of[reps[2 * i]]))
+            selected.append(_unique_max(cands, tol, f"connecting candidates of components {components}"))
+            entries.append(StepFourEntry(components=components,
+                                         candidates=tuple(CandidateEdge(*c) for c in cands),
+                                         selected=CandidateEdge(*selected[-1])))
+        discarded = int(np.argmin([c[2] for c in selected]))
+        _certify(selected[discarded], selected, tol, "minimum among the connecting edges")
+        kept = [c for t, c in enumerate(selected) if t != discarded]
+        pairs = np.concatenate([pairs, np.array([c[:2] for c in kept], dtype=np.intp)])
+        weights = np.concatenate([weights, [c[2] for c in kept]])
 
     join = _union_find(k)
     if len(pairs) != n - 1 or not all(
-        join(int(g.component_of[c.i]), int(g.component_of[c.j])) for c in kept
+        join(int(g.component_of[i]), int(g.component_of[j])) for i, j, _ in kept
     ):
         raise StructureViolation("connecting edges did not produce a spanning tree")
     by = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -213,38 +244,60 @@ def connect_components(
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
-def _cluster_blocks(spec: NormSpec, pts: np.ndarray, rows_of: dict, cols_of: dict) -> dict:
-    """The best two pairs of every (row cluster x column cluster) distance
-    block as CandidateEdges, heaviest first, each the first in row-major
-    order (one for a 1 x 1 block), keyed (row cluster, column cluster);
-    ``rows_of`` and ``cols_of`` map cluster representatives to non-empty
-    index arrays.
+def _cluster_ranges(g: FNGraph, hull: HullIndex, reps: np.ndarray):
+    """``(by_rank, size, on_hull, on_size)``: the points grouped by the
+    position of their cluster's representative in ``reps``, each cluster in
+    index order, by one stable argsort, and each group's size; then the
+    same for the hull boundary's points alone.  The ranks are the smallest
+    integer type that holds them, which numpy sorts by radix."""
+    rank = np.zeros(g.fn.size, dtype=np.min_scalar_type(reps.size))
+    rank[reps] = np.arange(reps.size)
+    key = rank[g.cluster_of]
+    by_rank = np.argsort(key, kind="stable")
+    on_hull = by_rank[(hull.position >= 0)[by_rank]]
+    size, on_size = (np.bincount(r, minlength=reps.size).tolist() for r in (key, key[on_hull]))
+    return by_rank, size, on_hull, on_size
 
-    One pass (:func:`fng._row_blocks`) evaluates the concatenated rows
-    against the concatenated columns; each block's piece of a cluster pair
-    is reduced to its best two and merged with the running ones by (weight
-    descending, then earlier position), so nothing per row outlives its block.
+
+def _cluster_blocks(spec: NormSpec, pts: np.ndarray, rows, row_sizes, cols, col_sizes,
+                    block: np.ndarray | None = None) -> list[list[list]]:
+    """``top[a][c]``: the best two pairs of the distance block of row range
+    a against column range c, heaviest first, each the first in row-major
+    order (one for a 1 x 1 block), as ``(i, j, w)`` triples, i < j.  The
+    ranges cut the index arrays ``rows`` and ``cols`` into consecutive
+    pieces of the non-zero lengths ``row_sizes`` and ``col_sizes``.
+
+    The distances are ``block`` (rows x cols, owned by the reduction) when
+    the caller holds them, else one pass (:func:`fng._row_blocks`) evaluates
+    them; each block's piece of a range pair is reduced to its best two and
+    merged with the running ones by (weight descending, then earlier
+    position), so nothing per row outlives its block.
     """
-    rows, cols = (np.concatenate(list(m.values())) for m in (rows_of, cols_of))
     n_cols = cols.size
-    row_spans, col_spans = (dict(zip(m, itertools.pairwise(itertools.accumulate(
-        map(len, m.values()), initial=0)))) for m in (rows_of, cols_of))
-    # (-weight, position in the pass's row-major order): sorted, heaviest first
-    top: dict[tuple[int, int], list] = {}
+    row_spans, col_spans = (list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+                            for sizes in (row_sizes, col_sizes))
+    # (-weight, position in the rows x cols row-major order): sorted, heaviest first
+    top = [[[] for _ in col_spans] for _ in row_spans]
 
     def merge(r0, block):
-        for ca, (a, b) in row_spans.items():
+        for line, (a, b) in zip(top, row_spans):
             a, b = max(a, r0), min(b, r0 + len(block))
             if a >= b:
                 continue
-            for cb, (c0, c1) in col_spans.items():
+            for c, (c0, c1) in enumerate(col_spans):
                 found = [(-w, (a + f // (c1 - c0)) * n_cols + c0 + f % (c1 - c0))
                          for w, f in _first_two(block[a - r0 : b - r0, c0:c1].ravel())]
-                top[ca, cb] = sorted(top.get((ca, cb), []) + found)[:2]
+                line[c] = sorted(line[c] + found)[:2]
 
-    _row_blocks(spec, pts, rows, cols, merge)
-    return {pair: tuple(CandidateEdge(*sorted((int(rows[f // n_cols]), int(cols[f % n_cols]))), -w)
-                        for w, f in best) for pair, best in top.items()}
+    def triple(w, f):
+        i, j = sorted((int(rows[f // n_cols]), int(cols[f % n_cols])))
+        return i, j, -w
+
+    if block is None:
+        _row_blocks(spec, pts, rows, cols, merge)
+    else:
+        merge(0, block)
+    return [[[triple(w, f) for w, f in best] for best in line] for line in top]
 
 
 def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
@@ -262,18 +315,19 @@ def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
     return [(top, i), (float(flat[j]), j)]
 
 
-def _unique_max(cands, tol: float, site: str) -> CandidateEdge:
-    """The first heaviest candidate, certified (:func:`_certify`)."""
-    return _certify(max(cands, key=lambda c: c.weight), cands, tol, site)
+def _unique_max(cands, tol: float, site: str):
+    """The first heaviest of the ``(i, j, w)`` triples ``cands``, certified
+    (:func:`_certify`)."""
+    return _certify(max(cands, key=operator.itemgetter(2)), cands, tol, site)
 
 
-def _certify(chosen: CandidateEdge, cands, tol: float, site: str) -> CandidateEdge:
-    """``chosen``; TiesPresent when a candidate with another pair lies within tol of it."""
-    for c in cands:
-        if (c.i, c.j) != (chosen.i, chosen.j) and abs(c.weight - chosen.weight) <= tol:
-            raise TiesPresent(
-                f"tied {site}: {(chosen.i, chosen.j)} and {(c.i, c.j)} within tol={tol:g}"
-            )
+def _certify(chosen, cands, tol: float, site: str):
+    """``chosen``, an ``(i, j, w)`` triple; TiesPresent when one of the
+    triples ``cands`` with another pair lies within tol of it."""
+    i, j, w = chosen
+    for ci, cj, cw in cands:
+        if (ci, cj) != (i, j) and abs(cw - w) <= tol:
+            raise TiesPresent(f"tied {site}: {(i, j)} and {(ci, cj)} within tol={tol:g}")
     return chosen
 
 

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _table_triangle, _tied_pairs, _triangle, _window_ties
+from .fng import (DEFAULT_TOL, PointSet, _ordered_ties, _table_triangle, _tied_pairs, _triangle,
+                  _window_ties)
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -150,13 +151,15 @@ class _Perturber:
         self.steps: list[tuple[int, tuple[int, int], float]] = []
         self.max_steps = self.n * (self.n - 1)
         self.iu, self.ju, self.vals = _triangle(spec, S)
+        # the values in ``order``; both are kept by merging after each move
         self.order = np.argsort(self.vals)
+        self.sorted_vals = self.vals[self.order]
         # every rung's cap is at most eps / (2n), so past this floor no move
         # is ever admissible: fail if any value is tied to its successor,
         # before listing the (possibly many) ties; without distances (n <= 1)
         # nothing is tied
         if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and (
-            np.diff(self.vals[self.order]) <= tol
+            np.diff(self.sorted_vals) <= tol
         ).any():
             raise BudgetExceeded(_NO_MOVE)
         # the tie list is built once: a move only ever drops ties, so a tie
@@ -168,15 +171,13 @@ class _Perturber:
         self.point_ties = np.bincount(self.ends.ravel(), minlength=self.n)
         self.touch, self.touch_at = _touching(self.ends, self.n)
         self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
-        # the values in ``order``; both are kept by merging after each move
-        self.sorted_vals = self.vals[self.order]
 
     def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, ends, pair_ids, pair_ties)``: today's tie keys
         ``lo * P + hi``, sorted; their ``(i, j, k, l)`` rows, pairs
         (i, j) < (k, l); the tied flat pairs, ascending; and the number of
         ties holding each."""
-        lo, hi = _tied_pairs(self.vals, self.tol)
+        lo, hi = _ordered_ties(self.order, self.sorted_vals, self.tol)
         ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
         pair_ids, pair_ties = np.unique(np.concatenate([lo, hi]), return_counts=True)
         return lo * self.vals.size + hi, ends, pair_ids, pair_ties

@@ -98,7 +98,8 @@ def _count_bank():
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_run_checks_evaluates_the_triangle_and_the_construction_only(monkeypatch, tol):
     # every distance a check reads comes from the one triangle the tie gate
-    # reads; the only others are those of the construction under test
+    # reads, the construction under test included: its connecting step
+    # reads the suite's table, so the triangle is all the suite evaluates
     evaluated = []
     norm_many = fng_module.norm_many
 
@@ -112,13 +113,8 @@ def test_run_checks_evaluates_the_triangle_and_the_construction_only(monkeypatch
         S = PointSet(pts)
         evaluated.clear()
         assert all(r.passed for r in run_checks(spec, S, tol))
-        suite = sum(evaluated)
-        g, hull = build_fng(spec, S, tol), convex_hull(pts, tol)
-        fn_dist = fng_module.distances_between(spec, S, np.arange(S.n), g.fn)
-        ks.add(g.k)
-        evaluated.clear()
-        mxst_module.connect_components(spec, S, g, fn_dist, hull, tol)
-        assert suite == S.n * (S.n - 1) // 2 + sum(evaluated)
+        assert sum(evaluated) == S.n * (S.n - 1) // 2
+        ks.add(build_fng(spec, S, tol).k)
     assert {3, 4} <= ks
 
 
@@ -190,8 +186,8 @@ def _answer_with_graph(monkeypatch, points, fn, name):
 def _answer_with_tree(monkeypatch, points, doctor, name):
     """The (passed, detail) of check ``name`` when connect_components'
     tree edges are replaced by ``doctor(edges)``."""
-    def connect(spec, S, g, fn_dist, hull, tol):
-        tree, report = mxst_module.connect_components(spec, S, g, fn_dist, hull, tol)
+    def connect(spec, S, g, fn_dist, hull, tol, held):
+        tree, report = mxst_module.connect_components(spec, S, g, fn_dist, hull, tol, held)
         triples = zip(tree.edges.tolist(), tree.weights.tolist())
         edges = doctor([(i, j, w) for (i, j), w in triples])
         return SpanningTree([e[:2] for e in edges], [e[2] for e in edges]), report

@@ -20,7 +20,9 @@ from normplane import (
     pairwise_distances,
     two_clustering,
 )
+import normplane.checks as checks_module
 import normplane.cli as cli_module
+import normplane.fng as fng_module
 from normplane.cli import _build_parser, load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from normplane.geometry import DEFAULT_TOL
@@ -664,6 +666,24 @@ def test_cli_check_svg_of_a_tied_furthest_neighbor_row_draws_hull_and_points(
     assert text.count('class="point"') == 3
     for absent in ("fng-arrow", "spine", "tree-edge"):
         assert f'class="{absent}"' not in text
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l1"])
+def test_cli_check_svg_of_a_tied_furthest_neighbor_row_builds_the_hull_once(
+    tmp_path, capsys, monkeypatch, norm
+):
+    # the drawing builds the hull before the stages, so the tied row that
+    # stops them leaves it to draw; the suite, stopped by the same tie,
+    # builds none
+    built = []
+    for module in (cli_module, fng_module, checks_module):
+        hull = module._hull
+        monkeypatch.setattr(module, "_hull", lambda pts, tol, module=module, hull=hull:
+                            built.append(module.__name__) or hull(pts, tol))
+    pts = _write(tmp_path, "corner.json", "[[0, 0], [5, 0], [0, 5]]")
+    assert main(["check", "--norm", norm, "--points", pts, "--svg", str(tmp_path / "c.svg")]) == 1
+    capsys.readouterr()
+    assert built == ["normplane.cli"]
 
 
 def test_emit_svg_of_an_empty_set_is_the_bare_canvas(tmp_path):

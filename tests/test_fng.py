@@ -469,7 +469,7 @@ def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
     # table's first argmax over its candidates, or names the first row
     # whose best two candidates lie within tol
     specs = all_norms() + [random_symmetric_polygon(rng)]
-    decided = 0
+    decided = kept = 0
     for pts in _furthest_cases(rng):
         n = len(pts)
         rows = np.arange(n)
@@ -485,14 +485,21 @@ def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
                 for cand, (first, other, gap) in ((boundary, on_hull), (np.arange(n), every)):
                     message = _row_tie_message(first, other, gap, tol)
                     if message is None:
-                        fn, fn_dist = _furthest(spec, pts, cand, tol)
+                        fn, fn_dist, held = _furthest(spec, pts, cand, tol)
                         assert np.array_equal(fn, first)
                         assert np.array_equal(fn_dist, table[rows, first])
+                        # a pass of one block is kept whole, with its values
+                        if n * len(cand) <= _BLOCK:
+                            assert np.array_equal(held[1], cand)
+                            assert np.array_equal(held[0], table[:, cand])
+                            kept += 1
+                        else:
+                            assert held is None
                         decided += 1
                         continue
                     with pytest.raises(TiesPresent, match=f"^{re.escape(message)}$"):
                         _furthest(spec, pts, cand, tol)
-    assert decided >= 400
+    assert decided >= 400 and 100 <= kept < decided
 
 
 def test_row_blocks_hands_every_block_to_one_float_range_scope(monkeypatch, rng):

@@ -18,6 +18,7 @@ from normplane import (
     build_fng,
     convex_hull,
     detect_ties,
+    euclidean,
     l1,
     linf,
     lp,
@@ -278,6 +279,11 @@ def _whole_block_max_pair(spec, S, rows, cols):
     return tuple(edges)
 
 
+def _edges(found):
+    """_cluster_blocks' (i, j, w) triples as the CandidateEdges of a report."""
+    return tuple(CandidateEdge(*t) for t in found)
+
+
 def _max_pair_blocks(rng):
     """(spec, S, rows, cols): grid blocks full of equal distances, the
     degenerate 1 x 1, 1 x m and m x 1 shapes and blocks past _BLOCK."""
@@ -301,8 +307,8 @@ def _max_pair_blocks(rng):
 def test_max_pair_equals_the_whole_block_answer(rng):
     tied_in_max_row = tied_in_later_row = large = 0
     for spec, S, rows, cols in _max_pair_blocks(rng):
-        top, = _cluster_blocks(spec, S.points, {0: rows}, {1: cols}).values()
-        assert top == _whole_block_max_pair(spec, S, rows, cols)
+        (top,), = _cluster_blocks(spec, S.points, rows, [rows.size], cols, [cols.size])
+        assert _edges(top) == _whole_block_max_pair(spec, S, rows, cols)
         block = distances_between(spec, S, rows[:, None], cols[None, :])
         r = int(np.argmax(block.max(axis=1)))
         tied_in_max_row += int(np.sum(block[r] == block[r].max()) > 1)
@@ -318,7 +324,7 @@ def test_max_pair_holds_about_one_row_block():
     rows, cols = np.arange(200_000), np.arange(200_000, 200_016)
     tracemalloc.start()
     try:
-        _cluster_blocks(lp(1.5), S.points, {0: rows}, {1: cols})
+        _cluster_blocks(lp(1.5), S.points, rows, [rows.size], cols, [cols.size])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -346,8 +352,8 @@ def test_group_pairs_equal_the_whole_block_answer_of_each_sub_block(rng):
             rows = rng.choice(idx[cols.size :], size=int(rng.integers(2, 3 * step)))
             row_groups = _cut(rng, rows, int(rng.integers(1, 6)))
             col_groups = _cut(rng, cols, int(rng.integers(1, 5)))
-            top = _cluster_blocks(spec, grid.points, dict(enumerate(row_groups)),
-                                  dict(enumerate(col_groups)))
+            top = _cluster_blocks(spec, grid.points, rows, [rg.size for rg in row_groups],
+                                  cols, [cg.size for cg in col_groups])
             r0 = 0
             for t, rg in enumerate(row_groups):
                 inside += r0 % step != 0
@@ -355,7 +361,7 @@ def test_group_pairs_equal_the_whole_block_answer_of_each_sub_block(rng):
                 r0 += rg.size
                 for g, cg in enumerate(col_groups):
                     want = _whole_block_max_pair(spec, grid, rg, cg)
-                    assert top[t, g] == want
+                    assert _edges(top[t][g]) == want
                     block = distances_between(spec, grid, rg[:, None], cg[None, :])
                     first = int(np.argmax(block.max(axis=1)))
                     tied_later += int(np.any(block[first + step :] == want[0].weight))
@@ -483,6 +489,82 @@ def test_connect_components_evaluates_each_block_once(rng, monkeypatch):
     assert seen_k >= {2, 3}
 
 
+def test_a_one_block_tree_evaluates_exactly_n_b_distances(rng, monkeypatch):
+    # a furthest-neighbor pass of one block is kept, and the connecting
+    # step reads its blocks from it: the tree evaluates nothing else
+    evaluated = _counting_norm_many(monkeypatch)
+    connected = 0
+    for spec, S in _connect_instances(rng):
+        hull = convex_hull(S.points, 0.0)
+        assert S.n * hull.boundary.size <= _BLOCK
+        evaluated.clear()
+        mxst_mpsy(spec, S, 0.0)
+        assert sum(evaluated) == S.n * hull.boundary.size
+        connected += _connecting_evaluations(build_fng(spec, S, 0.0), hull) > 0
+    assert connected >= 48
+
+
+def _path_cases():
+    """Uniform sets, ellipses (convex position) and integer grids, whole and
+    halved, whose n b lies on both sides of _BLOCK."""
+    rng = np.random.default_rng(30)
+    for n in (12, 40, 150, 400, 700):
+        yield rng.uniform(size=(n, 2))
+    for n in (30, 80, 100, 160):
+        angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+        yield np.stack([2 * np.cos(angles), np.sin(angles)], axis=1)
+    for m in (4, 7, 10, 14):
+        grid = np.array([(i, j) for j in range(m) for i in range(m)], dtype=float)
+        yield grid
+        yield grid[rng.choice(m * m, size=m * m // 2, replace=False)]
+
+
+def _tree_outcome(build):
+    """The tree's edge and weight bits and the report's repr, or the
+    TiesPresent message."""
+    try:
+        tree, report = build()
+    except TiesPresent as exc:
+        return str(exc)
+    return tree.edges.tobytes(), tree.weights.tobytes(), repr(report)
+
+
+def test_reading_and_evaluating_paths_agree(monkeypatch):
+    # the connecting step reads the furthest-neighbor pass when it was one
+    # block, and the suite's table; evaluated with no held distances, or
+    # with a _BLOCK too small for one block, it gives the same bits
+    specs = (euclidean(), lp(1.5), l1(), linf(), polygonal(HEX_BALL))
+    read = evaluated = tied = 0
+    for pts in _path_cases():
+        S = PointSet(pts)
+        n = S.n
+        for spec in specs:
+            table = pairwise_distances(spec, S)
+            for tol in (0.0, 1e-9):
+                try:
+                    hull, g, fn_dist, held = fng_module._stages(spec, S, tol)
+                except TiesPresent:
+                    continue
+                assert (held is None) == (n * hull.boundary.size > _BLOCK)
+                want = _tree_outcome(lambda: connect_components(spec, S, g, fn_dist, hull, tol))
+                assert _tree_outcome(lambda: mxst_mpsy(spec, S, tol)) == want
+                assert _tree_outcome(lambda: connect_components(
+                    spec, S, g, fn_dist, hull, tol, (table, np.arange(n)))) == want
+                with monkeypatch.context() as m:
+                    m.setattr(fng_module, "_BLOCK", 64)
+                    assert _tree_outcome(lambda: mxst_mpsy(spec, S, tol)) == want
+                if g.k > 1:
+                    read += held is not None
+                    evaluated += held is None
+                    tied += isinstance(want, str)
+    assert read >= 50 and evaluated >= 25 and tied >= 20
+
+
+def _triple(c):
+    """A report's CandidateEdge as the (i, j, w) triple the connecting step selects from."""
+    return c.i, c.j, c.weight
+
+
 def _doctor_connecting_step(monkeypatch, pick):
     """Route each connecting-candidate selection through ``pick(cands, t)``,
     t counting the selections; the other decisions keep their maxima.
@@ -519,10 +601,11 @@ def test_a_doctored_connecting_step_fails_the_component_certificate(rng, monkeyp
         g, hull = build_fng(spec, S, 0.0), convex_hull(S.points, 0.0)
         fn_dist = _fn_dist(spec, S, g)
         _, report = connect_components(spec, S, g, fn_dist, hull, 0.0)
-        honest = ([e.selected for e in report.entries][0],
-                  [c for e in report.entries for c in e.candidates])
+        # the step selects among (i, j, w) triples
+        honest = (_triple(report.entries[0].selected),
+                  [_triple(c) for e in report.entries for c in e.candidates])
         x, y = (int(v) for v in g.spines[0])
-        spine_edge = CandidateEdge(x, y, float(distances_between(spec, S, [x], [y])[0]))
+        spine_edge = (x, y, float(distances_between(spec, S, [x], [y])[0]))
         fng_edges = sorted(g.undirected_edges())
         for name, doctoring in doctorings.items():
             with monkeypatch.context() as m:
@@ -532,8 +615,8 @@ def test_a_doctored_connecting_step_fails_the_component_certificate(rng, monkeyp
                 except StructureViolation as exc:
                     assert str(exc) == "connecting edges did not produce a spanning tree"
                     tree = None
-            dropped = int(np.argmin([c.weight for c in picks]))
-            kept = [(c.i, c.j) for t, c in enumerate(picks) if t != dropped]
+            dropped = int(np.argmin([w for _, _, w in picks]))
+            kept = [(i, j) for t, (i, j, _) in enumerate(picks) if t != dropped]
             edges = SpanningTree(fng_edges + kept, np.zeros(S.n - 1))
             assert (tree is not None) == validate_tree(edges, S.n)
             if tree is not None:

@@ -37,6 +37,16 @@ def test_min_distance_gap_reference():
     assert min_distance_gap(single) == math.inf
 
 
+def test_the_perturber_sorts_the_triangle_once(monkeypatch):
+    # the value order feeds the floor check and the tie list alike
+    sizes, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sizes.append(np.size(a))
+                        or argsort(a, *args, **kw))
+    S = PointSet(np.array([(i, j) for j in range(6) for i in range(6)], dtype=float))
+    worker = perturb._Perturber(lp(2), S, 1e-3, 1e-9)
+    assert sizes.count(worker.vals.size) == 1 and worker.keys.size > 0
+
+
 def test_min_distance_gap_matches_bruteforce(rng):
     for _ in range(50):
         n = int(rng.integers(3, 12))
