@@ -15,7 +15,6 @@ from .errors import (
     BudgetExceeded,
     DegenerateInput,
     DegenerateSegment,
-    DegenerateTriangle,
     DuplicatePoints,
     InvalidNorm,
     IoError,
@@ -41,9 +40,7 @@ from .geometry import (
     CW,
     HullIndex,
     convex_hull,
-    is_convex_quadrilateral,
     orientation,
-    point_in_triangle,
     segments_properly_intersect,
 )
 from .mxst import (
@@ -78,17 +75,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BisectorSample", "Bipartition", "BudgetExceeded", "CCW", "COLLINEAR",
     "CW", "CheckResult", "ConnectingEdgeReport", "DegenerateInput",
-    "DegenerateSegment", "DegenerateTriangle", "DuplicatePoints", "FNGraph",
-    "HullIndex", "InvalidNorm", "IoError", "Line", "NormPlaneError",
-    "NormSpec", "NotStrictlyConvex", "ParseError", "PerturbReport",
-    "PointSet", "SpanningTree", "StructureViolation", "TiesPresent",
-    "TooLarge", "ZeroVector", "birkhoff_orthogonal", "bisector_point",
-    "build_fng", "convex_hull", "detect_ties", "diameter", "distance",
-    "emit_svg", "euclidean", "evaluate_norm", "is_convex_quadrilateral",
-    "is_strictly_convex", "l1", "linf",
-    "line_through", "lp", "min_distance_gap", "mxst_bruteforce", "mxst_mpsy",
-    "norm_many", "orientation", "order_components", "pairwise_distances",
-    "parse_norm", "perturb_distinct", "point_in_triangle", "polygonal",
+    "DegenerateSegment", "DuplicatePoints", "FNGraph", "HullIndex",
+    "InvalidNorm", "IoError", "Line", "NormPlaneError", "NormSpec",
+    "NotStrictlyConvex", "ParseError", "PerturbReport", "PointSet",
+    "SpanningTree", "StructureViolation", "TiesPresent", "TooLarge",
+    "ZeroVector", "birkhoff_orthogonal", "bisector_point", "build_fng",
+    "convex_hull", "detect_ties", "diameter", "distance", "emit_svg",
+    "euclidean", "evaluate_norm", "is_strictly_convex", "l1", "linf",
+    "line_through", "lp", "min_distance_gap", "mxst_bruteforce",
+    "mxst_mpsy", "norm_many", "orientation", "order_components",
+    "pairwise_distances", "parse_norm", "perturb_distinct", "polygonal",
     "run_checks", "sample_bisector", "segments_properly_intersect",
     "stabbing_line", "two_clustering", "two_clustering_bruteforce",
     "validate_tree",

@@ -24,10 +24,12 @@ A binary search over the sorted tree edge lengths also locates the minimal
 length whose longer-edge family admits a stabbing line (feasibility is
 monotone since the family shrinks); that transversal, the line of the
 search's last feasible probe, is returned as the witness line of the split.
-:func:`stabbing_line` scans the lines through pairs of segment endpoints on
-plain floats, at most m^3 endpoint tests for m segments: the family is read
-as one float array, each candidate line is tested with inline arithmetic,
-and a :class:`Line` is built only for the line returned.  Each side's
+The search hands each probe's family, as plain float rows, straight to
+the scan :func:`_stab`: tree edges join distinct finite points, so only
+the public :func:`stabbing_line` reads and checks a family, segment by
+segment.  The scan tests the lines through pairs of segment endpoints, at
+most m^3 endpoint tests for m segments, each with inline arithmetic, and
+builds a :class:`Line` only for the line returned.  Each side's
 diameter is taken over that side's points alone (:func:`diameter`), as the
 largest block maximum of the row-blocked pass (:func:`fng._row_blocks`)
 over the side against itself, with no n x n table.
@@ -113,51 +115,44 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
     """A line meeting every segment (within tol), or None if none exists.
 
-    DegenerateInput on an empty family, which every line meets: there is
-    no transversal to single out.
+    The family, in any iterable form, is read segment by segment and the
+    first bad segment raises: DegenerateInput for an endpoint that is not a
+    finite 2-vector, DegenerateSegment for coincident endpoints.  An empty
+    family, which every line meets, is DegenerateInput.  The rows read go
+    to the scan :func:`_stab`.
+    """
+    check_tol(tol)
+    segs = []
+    for p, q in segments:
+        try:
+            pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        except OverflowError as exc:
+            raise DegenerateInput(_NON_FINITE) from exc
+        if pv.shape != (2,) or qv.shape != (2,):
+            raise DegenerateInput(
+                f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
+            )
+        px, py, qx, qy = *pv.tolist(), *qv.tolist()
+        if not all(map(math.isfinite, (px, py, qx, qy))):
+            raise DegenerateInput(_NON_FINITE)
+        if px == qx and py == qy:
+            raise DegenerateSegment("segment endpoints coincide")
+        segs.append((px, py, qx, qy))
+    if not segs:
+        raise DegenerateInput("an empty segment family has every line as a transversal")
+    return _stab(segs, tol)
+
+
+def _stab(segs, tol: float) -> Line | None:
+    """:func:`stabbing_line` of a non-empty list of ``(px, py, qx, qy)``
+    rows of finite floats with distinct endpoints, at an accepted tol.
 
     If a family of segments has any transversal, it has one through two
     segment endpoints, so the lines through every pair of distinct endpoints
     (in first-seen order) are a complete candidate set; a single segment's
     own supporting line is the pair of its two endpoints.  Each candidate is
     tested on plain floats and abandoned at the first segment it misses.
-
-    The family is read as one (m, 2, 2) float array when numpy can read it
-    so and every coordinate is finite; anything else (ragged, non-2-vector
-    or non-finite endpoints, an iterator) is read segment by segment, which
-    raises on the first bad segment: DegenerateInput for a non-finite
-    coordinate, including one beyond the float range.
     """
-    check_tol(tol)
-    try:
-        arr = np.asarray(segments, dtype=float)  # does not consume an iterator
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if (arr is not None and arr.ndim == 3 and arr.shape[1:] == (2, 2)
-            and np.isfinite(arr).all()):
-        segs = arr.reshape(-1, 4).tolist()
-        for px, py, qx, qy in segs:
-            if px == qx and py == qy:
-                raise DegenerateSegment("segment endpoints coincide")
-    else:
-        segs = []
-        for p, q in segments:
-            try:
-                pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-            except OverflowError as exc:
-                raise DegenerateInput(_NON_FINITE) from exc
-            if pv.shape != (2,) or qv.shape != (2,):
-                raise DegenerateInput(
-                    f"segment endpoints must be 2-vectors, got shapes {pv.shape} and {qv.shape}"
-                )
-            px, py, qx, qy = *pv.tolist(), *qv.tolist()
-            if not all(map(math.isfinite, (px, py, qx, qy))):
-                raise DegenerateInput(_NON_FINITE)
-            if px == qx and py == qy:
-                raise DegenerateSegment("segment endpoints coincide")
-            segs.append((px, py, qx, qy))
-    if not segs:
-        raise DegenerateInput("an empty segment family has every line as a transversal")
     # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
     ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
     for i, (px, py) in enumerate(ends):
@@ -205,7 +200,8 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
             # empty family: any line works; pin the one through the longest
             # tree edge so the witness stays deterministic
             return line_through(*segments[-1])
-        return stabbing_line(fam, tol)
+        # tree edges join distinct finite points and _stages checked tol
+        return _stab(fam.reshape(-1, 4).tolist(), tol)
 
     # minimal tree edge length whose longer-edge family admits a stabbing
     # line; feasibility is monotone because the family shrinks with the

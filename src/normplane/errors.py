@@ -25,10 +25,6 @@ class DegenerateSegment(NormPlaneError):
     """A segment whose endpoints coincide."""
 
 
-class DegenerateTriangle(NormPlaneError):
-    """Three collinear points where a proper triangle is required."""
-
-
 class TiesPresent(NormPlaneError):
     """Pairwise distances are not all distinct within tolerance."""
 

@@ -194,7 +194,8 @@ class FNGraph(_IndexArrays):
 
     def undirected_edges(self) -> set[tuple[int, int]]:
         """FNG edges as undirected pairs; each spine collapses to one edge."""
-        pairs = np.sort(np.stack([np.arange(self.fn.size), self.fn], axis=1), axis=1)
+        idx = np.arange(self.fn.size)
+        pairs = np.stack([np.minimum(idx, self.fn), np.maximum(idx, self.fn)], axis=1)
         return set(map(tuple, pairs.tolist()))
 
 

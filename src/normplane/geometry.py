@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSegment, DegenerateTriangle, DuplicatePoints
+from .errors import DegenerateInput, DegenerateSegment, DuplicatePoints
 
 CCW = 1
 CW = -1
@@ -283,26 +283,3 @@ def segments_properly_intersect(s1, s2, tol: float = DEFAULT_TOL) -> bool:
     o4 = orientation(c, d, b, tol)
     return o1 * o2 < 0 and o3 * o4 < 0
 
-
-def is_convex_quadrilateral(a, b, c, d, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a, b, c, d are cyclically ordered corners of a convex quad."""
-    check_tol(tol)
-    quad = [np.asarray(v, dtype=float) for v in (a, b, c, d)]
-    signs = [
-        orientation(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4], tol)
-        for i in range(4)
-    ]
-    return all(s == CCW for s in signs) or all(s == CW for s in signs)
-
-
-def point_in_triangle(p, a, b, c, tol: float = DEFAULT_TOL) -> bool:
-    """Barycentric membership test, boundary included within tol."""
-    check_tol(tol)
-    pv, av, bv, cv = _unit_scale([p, a, b, c]).tolist()
-    den = _cross(av, bv, cv)
-    if abs(den) <= tol * _span(av, bv, cv):
-        raise DegenerateTriangle("triangle vertices are collinear")
-    l1 = _cross(pv, bv, cv) / den
-    l2 = _cross(av, pv, cv) / den
-    l3 = _cross(av, bv, pv) / den
-    return min(l1, l2, l3) >= -tol

@@ -157,7 +157,7 @@ def connect_components(
     # the FNG edges sorted(i, fn[i]), each spine once, at its smaller endpoint
     idx = np.arange(n)
     once = (g.fn[g.fn] != idx) | (idx < g.fn)
-    pairs = np.sort(np.stack([idx, g.fn], axis=1)[once], axis=1)
+    pairs = np.stack([np.minimum(idx, g.fn), np.maximum(idx, g.fn)], axis=1)[once]
     weights = fn_dist[once]
     entries: list[StepFourEntry] = []
     discarded: int | None = None

@@ -221,12 +221,16 @@ def _reference_stabbing_line(segments, tol):
     return None
 
 
+def _line_key(line):
+    return None if line is None else (line.a.hex(), line.b.hex(), line.c.hex())
+
+
 def _stab_outcome(stab, segs, tol):
     try:
         line = stab(segs, tol)
     except NormPlaneError as exc:
         return type(exc).__name__, str(exc)
-    return None if line is None else (line.a.hex(), line.b.hex(), line.c.hex())
+    return _line_key(line)
 
 
 def _segment_family(rng, kind, m):
@@ -276,17 +280,22 @@ def test_stabbing_line_matches_endpoint_pair_scan():
 
 
 def _probed_families(monkeypatch, cases):
-    """Every (family, tol) that two_clustering hands to stabbing_line."""
-    probes = []
+    """Every (family, tol) that two_clustering hands to the scan, as an
+    (m, 2, 2) array; the public stabbing_line of each returns the scan's line."""
+    probes, lines = [], []
+    scan = clustering_module._stab
 
-    def recording(segments, tol):
-        probes.append((np.array(segments), tol))
-        return stabbing_line(segments, tol)
+    def recording(segs, tol):
+        probes.append((np.array(segs).reshape(-1, 2, 2), tol))
+        lines.append(scan(segs, tol))
+        return lines[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(clustering_module, "stabbing_line", recording)
+        patch.setattr(clustering_module, "_stab", recording)
         for spec, S, tol in cases:
             two_clustering(spec, S, tol)
+    for (fam, tol), line in zip(probes, lines):
+        assert _line_key(stabbing_line(fam, tol)) == _line_key(line)
     return probes
 
 
@@ -548,13 +557,14 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
     # family has no stabbing line, so it raises its lower end past it
     spec, S, tol = euclidean(), PointSet(np.random.default_rng(9).uniform(0, 1, (60, 2))), 0.0
     probes = []
+    scan = clustering_module._stab
 
-    def recording(segments, tol):
-        line = stabbing_line(segments, tol)
+    def recording(segs, tol):
+        line = scan(segs, tol)
         probes.append(line)
         return line
 
-    monkeypatch.setattr(clustering_module, "stabbing_line", recording)
+    monkeypatch.setattr(clustering_module, "_stab", recording)
     witness = two_clustering(spec, S, tol).witness_line
     assert None in probes
 

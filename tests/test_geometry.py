@@ -11,18 +11,15 @@ from normplane import (
     CW,
     DegenerateInput,
     DegenerateSegment,
-    DegenerateTriangle,
     DuplicatePoints,
     PointSet,
     convex_hull,
     distance,
     euclidean,
-    is_convex_quadrilateral,
     lp,
     mxst_mpsy,
     norm_many,
     orientation,
-    point_in_triangle,
     polygonal,
     run_checks,
     segments_properly_intersect,
@@ -158,23 +155,6 @@ def test_segments_properly_intersect():
         segments_properly_intersect((square[0], square[0]), (square[1], square[2]))
 
 
-def test_is_convex_quadrilateral():
-    assert is_convex_quadrilateral([0, 0], [1, 0], [1, 1], [0, 1])
-    assert is_convex_quadrilateral([0, 1], [1, 1], [1, 0], [0, 0])  # clockwise is fine
-    assert not is_convex_quadrilateral([0, 0], [1, 1], [1, 0], [0, 1])  # self-crossing
-    assert not is_convex_quadrilateral([0, 0], [1, 0], [2, 0], [0, 1])  # collinear triple
-
-
-def test_point_in_triangle():
-    a, b, c = [0, 0], [3, 0], [0, 3]
-    assert point_in_triangle([1, 1], a, b, c)
-    assert point_in_triangle([0, 0], a, b, c)  # vertex counts
-    assert point_in_triangle([1.5, 0], a, b, c)  # edge counts
-    assert not point_in_triangle([1, -1], a, b, c)
-    with pytest.raises(DegenerateTriangle):
-        point_in_triangle([0, 0], [0, 0], [1, 0], [2, 0])
-
-
 BAD_TOLS = [-1.0, np.nan, np.inf]
 TOL_MESSAGE = "^tol must be finite and non-negative, got "
 
@@ -190,18 +170,6 @@ def test_orientation_rejects_a_negative_or_non_finite_tol(tol):
 def test_segments_properly_intersect_rejects_a_negative_or_non_finite_tol(tol):
     with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
         segments_properly_intersect(([0, 0], [2, 0]), ([1, 0], [3, 0]), tol)
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_is_convex_quadrilateral_rejects_a_negative_or_non_finite_tol(tol):
-    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
-        is_convex_quadrilateral([0, 0], [1, 0], [2, 0], [0, 1], tol)
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_point_in_triangle_rejects_a_negative_or_non_finite_tol(tol):
-    with pytest.raises(DegenerateInput, match=TOL_MESSAGE):
-        point_in_triangle([1.5, 0], [0, 0], [3, 0], [0, 3], tol)
 
 
 def test_segment_max_inequality_all_norms(rng):
@@ -586,9 +554,6 @@ def test_turn_predicates_are_scale_free(factor):
     assert orientation(a, b, c) == CCW and orientation(a, b, d) == CW
     assert orientation(a, b, 2.0 * b) == COLLINEAR
     assert segments_properly_intersect((a, b), (c, d))
-    assert is_convex_quadrilateral(a, d, b, c)
-    assert point_in_triangle((a + b + c) / 3.0, a, b, c)
-    assert not point_in_triangle(d, a, b, c)
 
 
 def test_distinct_check_matches_dict_loop():
