@@ -9,25 +9,24 @@ still touch the current hull are broken by moves directly away from the tie
 partner, then the hull layer is retired and the interior is processed, with
 the minimum distance gap always measured against the whole set.
 
-The bookkeeping holds no n x n table: the flat distance triangle
-(``np.triu_indices`` order, each pair evaluated once), its sort order and
-its values in that order, and one tie list, built once: every tie as a
-sorted key ``lo * P + hi`` of two flat positions (P = n(n-1)/2), its
-(i, j, k, l) endpoint row, and a live mask.  A move changes only the
-mover's n - 1 pairs, and it is accepted only when it keeps a strict subset
-of the mover's live ties and adds none, so the tie list only ever shrinks:
-an accepted move clears the ties it broke and decrements the live-tie
-counts per point and per tied pair, which decide the sweeps' triggers, and
-merges the mover's sorted row into the others' order (O(P), no sort of the
-triangle).  Each rung tests only the candidate row, against the mover's
-live ties alone (read from the ties indexed by point), with the one window
-search of :mod:`fng`, cheapest test first: its values against the other
-pairs' sorted values (:func:`fng._window_ties`, each window starting at the
-first value at least row - 2 tol), rejecting on the count of those ties or
-on one the mover did not have; then among themselves
-(:func:`fng._tied_pairs` on the row), only when two of its sorted values
-lie within tol.  The residual phase keeps the live ties touching the layer
-as one index array, filtered by the live mask after each move.
+The bookkeeping holds no n x n table and no tie list: the flat distance
+triangle (``np.triu_indices`` order, each pair evaluated once), its sort
+order and its values in that order, which determine every tie, and two
+masks read from the adjacent gaps of the sorted values: ``pair_tied`` over
+the P = n(n-1)/2 flat pairs and ``point_tied`` over the points.  A move
+changes only the mover's n - 1 pairs, and it is accepted only when it keeps
+a strict subset of the mover's ties and adds none, so ties only ever break.
+An accepted move merges the mover's sorted row into the others' order
+(O(P), no sort of the triangle) and rebuilds the masks, which decide the
+sweeps' triggers.  A move's test first finds the mover's current ties, by
+the one window search of :mod:`fng` (:func:`fng._window_ties`) over its
+tied pairs alone.  Each rung then tests only the candidate row, in value
+order, cheapest test first: its values against the other pairs' sorted
+values (each window starting at the first value at least row - 2 tol),
+rejecting on the count of those ties or on one the mover did not have;
+then among themselves (:func:`fng._sorted_ties` on the same sorted row).
+The residual phase lists the ties touching the layer once, as pairs of
+flat positions, and after each move drops those whose values parted.
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import (DEFAULT_TOL, PointSet, _ordered_ties, _table_triangle, _tied_pairs, _triangle,
+from .fng import (DEFAULT_TOL, PointSet, _ordered_ties, _sorted_ties, _table_triangle, _triangle,
                   _window_ties)
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
@@ -124,22 +123,6 @@ def perturb_distinct(
     return PointSet(worker.pts), report
 
 
-def _touching(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ties, at)``: the ties (rows of ``ends``) holding each point,
-    ascending, point p's being ``ties[at[p]:at[p + 1]]``."""
-    size = len(ends)
-    key = ends * size
-    key += np.arange(size)[:, None]
-    key = key.ravel()
-    key.sort()  # by point, then row; a row holding a point twice lists it twice
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    ties = key[first]
-    at = ties.searchsorted(np.arange(n + 1) * size)
-    ties %= max(size, 1)
-    return ties, at
-
-
 class _Perturber:
     def __init__(self, spec: NormSpec, S: PointSet, eps: float, tol: float):
         self.spec = spec
@@ -154,75 +137,38 @@ class _Perturber:
         # the values in ``order``; both are kept by merging after each move
         self.order = np.argsort(self.vals)
         self.sorted_vals = self.vals[self.order]
+        self._mark_ties()
         # every rung's cap is at most eps / (2n), so past this floor no move
-        # is ever admissible: fail if any value is tied to its successor,
-        # before listing the (possibly many) ties; without distances (n <= 1)
-        # nothing is tied
-        if self.vals.size and eps / (2.0 * self.n) <= 4.0 * tol and (
-            np.diff(self.sorted_vals) <= tol
-        ).any():
+        # is ever admissible: fail before any tie is listed; without
+        # distances (n <= 1) nothing is tied
+        if self.pair_tied.any() and eps / (2.0 * self.n) <= 4.0 * tol:
             raise BudgetExceeded(_NO_MOVE)
-        # the tie list is built once: a move only ever drops ties, so a tie
-        # stays ``alive`` until a move of one of its endpoints breaks it;
-        # point_ties counts the live ties' ends at each point, pair_ties the
-        # live ties holding each tied flat pair pair_ids[t]
-        self.keys, self.ends, self.pair_ids, self.pair_ties = self._tie_list()
-        self.alive = np.ones(self.keys.size, dtype=bool)
-        self.point_ties = np.bincount(self.ends.ravel(), minlength=self.n)
-        self.touch, self.touch_at = _touching(self.ends, self.n)
         self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
 
-    def _tie_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, ends, pair_ids, pair_ties)``: today's tie keys
-        ``lo * P + hi``, sorted; their ``(i, j, k, l)`` rows, pairs
-        (i, j) < (k, l); the tied flat pairs, ascending; and the number of
-        ties holding each."""
-        lo, hi = _ordered_ties(self.order, self.sorted_vals, self.tol)
-        ends = np.stack([self.iu[lo], self.ju[lo], self.iu[hi], self.ju[hi]], axis=1)
-        pair_ids, pair_ties = np.unique(np.concatenate([lo, hi]), return_counts=True)
-        return lo * self.vals.size + hi, ends, pair_ids, pair_ties
-
-    @property
-    def ties(self) -> np.ndarray:
-        """The live tie keys ``lo * P + hi``, sorted."""
-        return self.keys[self.alive]
+    def _mark_ties(self) -> None:
+        """Rebuild ``pair_tied``, the flat pairs within tol of another, and
+        ``point_tied``, the points holding such a pair, from the adjacent
+        gaps of the sorted values: float subtraction is monotone, so a value
+        tied to any other is tied to a neighbour in value order."""
+        sv = self.sorted_vals
+        close = np.flatnonzero(sv[1:] - sv[:-1] <= self.tol)
+        tied = self.order[np.concatenate([close, close + 1])]
+        self.pair_tied = np.zeros(self.vals.size, dtype=bool)
+        self.pair_tied[tied] = True
+        self.point_tied = np.zeros(self.n, dtype=bool)
+        self.point_tied[self.iu[tied]] = True
+        self.point_tied[self.ju[tied]] = True
 
     def _flat(self, a, b):
         """Flat upper-triangle positions of the pairs {a, b} (points or arrays)."""
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
 
-    def _pair_tied(self, a: int, b: int) -> bool:
-        """Whether a live tie holds the pair {a, b} (Python ints)."""
-        lo, hi = (a, b) if a < b else (b, a)
-        flat = lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1
-        at = self.pair_ids.searchsorted(flat)
-        return at < self.pair_ids.size and self.pair_ids[at] == flat and self.pair_ties[at] > 0
-
-    def _live_ties(self, mover: int) -> np.ndarray:
-        """The live ties holding ``mover``, ascending."""
-        touched = self.touch[self.touch_at[mover]:self.touch_at[mover + 1]]
-        return touched[self.alive[touched]]
-
-    def _drop_ties(self, mover: int, new_ties: np.ndarray) -> None:
-        """Retire the mover's live ties that the sorted keys ``new_ties``
-        no longer hold (a move changes no other tie)."""
-        touched = self._live_ties(mover)
-        keys = self.keys[touched]
-        pos = new_ties.searchsorted(keys)
-        held = pos < new_ties.size
-        held[held] = new_ties[pos[held]] == keys[held]
-        gone = touched[~held]
-        self.alive[gone] = False
-        np.subtract.at(self.point_ties, self.ends[gone].ravel(), 1)
-        lo, hi = np.divmod(keys[~held], self.vals.size)
-        np.subtract.at(self.pair_ties, self.pair_ids.searchsorted(np.concatenate([lo, hi])), 1)
-
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
         active = np.arange(self.n)
-        while self.alive.any() and active.size:
+        while self.pair_tied.any() and active.size:
             # _hull skips convex_hull's check_points: the input passed it, and
             # an accepted move keeps every point finite and distinct, since a
             # rung whose row holds a distance <= 0 or beyond the float range
@@ -232,52 +178,59 @@ class _Perturber:
             self._directional_sweeps(tour)
             self._residual_breakers(tour)
             active = active[hull.position < 0]
-        if self.alive.any():
+        if self.pair_tied.any():
             raise BudgetExceeded("ties remain after every hull layer was processed")
 
     def _directional_sweeps(self, tour: np.ndarray) -> None:
-        """Step j moves tied hull vertices away from their j-th predecessor."""
+        """Step j moves tied hull vertices away from their j-th predecessor:
+        at j = 1 each vertex holding a tie, at j >= 2 each whose pair with
+        that predecessor is tied."""
         K = len(tour)
         verts = tour.tolist()
         for j in range(1, K):
-            if not self.point_ties[tour].any():
+            if not self.point_tied[tour].any():
                 return
+            # each vertex's pair with its j-th predecessor
+            pairs = self._flat(tour, np.concatenate([tour[-j:], tour[:-j]])).tolist()
             for h in range(K - 1, -1, -1):
-                mover = verts[h]
-                anchor = verts[(h - j) % K]
-                if j == 1:
-                    trigger = self.point_ties[mover] > 0
-                else:
-                    trigger = self._pair_tied(mover, anchor)
-                if trigger:
+                if self.point_tied[verts[h]] if j == 1 else self.pair_tied[pairs[h]]:
                     # best effort: symmetric configurations can survive a
                     # directional move; the residual phase handles them
-                    self._attempt_move(mover, anchor)
+                    self._attempt_move(verts[h], verts[(h - j) % K])
 
     def _residual_breakers(self, tour: np.ndarray) -> None:
         """Break every remaining tie that touches the current hull layer."""
+        if not self.point_tied[tour].any():
+            return
         on_layer = np.zeros(self.n, dtype=bool)
         on_layer[tour] = True
-        # the layer is fixed and ties only die, so the live ties touching it
-        # are this list filtered by ``alive`` after each move, in tie order
-        pending = np.flatnonzero(on_layer[self.ends].any(axis=1) & self.alive)
+        held = on_layer[self.iu] | on_layer[self.ju]  # pairs holding a layer point
+        # the layer is fixed and ties only break, so the ties touching it are
+        # these flat-position pairs (lo, hi) less those whose values parted,
+        # in tie order
+        lo, hi = _ordered_ties(self.order, self.sorted_vals, self.tol)
+        touching = held[lo] | held[hi]
+        lo, hi = lo[touching], hi[touching]
         layer = on_layer.tolist()
-        while pending.size:
+        while lo.size:
             if not any(self._attempt_move(mover, anchor)
-                       for mover, anchor in self._tries(pending, layer)):
+                       for mover, anchor in self._tries(lo, hi, layer)):
                 raise BudgetExceeded(_NO_MOVE)
-            pending = pending[self.alive[pending]]
+            live = np.abs(self.vals[lo] - self.vals[hi]) <= self.tol
+            lo, hi = lo[live], hi[live]
 
-    def _tries(self, pending: np.ndarray, on_layer: list[bool]):
+    def _tries(self, lo: np.ndarray, hi: np.ndarray, on_layer: list[bool]):
         """In tie order, each side's endpoints on the layer move away from
         the side's other endpoint, each (mover, anchor) once, as a failed
         attempt changes nothing; the first move made restarts.  The ties'
-        rows reach Python in chunks of doubling size as the tries consume
-        them."""
+        endpoints reach Python in chunks of doubling size as the tries
+        consume them."""
         seen = set()
         start, chunk = 0, 16
-        while start < pending.size:
-            for i, j, k, l in self.ends[pending[start:start + chunk]].tolist():
+        while start < lo.size:
+            x, y = lo[start:start + chunk], hi[start:start + chunk]
+            for i, j, k, l in zip(*(ends.tolist() for ends in
+                                    (self.iu[x], self.ju[x], self.iu[y], self.ju[y]))):
                 for m, a in ((i, j), (j, i), (k, l), (l, k)):
                     if on_layer[m] and (m, a) not in seen:
                         seen.add((m, a))
@@ -290,11 +243,12 @@ class _Perturber:
         """Move ``mover`` away from ``anchor`` if some step strictly helps.
 
         The step is at most min(eps, eps_remaining)/(2n); candidates descend
-        until one strictly shrinks the mover's live ties without creating
-        new ones.  Moving directly away from ``anchor`` changes that one
+        until one strictly shrinks the mover's ties without creating new
+        ones.  Moving directly away from ``anchor`` changes that one
         distance by exactly the step size, so the triggering tie cannot
         survive every candidate unless the tolerance floor is reached.  An
-        accepted move retires the ties it broke; the tie list never grows.
+        accepted move merges the mover's row into the value order and
+        rebuilds the tie masks from it; the ties only ever break.
         """
         remaining = self.eps - self.moved[mover]
         cap = min(self.eps, remaining) / (2.0 * self.n)
@@ -305,11 +259,13 @@ class _Perturber:
         unit = direction / dn
         others = np.flatnonzero(np.arange(self.n) != mover)
         mine = self._flat(others, mover)  # flat positions
-        ties_after = self._row_test(mover, mine)
+        # the others keep their values and their order
+        rest, rest_sv = self._others_by_value(mine)
         # a distance beyond the float range reads inf or nan, and its rung
         # is skipped like one that would make two points coincide
         new_ties = None
         with np.errstate(over="ignore", invalid="ignore"):
+            ties_after = self._row_test(mine, rest, rest_sv)
             for frac in _LADDER:
                 delta = cap * frac
                 if delta <= 2.0 * self.tol:
@@ -327,11 +283,10 @@ class _Perturber:
             raise BudgetExceeded(f"move log would exceed n*(n-1) = {self.max_steps} steps")
         if self.moved[mover] + delta >= self.eps:
             raise BudgetExceeded(f"point {mover} would move beyond eps = {self.eps}")
-        # the others keep their values and their order: merge the mover's
-        # sorted row into them, O(P) instead of a sort of all P values.  The
-        # merge fills new arrays: filled in place, 1,000 uniform points took
-        # twice as long, with 50 times the minor page faults
-        rest, rest_sv = self._others_by_value(mine)
+        # merge the mover's sorted row into the others, O(P) instead of a
+        # sort of all P values.  The merge fills new arrays: filled in place,
+        # 1,000 uniform points took twice as long, with 50 times the minor
+        # page faults
         by_value = np.argsort(row)
         new_sv = row[by_value]
         at = rest_sv.searchsorted(new_sv)
@@ -348,7 +303,7 @@ class _Perturber:
         self.vals[mine] = row
         self.moved[mover] += delta
         self.steps.append((mover, (mover, anchor), float(delta)))
-        self._drop_ties(mover, new_ties)
+        self._mark_ties()
         return True
 
     def _others_by_value(self, mine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,42 +314,53 @@ class _Perturber:
         self.not_mine[mine] = True
         return self.order[keep], self.sorted_vals[keep]
 
-    def _row_test(self, mover: int, mine: np.ndarray):
+    def _mover_ties(self, mine: np.ndarray) -> np.ndarray:
+        """The current tie keys ``lo * P + hi`` holding the mover, sorted:
+        the window search (:func:`fng._window_ties`) of its tied pairs (flat
+        positions ``mine`` read through ``pair_tied``) against all sorted
+        values, each pair's match with itself left out."""
+        tied = mine[self.pair_tied[mine]]
+        x = self.vals[tied]
+        g, b = _window_ties(x, self.sorted_vals, self.sorted_vals.searchsorted(x - 2.0 * self.tol),
+                            self.tol)
+        a, b = tied[g], self.order[b]
+        keys = np.sort((np.minimum(a, b) * self.vals.size + np.maximum(a, b))[a != b])
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]  # a tie of two of its pairs is found twice
+        return keys[first]
+
+    def _row_test(self, mine: np.ndarray, rest: np.ndarray, rest_sv: np.ndarray):
         """``ties_after(row)``: sorted tie keys that hold at least the
         mover's ties once its pairs (flat positions ``mine``) take the values
         ``row``, or None unless the row keeps a strict subset of the mover's
-        live ties and adds none, so the tie list never grows.  Only ties
-        holding the mover can change, so a row is tested against those
-        alone, read from the ties indexed by point, cheapest test first: its
-        values against the other pairs' sorted values
-        (:func:`fng._window_ties`), then among themselves
-        (:func:`fng._tied_pairs`), searched only when two of the row's
-        sorted values lie within tol (float subtraction is monotone, so any
-        two tied values include two adjacent ones)."""
+        current ties (:meth:`_mover_ties`, found once) and adds none.  Only
+        ties holding the mover can change, so a row is tested against those
+        alone, in value order, cheapest test first: its values against the
+        sorted values ``rest_sv`` of the other pairs ``rest``
+        (:func:`fng._window_ties`), rejecting on the count of those ties or
+        on one the mover did not have; then among themselves
+        (:func:`fng._sorted_ties` on the same sorted row)."""
         size, tol = self.vals.size, self.tol
-        rest, rest_sv = self._others_by_value(mine)
-        touched = self._live_ties(mover)
-        touched_keys = self.keys[touched]
+        had = self._mover_ties(mine)
 
         def kept(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
             """The keys of the flat pairs (x, y), or None unless the mover had each."""
             keys = np.minimum(x, y) * size + np.maximum(x, y)
-            pos = touched_keys.searchsorted(keys)
-            return keys if (touched_keys.take(pos, mode="clip") == keys).all() else None
+            pos = had.searchsorted(keys)
+            return keys if (had.take(pos, mode="clip") == keys).all() else None
 
         def ties_after(row: np.ndarray) -> np.ndarray | None:
-            a, b = _window_ties(row, rest_sv, rest_sv.searchsorted(row - 2.0 * tol), tol)
-            if a.size >= touched.size:
+            by_value = np.argsort(row)
+            sr, pairs = row[by_value], mine[by_value]
+            a, b = _window_ties(sr, rest_sv, rest_sv.searchsorted(sr - 2.0 * tol), tol)
+            if a.size >= had.size:
                 return None  # no strict shrink; the new ties are distinct
-            new = kept(mine[a], rest[b])
+            new = kept(pairs[a], rest[b])
             if new is None:
                 return None  # a tie the mover did not have
-            sr = np.sort(row)
-            if (sr[1:] - sr[:-1] <= tol).any():  # among the mover's own pairs
-                p, q = _tied_pairs(row, tol)
-                if a.size + p.size >= touched.size:
-                    return None
-                own = kept(mine[p], mine[q])
+            p, q = _sorted_ties(sr, tol)  # among the mover's own pairs
+            if p.size:
+                own = kept(pairs[p], pairs[q]) if a.size + p.size < had.size else None
                 if own is None:
                     return None
                 new = np.concatenate([new, own])

@@ -38,13 +38,13 @@ def test_min_distance_gap_reference():
 
 
 def test_the_perturber_sorts_the_triangle_once(monkeypatch):
-    # the value order feeds the floor check and the tie list alike
+    # the value order feeds the floor check and the tie masks alike
     sizes, argsort = [], np.argsort
     monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sizes.append(np.size(a))
                         or argsort(a, *args, **kw))
     S = PointSet(np.array([(i, j) for j in range(6) for i in range(6)], dtype=float))
     worker = perturb._Perturber(lp(2), S, 1e-3, 1e-9)
-    assert sizes.count(worker.vals.size) == 1 and worker.keys.size > 0
+    assert sizes.count(worker.vals.size) == 1 and worker.pair_tied.any()
 
 
 def test_min_distance_gap_matches_bruteforce(rng):
@@ -135,10 +135,11 @@ def test_perturb_fails_fast_when_no_move_is_admissible(monkeypatch):
     S2, report = perturb_distinct(lp(2), S, eps=1e-12, tol=1e-9)
     assert S2.points.tobytes() == S.points.tobytes() and report.steps == ()
 
-    def listed(vals, tol):
+    def listed(*args):
         raise AssertionError("tied pairs listed although no move is admissible")
 
-    monkeypatch.setattr(perturb, "_tied_pairs", listed)
+    monkeypatch.setattr(perturb, "_ordered_ties", listed)
+    monkeypatch.setattr(perturb, "_window_ties", listed)
     message = re.escape(
         "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
     )
@@ -260,10 +261,16 @@ def test_polygonal_ball_translation_keeps_ties():
     assert detect_ties(pairwise_distances(ball, S_moved)) != []
 
 
-def _full_rescan(self, mover, mine):
+def _rescan(self):
+    """Today's tie keys ``lo * P + hi``, sorted, from a rescan of the values."""
+    lo, hi = fng._tied_pairs(self.vals, self.tol)
+    return lo * self.vals.size + hi
+
+
+def _full_rescan(self, mine, *others):
     """The move test as a full ``detect_ties`` rescan of the candidate table."""
     position = {(int(i), int(j)): p for p, (i, j) in enumerate(zip(self.iu, self.ju))}
-    today = set(self.ties.tolist())
+    today = set(_rescan(self).tolist())
 
     def ties_after(row):
         vals = self.vals.copy()
@@ -304,28 +311,26 @@ def test_row_move_test_matches_full_rescan(monkeypatch, tol, eps, n_max):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
-    # after every accepted move the live ties equal a fresh rescan of the
-    # distances, are a strict subset of the ties before the move, and the
-    # per-point and per-pair counts equal recounts over the live ties
+    # the ties of a rescan of the distances after every accepted move are a
+    # strict subset of those before it, and after every attempt the pair
+    # and point masks equal masks built from that rescan
     attempt = perturb._Perturber._attempt_move
     moves = []
 
     def checked(self, mover, anchor):
-        before = self.ties
+        before = _rescan(self)
         moved = attempt(self, mover, anchor)
+        after = _rescan(self)
         if moved:
             moves.append(mover)
-            lo, hi = perturb._tied_pairs(self.vals, self.tol)
-            assert self.ties.tolist() == (lo * self.vals.size + hi).tolist()
-            assert self.ties.size < before.size and np.isin(self.ties, before).all()
-            live = self.ends[self.alive]
-            assert np.array_equal(self.point_ties, np.bincount(live.ravel(), minlength=self.n))
-            pairs = np.concatenate(np.divmod(self.ties, self.vals.size))
-            assert np.isin(pairs, self.pair_ids).all()
-            recount = np.bincount(self.pair_ids.searchsorted(pairs), minlength=self.pair_ids.size)
-            assert np.array_equal(self.pair_ties, recount)
+            assert after.size < before.size and np.isin(after, before).all()
         else:
-            assert np.array_equal(self.ties, before)
+            assert np.array_equal(after, before)
+        pair = np.zeros(self.vals.size, dtype=bool)
+        pair[np.concatenate(np.divmod(after, self.vals.size))] = True
+        point = np.zeros(self.n, dtype=bool)
+        point[self.iu[pair]] = point[self.ju[pair]] = True
+        assert np.array_equal(self.pair_tied, pair) and np.array_equal(self.point_tied, point)
         return moved
 
     monkeypatch.setattr(perturb._Perturber, "_attempt_move", checked)
@@ -336,6 +341,57 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
             S2, report = perturb_distinct(spec, S, eps=1e-3, tol=tol)
             assert detect_ties(pairwise_distances(spec, S2), tol) == []
     assert len(moves) > 100
+
+
+def _mover_ties_bank(monkeypatch, tol):
+    """Perturb a grid bank, checking at every attempt the mover's ties that
+    the move's test reads against a full rescan; returns the checks made."""
+    mover_ties = perturb._Perturber._mover_ties
+    checks = []
+
+    def checked(self, mine):
+        found = mover_ties(self, mine)
+        today = _rescan(self)
+        lo, hi = np.divmod(today, self.vals.size)
+        held = np.isin(lo, mine) | np.isin(hi, mine)
+        assert np.array_equal(found, today[held])
+        # the pairs searched are exactly the mover's pairs in those ties
+        in_ties = np.intersect1d(mine, np.concatenate([lo[held], hi[held]]))
+        assert np.array_equal(mine[self.pair_tied[mine]], in_ties)
+        checks.append(found.size)
+        return found
+
+    monkeypatch.setattr(perturb._Perturber, "_mover_ties", checked)
+    rng = np.random.default_rng(6464)
+    for k in range(4, 17):
+        for spec in (lp(2), lp(1.5), lp(4)):
+            _perturb_outcome(spec, grid_points(rng, k), 1e-3, tol)
+    return checks
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_mover_ties_match_a_full_rescan_at_every_attempt(monkeypatch, tol):
+    # a move's test reads the mover's current ties once, by the window
+    # search over the mover's pairs that pair_tied flags; at every attempt
+    # they must be the ties a rescan of all distances finds holding the
+    # mover.  Ties only break, so masks left from before the last move flag
+    # a superset of the tied pairs and the search still finds the same
+    # ties: the check on the pairs searched is what must catch them
+    checks = _mover_ties_bank(monkeypatch, tol)
+    assert len(checks) > 100
+
+    mark = perturb._Perturber._mark_ties
+
+    def lagging(self):
+        built = getattr(self, "built", None)
+        mark(self)
+        self.built = self.pair_tied, self.point_tied
+        if built is not None:
+            self.pair_tied, self.point_tied = built
+
+    monkeypatch.setattr(perturb._Perturber, "_mark_ties", lagging)
+    with pytest.raises(AssertionError):
+        _mover_ties_bank(monkeypatch, tol)
 
 
 @pytest.mark.parametrize("spec", [lp(1.5), lp(2), lp(4)], ids=["lp1.5", "lp2", "lp4"])
@@ -364,9 +420,9 @@ def test_merged_order_sorts_the_values_after_every_move(monkeypatch, spec, tol):
     assert len(moves) > 20
 
 
-def _triangle_rescan(self, mover, mine):
+def _triangle_rescan(self, mine, *others):
     """The move test as a rescan of the whole candidate triangle's ties."""
-    today = self.ties
+    today = _rescan(self)
 
     def ties_after(row):
         vals = self.vals.copy()
@@ -381,20 +437,20 @@ def _triangle_rescan(self, mover, mine):
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_own_pair_search_runs_and_matches_the_full_rescan(monkeypatch, tol):
     # on full grids some rungs' rows tie among their own pairs (a grid point
-    # keeps mirror-image distances); the own-pair search (_tied_pairs on the
-    # row) must run there, and every move must be the one a rescan of the
-    # whole candidate triangle accepts
-    tied_pairs = perturb._tied_pairs
+    # keeps mirror-image distances); the own-pair search (_sorted_ties on
+    # the sorted row) must find ties there, and every move must be the one
+    # a rescan of the whole candidate triangle accepts
+    sorted_ties = perturb._sorted_ties
     calls = []
 
-    def counted(vals, tol):
-        lo, hi = tied_pairs(vals, tol)
-        calls.append((vals.size, lo.size))
+    def counted(sv, tol):
+        lo, hi = sorted_ties(sv, tol)
+        calls.append((sv.size, lo.size))
         return lo, hi
 
     cases = [(spec, PointSet(np.array([(i, j) for j in range(k) for i in range(k)], dtype=float)))
              for k in (5, 6) for spec in (lp(1.5), lp(2.0), lp(4.0))]
-    monkeypatch.setattr(perturb, "_tied_pairs", counted)
+    monkeypatch.setattr(perturb, "_sorted_ties", counted)
     shipped = [_perturb_outcome(spec, S, 1e-3, tol) for spec, S in cases]
     # a row holds n - 1 values, the whole triangle n(n - 1)/2
     rows = [tied for size, tied in calls if size in {S.n - 1 for _, S in cases}]
@@ -407,9 +463,10 @@ def test_own_pair_search_runs_and_matches_the_full_rescan(monkeypatch, tol):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_tied_pairs_match_every_pair_compared(tol):
-    # a rung's own pairs come from the sorted windows of _tied_pairs; they
-    # must be exactly the pairs of a row whose |a - b| <= tol, checked on
-    # rows with exact repeats and neighbours one ulp apart.  The rung's
+    # a rung's own pairs come from _sorted_ties on the row in value order,
+    # and detect_ties's from _tied_pairs; both must be exactly the pairs of
+    # a row whose |a - b| <= tol, checked on rows with exact repeats and
+    # neighbours one ulp apart.  The rung's
     # cross pairs come from the same window search (fng._window_ties) of
     # the row against the other pairs' sorted values: exactly the pairs
     # with |row - rest| <= tol, checked on a rest holding each picked row
@@ -424,10 +481,14 @@ def test_tied_pairs_match_every_pair_compared(tol):
             for dst, src in picks.tolist():
                 row[dst] = [row[src], np.nextafter(row[src], 3.0), np.nextafter(row[src], 0.0),
                             row[src] + tol, row[src] - 0.5 * tol][trial % 5]
-        lo, hi = perturb._tied_pairs(row, tol)
+        lo, hi = fng._tied_pairs(row, tol)
         iu, ju = np.triu_indices(m, k=1)
         close = np.abs(row[iu] - row[ju]) <= tol
         assert lo.tolist() == iu[close].tolist() and hi.tolist() == ju[close].tolist()
+        by_value = np.argsort(row)
+        p, q = (by_value[x] for x in fng._sorted_ties(row[by_value], tol))
+        own = sorted(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+        assert own == list(zip(lo.tolist(), hi.tolist()))
         found += lo.size
         planted = row[rng.integers(0, m, size=int(rng.integers(0, m + 1)))]
         rest = np.sort(np.concatenate([
