@@ -30,9 +30,10 @@ each caller raises DegenerateInput on a non-finite value it reads.
 The flat strict upper triangle (:func:`_triangle`, mirrored by
 :func:`pairwise_distances`) feeds one window search for ties
 (:func:`_window_ties`) behind :func:`detect_ties`, the invariant suite and
-each :mod:`perturb` rung: a value x meets the sorted values up to the last
-one at most x + 2 tol, enough for any rounding of x + tol, and the exact
-``|x - v| <= tol`` decides.
+each :mod:`perturb` tie search: a value x meets the sorted values up to the
+last one at most x + 2 tol, enough for any rounding of x + tol, and the
+exact ``|x - v| <= tol`` decides.  A tie of flat positions lo < hi has one
+form, the key ``lo * P + hi`` over P values, sorting as its pair does.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
     """
     check_tol(tol)
     iu, ju, vals = _table_triangle(table)
-    lo, hi = _tied_pairs(vals, tol)
+    order = np.argsort(vals)
+    lo, hi = np.divmod(_ordered_ties(order, vals[order], tol), vals.size)
     return list(zip(
         zip(iu[lo].tolist(), ju[lo].tolist()),
         zip(iu[hi].tolist(), ju[hi].tolist()),
@@ -120,23 +122,14 @@ def _table_triangle(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, t[iu, ju]
 
 
-def _tied_pairs(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``(lo, hi)``, lo < hi, of every two values within tol, lexsorted.
-
-    Flat upper-triangle positions order pairs as (i, j) tuples do.
-    """
-    order = np.argsort(vals)
-    return _ordered_ties(order, vals[order], tol)
-
-
-def _ordered_ties(order: np.ndarray, sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_tied_pairs` of the values whose argsort is ``order``, ``sv``
-    being those values in that order."""
+def _ordered_ties(order: np.ndarray, sv: np.ndarray, tol: float) -> np.ndarray:
+    """The sorted keys ``lo * P + hi``, lo < hi, of every two of the P values
+    within tol, ``order`` being their argsort and ``sv`` the values in that
+    order; keys sort as (lo, hi) pairs, and flat upper-triangle positions as
+    (i, j) tuples."""
     a, b = _sorted_ties(sv, tol)
     a, b = order[a], order[b]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keep = np.lexsort((hi, lo))
-    return lo[keep], hi[keep]
+    return np.sort(np.minimum(a, b) * sv.size + np.maximum(a, b))
 
 
 def _sorted_ties(sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -434,10 +434,10 @@ def parse_norm(text: str) -> NormSpec:
 
 
 def _read_text(path: str, source: str) -> str:
-    """The text of the file at ``path``; IoError naming ``source`` if
-    unreadable, ParseError if it is not UTF-8."""
+    """The text of the file at ``path``, less a UTF-8 byte-order mark; IoError
+    naming ``source`` if unreadable, ParseError if it is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {source}: {exc}") from exc

@@ -18,15 +18,16 @@ changes only the mover's n - 1 pairs, and it is accepted only when it keeps
 a strict subset of the mover's ties and adds none, so ties only ever break.
 An accepted move merges the mover's sorted row into the others' order
 (O(P), no sort of the triangle) and rebuilds the masks, which decide the
-sweeps' triggers.  A move's test first finds the mover's current ties, by
-the one window search of :mod:`fng` (:func:`fng._window_ties`) over its
-tied pairs alone.  Each rung then tests only the candidate row, in value
-order, cheapest test first: its values against the other pairs' sorted
-values (each window starting at the first value at least row - 2 tol),
-rejecting on the count of those ties or on one the mover did not have;
-then among themselves (:func:`fng._sorted_ties` on the same sorted row).
-The residual phase lists the ties touching the layer once, as pairs of
-flat positions, and after each move drops those whose values parted.
+sweeps' triggers.  Ties have one search and one form: the window search of
+:mod:`fng` (:func:`fng._window_ties`) from given tied pairs against all
+sorted values, giving sorted keys ``lo * P + hi`` of flat positions.  A
+move's test searches once from the mover's tied pairs; each rung then
+answers yes or no on the candidate row alone, in value order, cheapest
+test first: its values against the other pairs' sorted values, rejecting
+on the count of those ties or on one the mover did not have, then among
+themselves (:func:`fng._sorted_ties`).  The residual phase searches once
+from its layer's tied pairs and drops after each move the ties whose
+values parted.
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -41,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import (DEFAULT_TOL, PointSet, _ordered_ties, _sorted_ties, _table_triangle, _triangle,
-                  _window_ties)
+from .fng import DEFAULT_TOL, PointSet, _sorted_ties, _table_triangle, _triangle, _window_ties
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -204,13 +204,11 @@ class _Perturber:
             return
         on_layer = np.zeros(self.n, dtype=bool)
         on_layer[tour] = True
-        held = on_layer[self.iu] | on_layer[self.ju]  # pairs holding a layer point
         # the layer is fixed and ties only break, so the ties touching it are
-        # these flat-position pairs (lo, hi) less those whose values parted,
-        # in tie order
-        lo, hi = _ordered_ties(self.order, self.sorted_vals, self.tol)
-        touching = held[lo] | held[hi]
-        lo, hi = lo[touching], hi[touching]
+        # those holding its tied pairs, as flat positions (lo, hi) in tie
+        # order, less those whose values parted
+        tied = (on_layer[self.iu] | on_layer[self.ju]) & self.pair_tied
+        lo, hi = np.divmod(self._ties_holding(np.flatnonzero(tied)), self.vals.size)
         layer = on_layer.tolist()
         while lo.size:
             if not any(self._attempt_move(mover, anchor)
@@ -263,22 +261,20 @@ class _Perturber:
         rest, rest_sv = self._others_by_value(mine)
         # a distance beyond the float range reads inf or nan, and its rung
         # is skipped like one that would make two points coincide
-        new_ties = None
         with np.errstate(over="ignore", invalid="ignore"):
             ties_after = self._row_test(mine, rest, rest_sv)
             for frac in _LADDER:
                 delta = cap * frac
                 if delta <= 2.0 * self.tol:
-                    break
+                    return False
                 cand_pt = self.pts[mover] + delta * unit
                 row = norm_many(self.spec, cand_pt[None, :] - self.pts)[others]
                 if not 0.0 < row.min() <= row.max() < math.inf:
                     continue
-                new_ties = ties_after(row)
-                if new_ties is not None:
+                if ties_after(row):
                     break
-        if new_ties is None:
-            return False
+            else:
+                return False
         if len(self.steps) >= self.max_steps:
             raise BudgetExceeded(f"move log would exceed n*(n-1) = {self.max_steps} steps")
         if self.moved[mover] + delta >= self.eps:
@@ -314,12 +310,13 @@ class _Perturber:
         self.not_mine[mine] = True
         return self.order[keep], self.sorted_vals[keep]
 
-    def _mover_ties(self, mine: np.ndarray) -> np.ndarray:
-        """The current tie keys ``lo * P + hi`` holding the mover, sorted:
-        the window search (:func:`fng._window_ties`) of its tied pairs (flat
-        positions ``mine`` read through ``pair_tied``) against all sorted
-        values, each pair's match with itself left out."""
-        tied = mine[self.pair_tied[mine]]
+    def _ties_holding(self, pairs: np.ndarray) -> np.ndarray:
+        """The sorted keys ``lo * P + hi`` of the current ties holding one of
+        the flat positions ``pairs``: the window search (:func:`fng._window_ties`)
+        of those that ``pair_tied`` flags against all sorted values, each
+        pair's match with itself left out.  A move's test passes the mover's
+        pairs, the residual phase its layer's tied pairs."""
+        tied = pairs[self.pair_tied[pairs]]
         x = self.vals[tied]
         g, b = _window_ties(x, self.sorted_vals, self.sorted_vals.searchsorted(x - 2.0 * self.tol),
                             self.tol)
@@ -330,40 +327,31 @@ class _Perturber:
         return keys[first]
 
     def _row_test(self, mine: np.ndarray, rest: np.ndarray, rest_sv: np.ndarray):
-        """``ties_after(row)``: sorted tie keys that hold at least the
-        mover's ties once its pairs (flat positions ``mine``) take the values
-        ``row``, or None unless the row keeps a strict subset of the mover's
-        current ties (:meth:`_mover_ties`, found once) and adds none.  Only
-        ties holding the mover can change, so a row is tested against those
-        alone, in value order, cheapest test first: its values against the
-        sorted values ``rest_sv`` of the other pairs ``rest``
+        """``ties_after(row)``: whether the mover's pairs (flat positions
+        ``mine``), taking the values ``row``, keep a strict subset of the
+        mover's current ties (:meth:`_ties_holding`, found once) and add
+        none.  Only ties holding the mover can change, so a row is tested
+        against those alone, in value order, cheapest test first: its values
+        against the sorted values ``rest_sv`` of the other pairs ``rest``
         (:func:`fng._window_ties`), rejecting on the count of those ties or
         on one the mover did not have; then among themselves
         (:func:`fng._sorted_ties` on the same sorted row)."""
         size, tol = self.vals.size, self.tol
-        had = self._mover_ties(mine)
+        had = self._ties_holding(mine)
 
-        def kept(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-            """The keys of the flat pairs (x, y), or None unless the mover had each."""
+        def kept(x: np.ndarray, y: np.ndarray) -> bool:
+            """Whether the mover had the tie of each flat pair (x, y)."""
             keys = np.minimum(x, y) * size + np.maximum(x, y)
-            pos = had.searchsorted(keys)
-            return keys if (had.take(pos, mode="clip") == keys).all() else None
+            return bool((had.take(had.searchsorted(keys), mode="clip") == keys).all())
 
-        def ties_after(row: np.ndarray) -> np.ndarray | None:
+        def ties_after(row: np.ndarray) -> bool:
             by_value = np.argsort(row)
             sr, pairs = row[by_value], mine[by_value]
             a, b = _window_ties(sr, rest_sv, rest_sv.searchsorted(sr - 2.0 * tol), tol)
-            if a.size >= had.size:
-                return None  # no strict shrink; the new ties are distinct
-            new = kept(pairs[a], rest[b])
-            if new is None:
-                return None  # a tie the mover did not have
+            # no strict shrink (the new ties are distinct), or a tie the mover did not have
+            if a.size >= had.size or not kept(pairs[a], rest[b]):
+                return False
             p, q = _sorted_ties(sr, tol)  # among the mover's own pairs
-            if p.size:
-                own = kept(pairs[p], pairs[q]) if a.size + p.size < had.size else None
-                if own is None:
-                    return None
-                new = np.concatenate([new, own])
-            return np.sort(new)
+            return not p.size or (a.size + p.size < had.size and kept(pairs[p], pairs[q]))
 
         return ties_after

@@ -22,20 +22,21 @@ _HEADER = (
 )
 
 
+_SIZE, _MARGIN = 640.0, 40.0  # the square drawing's side, the border around the points
+
+
 class _Canvas:
-    def __init__(self, pts: np.ndarray, size: float = 640.0, margin: float = 40.0):
+    def __init__(self, pts: np.ndarray):
         # an empty set has no bounding box: its canvas draws nothing
         lo = pts.min(axis=0) if len(pts) else np.zeros(2)
         hi = pts.max(axis=0) if len(pts) else lo
         span = max(float((hi - lo).max()), 1e-12)
-        self.scale = (size - 2 * margin) / span
+        self.scale = (_SIZE - 2 * _MARGIN) / span
         self.lo = lo
-        self.margin = margin
-        self.size = size
 
     def xy(self, p) -> tuple[float, float]:
-        x = self.margin + (p[0] - self.lo[0]) * self.scale
-        y = self.size - self.margin - (p[1] - self.lo[1]) * self.scale
+        x = _MARGIN + (p[0] - self.lo[0]) * self.scale
+        y = _SIZE - _MARGIN - (p[1] - self.lo[1]) * self.scale
         return x, y
 
     def fmt(self, p) -> str:
@@ -49,7 +50,7 @@ def emit_svg(S, hull, fng, tree, bipartition=None, path=None) -> str:
     ``path`` when given."""
     pts = S.points
     cv = _Canvas(pts)
-    out = [_HEADER.format(w=cv.size, h=cv.size)]
+    out = [_HEADER.format(w=_SIZE, h=_SIZE)]
 
     if hull is not None and len(hull.vertices) >= 2:
         ring = " ".join(cv.fmt(pts[i]) for i in hull.vertices)

@@ -640,6 +640,27 @@ def test_cli_input_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, norm_f
     assert error["message"].startswith(f"{source} is not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("kind", ["csv", "json", "polygon"])
+def test_cli_input_file_with_a_utf8_byte_order_mark_reads_as_without(tmp_path, capsys, kind):
+    # spreadsheet "CSV UTF-8" exports start with one; it used to make the
+    # first line non-numeric, a JSON file read as CSV and a polygon file
+    # invalid JSON
+    text = {"csv": "0,0\n3,0\n3,4\n", "json": json.dumps(TRI_345),
+            "polygon": json.dumps(HEX_BALL)}[kind]
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.{'csv' if kind == 'csv' else 'json'}"
+        path.write_bytes(mark + text.encode())
+        if kind == "polygon":
+            argv = ["mxst", "--norm", f"polygon:{path}", "--points", pts]
+        else:
+            argv = ["mxst", "--points", str(path)]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
 def test_cli_svg_into_missing_directory_is_io_error(tmp_path, capsys):
     pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
     svg_path = tmp_path / "missing" / "tree.svg"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -127,6 +128,49 @@ def test_perturb_budget_exceeded_when_steps_cannot_clear_tolerance():
         perturb_distinct(lp(2), UNIT_SQUARE, eps=1e-12, tol=1e-9)
 
 
+def test_an_attempt_at_the_tolerance_floor_evaluates_no_rung(monkeypatch):
+    # eps / (2n) = 4.04 tol lets a point move once: mover 3's later attempts
+    # find their cap min(eps, eps - moved) / (2n) at most 4 tol and return
+    # False before any distance is evaluated, and the square's ties remain
+    attempt, norm_many = perturb._Perturber._attempt_move, perturb.norm_many
+    evaluations, floored = [], []
+    monkeypatch.setattr(perturb, "norm_many",
+                        lambda *args: evaluations.append(1) or norm_many(*args))
+
+    def checked(self, mover, anchor):
+        at_floor = (self.eps - self.moved[mover]) / (2.0 * self.n) <= 4.0 * self.tol
+        before = len(evaluations)
+        moved = attempt(self, mover, anchor)
+        if at_floor:
+            floored.append(mover)
+            assert moved is False and len(evaluations) == before
+        return moved
+
+    monkeypatch.setattr(perturb._Perturber, "_attempt_move", checked)
+    message = re.escape(
+        "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
+    )
+    tol = 1e-9
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        perturb_distinct(lp(2), UNIT_SQUARE, eps=8 * UNIT_SQUARE.n * tol * 1.01, tol=tol)
+    assert set(floored) == {3}
+
+
+def test_perturb_stops_at_the_step_budget(monkeypatch):
+    # the square takes 3 moves under lp:4; with the log capped at one step
+    # the second accepted move must raise instead of being recorded
+    init = perturb._Perturber.__init__
+
+    def capped(self, *args):
+        init(self, *args)
+        self.max_steps = 1
+
+    monkeypatch.setattr(perturb._Perturber, "__init__", capped)
+    message = re.escape("move log would exceed n*(n-1) = 1 steps")
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        perturb_distinct(lp(4), UNIT_SQUARE, eps=1e-3)
+
+
 def test_perturb_fails_fast_when_no_move_is_admissible(monkeypatch):
     # eps / (2n) <= 4 tol caps every step at the tolerance floor: tie-free
     # input is returned unmoved, and tied input fails before its tied pairs
@@ -138,7 +182,7 @@ def test_perturb_fails_fast_when_no_move_is_admissible(monkeypatch):
     def listed(*args):
         raise AssertionError("tied pairs listed although no move is admissible")
 
-    monkeypatch.setattr(perturb, "_ordered_ties", listed)
+    monkeypatch.setattr(perturb._Perturber, "_ties_holding", listed)
     monkeypatch.setattr(perturb, "_window_ties", listed)
     message = re.escape(
         "no admissible move breaks the remaining ties (step budget or tolerance floor reached)"
@@ -261,10 +305,15 @@ def test_polygonal_ball_translation_keeps_ties():
     assert detect_ties(pairwise_distances(ball, S_moved)) != []
 
 
+def _ties_of(vals, tol):
+    """The tie keys ``lo * P + hi`` of the P values, sorted, from a rescan."""
+    order = np.argsort(vals)
+    return fng._ordered_ties(order, vals[order], tol)
+
+
 def _rescan(self):
-    """Today's tie keys ``lo * P + hi``, sorted, from a rescan of the values."""
-    lo, hi = fng._tied_pairs(self.vals, self.tol)
-    return lo * self.vals.size + hi
+    """Today's tie keys, sorted, from a rescan of the values."""
+    return _ties_of(self.vals, self.tol)
 
 
 def _full_rescan(self, mine, *others):
@@ -279,7 +328,7 @@ def _full_rescan(self, mine, *others):
         table[self.iu, self.ju] = vals
         table[self.ju, self.iu] = vals
         new = {position[a] * vals.size + position[b] for a, b in detect_ties(table, self.tol)}
-        return np.array(sorted(new), dtype=np.intp) if new < today else None
+        return new < today
 
     return ties_after
 
@@ -343,14 +392,15 @@ def test_accepted_moves_only_shrink_the_tie_list(monkeypatch, tol):
     assert len(moves) > 100
 
 
-def _mover_ties_bank(monkeypatch, tol):
-    """Perturb a grid bank, checking at every attempt the mover's ties that
-    the move's test reads against a full rescan; returns the checks made."""
-    mover_ties = perturb._Perturber._mover_ties
+def _ties_holding_bank(monkeypatch, tol):
+    """Perturb a grid bank, checking every tie search (the mover's ties that
+    a move's test reads, the layer's ties that the residual phase reads)
+    against a full rescan; returns the name of each search's caller."""
+    ties_holding = perturb._Perturber._ties_holding
     checks = []
 
     def checked(self, mine):
-        found = mover_ties(self, mine)
+        found = ties_holding(self, mine)
         today = _rescan(self)
         lo, hi = np.divmod(today, self.vals.size)
         held = np.isin(lo, mine) | np.isin(hi, mine)
@@ -358,10 +408,10 @@ def _mover_ties_bank(monkeypatch, tol):
         # the pairs searched are exactly the mover's pairs in those ties
         in_ties = np.intersect1d(mine, np.concatenate([lo[held], hi[held]]))
         assert np.array_equal(mine[self.pair_tied[mine]], in_ties)
-        checks.append(found.size)
+        checks.append(sys._getframe(1).f_code.co_name)
         return found
 
-    monkeypatch.setattr(perturb._Perturber, "_mover_ties", checked)
+    monkeypatch.setattr(perturb._Perturber, "_ties_holding", checked)
     rng = np.random.default_rng(6464)
     for k in range(4, 17):
         for spec in (lp(2), lp(1.5), lp(4)):
@@ -372,13 +422,14 @@ def _mover_ties_bank(monkeypatch, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_mover_ties_match_a_full_rescan_at_every_attempt(monkeypatch, tol):
     # a move's test reads the mover's current ties once, by the window
-    # search over the mover's pairs that pair_tied flags; at every attempt
-    # they must be the ties a rescan of all distances finds holding the
-    # mover.  Ties only break, so masks left from before the last move flag
-    # a superset of the tied pairs and the search still finds the same
-    # ties: the check on the pairs searched is what must catch them
-    checks = _mover_ties_bank(monkeypatch, tol)
-    assert len(checks) > 100
+    # search over the mover's pairs that pair_tied flags, and the residual
+    # phase reads its layer's ties by the same search; every time they must
+    # be the ties a rescan of all distances finds holding the pairs given.
+    # Ties only break, so masks left from before the last move flag a
+    # superset of the tied pairs and the search still finds the same ties:
+    # the check on the pairs searched is what must catch them
+    checks = _ties_holding_bank(monkeypatch, tol)
+    assert len(checks) > 100 and "_residual_breakers" in checks
 
     mark = perturb._Perturber._mark_ties
 
@@ -391,7 +442,7 @@ def test_mover_ties_match_a_full_rescan_at_every_attempt(monkeypatch, tol):
 
     monkeypatch.setattr(perturb._Perturber, "_mark_ties", lagging)
     with pytest.raises(AssertionError):
-        _mover_ties_bank(monkeypatch, tol)
+        _ties_holding_bank(monkeypatch, tol)
 
 
 @pytest.mark.parametrize("spec", [lp(1.5), lp(2), lp(4)], ids=["lp1.5", "lp2", "lp4"])
@@ -427,9 +478,8 @@ def _triangle_rescan(self, mine, *others):
     def ties_after(row):
         vals = self.vals.copy()
         vals[mine] = row
-        lo, hi = fng._tied_pairs(vals, self.tol)
-        new = lo * vals.size + hi
-        return new if new.size < today.size and np.isin(new, today).all() else None
+        new = _ties_of(vals, self.tol)
+        return new.size < today.size and bool(np.isin(new, today).all())
 
     return ties_after
 
@@ -464,7 +514,7 @@ def test_own_pair_search_runs_and_matches_the_full_rescan(monkeypatch, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_tied_pairs_match_every_pair_compared(tol):
     # a rung's own pairs come from _sorted_ties on the row in value order,
-    # and detect_ties's from _tied_pairs; both must be exactly the pairs of
+    # and detect_ties's from _ordered_ties; both must be exactly the pairs of
     # a row whose |a - b| <= tol, checked on rows with exact repeats and
     # neighbours one ulp apart.  The rung's
     # cross pairs come from the same window search (fng._window_ties) of
@@ -481,11 +531,11 @@ def test_tied_pairs_match_every_pair_compared(tol):
             for dst, src in picks.tolist():
                 row[dst] = [row[src], np.nextafter(row[src], 3.0), np.nextafter(row[src], 0.0),
                             row[src] + tol, row[src] - 0.5 * tol][trial % 5]
-        lo, hi = fng._tied_pairs(row, tol)
+        by_value = np.argsort(row)
+        lo, hi = np.divmod(fng._ordered_ties(by_value, row[by_value], tol), m)
         iu, ju = np.triu_indices(m, k=1)
         close = np.abs(row[iu] - row[ju]) <= tol
         assert lo.tolist() == iu[close].tolist() and hi.tolist() == ju[close].tolist()
-        by_value = np.argsort(row)
         p, q = (by_value[x] for x in fng._sorted_ties(row[by_value], tol))
         own = sorted(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
         assert own == list(zip(lo.tolist(), hi.tolist()))
