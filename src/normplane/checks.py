@@ -13,7 +13,7 @@ certified by the tie gate, so the lemma that puts each furthest neighbor on
 the hull boundary is tested, plus the hull), ``cycle`` (the cyclic
 component order on that graph) and ``tree`` (the tree connected from that
 graph, its table distances and the hull, its connecting blocks read from
-the table, beside the oracle).  Tied
+the table's boundary columns, beside the oracle).  Tied
 distances anywhere skip every stage; a stage that cannot be built answers
 for every check that needs it.
 """
@@ -71,7 +71,7 @@ class _Stages:
             self.missing["cycle"] = "skipped: no component cycle"
         try:
             self.tree, _ = connect_components(spec, S, self.g, self.fn_dist, self.hull, tol,
-                                              (self.table, np.arange(S.n)))
+                                              self.table[:, self.hull.boundary])
         except NormPlaneError as exc:
             self.missing["tree"] = f"tree construction failed: {exc}"
 

@@ -43,27 +43,29 @@ def load_points(path: str) -> PointSet:
     text = _read_text(path, repr(path))
     if text.lstrip().startswith("["):
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            rows = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
             raise ParseError(f"{path!r} is not valid JSON: {exc}") from exc
-        rows = data
     else:
-        rows = []
-        for lineno, row in enumerate(csv.reader(text.splitlines())):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path!r} line {lineno + 1}: need two columns")
-            # trailing empty cells ("1,2,") are harmless; a third value is not
-            if any(cell.strip() for cell in row[2:]):
-                raise ParseError(f"{path!r} line {lineno + 1}: more than two columns")
-            try:
-                rows.append([float(row[0]), float(row[1])])
-            except ValueError:
-                # an optional header: line 1 with no numeric cell among two
-                if lineno == 0 and not any(map(_is_float, row[:2])):
+        rows, reader = [], csv.reader(text.splitlines())
+        try:
+            for lineno, row in enumerate(reader):
+                if not row or all(not cell.strip() for cell in row):
                     continue
-                raise ParseError(f"{path!r} line {lineno + 1}: non-numeric value")
+                if len(row) < 2:
+                    raise ParseError(f"{path!r} line {lineno + 1}: need two columns")
+                # trailing empty cells ("1,2,") are harmless; a third value is not
+                if any(cell.strip() for cell in row[2:]):
+                    raise ParseError(f"{path!r} line {lineno + 1}: more than two columns")
+                try:
+                    rows.append([float(row[0]), float(row[1])])
+                except ValueError:
+                    # an optional header: line 1 with no numeric cell among two
+                    if lineno == 0 and not any(map(_is_float, row[:2])):
+                        continue
+                    raise ParseError(f"{path!r} line {lineno + 1}: non-numeric value")
+        except csv.Error as exc:  # a field over the reader's size limit
+            raise ParseError(f"{path!r} line {reader.line_num}: {exc}") from exc
     arr = _numeric_rows(rows, repr(path))
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParseError(f"{path!r}: expected [x, y] pairs, got shape {arr.shape}")
@@ -153,7 +155,7 @@ def _cmd_mxst(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
         # the construction tied at one of its decisions: hull and oracle tree only
         svg.emit_svg(S, _hull(S.points, args.tol), None, tree, None, args.svg)
     elif args.svg:
-        _draw(spec, S, args.tol, args.svg, tree=tree)
+        _draw(spec, S, args.tol, args.svg)
     return 0
 
 
@@ -254,17 +256,15 @@ def _cmd_check(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _draw(spec, S, tol, path, tree=None, bipartition=None) -> None:
+def _draw(spec, S, tol, path, bipartition=None) -> None:
     """Best-effort full rendering: the construction's hull always, the FNG
-    when its rows are tie-free, and the given tree or else the construction's
-    when the construction's decisions are.  The stages are built once
-    (:func:`fng._stages`), from the hull built first, so a stage that
-    raises leaves the hull to draw."""
-    hull, g = _hull(S.points, tol), None
+    when its rows are tie-free, and the construction's tree when its
+    decisions are.  The stages are built once (:func:`fng._stages`), from
+    the hull built first, so a stage that raises leaves the hull to draw."""
+    hull, g, tree = _hull(S.points, tol), None, None
     try:
         _, g, fn_dist, held = _stages(spec, S, tol, hull)
-        if tree is None:
-            tree, _ = connect_components(spec, S, g, fn_dist, hull, tol, held)
+        tree, _ = connect_components(spec, S, g, fn_dist, hull, tol, held)
     except NormPlaneError:
         pass  # draws what was built: a tie in the connecting step keeps the FNG
     svg.emit_svg(S, hull, g, tree, bipartition, path)

@@ -14,8 +14,8 @@ comparison the map rests on (:class:`TiesPresent` names the row and both
 candidates).  :func:`_stages` is the one composition of the hull, that
 pass and the decomposition; :func:`build_fng`, the tree, the 2-clustering
 and the CLI all read its ``(hull, graph, furthest distances, held)``,
-``held`` being that one block, which the connecting step reads in place
-of evaluating its blocks again.
+``held`` being that one block of every point against the boundary, which
+the connecting step reads in place of evaluating its blocks again.
 Every largest distance that is evaluated is found from one rows x columns
 pass in blocks of whole rows of about ``_BLOCK`` distances
 (:func:`_row_blocks`), each block handed to the caller's reduction, which
@@ -206,9 +206,9 @@ def build_fng(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> FNGraph:
 
 def _stages(spec: NormSpec, S: PointSet, tol: float, hull: HullIndex | None = None):
     """``(hull, g, fn_dist, held)``: the hull, the furthest-neighbor graph
-    over its boundary, each point's furthest distance, and the pass's
-    ``(table, boundary)`` when it was one block (:func:`_furthest`), else
-    None.  A caller that needs the hull even when a later stage raises
+    over its boundary, each point's furthest distance, and the pass's n x b
+    block against ``hull.boundary`` when it was one block (:func:`_furthest`),
+    else None.  A caller that needs the hull even when a later stage raises
     builds it first and passes it.  DegenerateInput on a bad tol (:func:`check_tol`)
     or below two points; otherwise raises as :func:`_furthest` does."""
     check_tol(tol)
@@ -222,9 +222,9 @@ def _stages(spec: NormSpec, S: PointSet, tol: float, hull: HullIndex | None = No
 
 def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float):
     """``(fn, fn_dist, held)``: each point's furthest neighbor among the
-    sorted candidate indices ``cand``, its distance, and ``(table, cand)``
-    when the pass was one block, ``table[i, t] = ||p_i - p_cand[t]||``
-    (the distances :func:`mxst.connect_components` reads), else None.
+    sorted candidate indices ``cand``, its distance, and, when the pass was
+    one block, that block ``held[i, t] = ||p_i - p_cand[t]||`` (the
+    distances :func:`mxst.connect_components` reads), else None.
 
     One (all rows x cand) pass (:func:`_row_blocks`), n b evaluations for b
     candidates, each ``||p_i - p_j||`` with the bits the full table holds.
@@ -245,7 +245,7 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float):
         arg[r], best[r], runner_arg[r], second[r] = _top2(block)
         return block if len(block) == len(pts) else None  # the whole pass
 
-    table = _row_blocks(spec, pts, np.arange(len(pts)), cand, put)[0]
+    held = _row_blocks(spec, pts, np.arange(len(pts)), cand, put)[0]
     if not np.all(np.isfinite(best)):
         raise DegenerateInput(_OVERFLOW)
     if best.min() <= 0.0:
@@ -259,7 +259,7 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float):
             f"tied furthest neighbors of point {i}: {int(fn[i])} and "
             f"{int(cand[runner_arg[i]])} within tol={tol:g}"
         )
-    return fn, best, None if table is None else (table, cand)
+    return fn, best, held
 
 
 def _row_blocks(spec: NormSpec, pts: np.ndarray, rows, cols, reduce) -> list:

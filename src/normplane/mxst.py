@@ -16,12 +16,12 @@ neighbours in the cyclic order (at k = 2 the one other spine), each block
 reduced to its best two pairs (:func:`_cluster_blocks`).  The clusters are
 index ranges of one stable argsort of the points by their cluster's cyclic
 rank (:func:`_cluster_ranges`), so a spine's rows are one slice.  A block
-is gathered from the distances the caller holds (the furthest-neighbor
-pass of one block, or the invariant suite's table), else evaluated in one
-row-blocked pass per spine.  Each tree edge keeps the weight of the pass
-that found it.  The invariant suite, which already holds the graph, its
-distances, the hull and the n x n table, calls it directly, as does
-:func:`clustering.two_clustering`, which colors the tree from that graph.
+is gathered from the caller's n x b block of every point against the
+boundary (the furthest-neighbor pass of one block, or the boundary columns
+of the invariant suite's table), else evaluated in one row-blocked pass
+per spine.  Each tree edge keeps the weight of the pass that found it.
+The invariant suite, which holds its inputs, and :func:`clustering.two_clustering`,
+which colors the tree from its graph, call it directly.
 The tree's validity follows from the decomposition: the graph is a forest
 of k trees, so it suffices that the k - 1 kept connecting edges join its
 components into one, a union-find over k components rather than n points.
@@ -128,7 +128,7 @@ def connect_components(
     fn_dist: np.ndarray,
     hull: HullIndex,
     tol: float = DEFAULT_TOL,
-    held: tuple[np.ndarray, np.ndarray] | None = None,
+    held: np.ndarray | None = None,
 ) -> tuple[SpanningTree, ConnectingEdgeReport]:
     """The tree from a furthest-neighbor graph ``g`` of S, the distances
     ``fn_dist[i] = ||p_i - p_fn[i]||`` and the hull.
@@ -145,10 +145,10 @@ def connect_components(
     weight its candidate was found with, so no tree weight is evaluated
     again.
 
-    ``held``, when the caller already holds the distances, is ``(table,
-    columns)``: ``table[i, t] = ||p_i - p_columns[t]||`` for every point i
-    and the sorted point indices ``columns``, which hold the hull boundary.
-    The connecting blocks are then read from it instead of evaluated.
+    ``held``, when the caller already holds the distances, is the n x b
+    block ``held[i, t] = ||p_i - p_boundary[t]||`` of every point against
+    ``hull.boundary``, where every connecting edge has an endpoint.  The
+    connecting blocks are then read from it instead of evaluated.
     """
     n = S.n
     cycle = order_components(g, hull)
@@ -184,27 +184,21 @@ def connect_components(
             col_ranks = [c for t in near for c in (2 * t, 2 * t + 1)]
             block = None
             if held is not None:
-                table, columns = held
-                block = table[rows[:, None], columns.searchsorted(cols)]  # a fresh array
+                block = held[rows[:, None], hull.boundary.searchsorted(cols)]  # a fresh array
             top = _cluster_blocks(spec, S.points, rows, size[2 * s : 2 * s + 2],
                                   cols, [on_size[c] for c in col_ranks], block)
             for a, line in enumerate(top):
                 blocks.update(((2 * s + a, c), found) for c, found in zip(col_ranks, line))
-
-        pairings: dict[tuple[int, int], tuple[int, int, float]] = {}
 
         def pairing_max(ca: int, cb: int) -> tuple[int, int, float]:
             # max over the pairing of the clusters ranked ca and cb, with
             # either endpoint taking the boundary-restricted role; the
             # connecting edge has at least one endpoint on the hull, so
             # nothing is missed.  A pair with both endpoints on the hull
-            # sits in both blocks.  Found and certified once per call: the
-            # other order has the same maximum and no tie the first lacks
-            pairing = (min(ca, cb), max(ca, cb))
-            if pairing not in pairings:
-                site = f"maxima of the cluster pairing {(int(reps[ca]), int(reps[cb]))}"
-                pairings[pairing] = _unique_max(blocks[ca, cb] + blocks[cb, ca], tol, site)
-            return pairings[pairing]
+            # sits in both blocks with the same bits.  Only at k = 2 is a
+            # pairing asked for twice, and a tie raises at its first reading
+            site = f"maxima of the cluster pairing {(int(reps[ca]), int(reps[cb]))}"
+            return _unique_max(blocks[ca, cb] + blocks[cb, ca], tol, site)
 
         # One candidate edge per cyclically adjacent component pair, scanning
         # all four cross-cluster pairings.  The cyclic labeling x_1..x_k

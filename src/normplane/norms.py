@@ -417,8 +417,6 @@ def parse_norm(text: str) -> NormSpec:
         return linf()
     if t.startswith("lp:"):
         body = t[3:]
-        if body in ("inf", "infinity"):
-            return linf()
         try:
             return lp(float(body))
         except ValueError as exc:
@@ -427,7 +425,7 @@ def parse_norm(text: str) -> NormSpec:
         path = t[len("polygon:"):]
         try:
             data = json.loads(_read_text(path, f"polygon file {path!r}"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in cli.load_points
             raise ParseError(f"polygon file {path!r} is not valid JSON") from exc
         return polygonal(_numeric_rows(data, f"polygon file {path!r}"))
     raise ParseError(f"unrecognized norm {text!r}")

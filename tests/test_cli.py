@@ -640,6 +640,39 @@ def test_cli_input_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, norm_f
     assert error["message"].startswith(f"{source} is not UTF-8 text: ")
 
 
+@pytest.mark.parametrize(
+    "norm_file, name, text, message",
+    [
+        (False, "deep.json", "[" * 5000, "is not valid JSON: maximum recursion depth exceeded"),
+        (True, "deep.json", "[" * 5000, "is not valid JSON"),
+        (False, "long.json", f"[[0, 0], [{'9' * 4301}, 1]]",
+         "is not valid JSON: Exceeds the limit (4300 digits)"),
+        (True, "long.json", f"[[1, 1], [-1, 1], [-1, -1], [{'9' * 4301}, -1]]",
+         "is not valid JSON"),
+        (False, "wide.csv", f"0,0\n1,{'1' * 131073}\n", "line 2: field larger than field limit"),
+    ],
+    ids=["deep-points", "deep-polygon", "long-integer-points", "long-integer-polygon",
+         "long-csv-field"],
+)
+def test_cli_input_file_past_a_reader_limit_is_parse_error(tmp_path, capsys, norm_file, name,
+                                                           text, message):
+    # each of these used to escape the readers as a RecursionError, a
+    # ValueError that is no JSONDecodeError, or a csv.Error
+    pts = _write(tmp_path, "tri.json", json.dumps(TRI_345))
+    path = _write(tmp_path, name, text)
+    if norm_file:
+        argv = ["mxst", "--norm", f"polygon:{path}", "--points", pts]
+    else:
+        argv = ["mxst", "--points", path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    error = json.loads(captured.err)
+    assert error["error"] == "ParseError"
+    source = f"polygon file {path!r}" if norm_file else repr(path)
+    assert error["message"].startswith(f"{source} {message}")
+
+
 @pytest.mark.parametrize("kind", ["csv", "json", "polygon"])
 def test_cli_input_file_with_a_utf8_byte_order_mark_reads_as_without(tmp_path, capsys, kind):
     # spreadsheet "CSV UTF-8" exports start with one; it used to make the

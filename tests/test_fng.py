@@ -490,8 +490,7 @@ def test_furthest_over_the_boundary_equals_the_table_argmax(rng):
                         assert np.array_equal(fn_dist, table[rows, first])
                         # a pass of one block is kept whole, with its values
                         if n * len(cand) <= _BLOCK:
-                            assert np.array_equal(held[1], cand)
-                            assert np.array_equal(held[0], table[:, cand])
+                            assert np.array_equal(held, table[:, cand])
                             kept += 1
                         else:
                             assert held is None

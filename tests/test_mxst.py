@@ -549,7 +549,7 @@ def test_reading_and_evaluating_paths_agree(monkeypatch):
                 want = _tree_outcome(lambda: connect_components(spec, S, g, fn_dist, hull, tol))
                 assert _tree_outcome(lambda: mxst_mpsy(spec, S, tol)) == want
                 assert _tree_outcome(lambda: connect_components(
-                    spec, S, g, fn_dist, hull, tol, (table, np.arange(n)))) == want
+                    spec, S, g, fn_dist, hull, tol, table[:, hull.boundary])) == want
                 with monkeypatch.context() as m:
                     m.setattr(fng_module, "_BLOCK", 64)
                     assert _tree_outcome(lambda: mxst_mpsy(spec, S, tol)) == want

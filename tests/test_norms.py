@@ -187,6 +187,16 @@ def test_bisector_point_no_crossing_returns_none():
     assert pt is None
 
 
+@pytest.mark.parametrize("spec", [lp(2), l1()], ids=["lp2", "l1"])
+def test_bisector_point_at_the_last_grid_point(spec):
+    # the line x = t - 5 meets the bisector x = 0 at t = 5: with t_range 5
+    # that is the grid's last point, past every bracket; at 4.9 it is off
+    # the grid and no sign changes
+    pt = bisector_point(spec, [-1, 0], [1, 0], [-5, 0], [1, 0], t_range=5.0)
+    assert np.array_equal(pt, [0, 0])
+    assert bisector_point(spec, [-1, 0], [1, 0], [-5, 0], [1, 0], t_range=4.9) is None
+
+
 def test_sample_bisector_euclidean_axis():
     sample = sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=2.0)
     assert sample.points.shape == (5, 2)
@@ -277,6 +287,8 @@ def test_parse_norm_grammar(tmp_path):
     assert parse_norm("linf").p == math.inf
     assert parse_norm("lp:1.5").p == 1.5
     assert parse_norm("lp:inf") == parse_norm("lp:infinity") == linf()
+    for body in ("inf", "infinity", "Infinity", "+inf"):
+        assert parse_norm(f"lp:{body}") == linf()
     poly = tmp_path / "ball.json"
     poly.write_text("[[1,1],[-1,1],[-1,-1],[1,-1]]")
     spec = parse_norm(f"polygon:{poly}")
