@@ -29,10 +29,19 @@ the scan :func:`_stab`: tree edges join distinct finite points, so only
 the public :func:`stabbing_line` reads and checks a family, segment by
 segment.  The scan tests the lines through pairs of segment endpoints, at
 most m^3 endpoint tests for m segments, each with inline arithmetic, and
-builds a :class:`Line` only for the line returned.  Each side's
-diameter is taken over that side's points alone (:func:`diameter`), as the
-largest block maximum of the row-blocked pass (:func:`fng._row_blocks`)
-over the side against itself, with no n x n table.
+reports the endpoint pair of the line it finds.  Every family probed
+after a feasible one contains it, so the search holds the newest pair
+found (at first, the longest edge's) and tests that one candidate on each
+probe in O(m) (:func:`_pair_stabs`) before scanning: if its line stabs,
+the scan would find a line too.  The scan runs only when the held line
+misses, and once more at the end on the last feasible family when a held
+line decided it, so the probes and the witness line are those of a scan
+at every probe.
+
+Each side's diameter is taken over that side's points alone
+(:func:`diameter`), as the largest block maximum of the row-blocked pass
+(:func:`fng._row_blocks`) over the side against itself, with no n x n
+table.
 """
 
 from __future__ import annotations
@@ -140,12 +149,15 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
         segs.append((px, py, qx, qy))
     if not segs:
         raise DegenerateInput("an empty segment family has every line as a transversal")
-    return _stab(segs, tol)
+    pair = _stab(segs, tol)
+    return None if pair is None else line_through(*pair)
 
 
-def _stab(segs, tol: float) -> Line | None:
-    """:func:`stabbing_line` of a non-empty list of ``(px, py, qx, qy)``
-    rows of finite floats with distinct endpoints, at an accepted tol.
+def _stab(segs, tol: float):
+    """The endpoint pair ``((px, py), (qx, qy))`` whose :func:`line_through`
+    is :func:`stabbing_line` of a non-empty list of ``(px, py, qx, qy)``
+    rows of finite floats with distinct endpoints, at an accepted tol, or
+    None.
 
     If a family of segments has any transversal, it has one through two
     segment endpoints, so the lines through every pair of distinct endpoints
@@ -171,8 +183,28 @@ def _stab(segs, tol: float) -> Line | None:
                 if (sq if sq < sp else sp) > tol or (sq if sq > sp else sp) < -tol:
                     break
             else:
-                return line_through((px, py), (qx, qy))
+                return (px, py), (qx, qy)
     return None
+
+
+def _pair_stabs(segs, pair, tol: float) -> bool:
+    """Whether :func:`_stab`'s candidate line through the endpoint ``pair``
+    stabs every row of ``segs``, both of its endpoints being endpoints there.
+
+    The scan takes a pair first-seen endpoint first, and the two orders can
+    round to lines with different verdicts, so the pair is taken so too.
+    True therefore means that the scan of ``segs`` finds a line as well.
+    """
+    p, q = pair
+    first = next(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy)) if e == p or e == q)
+    line = line_through(p, q) if first == p else line_through(q, p)
+    a, b, c = line.a, line.b, line.c
+    for sx, sy, tx, ty in segs:
+        sp = a * sx + b * sy - c
+        sq = a * tx + b * ty - c
+        if (sq if sq < sp else sp) > tol or (sq if sq > sp else sp) < -tol:  # as in _stab
+            return False
+    return True
 
 
 def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bipartition:
@@ -183,6 +215,13 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     of the spanning tree's proper 2-coloring (:func:`_two_coloring`), with
     point 0 in side_a; the witness is a stabbing line for the tree edges
     longer than the minimal feasible length of the binary search.
+
+    A probe is decided by the held pair's line when it stabs the probe's
+    family: that line is one of the scan's candidates, built as the scan
+    builds it, so the scan's verdict is the same.  The scan runs on a probe
+    whose held line misses (every infeasible probe) and on the final
+    family if a held line decided it, so the probe sequence, the sides,
+    the diameters and the witness line keep the bits of a scan per probe.
     """
     if S.n < 2:
         raise DegenerateInput("2-clustering needs at least two points")
@@ -193,29 +232,34 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     lengths = tree.weights[by_length]
     segments = S.points[tree.edges[by_length]]  # (n - 1, 2, 2), shortest first
 
-    def witness_for(idx: int):
-        # the edges longer than lengths[idx] are a suffix of the sorted rows
-        fam = segments[np.searchsorted(lengths, lengths[idx], side="right") :]
-        if not len(fam):
-            # empty family: any line works; pin the one through the longest
-            # tree edge so the witness stays deterministic
-            return line_through(*segments[-1])
+    def family(idx: int):
+        # the edges longer than lengths[idx] are a suffix of the sorted rows;
         # tree edges join distinct finite points and _stages checked tol
-        return _stab(fam.reshape(-1, 4).tolist(), tol)
+        fam = segments[np.searchsorted(lengths, lengths[idx], side="right") :]
+        return fam.reshape(-1, 4).tolist()
 
     # minimal tree edge length whose longer-edge family admits a stabbing
     # line; feasibility is monotone because the family shrinks with the
-    # threshold, and the empty family at the top is always feasible
+    # threshold, and the empty family at the top is always feasible.  Its
+    # line is pinned through the longest tree edge, so the witness stays
+    # deterministic; that pair is the first one held
     lo, hi = 0, len(lengths) - 1
-    witness = witness_for(hi)  # the line of hi's family; hi ends at lo
+    pair, found_at = tuple(map(tuple, segments[-1].tolist())), hi
     while lo < hi:
         mid = (lo + hi) // 2
-        line = witness_for(mid)
-        if line is not None:
-            hi, witness = mid, line
+        fam = family(mid)
+        # fam contains every family probed feasible so far, so the held
+        # pair's line is one of the scan's candidates: if it stabs, the scan
+        # would find a line too
+        if not fam or _pair_stabs(fam, pair, tol):
+            hi = mid
+        elif (line_pair := _stab(fam, tol)) is not None:
+            hi, pair, found_at = mid, line_pair, mid
         else:
             lo = mid + 1
-    return _bipartition(spec, S, *_two_coloring(g, report), witness)
+    if found_at != hi and (fam := family(hi)):
+        pair = _stab(fam, tol)  # the witness is the scan's line of hi's family
+    return _bipartition(spec, S, *_two_coloring(g, report), line_through(*pair))
 
 
 def _two_coloring(g: FNGraph, report: ConnectingEdgeReport):

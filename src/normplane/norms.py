@@ -426,7 +426,7 @@ def parse_norm(text: str) -> NormSpec:
         try:
             data = json.loads(_read_text(path, f"polygon file {path!r}"))
         except (ValueError, RecursionError) as exc:  # as in cli.load_points
-            raise ParseError(f"polygon file {path!r} is not valid JSON") from exc
+            raise ParseError(f"polygon file {path!r} is not valid JSON: {exc}") from exc
         return polygonal(_numeric_rows(data, f"polygon file {path!r}"))
     raise ParseError(f"unrecognized norm {text!r}")
 

@@ -18,6 +18,7 @@ from normplane import (
     mxst_bruteforce,
     mxst_mpsy,
     pairwise_distances,
+    parse_norm,
     two_clustering,
 )
 import normplane.checks as checks_module
@@ -644,11 +645,11 @@ def test_cli_input_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, norm_f
     "norm_file, name, text, message",
     [
         (False, "deep.json", "[" * 5000, "is not valid JSON: maximum recursion depth exceeded"),
-        (True, "deep.json", "[" * 5000, "is not valid JSON"),
+        (True, "deep.json", "[" * 5000, "is not valid JSON: maximum recursion depth exceeded"),
         (False, "long.json", f"[[0, 0], [{'9' * 4301}, 1]]",
          "is not valid JSON: Exceeds the limit (4300 digits)"),
         (True, "long.json", f"[[1, 1], [-1, 1], [-1, -1], [{'9' * 4301}, -1]]",
-         "is not valid JSON"),
+         "is not valid JSON: Exceeds the limit (4300 digits)"),
         (False, "wide.csv", f"0,0\n1,{'1' * 131073}\n", "line 2: field larger than field limit"),
     ],
     ids=["deep-points", "deep-polygon", "long-integer-points", "long-integer-polygon",
@@ -671,6 +672,25 @@ def test_cli_input_file_past_a_reader_limit_is_parse_error(tmp_path, capsys, nor
     assert error["error"] == "ParseError"
     source = f"polygon file {path!r}" if norm_file else repr(path)
     assert error["message"].startswith(f"{source} {message}")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 5000, "maximum recursion depth exceeded"),
+        (f"[[1, 1], [-1, 1], [-1, -1], [{'9' * 4301}, -1]]", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "long-integer"],
+)
+def test_both_json_readers_name_the_decoder_reason(tmp_path, text, reason):
+    # the same unreadable file gives the same reason as points and as a norm
+    path = _write(tmp_path, "bad.json", text)
+    with pytest.raises(ParseError) as as_points:
+        load_points(path)
+    with pytest.raises(ParseError) as as_norm:
+        parse_norm(f"polygon:{path}")
+    tails = [str(info.value).split(" is not valid JSON: ", 1)[1] for info in (as_points, as_norm)]
+    assert tails[0] == tails[1] and tails[0].startswith(reason)
 
 
 @pytest.mark.parametrize("kind", ["csv", "json", "polygon"])

@@ -12,6 +12,7 @@ from normplane import (
     Line,
     NormPlaneError,
     PointSet,
+    TiesPresent,
     TooLarge,
     diameter,
     euclidean,
@@ -279,22 +280,48 @@ def test_stabbing_line_matches_endpoint_pair_scan():
     assert found >= 500 and missed >= 200
 
 
+def test_held_pair_is_tested_as_the_scans_candidate():
+    # in either order, a pair of endpoints is tested as the scan's
+    # candidate line, first-seen endpoint first; on these grids the two
+    # orders of some pairs give lines with different verdicts
+    rng = np.random.default_rng(36)
+    order_matters = 0
+    for trial in range(400):
+        segs = _segment_arrays(
+            (p, q) for p, q in _segment_family(rng, "grid", int(rng.integers(2, 7)))
+            if not np.array_equal(p, q)
+        )
+        rows = [(*p.tolist(), *q.tolist()) for p, q in segs]
+        # a dict keeps each endpoint's first-seen order and form
+        ends = list(dict.fromkeys(e for row in rows for e in (row[:2], row[2:])))
+        tol = (0.0, 1e-9)[trial % 2]
+        for i, p in enumerate(ends):
+            for q in ends[i + 1 :]:
+                want = _line_stabs_all(line_through(p, q), segs, tol)
+                for pair in ((p, q), (q, p)):
+                    assert clustering_module._pair_stabs(rows, pair, tol) == want
+                order_matters += want != _line_stabs_all(line_through(q, p), segs, tol)
+    assert order_matters >= 1
+
+
 def _probed_families(monkeypatch, cases):
     """Every (family, tol) that two_clustering hands to the scan, as an
-    (m, 2, 2) array; the public stabbing_line of each returns the scan's line."""
-    probes, lines = [], []
+    (m, 2, 2) array; the public stabbing_line of each returns the line
+    through the scan's endpoint pair."""
+    probes, pairs = [], []
     scan = clustering_module._stab
 
     def recording(segs, tol):
         probes.append((np.array(segs).reshape(-1, 2, 2), tol))
-        lines.append(scan(segs, tol))
-        return lines[-1]
+        pairs.append(scan(segs, tol))
+        return pairs[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(clustering_module, "_stab", recording)
         for spec, S, tol in cases:
             two_clustering(spec, S, tol)
-    for (fam, tol), line in zip(probes, lines):
+    for (fam, tol), pair in zip(probes, pairs):
+        line = None if pair is None else line_through(*pair)
         assert _line_key(stabbing_line(fam, tol)) == _line_key(line)
     return probes
 
@@ -560,9 +587,9 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
     scan = clustering_module._stab
 
     def recording(segs, tol):
-        line = scan(segs, tol)
-        probes.append(line)
-        return line
+        pair = scan(segs, tol)
+        probes.append(pair)
+        return pair
 
     monkeypatch.setattr(clustering_module, "_stab", recording)
     witness = two_clustering(spec, S, tol).witness_line
@@ -577,6 +604,107 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
         if line is not None:
             break
     assert (witness.a, witness.b, witness.c) == (line.a, line.b, line.c)
+
+
+def _search_reference(spec, S, tol):
+    """The binary search with a scan at every probe: its non-empty probed
+    families, as (m, 2, 2) arrays, with their verdicts, and the witness."""
+    tree, _ = mxst_mpsy(spec, S, tol)
+    order = np.argsort(tree.weights, kind="stable")
+    lengths, segments = tree.weights[order], S.points[tree.edges[order]]
+    top = witness = line_through(*segments[-1])
+    probes = []
+    lo, hi = 0, len(lengths) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fam = segments[np.searchsorted(lengths, lengths[mid], side="right") :]
+        line = stabbing_line(fam, tol) if len(fam) else top
+        if len(fam):
+            probes.append((fam, line is not None))
+        if line is not None:
+            hi, witness = mid, line
+        else:
+            lo = mid + 1
+    return probes, _line_key(witness)
+
+
+def _recorded_search(monkeypatch, spec, S, tol):
+    """two_clustering's non-empty probed families with their verdicts, read
+    from the held-pair tests and scans it runs, its number of scans, and
+    its witness."""
+    calls = []
+    held, scan = clustering_module._pair_stabs, clustering_module._stab
+
+    def holding(segs, pair, tol):
+        calls.append(("held", segs, held(segs, pair, tol)))
+        return calls[-1][2]
+
+    def scanning(segs, tol):
+        calls.append(("scan", segs, scan(segs, tol)))
+        return calls[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering_module, "_pair_stabs", holding)
+        patch.setattr(clustering_module, "_stab", scanning)
+        witness = two_clustering(spec, S, tol).witness_line
+    probes = []
+    for t, (kind, segs, result) in enumerate(calls):
+        if kind == "scan" and t and calls[t - 1][:2] == ("held", segs):
+            continue  # the scan of a probe whose held line missed, read below
+        if kind == "held" and not result:
+            # a held line that misses hands its probe to the scan
+            assert calls[t + 1][:2] == ("scan", segs)
+            result = calls[t + 1][2] is not None
+        elif kind == "scan":
+            # the witness's scan of the last feasible family ends the search
+            assert t == len(calls) - 1 and result is not None
+            break
+        probes.append((np.array(segs).reshape(-1, 2, 2), result))
+    return probes, sum(kind == "scan" for kind, _, _ in calls), _line_key(witness)
+
+
+def _grid_cases(trials):
+    """Small subsets of integer grids under l1, linf and the hex gauge at
+    tol 0: exactly collinear endpoints, many of them ties."""
+    rng = np.random.default_rng(35)
+    for _ in range(trials):
+        side = int(rng.integers(3, 7))
+        flat = rng.choice(side * side, min(int(rng.integers(3, 13)), side * side), replace=False)
+        S = PointSet(np.stack([flat % side, flat // side], axis=1).astype(float))
+        for spec in (l1(), linf(), polygonal(HEX_BALL)):
+            yield spec, S, 0.0
+
+
+def test_two_clustering_held_line_verdicts_equal_the_scan(monkeypatch):
+    # each probe's verdict, from the held line or a scan, is that of a
+    # fresh scan of the same family, so the probes, their order and the
+    # witness are those of a search that scans at every probe; the grids'
+    # exactly collinear endpoints are where a line's bits decide a verdict
+    solved = 0
+    for spec, S, tol in (*_probe_cases((0, 1, 2)), *_grid_cases(1200)):
+        try:
+            probes, _, witness = _recorded_search(monkeypatch, spec, S, tol)
+        except TiesPresent:
+            continue
+        want, want_witness = _search_reference(spec, S, tol)
+        assert len(probes) == len(want)
+        for (fam, verdict), (want_fam, want_verdict) in zip(probes, want):
+            assert np.array_equal(fam, want_fam)
+            assert verdict == want_verdict
+        assert witness == want_witness
+        solved += 1
+    assert solved >= 400
+
+
+def test_two_clustering_scans_fewer_families_than_it_probes(monkeypatch):
+    # a search that scans at every probe runs one scan per probe here; a
+    # held line that stabs decides its probe with no scan
+    probes = scans = 0
+    for spec, S, tol in _probe_cases((0, 1, 2)):
+        found, n_scans, _ = _recorded_search(monkeypatch, spec, S, tol)
+        probes += len(found)
+        scans += n_scans
+    assert (scans, probes) == (39, 114)
 
 
 def _colouring_bank():

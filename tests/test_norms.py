@@ -300,7 +300,8 @@ def test_parse_norm_grammar(tmp_path):
         parse_norm("cosine")
     broken = tmp_path / "broken.json"
     broken.write_text("[[1,1],[-1,1]")
-    message = f"^polygon file {re.escape(repr(str(broken)))} is not valid JSON$"
+    reason = re.escape("Expecting ',' delimiter: line 1 column 14 (char 13)")
+    message = f"^polygon file {re.escape(repr(str(broken)))} is not valid JSON: {reason}$"
     with pytest.raises(ParseError, match=message):
         parse_norm(f"polygon:{broken}")
     # a file that cannot be read is an I/O error, as for point files
