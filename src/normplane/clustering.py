@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSegment, TooLarge
-from .fng import _OVERFLOW, DEFAULT_TOL, FNGraph, PointSet, _row_blocks, _stages, _triangle
+from .fng import DEFAULT_TOL, FNGraph, PointSet, _finite, _row_blocks, _stages, _triangle
 from .geometry import check_tol
 from .mxst import ConnectingEdgeReport, connect_components
 from .norms import NormSpec
@@ -116,9 +116,7 @@ def diameter(spec: NormSpec, S: PointSet, subset) -> float:
     if len(idx) <= 1:
         return 0.0
     d = np.max(_row_blocks(spec, S.points, idx, idx, lambda _, block: block.max()))
-    if not np.isfinite(d):  # np.max, unlike max, keeps a nan block maximum
-        raise DegenerateInput(_OVERFLOW)
-    return float(d)
+    return float(_finite(d))  # np.max, unlike max, keeps a nan block maximum
 
 
 def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:

@@ -27,13 +27,15 @@ That pass, in one float-range scope, and :func:`distances_between` own the
 float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
 
-The flat strict upper triangle (:func:`_triangle`, mirrored by
-:func:`pairwise_distances`) feeds one window search for ties
-(:func:`_window_ties`) behind :func:`detect_ties`, the invariant suite and
-each :mod:`perturb` tie search: a value x meets the sorted values up to the
-last one at most x + 2 tol, enough for any rounding of x + tol, and the
-exact ``|x - v| <= tol`` decides.  A tie of flat positions lo < hi has one
-form, the key ``lo * P + hi`` over P values, sorting as its pair does.
+Whether two distances tie is decided in one place, :func:`_near`, with tol
+an absolute gap: each row's best two here, the certificates of :mod:`mxst`
+and every tie search of :func:`detect_ties`, the invariant suite and
+:mod:`perturb`, each one window search (:func:`_window_ties`) of sorted
+values of the flat strict upper triangle (:func:`_triangle`).  A tie of
+flat positions lo < hi has one form, the key ``lo * P + hi`` over P values
+(:func:`_tie_key`), sorting as its pair does.  The same tol is a relative
+collinearity band for the hull (:func:`geometry.convex_hull`) and a band
+in the line's units for :func:`clustering.stabbing_line`.
 """
 
 from __future__ import annotations
@@ -90,9 +92,14 @@ def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.n
     vals = distances_between(spec, S, iu, ju)
     if np.any(vals <= 0.0):
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
+    return iu, ju, _finite(vals)
+
+
+def _finite(vals, message: str = _OVERFLOW):
+    """``vals``; DegenerateInput with ``message`` when one of them is not finite."""
     if not np.all(np.isfinite(vals)):
-        raise DegenerateInput(_OVERFLOW)
-    return iu, ju, vals
+        raise DegenerateInput(message)
+    return vals
 
 
 def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -106,7 +113,8 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
     check_tol(tol)
     iu, ju, vals = _table_triangle(table)
     order = np.argsort(vals)
-    lo, hi = np.divmod(_ordered_ties(order, vals[order], tol), vals.size)
+    a, b = _sorted_ties(vals[order], tol)
+    lo, hi = np.divmod(np.sort(_tie_key(order[a], order[b], vals.size)), vals.size)
     return list(zip(
         zip(iu[lo].tolist(), ju[lo].tolist()),
         zip(iu[hi].tolist(), ju[hi].tolist()),
@@ -114,46 +122,49 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
 
 
 def _table_triangle(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(iu, ju, vals)`` of a square table's strict upper triangle; DegenerateInput otherwise."""
+    """``(iu, ju, vals)`` of a square table's strict upper triangle;
+    DegenerateInput otherwise, or when a value there is not finite."""
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DegenerateInput(f"expected a square distance table, got shape {t.shape}")
     iu, ju = np.triu_indices(len(t), k=1)
-    return iu, ju, t[iu, ju]
+    return iu, ju, _finite(t[iu, ju], "the distance table holds a value that is not finite")
 
 
-def _ordered_ties(order: np.ndarray, sv: np.ndarray, tol: float) -> np.ndarray:
-    """The sorted keys ``lo * P + hi``, lo < hi, of every two of the P values
-    within tol, ``order`` being their argsort and ``sv`` the values in that
-    order; keys sort as (lo, hi) pairs, and flat upper-triangle positions as
-    (i, j) tuples."""
-    a, b = _sorted_ties(sv, tol)
-    a, b = order[a], order[b]
-    return np.sort(np.minimum(a, b) * sv.size + np.maximum(a, b))
+def _near(a, b, tol: float):
+    """Whether the distances a and b tie, ``|a - b| <= tol``: scalars, or
+    arrays elementwise.  The one tie rule of every distance decision."""
+    return abs(a - b) <= tol
+
+
+def _tie_key(a, b, size: int):
+    """The key ``min * size + max`` of the tie of flat positions a and b
+    among ``size`` values; keys sort as their (min, max) pairs do."""
+    return np.minimum(a, b) * size + np.maximum(a, b)
 
 
 def _sorted_ties(sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``(a, b)``, a < b, of every two values of the sorted ``sv``
-    within tol, each pair once.
+    """Positions ``(a, b)``, a < b, of every two tied values of the sorted
+    ``sv``, each pair once.
 
     Float subtraction is monotone, so a value tied to any later one is tied
-    to its successor; its window (:func:`_window_ties`) starts there.
+    to its successor, and only such values are searched, from there.
     """
-    a = np.flatnonzero(sv[1:] - sv[:-1] <= tol)
+    a = np.flatnonzero(_near(sv[1:], sv[:-1], tol))
     if not a.size:
         return a, a  # the common case on a perturbation rung's row
-    g, b = _window_ties(sv[a], sv, a + 1, tol)
+    g, b = _window_ties(sv[a], sv, tol, a + 1)
     return a[g], b
 
 
-def _window_ties(x: np.ndarray, sv: np.ndarray, start: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(g, b)``: each ``x[g]`` paired with every ``sv[b]``, b from
-    ``start[g]`` up to the last value at most ``x[g] + 2 tol``, with
-    ``|x[g] - sv[b]| <= tol``; sv sorted.  For the sorted ``v >= x`` of one
-    array, ``|x - v|`` is exactly ``v - x``."""
+def _window_ties(x: np.ndarray, sv: np.ndarray, tol: float,
+                 start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, b)``: each ``x[g]`` paired with every ``sv[b]`` it ties, sv
+    sorted, b in the window from x - 2 tol (or ``start[g]``, when given) up
+    to x + 2 tol, enough for any rounding of x - tol and x + tol."""
+    start = sv.searchsorted(x - 2.0 * tol) if start is None else start
     g, b = _windows(start, sv.searchsorted(x + 2.0 * tol, "right") - start)
-    hit = np.abs(x[g] - sv[b]) <= tol
+    hit = _near(x[g], sv[b], tol)
     return g[hit], b[hit]
 
 
@@ -246,12 +257,11 @@ def _furthest(spec: NormSpec, pts: np.ndarray, cand, tol: float):
         return block if len(block) == len(pts) else None  # the whole pass
 
     held = _row_blocks(spec, pts, np.arange(len(pts)), cand, put)[0]
-    if not np.all(np.isfinite(best)):
-        raise DegenerateInput(_OVERFLOW)
+    _finite(best)
     if best.min() <= 0.0:
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
     fn = cand[arg]
-    tied = np.flatnonzero(best - second <= tol)
+    tied = np.flatnonzero(_near(best, second, tol))
     tied = tied[cand[runner_arg[tied]] != tied]
     if tied.size:
         i = int(tied[0])

@@ -53,6 +53,7 @@ from .fng import (
     DEFAULT_TOL,
     FNGraph,
     PointSet,
+    _near,
     _row_blocks,
     _stages,
     _triangle,
@@ -320,7 +321,7 @@ def _certify(chosen, cands, tol: float, site: str):
     triples ``cands`` with another pair lies within tol of it."""
     i, j, w = chosen
     for ci, cj, cw in cands:
-        if (ci, cj) != (i, j) and abs(cw - w) <= tol:
+        if (ci, cj) != (i, j) and _near(cw, w, tol):
             raise TiesPresent(f"tied {site}: {(i, j)} and {(ci, cj)} within tol={tol:g}")
     return chosen
 

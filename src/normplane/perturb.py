@@ -18,16 +18,12 @@ changes only the mover's n - 1 pairs, and it is accepted only when it keeps
 a strict subset of the mover's ties and adds none, so ties only ever break.
 An accepted move merges the mover's sorted row into the others' order
 (O(P), no sort of the triangle) and rebuilds the masks, which decide the
-sweeps' triggers.  Ties have one search and one form: the window search of
-:mod:`fng` (:func:`fng._window_ties`) from given tied pairs against all
-sorted values, giving sorted keys ``lo * P + hi`` of flat positions.  A
-move's test searches once from the mover's tied pairs; each rung then
-answers yes or no on the candidate row alone, in value order, cheapest
-test first: its values against the other pairs' sorted values, rejecting
-on the count of those ties or on one the mover did not have, then among
-themselves (:func:`fng._sorted_ties`).  The residual phase searches once
-from its layer's tied pairs and drops after each move the ties whose
-values parted.
+sweeps' triggers.  Ties are searched and keyed as in :mod:`fng`, from
+given tied pairs against all sorted values (:meth:`_Perturber._ties_holding`):
+once from the mover's tied pairs for a move, whose rungs then test the
+candidate row alone (:meth:`_Perturber._row_test`), and once from its
+layer's tied pairs for the residual phase, which drops after each move the
+ties whose values parted.
 
 Non-strictly-convex norms are rejected: a flat piece of the unit sphere
 yields bisectors with interior, and small translations provably cannot
@@ -42,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, NotStrictlyConvex
-from .fng import DEFAULT_TOL, PointSet, _sorted_ties, _table_triangle, _triangle, _window_ties
+from .fng import (DEFAULT_TOL, PointSet, _near, _sorted_ties, _table_triangle, _tie_key, _triangle,
+                  _window_ties)
 from .geometry import _hull, check_tol
 from .norms import NormSpec, is_strictly_convex, norm_many
 
@@ -86,9 +83,8 @@ def min_distance_gap(table, tol: float = DEFAULT_TOL) -> float:
 
 
 def _least_gap(sv: np.ndarray, tol: float) -> float:
-    """The smallest gap above tol in one ``np.diff`` of sorted values, or +inf."""
-    gaps = np.diff(sv)
-    return float(np.min(gaps[gaps > tol], initial=math.inf))
+    """The smallest gap between adjacent sorted values that do not tie, or +inf."""
+    return float(np.min(np.diff(sv)[~_near(sv[1:], sv[:-1], tol)], initial=math.inf))
 
 
 def check_eps(eps: float) -> None:
@@ -146,12 +142,11 @@ class _Perturber:
         self.not_mine = np.ones(self.vals.size, dtype=bool)  # all True between calls
 
     def _mark_ties(self) -> None:
-        """Rebuild ``pair_tied``, the flat pairs within tol of another, and
-        ``point_tied``, the points holding such a pair, from the adjacent
-        gaps of the sorted values: float subtraction is monotone, so a value
-        tied to any other is tied to a neighbour in value order."""
+        """Rebuild ``pair_tied``, the flat pairs tied to another, and
+        ``point_tied``, the points holding such a pair, from the ties of
+        neighbours in value order, as :func:`fng._sorted_ties` reads them."""
         sv = self.sorted_vals
-        close = np.flatnonzero(sv[1:] - sv[:-1] <= self.tol)
+        close = np.flatnonzero(_near(sv[1:], sv[:-1], self.tol))
         tied = self.order[np.concatenate([close, close + 1])]
         self.pair_tied = np.zeros(self.vals.size, dtype=bool)
         self.pair_tied[tied] = True
@@ -214,7 +209,7 @@ class _Perturber:
             if not any(self._attempt_move(mover, anchor)
                        for mover, anchor in self._tries(lo, hi, layer)):
                 raise BudgetExceeded(_NO_MOVE)
-            live = np.abs(self.vals[lo] - self.vals[hi]) <= self.tol
+            live = _near(self.vals[lo], self.vals[hi], self.tol)
             lo, hi = lo[live], hi[live]
 
     def _tries(self, lo: np.ndarray, hi: np.ndarray, on_layer: list[bool]):
@@ -311,17 +306,13 @@ class _Perturber:
         return self.order[keep], self.sorted_vals[keep]
 
     def _ties_holding(self, pairs: np.ndarray) -> np.ndarray:
-        """The sorted keys ``lo * P + hi`` of the current ties holding one of
-        the flat positions ``pairs``: the window search (:func:`fng._window_ties`)
-        of those that ``pair_tied`` flags against all sorted values, each
-        pair's match with itself left out.  A move's test passes the mover's
-        pairs, the residual phase its layer's tied pairs."""
+        """The sorted keys of the current ties holding one of the flat
+        positions ``pairs``: the window search of those that ``pair_tied``
+        flags against all sorted values, each pair's match with itself left out."""
         tied = pairs[self.pair_tied[pairs]]
-        x = self.vals[tied]
-        g, b = _window_ties(x, self.sorted_vals, self.sorted_vals.searchsorted(x - 2.0 * self.tol),
-                            self.tol)
+        g, b = _window_ties(self.vals[tied], self.sorted_vals, self.tol)
         a, b = tied[g], self.order[b]
-        keys = np.sort((np.minimum(a, b) * self.vals.size + np.maximum(a, b))[a != b])
+        keys = np.sort(_tie_key(a, b, self.vals.size)[a != b])
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]  # a tie of two of its pairs is found twice
         return keys[first]
@@ -341,13 +332,13 @@ class _Perturber:
 
         def kept(x: np.ndarray, y: np.ndarray) -> bool:
             """Whether the mover had the tie of each flat pair (x, y)."""
-            keys = np.minimum(x, y) * size + np.maximum(x, y)
+            keys = _tie_key(x, y, size)
             return bool((had.take(had.searchsorted(keys), mode="clip") == keys).all())
 
         def ties_after(row: np.ndarray) -> bool:
             by_value = np.argsort(row)
             sr, pairs = row[by_value], mine[by_value]
-            a, b = _window_ties(sr, rest_sv, rest_sv.searchsorted(sr - 2.0 * tol), tol)
+            a, b = _window_ties(sr, rest_sv, tol)
             # no strict shrink (the new ties are distinct), or a tie the mover did not have
             if a.size >= had.size or not kept(pairs[a], rest[b]):
                 return False

@@ -20,6 +20,7 @@ from normplane import (
     detect_ties,
     l1,
     lp,
+    min_distance_gap,
     mxst_bruteforce,
     mxst_mpsy,
     order_components,
@@ -569,6 +570,18 @@ def test_detect_ties_rejects_a_table_that_is_not_square(shape):
     message = f"expected a square distance table, got shape {shape}"
     with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
         detect_ties(np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("read", [detect_ties, min_distance_gap])
+def test_a_table_holding_a_non_finite_distance_is_rejected(read, value):
+    # numpy used to warn in the tie search's subtraction, a nan was skipped
+    # (the gap of the first table read 2.0) and two infs read as untied
+    for table in ([[0.0, 1.0, value], [1.0, 0.0, 3.0], [value, 3.0, 0.0]],
+                  [[0.0, value, value], [value, 0.0, 3.0], [value, 3.0, 0.0]]):
+        with pytest.raises(DegenerateInput,
+                           match="^the distance table holds a value that is not finite$"):
+            read(np.array(table))
 
 
 def _decompose_by_walk(fn) -> FNGraph:

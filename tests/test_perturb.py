@@ -308,7 +308,8 @@ def test_polygonal_ball_translation_keeps_ties():
 def _ties_of(vals, tol):
     """The tie keys ``lo * P + hi`` of the P values, sorted, from a rescan."""
     order = np.argsort(vals)
-    return fng._ordered_ties(order, vals[order], tol)
+    a, b = fng._sorted_ties(vals[order], tol)
+    return np.sort(fng._tie_key(order[a], order[b], vals.size))
 
 
 def _rescan(self):
@@ -514,9 +515,9 @@ def test_own_pair_search_runs_and_matches_the_full_rescan(monkeypatch, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_tied_pairs_match_every_pair_compared(tol):
     # a rung's own pairs come from _sorted_ties on the row in value order,
-    # and detect_ties's from _ordered_ties; both must be exactly the pairs of
-    # a row whose |a - b| <= tol, checked on rows with exact repeats and
-    # neighbours one ulp apart.  The rung's
+    # and detect_ties's keys (fng._tie_key) from the same search, sorted;
+    # both must be exactly the pairs of a row whose |a - b| <= tol, checked
+    # on rows with exact repeats and neighbours one ulp apart.  The rung's
     # cross pairs come from the same window search (fng._window_ties) of
     # the row against the other pairs' sorted values: exactly the pairs
     # with |row - rest| <= tol, checked on a rest holding each picked row
@@ -532,7 +533,7 @@ def test_tied_pairs_match_every_pair_compared(tol):
                 row[dst] = [row[src], np.nextafter(row[src], 3.0), np.nextafter(row[src], 0.0),
                             row[src] + tol, row[src] - 0.5 * tol][trial % 5]
         by_value = np.argsort(row)
-        lo, hi = np.divmod(fng._ordered_ties(by_value, row[by_value], tol), m)
+        lo, hi = np.divmod(_ties_of(row, tol), m)
         iu, ju = np.triu_indices(m, k=1)
         close = np.abs(row[iu] - row[ju]) <= tol
         assert lo.tolist() == iu[close].tolist() and hi.tolist() == ju[close].tolist()
@@ -546,7 +547,7 @@ def test_tied_pairs_match_every_pair_compared(tol):
             planted, np.nextafter(planted, 3.0), np.nextafter(planted, 0.0),
             planted + tol, planted - tol,
         ]))
-        g, b = fng._window_ties(row, rest, rest.searchsorted(row - 2.0 * tol), tol)
+        g, b = fng._window_ties(row, rest, tol)
         g_all, b_all = np.nonzero(np.abs(row[:, None] - rest) <= tol)
         assert g.tolist() == g_all.tolist() and b.tolist() == b_all.tolist()
         crossed += g.size
