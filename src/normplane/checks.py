@@ -28,9 +28,9 @@ from .errors import NormPlaneError
 from .fng import (
     DEFAULT_TOL,
     PointSet,
+    _count_ties,
     _decompose,
     _mirrored,
-    _sorted_ties,
     _triangle,
     order_components,
 )
@@ -81,7 +81,7 @@ def _global_stage(spec: NormSpec, S: PointSet, tol: float):
     count of tied pairs ("" without any), then the greedy oracle tree and the
     triangle mirrored as :func:`fng.pairwise_distances` does, both None with ties."""
     iu, ju, w = _triangle(spec, S)
-    tied = _sorted_ties(np.sort(w), tol)[0].size
+    tied = _count_ties(np.sort(w), tol)
     if tied:
         return f"{tied} tied distance pairs at tol={tol:g}", None, None
     return "", _greedy(S.n, iu, ju, w), _mirrored(S.n, iu, ju, w)

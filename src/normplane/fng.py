@@ -20,9 +20,10 @@ Every largest distance that is evaluated is found from one rows x columns
 pass in blocks of whole rows of about ``_BLOCK`` distances
 (:func:`_row_blocks`), each block handed to the caller's reduction, which
 owns it: each row's best two (:func:`_furthest`), the block's maximum
-(:func:`clustering.diameter`) or the best two pairs of each (row cluster x
-column cluster) block (:func:`mxst._cluster_blocks`, the connecting edges,
-one pass per spine when no caller holds their distances).
+(:func:`clustering.diameter`) or the best two entries of each (cluster x
+boundary cluster) rectangle it holds rows of (:func:`mxst._cluster_blocks`,
+the connecting edges, one pass per spine when no caller holds their
+distances).
 That pass, in one float-range scope, and :func:`distances_between` own the
 float range: a distance beyond it reads inf or nan without a warning, and
 each caller raises DegenerateInput on a non-finite value it reads.
@@ -123,12 +124,18 @@ def detect_ties(table, tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int], 
 
 def _table_triangle(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(iu, ju, vals)`` of a square table's strict upper triangle;
-    DegenerateInput otherwise, or when a value there is not finite."""
+    DegenerateInput otherwise, when a value there is not finite, or when the
+    table is no distance table: not symmetric, or a diagonal value not 0."""
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DegenerateInput(f"expected a square distance table, got shape {t.shape}")
     iu, ju = np.triu_indices(len(t), k=1)
-    return iu, ju, _finite(t[iu, ju], "the distance table holds a value that is not finite")
+    vals = _finite(t[iu, ju], "the distance table holds a value that is not finite")
+    if not np.array_equal(t[ju, iu], vals):
+        raise DegenerateInput("the distance table is not symmetric")
+    if np.any(t.diagonal() != 0.0):
+        raise DegenerateInput("the distance table has a diagonal value that is not 0")
+    return iu, ju, vals
 
 
 def _near(a, b, tol: float):
@@ -155,6 +162,25 @@ def _sorted_ties(sv: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         return a, a  # the common case on a perturbation rung's row
     g, b = _window_ties(sv[a], sv, tol, a + 1)
     return a[g], b
+
+
+def _count_ties(sv: np.ndarray, tol: float) -> int:
+    """How many pairs :func:`_sorted_ties` lists, without listing them.
+
+    A value tied to a later one is tied to its successor, and the values
+    it ties from there on are a prefix of its window (:func:`_window_ties`),
+    float subtraction being monotone; each prefix's end is found by one
+    bisection of all of them at once, in O(log window) passes.
+    """
+    a = np.flatnonzero(_near(sv[1:], sv[:-1], tol))
+    x = sv[a]
+    # sv[lo] ties x, and nothing from hi on is in the window
+    lo, hi = a + 1, sv.searchsorted(x + 2.0 * tol, "right")
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        tied = _near(sv[mid], x, tol)
+        lo, hi = np.where(tied, mid, lo), np.where(tied, hi, mid)
+    return int(np.sum(lo - a))
 
 
 def _window_ties(x: np.ndarray, sv: np.ndarray, tol: float,

@@ -10,16 +10,18 @@ PointSet has run), and takes the furthest neighbors and their distances
 over its b boundary points (:func:`fng._stages`): n b norm evaluations,
 no sort, and the pass kept only when it was one block.  `connect_components`
 does the rest from that graph, those distances and the hull, reading only
-the cluster x boundary-cluster blocks it compares, each once per call: the
-spine's two clusters against the boundary points of the clusters of its
-neighbours in the cyclic order (at k = 2 the one other spine), each block
-reduced to its best two pairs (:func:`_cluster_blocks`).  The clusters are
-index ranges of one stable argsort of the points by their cluster's cyclic
-rank (:func:`_cluster_ranges`), so a spine's rows are one slice.  A block
-is gathered from the caller's n x b block of every point against the
-boundary (the furthest-neighbor pass of one block, or the boundary columns
-of the invariant suite's table), else evaluated in one row-blocked pass
-per spine.  Each tree edge keeps the weight of the pass that found it.
+the cluster x boundary-cluster rectangles it compares, 8k of them, each
+once per call: a spine's two clusters against the boundary points of the
+clusters of its neighbours in the cyclic order (at k = 2 the one other
+spine), each reduced to its best two entries (:func:`_cluster_blocks`).
+The clusters are index ranges of one stable argsort of the points by
+their cluster's cyclic rank (:func:`_cluster_ranges`).  The caller's n x b
+block of every point against the boundary (the furthest-neighbor pass of
+one block, or the boundary columns of the invariant suite's table) is
+gathered once in that rank order, rows and columns, so each rectangle is
+one slice of it; without it the rectangles are evaluated in one
+row-blocked pass per spine.  Only the entries a certificate reads become
+point pairs, and each tree edge keeps the weight of the pass that found it.
 The invariant suite, which holds its inputs, and :func:`clustering.two_clustering`,
 which colors the tree from its graph, call it directly.
 The tree's validity follows from the decomposition: the graph is a forest
@@ -149,57 +151,73 @@ def connect_components(
     ``held``, when the caller already holds the distances, is the n x b
     block ``held[i, t] = ||p_i - p_boundary[t]||`` of every point against
     ``hull.boundary``, where every connecting edge has an endpoint.  The
-    connecting blocks are then read from it instead of evaluated.
+    connecting rectangles are then slices of one gather of it instead of
+    evaluated.
     """
     n = S.n
     cycle = order_components(g, hull)
     k = g.k
 
-    # the FNG edges sorted(i, fn[i]), each spine once, at its smaller endpoint
+    # the FNG edges as keys lo * n + hi, each spine once, at its smaller endpoint
     idx = np.arange(n)
     once = (g.fn[g.fn] != idx) | (idx < g.fn)
-    pairs = np.stack([np.minimum(idx, g.fn), np.maximum(idx, g.fn)], axis=1)[once]
+    keys = (np.minimum(idx, g.fn) * n + np.maximum(idx, g.fn))[once]
     weights = fn_dist[once]
+    del idx, once  # n-sized: freed before the tree's arrays are built
     entries: list[StepFourEntry] = []
     discarded: int | None = None
     kept: list[tuple[int, int, float]] = []
 
     if k > 1:
         # the clusters ranked spine by spine in the cyclic order, x_s being
-        # 2s and x'_s 2s + 1, so spine s's two clusters are one slice of
-        # ``by_rank`` and each cluster's boundary points one of ``on_hull``
+        # 2s and x'_s 2s + 1: cluster c is the slice at[c]:at[c + 1] of
+        # ``by_rank``, and its boundary points the slice on_at[c]:on_at[c + 1]
+        # of ``on_hull``, which is ``hull.boundary[on_perm]``
         reps = cycle.reshape(2, k).T.ravel()
-        by_rank, size, on_hull, on_size = _cluster_ranges(g, hull, reps)
-        at = list(itertools.accumulate(size, initial=0))
-        on_at = list(itertools.accumulate(on_size, initial=0))
+        by_rank, at, on_perm, on_at = _cluster_ranges(g, hull, reps)
+        on_hull = hull.boundary[on_perm]
+        if held is not None:
+            block = held[by_rank][:, on_perm]  # every rectangle is a slice of it
 
-        # one block per spine: its two clusters against the boundary points
-        # of the clusters of its adjacent spines (the one other spine at
-        # k = 2), so each ordered cluster x boundary-cluster block is read
-        # once, however many pairings read it
-        blocks: dict[tuple[int, int], list] = {}
+        # the best two of each rectangle of a spine's two clusters against
+        # the boundary points of the clusters of its adjacent spines (the one
+        # other spine at k = 2), each reduced once however many pairings read it
+        top: dict[tuple[int, int], list] = {}
         for s in range(k):
-            rows = by_rank[at[2 * s] : at[2 * s + 2]]
-            near = dict.fromkeys(((s - 1) % k, (s + 1) % k))
-            cols = np.concatenate([on_hull[on_at[2 * t] : on_at[2 * t + 2]] for t in near])
-            col_ranks = [c for t in near for c in (2 * t, 2 * t + 1)]
-            block = None
-            if held is not None:
-                block = held[rows[:, None], hull.boundary.searchsorted(cols)]  # a fresh array
-            top = _cluster_blocks(spec, S.points, rows, size[2 * s : 2 * s + 2],
-                                  cols, [on_size[c] for c in col_ranks], block)
-            for a, line in enumerate(top):
-                blocks.update(((2 * s + a, c), found) for c, found in zip(col_ranks, line))
+            near = [c for t in dict.fromkeys(((s - 1) % k, (s + 1) % k)) for c in (2 * t, 2 * t + 1)]
+            c0 = on_at
+            if held is None:  # the adjacent boundary clusters side by side
+                cols = np.concatenate([on_hull[on_at[c] : on_at[c + 1]] for c in near])
+                c0 = dict(zip(near, itertools.accumulate((on_at[c + 1] - on_at[c] for c in near), initial=0)))
+            rects = {(ca, cb): (at[ca], at[ca + 1], c0[cb], c0[cb] + on_at[cb + 1] - on_at[cb])
+                     for ca in (2 * s, 2 * s + 1) for cb in near}
+            if held is None:
+                _row_blocks(spec, S.points, by_rank[at[2 * s] : at[2 * s + 2]], cols,
+                            lambda r0, part: _cluster_blocks(part, at[2 * s] + r0, rects, top))
+            else:
+                _cluster_blocks(block, 0, rects, top)
 
-        def pairing_max(ca: int, cb: int) -> tuple[int, int, float]:
+        rep_ids, component = reps.tolist(), g.component_of[reps].tolist()
+        pairings: dict[tuple[int, int], tuple] = {}
+
+        def pairing_max(ca: int, cb: int) -> tuple[tuple[int, int, float], CandidateEdge]:
             # max over the pairing of the clusters ranked ca and cb, with
             # either endpoint taking the boundary-restricted role; the
             # connecting edge has at least one endpoint on the hull, so
             # nothing is missed.  A pair with both endpoints on the hull
-            # sits in both blocks with the same bits.  Only at k = 2 is a
-            # pairing asked for twice, and a tie raises at its first reading
-            site = f"maxima of the cluster pairing {(int(reps[ca]), int(reps[cb]))}"
-            return _unique_max(blocks[ca, cb] + blocks[cb, ca], tol, site)
+            # sits in both rectangles with the same bits.  Only entries
+            # within tol of the heaviest become pairs, and only at k = 2 is
+            # a pairing asked for twice, certified at its first reading
+            key = min(ca, cb), max(ca, cb)
+            if key not in pairings:
+                heaviest = min(top[ca, cb][0][0], top[cb, ca][0][0])
+                found = [(*sorted((by_rank.item(at[a] + r), on_hull.item(on_at[b] + c))), -w)
+                         for a, b in ((ca, cb), (cb, ca)) for w, r, c in top[a, b]
+                         if _near(w, heaviest, tol)]
+                chosen = _unique_max(found, tol, lambda: "maxima of the cluster pairing "
+                                     f"{(rep_ids[ca], rep_ids[cb])}")
+                pairings[key] = chosen, CandidateEdge(*chosen)
+            return pairings[key]
 
         # One candidate edge per cyclically adjacent component pair, scanning
         # all four cross-cluster pairings.  The cyclic labeling x_1..x_k
@@ -210,119 +228,96 @@ def connect_components(
         selected = []
         for i in range(k):
             prev = (i - 1) % k
-            cands = (
+            cands, edges = zip(
                 pairing_max(2 * i, 2 * prev + 1),
                 pairing_max(2 * prev, 2 * i + 1),
                 pairing_max(2 * i, 2 * prev),
                 pairing_max(2 * i + 1, 2 * prev + 1),
             )
-            components = (int(g.component_of[reps[2 * prev]]), int(g.component_of[reps[2 * i]]))
-            selected.append(_unique_max(cands, tol, f"connecting candidates of components {components}"))
-            entries.append(StepFourEntry(components=components,
-                                         candidates=tuple(CandidateEdge(*c) for c in cands),
-                                         selected=CandidateEdge(*selected[-1])))
-        discarded = int(np.argmin([c[2] for c in selected]))
-        _certify(selected[discarded], selected, tol, "minimum among the connecting edges")
+            components = component[2 * prev], component[2 * i]
+            selected.append(_unique_max(cands, tol, lambda: f"connecting candidates of components {components}"))
+            entries.append(StepFourEntry(components, edges, CandidateEdge(*selected[-1])))
+        discarded = min(range(k), key=lambda t: selected[t][2])
+        _certify(selected[discarded], selected, tol, lambda: "minimum among the connecting edges")
         kept = [c for t, c in enumerate(selected) if t != discarded]
-        pairs = np.concatenate([pairs, np.array([c[:2] for c in kept], dtype=np.intp)])
-        weights = np.concatenate([weights, [c[2] for c in kept]])
+        keys = np.concatenate([keys, [i * n + j for i, j, _ in kept]])
+        weights = np.concatenate([weights, [w for _, _, w in kept]])
 
     join = _union_find(k)
-    if len(pairs) != n - 1 or not all(
+    if keys.size != n - 1 or not all(
         join(int(g.component_of[i]), int(g.component_of[j])) for i, j, _ in kept
     ):
         raise StructureViolation("connecting edges did not produce a spanning tree")
-    by = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    # rebound, so the unsorted arrays are freed before SpanningTree copies these
-    pairs, weights = pairs[by], weights[by]
+    by = np.argsort(keys, kind="stable")  # the keys are distinct and sort as their pairs
+    pairs = np.empty((n - 1, 2), dtype=np.intp)
+    np.divmod(keys[by], n, out=(pairs[:, 0], pairs[:, 1]))
+    # rebound, so the unsorted weights are freed before SpanningTree copies these
+    weights = weights[by]
     tree = SpanningTree(pairs, weights)
     return tree, ConnectingEdgeReport(entries=tuple(entries), discarded=discarded)
 
 
 def _cluster_ranges(g: FNGraph, hull: HullIndex, reps: np.ndarray):
-    """``(by_rank, size, on_hull, on_size)``: the points grouped by the
-    position of their cluster's representative in ``reps``, each cluster in
-    index order, by one stable argsort, and each group's size; then the
-    same for the hull boundary's points alone.  The ranks are the smallest
-    integer type that holds them, which numpy sorts by radix."""
+    """``(by_rank, at, on_perm, on_at)``: the points grouped by the position
+    of their cluster's representative in ``reps``, each cluster in index
+    order, by one stable argsort, and the offsets where each group starts
+    and the last ends; then the same for the positions of the points of
+    ``hull.boundary``.  The ranks are the smallest integer type that holds
+    them, which numpy sorts by radix."""
     rank = np.zeros(g.fn.size, dtype=np.min_scalar_type(reps.size))
     rank[reps] = np.arange(reps.size)
     key = rank[g.cluster_of]
-    by_rank = np.argsort(key, kind="stable")
-    on_hull = by_rank[(hull.position >= 0)[by_rank]]
-    size, on_size = (np.bincount(r, minlength=reps.size).tolist() for r in (key, key[on_hull]))
-    return by_rank, size, on_hull, on_size
+    on_key = key[hull.boundary]
+    at, on_at = (list(itertools.accumulate(np.bincount(r, minlength=reps.size).tolist(), initial=0))
+                 for r in (key, on_key))
+    return np.argsort(key, kind="stable"), at, np.argsort(on_key, kind="stable"), on_at
 
 
-def _cluster_blocks(spec: NormSpec, pts: np.ndarray, rows, row_sizes, cols, col_sizes,
-                    block: np.ndarray | None = None) -> list[list[list]]:
-    """``top[a][c]``: the best two pairs of the distance block of row range
-    a against column range c, heaviest first, each the first in row-major
-    order (one for a 1 x 1 block), as ``(i, j, w)`` triples, i < j.  The
-    ranges cut the index arrays ``rows`` and ``cols`` into consecutive
-    pieces of the non-zero lengths ``row_sizes`` and ``col_sizes``.
-
-    The distances are ``block`` (rows x cols, owned by the reduction) when
-    the caller holds them, else one pass (:func:`fng._row_blocks`) evaluates
-    them; each block's piece of a range pair is reduced to its best two and
-    merged with the running ones by (weight descending, then earlier
-    position), so nothing per row outlives its block.
-    """
-    n_cols = cols.size
-    row_spans, col_spans = (list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
-                            for sizes in (row_sizes, col_sizes))
-    # (-weight, position in the rows x cols row-major order): sorted, heaviest first
-    top = [[[] for _ in col_spans] for _ in row_spans]
-
-    def merge(r0, block):
-        for line, (a, b) in zip(top, row_spans):
-            a, b = max(a, r0), min(b, r0 + len(block))
-            if a >= b:
-                continue
-            for c, (c0, c1) in enumerate(col_spans):
-                found = [(-w, (a + f // (c1 - c0)) * n_cols + c0 + f % (c1 - c0))
-                         for w, f in _first_two(block[a - r0 : b - r0, c0:c1].ravel())]
-                line[c] = sorted(line[c] + found)[:2]
-
-    def triple(w, f):
-        i, j = sorted((int(rows[f // n_cols]), int(cols[f % n_cols])))
-        return i, j, -w
-
-    if block is None:
-        _row_blocks(spec, pts, rows, cols, merge)
-    else:
-        merge(0, block)
-    return [[[triple(w, f) for w, f in best] for best in line] for line in top]
+def _cluster_blocks(block: np.ndarray, r0: int, rects: dict, top: dict) -> None:
+    """Merge into ``top[key]`` the best two entries ``(-w, r, c)`` of the
+    part that ``block``, whose first row is row r0, holds of the rectangle
+    ``rects[key] = (a, b, c0, c1)``: rows a:b and columns c0:c1 of the
+    whole distance block.  r and c count from the rectangle's corner, and
+    each list is sorted: heaviest first, then first in row-major order (one
+    entry for a 1 x 1 rectangle).  A pass in row blocks
+    (:func:`fng._row_blocks`) thus keeps nothing per row beyond its block."""
+    for key, (a, b, c0, c1) in rects.items():
+        lo, hi = max(a, r0), min(b, r0 + len(block))
+        if lo < hi:
+            found = _best_two(block[lo - r0 : hi - r0, c0:c1], lo - a)
+            top[key] = sorted(top[key] + found)[:2] if key in top else found
 
 
-def _first_two(flat: np.ndarray) -> list[tuple[float, int]]:
-    """``(value, position)`` of a 1-D array's first maximum and of the first
-    largest value at another position (none for a single value): one lane
-    of :func:`fng._top2` without its per-lane offset arrays, which on a
-    single lane cost more than the search.  The maximum is left masked with
-    -inf."""
+def _best_two(rect: np.ndarray, r0: int) -> list[tuple[float, int, int]]:
+    """``(-w, r0 + r, c)`` of a 2-D block's first maximum w, at (r, c), and
+    of the first largest value at another position (none for a single
+    value), in row-major order.  The maximum is left masked with -inf where
+    the block is contiguous."""
+    width = rect.shape[1]
+    flat = rect.ravel()
     i = int(flat.argmax())
-    top = float(flat[i])
+    w = flat.item(i)
     if flat.size == 1:
-        return [(top, i)]
+        return [(-w, r0, 0)]
     flat[i] = -np.inf
     j = int(flat.argmax())
-    return [(top, i), (float(flat[j]), j)]
+    return [(-w, r0 + i // width, i % width), (-flat.item(j), r0 + j // width, j % width)]
 
 
-def _unique_max(cands, tol: float, site: str):
+def _unique_max(cands, tol: float, site):
     """The first heaviest of the ``(i, j, w)`` triples ``cands``, certified
     (:func:`_certify`)."""
     return _certify(max(cands, key=operator.itemgetter(2)), cands, tol, site)
 
 
-def _certify(chosen, cands, tol: float, site: str):
+def _certify(chosen, cands, tol: float, site):
     """``chosen``, an ``(i, j, w)`` triple; TiesPresent when one of the
-    triples ``cands`` with another pair lies within tol of it."""
+    triples ``cands`` with another pair lies within tol of it, naming the
+    decision ``site()``, which is only called then."""
     i, j, w = chosen
     for ci, cj, cw in cands:
         if (ci, cj) != (i, j) and _near(cw, w, tol):
-            raise TiesPresent(f"tied {site}: {(i, j)} and {(ci, cj)} within tol={tol:g}")
+            raise TiesPresent(f"tied {site()}: {(i, j)} and {(ci, cj)} within tol={tol:g}")
     return chosen
 
 

@@ -1,5 +1,7 @@
 """The invariant suite: its check names, their order, and how each stage answers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ def test_tied_grid_pattern(rng):
     assert not first.passed
     assert first.detail.startswith(f"{len(ties)} tied distance pairs")
     assert _answers(results[1:]) == [(name, False, "skipped: ties present") for name in NAMES[1:]]
+
+
+def test_the_tie_count_lists_no_pair():
+    # the full 20 x 20 grid ties 30,549,616 pairs at tol 0: listing them
+    # took about 1.25 GB, counting them takes a few MB
+    S = PointSet(np.array([(i, j) for j in range(20) for i in range(20)], dtype=float))
+    tracemalloc.start()
+    try:
+        first = run_checks(lp(2), S, 0.0)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == checks_module.CheckResult(
+        "distances-distinct", False, "30549616 tied distance pairs at tol=0")
+    assert peak < 50e6, f"peak {peak} bytes"
 
 
 def _count_bank():

@@ -30,7 +30,7 @@ from normplane import (
     run_checks,
     segments_properly_intersect,
 )
-from normplane.fng import _BLOCK, _decompose, _differences, _furthest, _row_blocks
+from normplane.fng import _BLOCK, _count_ties, _decompose, _differences, _furthest, _row_blocks, _sorted_ties
 from normplane.norms import norm_many
 
 # a square with corners nudged so the two diagonals stay longest but no two
@@ -582,6 +582,47 @@ def test_a_table_holding_a_non_finite_distance_is_rejected(read, value):
         with pytest.raises(DegenerateInput,
                            match="^the distance table holds a value that is not finite$"):
             read(np.array(table))
+
+
+@pytest.mark.parametrize("read", [detect_ties, min_distance_gap])
+def test_a_table_that_is_no_distance_table_is_rejected(read):
+    # both read the strict upper triangle alone: the first table listed no
+    # tie, the second one tie, and the third passed with a diagonal of 5
+    for table, message in (
+        ([[0.0, 1.0, 2.0], [np.nan, 0.0, 3.0], [2.0, 3.0, 0.0]], "the distance table is not symmetric"),
+        ([[0.0, 1.0, 1.0], [5.0, 0.0, 3.0], [2.0, 3.0, 0.0]], "the distance table is not symmetric"),
+        ([[5.0, 1.0, 2.0], [1.0, 5.0, 3.0], [2.0, 3.0, 5.0]],
+         "the distance table has a diagonal value that is not 0"),
+        ([[0.0, 1.0], [1.0, np.nan]], "the distance table has a diagonal value that is not 0"),
+    ):
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+            read(np.array(table))
+    # a mirrored table with a zero diagonal still reads, -0.0 included
+    assert detect_ties(np.array([[-0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])) == [((0, 1), (0, 2))]
+    assert min_distance_gap(np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 2.0], [1.5, 2.0, 0.0]])) == 0.5
+
+
+def test_the_tie_count_equals_the_listed_ties(rng):
+    # sorted values with runs of equal and of nearly equal values, at tols
+    # below, at and above their spacing
+    cases = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 60))
+        kind = trial % 4
+        if kind == 0:
+            vals = rng.uniform(size=n)
+        elif kind == 1:
+            vals = rng.integers(0, 6, size=n).astype(float)
+        elif kind == 2:
+            vals = np.round(rng.uniform(size=n), 2) + rng.uniform(-1e-9, 1e-9, size=n)
+        else:
+            vals = 1.0 + np.cumsum(rng.choice([0.0, 1e-10, 5e-10, 1e-3], size=n))
+        sv = np.sort(vals)
+        for tol in (0.0, 1e-12, 1e-9, 1e-3, 0.05):
+            listed = _sorted_ties(sv, tol)[0].size
+            assert _count_ties(sv, tol) == listed
+            cases += listed > 0
+    assert cases >= 1000
 
 
 def _decompose_by_walk(fn) -> FNGraph:

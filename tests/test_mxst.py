@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 import re
 import tracemalloc
@@ -34,7 +35,7 @@ from normplane import (
     two_clustering_bruteforce,
     validate_tree,
 )
-from normplane.fng import _BLOCK, distances_between
+from normplane.fng import _BLOCK, _row_blocks, distances_between
 from normplane.mxst import (
     CandidateEdge,
     ConnectingEdgeReport,
@@ -280,8 +281,22 @@ def _whole_block_max_pair(spec, S, rows, cols):
 
 
 def _edges(found):
-    """_cluster_blocks' (i, j, w) triples as the CandidateEdges of a report."""
+    """_block_pairs' (i, j, w) triples as the CandidateEdges of a report."""
     return tuple(CandidateEdge(*t) for t in found)
+
+
+def _block_pairs(spec, pts, rows, row_sizes, cols, col_sizes):
+    """``top[a][c]``: the best two pairs of row group a against column group
+    c as ``(i, j, w)`` triples, i < j, the groups cutting ``rows`` and
+    ``cols`` into consecutive pieces of the given sizes; from one row-blocked
+    pass whose blocks the rectangle reducer (_cluster_blocks) merges."""
+    row_at, col_at = (list(itertools.accumulate(sizes, initial=0)) for sizes in (row_sizes, col_sizes))
+    rects = {(a, c): (row_at[a], row_at[a + 1], col_at[c], col_at[c + 1])
+             for a in range(len(row_sizes)) for c in range(len(col_sizes))}
+    top = {}
+    _row_blocks(spec, pts, rows, cols, lambda r0, block: _cluster_blocks(block, r0, rects, top))
+    return [[[(*sorted((int(rows[row_at[a] + r]), int(cols[col_at[c] + q]))), -w) for w, r, q in top[a, c]]
+             for c in range(len(col_sizes))] for a in range(len(row_sizes))]
 
 
 def _max_pair_blocks(rng):
@@ -307,7 +322,7 @@ def _max_pair_blocks(rng):
 def test_max_pair_equals_the_whole_block_answer(rng):
     tied_in_max_row = tied_in_later_row = large = 0
     for spec, S, rows, cols in _max_pair_blocks(rng):
-        (top,), = _cluster_blocks(spec, S.points, rows, [rows.size], cols, [cols.size])
+        (top,), = _block_pairs(spec, S.points, rows, [rows.size], cols, [cols.size])
         assert _edges(top) == _whole_block_max_pair(spec, S, rows, cols)
         block = distances_between(spec, S, rows[:, None], cols[None, :])
         r = int(np.argmax(block.max(axis=1)))
@@ -324,7 +339,7 @@ def test_max_pair_holds_about_one_row_block():
     rows, cols = np.arange(200_000), np.arange(200_000, 200_016)
     tracemalloc.start()
     try:
-        _cluster_blocks(lp(1.5), S.points, rows, [rows.size], cols, [cols.size])
+        _block_pairs(lp(1.5), S.points, rows, [rows.size], cols, [cols.size])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -352,8 +367,8 @@ def test_group_pairs_equal_the_whole_block_answer_of_each_sub_block(rng):
             rows = rng.choice(idx[cols.size :], size=int(rng.integers(2, 3 * step)))
             row_groups = _cut(rng, rows, int(rng.integers(1, 6)))
             col_groups = _cut(rng, cols, int(rng.integers(1, 5)))
-            top = _cluster_blocks(spec, grid.points, rows, [rg.size for rg in row_groups],
-                                  cols, [cg.size for cg in col_groups])
+            top = _block_pairs(spec, grid.points, rows, [rg.size for rg in row_groups],
+                               cols, [cg.size for cg in col_groups])
             r0 = 0
             for t, rg in enumerate(row_groups):
                 inside += r0 % step != 0
@@ -517,6 +532,23 @@ def _path_cases():
         grid = np.array([(i, j) for j in range(m) for i in range(m)], dtype=float)
         yield grid
         yield grid[rng.choice(m * m, size=m * m // 2, replace=False)]
+    # k = 3, 5 and 7: jittered regular 6-, 10- and 14-gons with interior
+    # points, mirror images about the y-axis with no point on it, so that
+    # mirrored pairs tie exactly at the pairing and candidate decisions;
+    # then copies whose mirrored half is jittered again
+    for m in (6, 10, 14):
+        for jitter in (0.0, 0.01, 0.03):
+            for inner in (0, 6, 20):
+                angles = 2 * np.pi * np.arange(m) / m
+                half = np.stack([np.cos(angles), np.sin(angles)], axis=1)[np.cos(angles) > 0]
+                half += rng.uniform(-jitter, jitter, size=half.shape)
+                inside = rng.uniform(-0.4, 0.4, size=(inner // 2, 2))
+                inside[:, 0] = np.abs(inside[:, 0]) + 0.01
+                mirrored = np.vstack([half, inside])
+                yield np.vstack([mirrored, mirrored * [-1.0, 1.0]])
+                if jitter:
+                    yield np.vstack([half, half * [-1.0, 1.0] + rng.uniform(-jitter, jitter, size=half.shape),
+                                     rng.uniform(-0.4, 0.4, size=(inner, 2))])
 
 
 def _tree_outcome(build):
@@ -532,9 +564,12 @@ def _tree_outcome(build):
 def test_reading_and_evaluating_paths_agree(monkeypatch):
     # the connecting step reads the furthest-neighbor pass when it was one
     # block, and the suite's table; evaluated with no held distances, or
-    # with a _BLOCK too small for one block, it gives the same bits
+    # with a _BLOCK too small for one block, it gives the same bits.  At
+    # k >= 3 every spine's rectangles span two adjacent spines
     specs = (euclidean(), lp(1.5), l1(), linf(), polygonal(HEX_BALL))
     read = evaluated = tied = 0
+    wide_read = wide_evaluated = 0
+    wide_tied = {"maxima of the cluster pairing": 0, "connecting candidates": 0}
     for pts in _path_cases():
         S = PointSet(pts)
         n = S.n
@@ -553,11 +588,19 @@ def test_reading_and_evaluating_paths_agree(monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(fng_module, "_BLOCK", 64)
                     assert _tree_outcome(lambda: mxst_mpsy(spec, S, tol)) == want
+                    if g.k > 2:
+                        wide_evaluated += fng_module._stages(spec, S, tol)[3] is None
                 if g.k > 1:
                     read += held is not None
                     evaluated += held is None
                     tied += isinstance(want, str)
+                if g.k > 2:
+                    wide_read += held is not None
+                    for site in wide_tied:
+                        wide_tied[site] += isinstance(want, str) and want.startswith(f"tied {site}")
     assert read >= 50 and evaluated >= 25 and tied >= 20
+    assert wide_read >= 100 and wide_evaluated >= 100
+    assert min(wide_tied.values()) >= 20
 
 
 def _triple(c):
@@ -573,7 +616,7 @@ def _doctor_connecting_step(monkeypatch, pick):
     picks = []
 
     def doctored(cands, tol, site):
-        if not site.startswith("connecting candidates"):
+        if not site().startswith("connecting candidates"):
             return unique_max(cands, tol, site)
         picks.append(pick(cands, len(picks)))
         return picks[-1]
@@ -678,6 +721,27 @@ def test_a_decision_tie_raises_naming_its_witness(site, tol):
     if site != "row":
         # the rows are decided, so build_fng stands and only the tree raises
         build_fng(lp(2), S, tol)
+
+
+@pytest.mark.parametrize("site", ["pairing", "entry", "minimum"])
+def test_a_near_decision_tie_raises_as_an_exact_one(site):
+    # the first witness pair's point moved 1e-12 along that pair, keeping
+    # it the chosen one: its distance moves off the other pair's but stays
+    # within 1e-9, so the site raises the same text at tol 1e-9 and not at 0
+    points, message = DECISION_TIES[site]
+    pts = np.array(points)
+    (p, q), (r, s) = _witness(message)
+    along = (pts[p] - pts[q]) / np.linalg.norm(pts[p] - pts[q])
+    pts[p] += along * (-1e-12 if site == "minimum" else 1e-12)  # the minimum's is the lightest
+    S = PointSet(pts)
+    table = pairwise_distances(lp(2), S)
+    assert 0.0 < abs(table[p, q] - table[r, s]) <= 1e-9
+    with pytest.raises(TiesPresent, match=f"^{re.escape(message.format(tol='1e-09'))}$"):
+        mxst_mpsy(lp(2), S, 1e-9)
+    try:
+        mxst_mpsy(lp(2), S, 0.0)
+    except TiesPresent as exc:
+        assert not str(exc).startswith(message.split(":")[0])
 
 
 def _mirrored_sets(rng, count):
