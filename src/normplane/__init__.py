@@ -48,7 +48,6 @@ from .mxst import (
     SpanningTree,
     mxst_bruteforce,
     mxst_mpsy,
-    validate_tree,
 )
 from .norms import (
     BisectorSample,
@@ -87,5 +86,4 @@ __all__ = [
     "pairwise_distances", "parse_norm", "perturb_distinct", "polygonal",
     "run_checks", "sample_bisector", "segments_properly_intersect",
     "stabbing_line", "two_clustering", "two_clustering_bruteforce",
-    "validate_tree",
 ]

@@ -219,7 +219,7 @@ def _cmd_bisector(args: argparse.Namespace, spec: NormSpec, S: PointSet) -> int:
     if S.n != 2:
         raise ParseError("bisector needs an input of exactly two points")
     p, q = S.points
-    extent = 2.0 * float(math.hypot(*(q - p)))
+    extent = 2.0 * math.dist(p, q)  # inf, without a warning, when q - p overflows
     sample = sample_bisector(spec, p, q, count=33, extent=extent, tol=args.tol)
     payload = {
         "norm": spec.label(),

@@ -27,16 +27,18 @@ search's last feasible probe, is returned as the witness line of the split.
 The search hands each probe's family, as plain float rows, straight to
 the scan :func:`_stab`: tree edges join distinct finite points, so only
 the public :func:`stabbing_line` reads and checks a family, segment by
-segment.  The scan tests the lines through pairs of segment endpoints, at
-most m^3 endpoint tests for m segments, each with inline arithmetic, and
-reports the endpoint pair of the line it finds.  Every family probed
-after a feasible one contains it, so the search holds the newest pair
-found (at first, the longest edge's) and tests that one candidate on each
-probe in O(m) (:func:`_pair_stabs`) before scanning: if its line stabs,
-the scan would find a line too.  The scan runs only when the held line
-misses, and once more at the end on the last feasible family when a held
-line decided it, so the probes and the witness line are those of a scan
-at every probe.
+segment; both first check that every candidate line lies in the float
+range (:func:`_check_span`).  The scan tests the lines through pairs of
+segment endpoints, at most m^3 endpoint tests for m segments, each with
+inline arithmetic, and reports the endpoint pair of the line it finds.
+Every family probed after a feasible one contains it, so the search holds
+the newest pair found (at first, the longest edge's) and, before scanning,
+tests that one candidate on each probe in O(m): the scan restricted to
+the pair, whose one line is the full scan's own candidate, so if it
+stabs, the full scan would find a line too.  The full scan runs only when
+the held line misses, and once more at the end on the last feasible
+family when a held line decided it, so the probes and the witness line
+are those of a scan at every probe.
 
 Each side's diameter is taken over that side's points alone
 (:func:`diameter`), as the largest block maximum of the row-blocked pass
@@ -58,6 +60,7 @@ from .mxst import ConnectingEdgeReport, connect_components
 from .norms import NormSpec
 
 _NON_FINITE = "segment endpoints must be finite"
+_BEYOND = "a line through two of the points lies beyond the float range"
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,8 @@ def line_through(p, q) -> Line:
         raise DegenerateInput("line through coincident points")
     a, b = nx / length, ny / length
     c = a * px + b * py
+    if not (math.isfinite(length) and math.isfinite(c)):
+        raise DegenerateInput(_BEYOND)
     if a < 0.0 or (a == 0.0 and b < 0.0):
         a, b, c = -a, -b, -c
     return Line(a=a, b=b, c=c)
@@ -147,24 +152,45 @@ def stabbing_line(segments, tol: float = DEFAULT_TOL) -> Line | None:
         segs.append((px, py, qx, qy))
     if not segs:
         raise DegenerateInput("an empty segment family has every line as a transversal")
+    _check_span(np.reshape(segs, (-1, 2)))
     pair = _stab(segs, tol)
     return None if pair is None else line_through(*pair)
 
 
-def _stab(segs, tol: float):
+def _check_span(pts: np.ndarray) -> None:
+    """DegenerateInput unless every line through two of the finite points
+    ``pts`` (m, 2) lies in the float range, as two sufficient bounds on
+    plain floats say: the Euclidean diagonal of their bounding box bounds
+    the length of such a line's normal ``(py - qy, qx - px)``, and
+    ``hypot(max |x|, max |y|)`` its offset."""
+    (x_lo, y_lo), (x_hi, y_hi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    diagonal = math.hypot(x_hi - x_lo, y_hi - y_lo)
+    reach = math.hypot(max(-x_lo, x_hi), max(-y_lo, y_hi))
+    if not (math.isfinite(diagonal) and math.isfinite(reach)):
+        raise DegenerateInput(_BEYOND)
+
+
+def _stab(segs, tol: float, pair=None):
     """The endpoint pair ``((px, py), (qx, qy))`` whose :func:`line_through`
     is :func:`stabbing_line` of a non-empty list of ``(px, py, qx, qy)``
-    rows of finite floats with distinct endpoints, at an accepted tol, or
-    None.
+    rows of finite floats with distinct endpoints, in the float range
+    (:func:`_check_span`), at an accepted tol, or None.
 
     If a family of segments has any transversal, it has one through two
     segment endpoints, so the lines through every pair of distinct endpoints
     (in first-seen order) are a complete candidate set; a single segment's
     own supporting line is the pair of its two endpoints.  Each candidate is
     tested on plain floats and abandoned at the first segment it misses.
+    Given ``pair``, two of the family's endpoints, the scan is restricted
+    to them: its one candidate is their line, taken from the endpoint the
+    family meets first, as the full scan takes it.
     """
-    # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
-    ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
+    if pair is None:
+        # a dict keeps first-seen order and, like equality, merges -0.0 with 0.0
+        ends = list(dict.fromkeys(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy))))
+    else:
+        first = next(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy)) if e in pair)
+        ends = pair if first == pair[0] else pair[::-1]
     for i, (px, py) in enumerate(ends):
         for qx, qy in ends[i + 1 :]:
             # line_through(p, q) without the Line: the same operations in order
@@ -185,26 +211,6 @@ def _stab(segs, tol: float):
     return None
 
 
-def _pair_stabs(segs, pair, tol: float) -> bool:
-    """Whether :func:`_stab`'s candidate line through the endpoint ``pair``
-    stabs every row of ``segs``, both of its endpoints being endpoints there.
-
-    The scan takes a pair first-seen endpoint first, and the two orders can
-    round to lines with different verdicts, so the pair is taken so too.
-    True therefore means that the scan of ``segs`` finds a line as well.
-    """
-    p, q = pair
-    first = next(e for px, py, qx, qy in segs for e in ((px, py), (qx, qy)) if e == p or e == q)
-    line = line_through(p, q) if first == p else line_through(q, p)
-    a, b, c = line.a, line.b, line.c
-    for sx, sy, tx, ty in segs:
-        sp = a * sx + b * sy - c
-        sq = a * tx + b * ty - c
-        if (sq if sq < sp else sp) > tol or (sq if sq > sp else sp) < -tol:  # as in _stab
-            return False
-    return True
-
-
 def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bipartition:
     """Optimal 2-clustering minimizing the larger cluster diameter.
 
@@ -215,17 +221,21 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     longer than the minimal feasible length of the binary search.
 
     A probe is decided by the held pair's line when it stabs the probe's
-    family: that line is one of the scan's candidates, built as the scan
-    builds it, so the scan's verdict is the same.  The scan runs on a probe
-    whose held line misses (every infeasible probe) and on the final
-    family if a held line decided it, so the probe sequence, the sides,
-    the diameters and the witness line keep the bits of a scan per probe.
+    family: that line is the scan restricted to the pair, so it is one of
+    the full scan's candidates, and the scan's verdict is the same.  The
+    full scan runs on a probe whose held line misses (every infeasible
+    probe) and on the final family if a held line decided it, so the probe
+    sequence, the sides, the diameters and the witness line keep the bits
+    of a scan per probe.  DegenerateInput, after the tree, when a line
+    through two of the points lies beyond the float range
+    (:func:`_check_span`).
     """
     if S.n < 2:
         raise DegenerateInput("2-clustering needs at least two points")
     hull, g, fn_dist, held = _stages(spec, S, tol)
     tree, report = connect_components(spec, S, g, fn_dist, hull, tol, held)
 
+    _check_span(S.points)
     by_length = np.argsort(tree.weights, kind="stable")
     lengths = tree.weights[by_length]
     segments = S.points[tree.edges[by_length]]  # (n - 1, 2, 2), shortest first
@@ -246,10 +256,10 @@ def two_clustering(spec: NormSpec, S: PointSet, tol: float = DEFAULT_TOL) -> Bip
     while lo < hi:
         mid = (lo + hi) // 2
         fam = family(mid)
-        # fam contains every family probed feasible so far, so the held
-        # pair's line is one of the scan's candidates: if it stabs, the scan
-        # would find a line too
-        if not fam or _pair_stabs(fam, pair, tol):
+        # fam contains every family probed feasible so far, so the scan
+        # restricted to the held pair tests one of the full scan's
+        # candidates: if its line stabs, the full scan would find a line too
+        if not fam or _stab(fam, tol, pair) is not None:
             hi = mid
         elif (line_pair := _stab(fam, tol)) is not None:
             hi, pair, found_at = mid, line_pair, mid

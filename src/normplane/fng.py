@@ -24,9 +24,10 @@ owns it: each row's best two (:func:`_furthest`), the block's maximum
 boundary cluster) rectangle it holds rows of (:func:`mxst._cluster_blocks`,
 the connecting edges, one pass per spine when no caller holds their
 distances).
-That pass, in one float-range scope, and :func:`distances_between` own the
-float range: a distance beyond it reads inf or nan without a warning, and
-each caller raises DegenerateInput on a non-finite value it reads.
+That pass and the flat strict upper triangle of every pair
+(:func:`_triangle`), each in one float-range scope, own the float range: a
+distance beyond it reads inf or nan without a warning, and each caller
+raises DegenerateInput on a non-finite value it reads.
 
 Whether two distances tie is decided in one place, :func:`_near`, with tol
 an absolute gap: each row's best two here, the certificates of :mod:`mxst`
@@ -90,7 +91,8 @@ def _triangle(spec: NormSpec, S: PointSet) -> tuple[np.ndarray, np.ndarray, np.n
     """``(iu, ju, vals)`` over pairs i < j in ``np.triu_indices`` order;
     DuplicatePoints on 0, DegenerateInput on a distance beyond the float range."""
     iu, ju = np.triu_indices(S.n, k=1)
-    vals = distances_between(spec, S, iu, ju)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = norm_many(spec, _differences(S.points, iu, ju))
     if np.any(vals <= 0.0):
         raise DuplicatePoints("zero off-diagonal distance: duplicate points")
     return iu, ju, _finite(vals)
@@ -369,15 +371,6 @@ def _decompose(fn) -> FNGraph:
         raise StructureViolation("a point reaches no 2-cycle of the furthest-neighbor map")
     return FNGraph(fn=fn, spines=np.stack([x, fn[x]], axis=1),
                    component_of=component_of, cluster_of=rep)
-
-
-def distances_between(spec: NormSpec, S: PointSet, rows, cols) -> np.ndarray:
-    """``||p_r - p_c||`` over broadcast index arrays ``rows`` and ``cols``.
-
-    :func:`pairwise_distances` is built from these values with rows < cols.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return norm_many(spec, _differences(S.points, rows, cols))
 
 
 def order_components(g: FNGraph, hull: HullIndex) -> np.ndarray:

@@ -142,7 +142,7 @@ def connect_components(
     do not alternate or the edges do not span).  ``g``'s edges are a forest
     of k trees, one per component, so the result is a spanning tree when it
     has n - 1 edges and the kept connecting edges join the k components
-    without a cycle; :func:`validate_tree` would repeat that over n points.
+    without a cycle, with no union-find over the n points.
     TiesPresent when one of its decisions compares two distinct pairs within
     tol.  The FNG edges weigh their ``fn_dist`` and each connecting edge the
     weight its candidate was found with, so no tree weight is evaluated
@@ -346,17 +346,6 @@ def _greedy(n: int, iu: np.ndarray, ju: np.ndarray, w: np.ndarray) -> SpanningTr
                 break
     picked = np.sort(order[picked])  # flat upper-triangle positions order pairs as (i, j) does
     return SpanningTree(np.stack([iu[picked], ju[picked]], axis=1), w[picked])
-
-
-def validate_tree(t: SpanningTree, n: int) -> bool:
-    """Connectivity + acyclicity + edge-count check via component merging."""
-    if n <= 1:
-        return len(t.edges) == 0
-    e = t.edges
-    if e.shape != (n - 1, 2) or np.any((e < 0) | (e >= n)) or np.any(e[:, 0] == e[:, 1]):
-        return False
-    # False at the first duplicate edge or cycle
-    return all(map(_union_find(n), e[:, 0].tolist(), e[:, 1].tolist()))
 
 
 def _union_find(n: int):

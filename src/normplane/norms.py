@@ -236,9 +236,18 @@ def birkhoff_orthogonal(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> bool:
     The section t -> ||x + t*y|| is convex, so its minimum over the
     bracketing interval |t| <= 4*||x||/||y|| (outside it the value already
     exceeds ||x||) is found by ternary search.
+
+    The relation holds or fails with x and y each scaled by any positive
+    factor, so it is decided on x and y times the powers of two that bring
+    their largest |coordinate| into [1/2, 1), exact unless a coordinate
+    becomes subnormal, with tol scaled as x is (inf beyond the float
+    range); the bracket's ratio then stays in range for any magnitudes.
     """
     check_tol(tol)
     xv, yv = _as_vec(x), _as_vec(y)
+    ex = int(np.frexp(np.abs(xv).max())[1])
+    with np.errstate(over="ignore"):  # a tol of inf: then ||x|| <= tol, and every t passes
+        xv, yv, tol = np.ldexp(xv, -ex), _unit_scale(yv), float(np.ldexp(tol, -ex))
     nx = evaluate_norm(spec, xv)
     ny = evaluate_norm(spec, yv)
     if nx == 0.0 or ny == 0.0:
@@ -302,7 +311,8 @@ def bisector_point(
         raise ZeroVector("line direction must be nonzero")
     e = int(np.frexp(np.abs(raw).max())[1])
     pv, qv, origin, d = np.ldexp(raw, -e)
-    tol = math.ldexp(tol, -e)
+    with np.errstate(over="ignore"):  # inf: every |f| <= ||q - p|| lies within the unscaled tol
+        tol = float(np.ldexp(tol, -e))
     dlen = math.hypot(d[0], d[1])
     if t_range is None:
         mid = 0.5 * (pv + qv)
@@ -369,35 +379,44 @@ def sample_bisector(
     pv, qv = _as_vec(p), _as_vec(q)
     if np.array_equal(pv, qv):
         raise DegenerateInput("bisector of identical points")
-    if count < 1:
-        raise DegenerateInput("count must be >= 1")
-    if not extent > 0.0:
-        raise DegenerateInput("extent must be positive")
-    dvec = qv - pv
-    dlen = math.hypot(dvec[0], dvec[1])
-    perp = np.array([-dvec[1], dvec[0]]) / dlen
-    mid = 0.5 * (pv + qv)
-    offsets = np.linspace(-extent, extent, count)
-    points = np.empty((count, 2))
-    for i, s in enumerate(offsets):
-        base = mid + s * perp
-        pt = bisector_point(spec, pv, qv, base, dvec, tol)
-        # f(t) = h(t) - h(t - 1) for a convex h, so f is nondecreasing and runs
-        # from -||q - p|| to ||q - p||: a crossing exists, and the default range
-        # |t| <= 4 (2 + |s| / |q - p|) is doubled until it holds it (a gauge
-        # stretched 300-fold put one at t = -263, past a range of 16)
-        t_range = 4.0 * (2.0 + abs(s) / dlen)
-        for _ in range(_WIDENINGS):
-            if pt is not None:
-                break
-            t_range *= 2.0
-            pt = bisector_point(spec, pv, qv, base, dvec, tol, t_range=t_range)
-        if pt is None:
-            raise StructureViolation(
-                f"no bisector crossing found at offset {s}; widen the search range"
-            )
-        points[i] = pt
-    residuals = np.abs(norm_many(spec, points - pv) - norm_many(spec, points - qv))
+    # one float-range scope: a value beyond the range reads inf or nan
+    # without a warning, and the sites' difference and the residuals are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        dvec = qv - pv
+        dlen = math.hypot(dvec[0], dvec[1])
+        if not (math.isfinite(dlen) and math.isfinite(norm_many(spec, dvec))):
+            raise DegenerateInput("q - p or its norm lies beyond the float range")
+        if count < 1:
+            raise DegenerateInput("count must be >= 1")
+        if not extent > 0.0:
+            raise DegenerateInput("extent must be positive")
+        if extent == INF:
+            raise DegenerateInput("extent must be finite")
+        perp = np.array([-dvec[1], dvec[0]]) / dlen
+        mid = 0.5 * (pv + qv)
+        offsets = np.linspace(-extent, extent, count)
+        points = np.empty((count, 2))
+        for i, s in enumerate(offsets):
+            base = mid + s * perp
+            pt = bisector_point(spec, pv, qv, base, dvec, tol)
+            # f(t) = h(t) - h(t - 1) for a convex h, so f is nondecreasing and runs
+            # from -||q - p|| to ||q - p||: a crossing exists, and the default range
+            # |t| <= 4 (2 + |s| / |q - p|) is doubled until it holds it (a gauge
+            # stretched 300-fold put one at t = -263, past a range of 16)
+            t_range = 4.0 * (2.0 + abs(s) / dlen)
+            for _ in range(_WIDENINGS):
+                if pt is not None:
+                    break
+                t_range *= 2.0
+                pt = bisector_point(spec, pv, qv, base, dvec, tol, t_range=t_range)
+            if pt is None:
+                raise StructureViolation(
+                    f"no bisector crossing found at offset {s}; widen the search range"
+                )
+            points[i] = pt
+        residuals = np.abs(norm_many(spec, points - pv) - norm_many(spec, points - qv))
+    if not np.all(np.isfinite(residuals)):
+        raise DegenerateInput("a sample's distance to p or q lies beyond the float range")
     return BisectorSample(points=points, endpoints=(pv, qv), residuals=residuals)
 
 

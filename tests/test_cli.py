@@ -28,6 +28,7 @@ from normplane.cli import _build_parser, load_points, main
 from normplane.errors import DuplicatePoints, ParseError
 from normplane.geometry import DEFAULT_TOL
 from conftest import ELONGATED_HEX_BALL, HEX_BALL
+from test_clustering import FAR_LINF_POINTS
 from test_fng import JITTERED_SQUARE
 
 TRI_345 = [[0, 0], [3, 0], [3, 4]]
@@ -288,6 +289,33 @@ def test_cli_bisector_far_from_unit_scale(tmp_path, capsys, norm, tol, points, s
         assert payload["max_residual"] <= 1e-15 * size
     else:  # absolute: every scanned |f| of the tiny pair is within it
         assert payload["max_residual"] <= max(1e-9, 1e-15 * size)
+
+
+def test_cli_bisector_of_a_subnormal_pair(tmp_path, capsys):
+    # tol scaled by the 2^1073 that brings 5e-324 to unit scale overflowed:
+    # "OverflowError: math range error"
+    pts = _write(tmp_path, "pair.json", "[[0, 0], [5e-324, 0]]")
+    assert main(["bisector", "--points", pts]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 33
+    assert payload["max_residual"] <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("command, norm, points, message", [
+    ("bisector", "euclidean", "[[1e308, 0], [-1e308, 0]]",
+     "q - p or its norm lies beyond the float range"),
+    ("cluster2", "linf", json.dumps(FAR_LINF_POINTS),
+     "a line through two of the points lies beyond the float range"),
+], ids=["bisector", "cluster2"])
+def test_cli_pairs_and_lines_beyond_the_float_range_exit_1(tmp_path, capsys, command, norm,
+                                                          points, message):
+    # the bisector printed five RuntimeWarnings, then DegenerateInput:
+    # non-finite coordinates; cluster2 printed the witness [0, 0, 0]
+    pts = _write(tmp_path, "far.json", points)
+    assert main([command, "--norm", norm, "--points", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "DegenerateInput", "message": message}
 
 
 @pytest.mark.parametrize("command", ["mxst", "perturb"])

@@ -167,6 +167,30 @@ def test_stabbing_line_rejects_non_finite_coordinates(family, dtype):
             stabbing_line(form, 0.0)
 
 
+# every coordinate is finite, yet the normal of some line through two of
+# the points is longer than the float range: hypot overflowed to inf, and
+# the "line" a = nx / inf = 0 met every segment
+FAR_LINF_POINTS = [[-4.8e307, 8.4e307], [4.9e307, 2.6e307], [5.4e307, 7.8e307],
+                   [-2.4e307, 5.1e307], [-1.1e307, -1.5e307], [8.4e307, -5.8e307]]
+
+
+def test_lines_beyond_the_float_range_raise():
+    # the 2-clustering returned the witness Line(0, 0, 0), stabbing_line
+    # Line(0, nan, nan) and line_through a line of nan fields
+    calls = (
+        lambda: two_clustering(linf(), PointSet(FAR_LINF_POINTS), 0.0),
+        lambda: stabbing_line([([1e308, 0], [-1e308, 0]), ([0, 5], [1, 6])], 0.0),
+        lambda: line_through([1e308, 1e308], [-1e308, -1e308]),
+        # a finite normal whose offset c overflows
+        lambda: line_through([1.7e308, 1.7e308], [1.6e308, 1.8e308]),
+    )
+    for call in calls:
+        with pytest.raises(DegenerateInput, match="^a line through two of the points lies beyond the float range$"):
+            call()
+    # under linf every distance of those points is finite, and the tree is built
+    assert mxst_mpsy(linf(), PointSet(FAR_LINF_POINTS), 0.0)[0].edges.shape == (5, 2)
+
+
 # the endpoint-pair scan as it was written with numpy 2-vectors, rejecting
 # non-finite endpoints: the reference the plain-float scan must reproduce
 # bit for bit
@@ -281,8 +305,8 @@ def test_stabbing_line_matches_endpoint_pair_scan():
 
 
 def test_held_pair_is_tested_as_the_scans_candidate():
-    # in either order, a pair of endpoints is tested as the scan's
-    # candidate line, first-seen endpoint first; on these grids the two
+    # in either order, a pair of endpoints given to the scan is tested as
+    # its candidate line, first-seen endpoint first; on these grids the two
     # orders of some pairs give lines with different verdicts
     rng = np.random.default_rng(36)
     order_matters = 0
@@ -299,22 +323,24 @@ def test_held_pair_is_tested_as_the_scans_candidate():
             for q in ends[i + 1 :]:
                 want = _line_stabs_all(line_through(p, q), segs, tol)
                 for pair in ((p, q), (q, p)):
-                    assert clustering_module._pair_stabs(rows, pair, tol) == want
+                    assert (clustering_module._stab(rows, tol, pair) is not None) == want
                 order_matters += want != _line_stabs_all(line_through(q, p), segs, tol)
     assert order_matters >= 1
 
 
 def _probed_families(monkeypatch, cases):
-    """Every (family, tol) that two_clustering hands to the scan, as an
-    (m, 2, 2) array; the public stabbing_line of each returns the line
+    """Every (family, tol) that two_clustering hands to the full scan, as
+    an (m, 2, 2) array; the public stabbing_line of each returns the line
     through the scan's endpoint pair."""
     probes, pairs = [], []
     scan = clustering_module._stab
 
-    def recording(segs, tol):
-        probes.append((np.array(segs).reshape(-1, 2, 2), tol))
-        pairs.append(scan(segs, tol))
-        return pairs[-1]
+    def recording(segs, tol, held=None):
+        found = scan(segs, tol, held)
+        if held is None:  # not a held pair's test
+            probes.append((np.array(segs).reshape(-1, 2, 2), tol))
+            pairs.append(found)
+        return found
 
     with monkeypatch.context() as patch:
         patch.setattr(clustering_module, "_stab", recording)
@@ -586,10 +612,11 @@ def test_two_clustering_witness_after_an_infeasible_probe(monkeypatch):
     probes = []
     scan = clustering_module._stab
 
-    def recording(segs, tol):
-        pair = scan(segs, tol)
-        probes.append(pair)
-        return pair
+    def recording(segs, tol, held=None):
+        found = scan(segs, tol, held)
+        if held is None:  # not a held pair's test
+            probes.append(found)
+        return found
 
     monkeypatch.setattr(clustering_module, "_stab", recording)
     witness = two_clustering(spec, S, tol).witness_line
@@ -633,18 +660,15 @@ def _recorded_search(monkeypatch, spec, S, tol):
     from the held-pair tests and scans it runs, its number of scans, and
     its witness."""
     calls = []
-    held, scan = clustering_module._pair_stabs, clustering_module._stab
+    scan = clustering_module._stab
 
-    def holding(segs, pair, tol):
-        calls.append(("held", segs, held(segs, pair, tol)))
-        return calls[-1][2]
-
-    def scanning(segs, tol):
-        calls.append(("scan", segs, scan(segs, tol)))
-        return calls[-1][2]
+    def scanning(segs, tol, held=None):
+        found = scan(segs, tol, held)
+        # a held pair's test is the scan given the pair's two endpoints
+        calls.append(("scan", segs, found) if held is None else ("held", segs, found is not None))
+        return found
 
     with monkeypatch.context() as patch:
-        patch.setattr(clustering_module, "_pair_stabs", holding)
         patch.setattr(clustering_module, "_stab", scanning)
         witness = two_clustering(spec, S, tol).witness_line
     probes = []

@@ -165,6 +165,32 @@ def test_birkhoff_agrees_with_dense_scan(rng):
                 assert got == expected
 
 
+def test_birkhoff_far_from_unit_scale():
+    # the bracket 4 ||x|| / ||y|| overflowed to inf or underflowed to 0:
+    # parallel vectors read orthogonal, and orthogonal ones not
+    cases = [
+        (([1e300, 0], [1e-300, 0]), ([1, 0], [1, 0])),
+        (([1e-300, 0], [1e300, 1e300]), ([1, 0], [1, 1])),
+        (([1e300, 0], [0, 1e-300]), ([1, 0], [0, 1])),
+    ]
+    for spec in (euclidean(), lp(1.5), lp(3), l1(), linf(), polygonal(HEX_BALL)):
+        for far, unit in cases:
+            assert birkhoff_orthogonal(spec, *far, 0.0) == birkhoff_orthogonal(spec, *unit, 0.0)
+
+
+def test_birkhoff_is_invariant_under_power_of_two_scaling():
+    # the relation holds or fails with x and y each scaled by any positive
+    # factor, and tol absolute in x's units; a power of two scales exactly
+    rng = np.random.default_rng(38)
+    for spec in (euclidean(), lp(1.5), l1(), linf(), polygonal(HEX_BALL)):
+        for _ in range(40):
+            x, y = rng.uniform(-10, 10, (2, 2))
+            kx, ky = rng.integers(-900, 900, 2).tolist()
+            for tol in (0.0, 1e-9, 0.5):
+                want = birkhoff_orthogonal(spec, x, y, tol)
+                assert birkhoff_orthogonal(spec, np.ldexp(x, kx), np.ldexp(y, ky), math.ldexp(tol, kx)) == want
+
+
 def test_bisector_point_symmetric_cases():
     pt = bisector_point(lp(2), [-1, 0], [1, 0], [0, -5], [0, 1])
     assert pt is not None and abs(pt[0]) < 1e-8
@@ -333,10 +359,22 @@ def test_parse_norm_grammar(tmp_path):
          "extent must be positive"),
         (lambda: sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=-1.0), DegenerateInput,
          "extent must be positive"),
+        (lambda: sample_bisector(lp(2), [-1, 0], [1, 0], count=5, extent=math.inf), DegenerateInput,
+         "extent must be finite"),
+        # q - p overflows; then only its l1 norm, 2e308
+        (lambda: sample_bisector(lp(2), [1e308, 0], [-1e308, 0], count=5, extent=1.0),
+         DegenerateInput, "q - p or its norm lies beyond the float range"),
+        (lambda: sample_bisector(l1(), [0, 0], [1e308, 1e308], count=5, extent=1.0),
+         DegenerateInput, "q - p or its norm lies beyond the float range"),
+        # the outer samples' distance to p, 1.5 times ||q - p|| here, overflows
+        (lambda: sample_bisector(polygonal(np.divide(DIAMOND_BALL, 4)), [0, 0], [4e307, 0],
+                                 count=5, extent=4e307),
+         DegenerateInput, "a sample's distance to p or q lies beyond the float range"),
     ],
     ids=["not-a-2-vector", "non-finite", "trailing-axis", "unknown-kind", "bisector-identical",
          "bisector-zero-direction", "sample-identical", "sample-count", "sample-zero-extent",
-         "sample-negative-extent"],
+         "sample-negative-extent", "sample-infinite-extent", "sample-overflowing-difference",
+         "sample-overflowing-distance", "sample-overflowing-residual"],
 )
 def test_degenerate_vector_arguments_are_rejected(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
